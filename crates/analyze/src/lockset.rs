@@ -16,18 +16,21 @@
 //! * **may-held** — locks held on *some* path. Starts empty, joins
 //!   union. Only grows.
 //!
-//! Both are propagated interprocedurally the same way the VAS analysis
-//! does: a callee's entry state is the meet (must: ∩, may: ∪) over its
-//! callsites, and a call's out-state is the callee's exit state.
+//! The pair is the flow state of a `sjmp_safety::dataflow` problem, so
+//! it crosses calls the way every IR analysis does: a callee's entry
+//! state is the meet (must: ∩, may: ∪) over its callsites. The
+//! call-return hook is this pass's own: the callee's exit state is
+//! absolute, so it replaces must-held, and may-held unions in whatever
+//! the callee might have left held.
 //!
-//! Which segment an access touches comes from a flow-insensitive
-//! points-to pre-pass seeded at `x = segaddr s` and propagated through
-//! copies, phis, vcasts, and calls. Pointers laundered through memory
-//! (stored then reloaded) are *not* tracked — such accesses classify
-//! from an empty points-to set, i.e. as [`AccessClass::NotShared`].
-//! This mirrors the VAS analysis, which also degrades to `vunknown` on
-//! loads from memory; programs wanting precision keep segment pointers
-//! in registers.
+//! Which segments an access touches comes from the pointer provenance
+//! `sjmp_safety::Analysis` already computed: the segments of the
+//! `segaddr` objects its address may point to. Provenance follows
+//! pointers through memory, so a segment pointer stored and reloaded
+//! still counts as a segment access. An address provenance cannot
+//! attribute — it may be unknown, or it is a `vcast` pointer, which
+//! can alias anything in its VAS — classifies as
+//! [`AccessClass::Unknown`], never as not shared.
 //!
 //! Each load/store then classifies as:
 //!
@@ -39,11 +42,13 @@
 //!   *no* lock of that segment is even may-held: a proven discipline
 //!   violation;
 //! * [`AccessClass::Unknown`] — anything in between (e.g. a lock held
-//!   on one branch only).
+//!   on one branch only, or an untracked address).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
-use sjmp_safety::ir::{BlockId, Inst, Module, Reg, SegName};
+use sjmp_safety::dataflow::{self, Effect, Lattice, Problem};
+use sjmp_safety::ir::{BlockId, Inst, Module, SegName, Site};
+use sjmp_safety::provenance::{Origin, Provenance, Pts};
 
 /// Verdict for one load or store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,206 +87,114 @@ impl LocksetSummary {
     }
 }
 
-/// Must-held lockset: `None` is ⊤ (top: every segment — the initial
-/// optimistic value at unvisited points), `Some(s)` a concrete set.
-type Must = Option<BTreeSet<SegName>>;
-
-fn meet_must(dst: &mut Must, src: &Must) -> bool {
-    match (dst.as_mut(), src) {
-        (_, None) => false,
-        (None, Some(s)) => {
-            *dst = Some(s.clone());
-            true
-        }
-        (Some(d), Some(s)) => {
-            let before = d.len();
-            d.retain(|x| s.contains(x));
-            d.len() != before
-        }
-    }
-}
-
-fn union_may(dst: &mut BTreeSet<SegName>, src: &BTreeSet<SegName>) -> bool {
-    let before = dst.len();
-    dst.extend(src.iter().copied());
-    dst.len() != before
-}
-
-/// Per-point dataflow state.
+/// Lock state at one program point. Bottom (an unreached point) is
+/// must-held ⊤ — `None`, every segment — and may-held empty.
 #[derive(Debug, Clone, Default)]
-struct State {
-    must: Must,
+struct Held {
+    must: Option<BTreeSet<SegName>>,
     may: BTreeSet<SegName>,
 }
 
-impl State {
-    fn entry() -> State {
-        State {
-            must: Some(BTreeSet::new()),
-            may: BTreeSet::new(),
-        }
+impl Lattice for Held {
+    fn bottom() -> Held {
+        Held::default()
     }
 
-    fn meet_from(&mut self, other: &State) -> bool {
-        meet_must(&mut self.must, &other.must) | union_may(&mut self.may, &other.may)
+    fn join(&mut self, other: &Held) -> bool {
+        let must = match (self.must.as_mut(), &other.must) {
+            (_, None) => false,
+            (None, Some(s)) => {
+                self.must = Some(s.clone());
+                true
+            }
+            (Some(d), Some(s)) => {
+                let before = d.len();
+                d.retain(|x| s.contains(x));
+                d.len() != before
+            }
+        };
+        must | self.may.join(&other.may)
     }
+}
 
-    fn apply(&mut self, inst: &Inst, exits: &[State]) {
+/// The lockset transfer functions.
+struct Locks;
+
+impl Problem for Locks {
+    type State = Held;
+    type Value = ();
+
+    fn transfer(&mut self, _site: Site, inst: &Inst, held: &mut Held, _: &[()]) -> Effect<()> {
         match inst {
             Inst::Lock(s) => {
-                if let Some(m) = self.must.as_mut() {
+                if let Some(m) = held.must.as_mut() {
                     m.insert(*s);
                 }
-                self.may.insert(*s);
+                held.may.insert(*s);
             }
             Inst::Unlock(s) => {
-                if let Some(m) = self.must.as_mut() {
+                if let Some(m) = held.must.as_mut() {
                     m.remove(s);
                 }
-                self.may.remove(s);
-            }
-            Inst::Call { func, .. } => {
-                // The callee's exit state is absolute (it already
-                // flows from the meet over callsite entries), so it
-                // replaces must; may unions in whatever the callee
-                // might have left held.
-                let exit = &exits[func.0 as usize];
-                self.must = exit.must.clone();
-                self.may.extend(exit.may.iter().copied());
+                held.may.remove(s);
             }
             _ => {}
         }
+        Effect::None
+    }
+
+    fn call_return(&self, held: &mut Held, exit: &Held) {
+        held.must = exit.must.clone();
+        held.may.join(&exit.may);
     }
 }
 
 /// Results of the lockset pass over one module.
 #[derive(Debug, Clone)]
 pub struct Lockset {
-    /// Classification per function, per block, per instruction index;
-    /// `None` for instructions that are not loads or stores.
-    classes: Vec<Vec<Vec<Option<AccessClass>>>>,
-    /// Fixpoint iterations used.
+    /// Classification of every load and store.
+    classes: HashMap<Site, AccessClass>,
+    /// Function visits the solver used.
     pub iterations: u32,
 }
 
 impl Lockset {
-    /// Runs the pass. Main (function 0) enters holding no locks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fixpoint fails to converge within a generous
-    /// bound (a non-monotone transfer bug).
-    pub fn run(module: &Module) -> Lockset {
-        let pts = points_to(module);
-        let n = module.functions.len();
-        // Per-instruction in-states, ⊤-initialized; entry/exit summaries.
-        let mut in_states: Vec<Vec<Vec<State>>> = module
-            .functions
-            .iter()
-            .map(|f| {
-                f.blocks
-                    .iter()
-                    .map(|b| vec![State::default(); b.insts.len()])
-                    .collect()
-            })
-            .collect();
-        let mut entries = vec![State::default(); n];
-        let mut exits = vec![State::default(); n];
-        entries[0] = State::entry();
-
-        let limit = 64 + module.inst_count() as u32;
-        let mut iterations = 0u32;
-        loop {
-            iterations += 1;
-            assert!(iterations <= limit, "lockset analysis failed to converge");
-            let mut changed = false;
-            for (fi, func) in module.functions.iter().enumerate() {
-                let preds = func.predecessors();
-                // Block-out states from last iteration's stored
-                // terminator in-state (no terminator changes locksets).
-                let mut block_out: Vec<State> = func
-                    .blocks
-                    .iter()
-                    .enumerate()
-                    .map(|(bi, b)| match b.insts.len().checked_sub(1) {
-                        Some(last) => {
-                            let mut s = in_states[fi][bi][last].clone();
-                            s.apply(&b.insts[last], &exits);
-                            s
-                        }
-                        None => State::default(),
-                    })
-                    .collect();
-                for (bi, block) in func.blocks.iter().enumerate() {
-                    let mut cur = if bi == 0 {
-                        entries[fi].clone()
-                    } else {
-                        let mut s = State::default();
-                        for p in &preds[bi] {
-                            s.meet_from(&block_out[p.0 as usize]);
-                        }
-                        s
-                    };
-                    for (ii, inst) in block.insts.iter().enumerate() {
-                        changed |= in_states[fi][bi][ii].meet_from(&cur);
-                        if let Inst::Call { func: callee, .. } = inst {
-                            changed |= entries[callee.0 as usize].meet_from(&cur);
-                        }
-                        if let Inst::Ret(_) = inst {
-                            changed |= exits[fi].meet_from(&cur);
-                        }
-                        cur.apply(inst, &exits);
-                    }
-                    changed |= block_out[bi].meet_from(&cur);
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        // Classify every memory operation from its fixpoint in-state.
+    /// Runs the pass over `module`, whose pointer provenance is
+    /// `provenance` (`sjmp_safety::Analysis::provenance` of the same
+    /// module). Main (function 0) enters holding no locks.
+    pub fn run(module: &Module, provenance: &Provenance) -> Lockset {
+        let entry = Held {
+            must: Some(BTreeSet::new()),
+            may: BTreeSet::new(),
+        };
+        let sol = dataflow::solve(module, &mut Locks, entry, ());
         let classes = module
-            .functions
-            .iter()
-            .enumerate()
-            .map(|(fi, func)| {
-                func.blocks
-                    .iter()
-                    .enumerate()
-                    .map(|(bi, block)| {
-                        block
-                            .insts
-                            .iter()
-                            .enumerate()
-                            .map(|(ii, inst)| {
-                                let addr = match inst {
-                                    Inst::Load { addr, .. } | Inst::Store { addr, .. } => *addr,
-                                    _ => return None,
-                                };
-                                Some(classify(pts[fi].get(&addr), &in_states[fi][bi][ii]))
-                            })
-                            .collect()
-                    })
-                    .collect()
+            .sites()
+            .filter_map(|(site, inst)| match inst {
+                Inst::Load { addr, .. } | Inst::Store { addr, .. } => {
+                    let pts = provenance.pts_of(site.func as usize, *addr);
+                    Some((site, classify(provenance, pts, sol.state_at(site))))
+                }
+                _ => None,
             })
             .collect();
         Lockset {
             classes,
-            iterations,
+            iterations: sol.visits,
         }
     }
 
     /// The classification of one instruction (`None` if it is not a
     /// load or store).
     pub fn class_of(&self, func: usize, bb: BlockId, idx: usize) -> Option<AccessClass> {
-        self.classes[func][bb.0 as usize][idx]
+        let site = Site::new(func, bb.0 as usize, idx);
+        self.classes.get(&site).copied()
     }
 
     /// Aggregate counts over the whole module.
     pub fn summary(&self) -> LocksetSummary {
         let mut s = LocksetSummary::default();
-        for c in self.classes.iter().flatten().flatten().flatten() {
+        for c in self.classes.values() {
             s.mem_ops += 1;
             match c {
                 AccessClass::NotShared => s.not_shared += 1,
@@ -294,97 +207,32 @@ impl Lockset {
     }
 }
 
-fn classify(pts: Option<&BTreeSet<SegName>>, state: &State) -> AccessClass {
-    let Some(pts) = pts.filter(|p| !p.is_empty()) else {
+fn classify(provenance: &Provenance, addr: &Pts, held: &Held) -> AccessClass {
+    if addr.unknown || addr.objs.iter().any(|o| provenance.is_vcast(*o)) {
+        return AccessClass::Unknown;
+    }
+    let segs: BTreeSet<SegName> = addr
+        .objs
+        .iter()
+        .filter_map(|o| match provenance.objects[*o as usize].origin {
+            Origin::Seg(s) => Some(s),
+            _ => None,
+        })
+        .collect();
+    if segs.is_empty() {
         return AccessClass::NotShared;
-    };
-    let guarded = match &state.must {
+    }
+    let guarded = match &held.must {
         None => true, // unreachable point: vacuously guarded
-        Some(must) => pts.iter().all(|s| must.contains(s)),
+        Some(must) => segs.is_subset(must),
     };
     if guarded {
         AccessClass::ProvenGuarded
-    } else if pts.iter().all(|s| !state.may.contains(s)) {
+    } else if segs.is_disjoint(&held.may) {
         AccessClass::ProvenRacy
     } else {
         AccessClass::Unknown
     }
-}
-
-/// Flow-insensitive may-point-to over segment bases: which segments
-/// can each register address? Seeded by `segaddr`, propagated through
-/// copies, phis, vcasts, and call boundaries; loads are not tracked
-/// (see the module docs).
-fn points_to(module: &Module) -> Vec<std::collections::HashMap<Reg, BTreeSet<SegName>>> {
-    let n = module.functions.len();
-    let mut pts: Vec<std::collections::HashMap<Reg, BTreeSet<SegName>>> =
-        vec![std::collections::HashMap::new(); n];
-    let mut ret_pts: Vec<BTreeSet<SegName>> = vec![BTreeSet::new(); n];
-    let mut changed = true;
-    let union_reg = |map: &mut std::collections::HashMap<Reg, BTreeSet<SegName>>,
-                     dst: Reg,
-                     src: &BTreeSet<SegName>|
-     -> bool {
-        if src.is_empty() {
-            return false;
-        }
-        let e = map.entry(dst).or_default();
-        let before = e.len();
-        e.extend(src.iter().copied());
-        e.len() != before
-    };
-    while changed {
-        changed = false;
-        for (fi, func) in module.functions.iter().enumerate() {
-            for block in &func.blocks {
-                for phi in &block.phis {
-                    let mut joined = BTreeSet::new();
-                    for (_, r) in &phi.incomings {
-                        if let Some(s) = pts[fi].get(r) {
-                            joined.extend(s.iter().copied());
-                        }
-                    }
-                    changed |= union_reg(&mut pts[fi], phi.dst, &joined);
-                }
-                for inst in &block.insts {
-                    match inst {
-                        Inst::SegAddr { dst, seg } => {
-                            let s = [*seg].into_iter().collect();
-                            changed |= union_reg(&mut pts[fi], *dst, &s);
-                        }
-                        Inst::Copy { dst, src } | Inst::VCast { dst, src, .. } => {
-                            let s = pts[fi].get(src).cloned().unwrap_or_default();
-                            changed |= union_reg(&mut pts[fi], *dst, &s);
-                        }
-                        Inst::Call {
-                            dst,
-                            func: callee,
-                            args,
-                        } => {
-                            let ci = callee.0 as usize;
-                            let params = module.functions[ci].params.clone();
-                            for (p, a) in params.iter().zip(args) {
-                                let s = pts[fi].get(a).cloned().unwrap_or_default();
-                                changed |= union_reg(&mut pts[ci], *p, &s);
-                            }
-                            if let Some(d) = dst {
-                                let s = ret_pts[ci].clone();
-                                changed |= union_reg(&mut pts[fi], *d, &s);
-                            }
-                        }
-                        Inst::Ret(Some(r)) => {
-                            let s = pts[fi].get(r).cloned().unwrap_or_default();
-                            let before = ret_pts[fi].len();
-                            ret_pts[fi].extend(s.iter().copied());
-                            changed |= ret_pts[fi].len() != before;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-    }
-    pts
 }
 
 #[cfg(test)]
@@ -392,7 +240,15 @@ mod tests {
     use super::*;
     use sjmp_safety::analysis::Analysis;
     use sjmp_safety::checks::{insert_checks, CheckPolicy};
-    use sjmp_safety::ir::{AbstractVas, FuncId, Function, Phi, VasName};
+    use sjmp_safety::ir::{AbstractVas, FuncId, Function, Phi, VasName, VasSet};
+
+    fn entry() -> VasSet {
+        [AbstractVas::Vas(VasName(0))].into_iter().collect()
+    }
+
+    fn lockset(m: &Module) -> Lockset {
+        Lockset::run(m, &Analysis::run(m, entry()).provenance)
+    }
 
     #[test]
     fn straight_line_guarded_then_racy() {
@@ -415,7 +271,7 @@ mod tests {
         f.push(BlockId(0), Inst::Store { addr: p, val: v });
         f.push(BlockId(0), Inst::Ret(None));
         m.add_function(f);
-        let l = Lockset::run(&m);
+        let l = lockset(&m);
         assert_eq!(
             l.class_of(0, BlockId(0), 3),
             Some(AccessClass::ProvenGuarded)
@@ -457,7 +313,7 @@ mod tests {
         f.push(join, Inst::Store { addr: p, val: v });
         f.push(join, Inst::Ret(None));
         m.add_function(f);
-        let l = Lockset::run(&m);
+        let l = lockset(&m);
         assert_eq!(l.class_of(0, join, 0), Some(AccessClass::Unknown));
     }
 
@@ -471,8 +327,68 @@ mod tests {
         f.push(BlockId(0), Inst::Load { dst: x, addr: p });
         f.push(BlockId(0), Inst::Ret(None));
         m.add_function(f);
-        let l = Lockset::run(&m);
+        let l = lockset(&m);
         assert_eq!(l.class_of(0, BlockId(0), 1), Some(AccessClass::NotShared));
+    }
+
+    #[test]
+    fn laundered_segment_pointer_is_still_a_segment_access() {
+        // p = segaddr 0; slot = alloca; *slot = p; q = *slot; *q = v —
+        // no lock held: the reloaded pointer still touches segment 0.
+        let mut m = Module::new();
+        let mut f = Function::new("main", 0);
+        let p = f.fresh_reg();
+        let slot = f.fresh_reg();
+        let q = f.fresh_reg();
+        let v = f.fresh_reg();
+        f.push(
+            BlockId(0),
+            Inst::SegAddr {
+                dst: p,
+                seg: SegName(0),
+            },
+        );
+        f.push(BlockId(0), Inst::Alloca { dst: slot, size: 8 });
+        f.push(BlockId(0), Inst::Store { addr: slot, val: p });
+        f.push(BlockId(0), Inst::Load { dst: q, addr: slot });
+        f.push(BlockId(0), Inst::Const { dst: v, value: 1 });
+        f.push(BlockId(0), Inst::Store { addr: q, val: v });
+        f.push(BlockId(0), Inst::Ret(None));
+        m.add_function(f);
+        let l = lockset(&m);
+        assert_eq!(l.class_of(0, BlockId(0), 5), Some(AccessClass::ProvenRacy));
+    }
+
+    #[test]
+    fn vcast_of_a_segment_pointer_is_unknown() {
+        // p = segaddr 0; q = vcast p v0; *q = v — a vcast pointer may
+        // alias anything in its VAS, so the access is not proven private.
+        let mut m = Module::new();
+        let mut f = Function::new("main", 0);
+        let p = f.fresh_reg();
+        let q = f.fresh_reg();
+        let v = f.fresh_reg();
+        f.push(
+            BlockId(0),
+            Inst::SegAddr {
+                dst: p,
+                seg: SegName(0),
+            },
+        );
+        f.push(
+            BlockId(0),
+            Inst::VCast {
+                dst: q,
+                src: p,
+                vas: VasName(0),
+            },
+        );
+        f.push(BlockId(0), Inst::Const { dst: v, value: 1 });
+        f.push(BlockId(0), Inst::Store { addr: q, val: v });
+        f.push(BlockId(0), Inst::Ret(None));
+        m.add_function(f);
+        let l = lockset(&m);
+        assert_eq!(l.class_of(0, BlockId(0), 3), Some(AccessClass::Unknown));
     }
 
     #[test]
@@ -516,7 +432,7 @@ mod tests {
         helper.push(BlockId(0), Inst::Store { addr: q, val: z });
         helper.push(BlockId(0), Inst::Ret(None));
         m.add_function(helper);
-        let l = Lockset::run(&m);
+        let l = lockset(&m);
         assert_eq!(l.class_of(1, BlockId(0), 1), Some(AccessClass::Unknown));
     }
 
@@ -559,7 +475,7 @@ mod tests {
         helper.push(BlockId(0), Inst::Load { dst: x, addr: q });
         helper.push(BlockId(0), Inst::Ret(None));
         m.add_function(helper);
-        let l = Lockset::run(&m);
+        let l = lockset(&m);
         assert_eq!(
             l.class_of(1, BlockId(0), 0),
             Some(AccessClass::ProvenGuarded)
@@ -609,7 +525,7 @@ mod tests {
         f.push(body, Inst::Br(head));
         f.push(done, Inst::Ret(None));
         m.add_function(f);
-        let l = Lockset::run(&m);
+        let l = lockset(&m);
         assert_eq!(l.class_of(0, body, 1), Some(AccessClass::ProvenGuarded));
         assert!(l.iterations >= 2);
     }
@@ -655,12 +571,11 @@ mod tests {
         f.push(BlockId(0), Inst::Ret(None));
         m.add_function(f);
 
-        let entry = [AbstractVas::Vas(VasName(0))].into_iter().collect();
-        let analysis = Analysis::run(&m, entry);
+        let analysis = Analysis::run(&m, entry());
         let mut checked = m.clone();
         let report = insert_checks(&mut checked, &analysis, CheckPolicy::Analyzed);
 
-        let l = Lockset::run(&m);
+        let l = Lockset::run(&m, &analysis.provenance);
         let s = l.summary();
         assert_eq!(s.mem_ops, report.mem_ops);
         assert!(

@@ -3,7 +3,8 @@
 //! (and `sjmp_lint` CI gate) as the trace and kernel analyzers.
 
 use sjmp_safety::ir::{Module, VasSet};
-use sjmp_safety::provenance::{verify, SiteClass};
+use sjmp_safety::provenance::SiteClass;
+use sjmp_safety::Analysis;
 
 use crate::report::Finding;
 
@@ -27,7 +28,7 @@ pub struct IrVerification {
 /// `cross-vas-dangling` finding whose message carries the full
 /// alloc → escape → switch → deref chain.
 pub fn verify_module(module: &Module, entry_vas: VasSet) -> IrVerification {
-    let report = verify(module, entry_vas);
+    let report = Analysis::run(module, entry_vas).verified;
     let findings = report
         .findings
         .iter()

@@ -18,21 +18,28 @@
 //! | `x = foo(...)`   | propagate into params / out of returns            |
 //! | `ret x`          | update callee summaries                           |
 //!
-//! Sets only grow, so a round-robin fixpoint over the whole module
-//! terminates; interprocedural propagation is context-insensitive ("VASes
+//! `VASin` is the flow state and `VASvalid` the register fact of a
+//! [`crate::dataflow`] problem; the solver does the copy, phi, call and
+//! return rows. Interprocedural propagation is context-insensitive ("VASes
 //! of pointers across function boundaries are tracked via a global
-//! array" — our per-function summaries play that role).
+//! array" — the solver's per-function summaries play that role), and a
+//! call's out-state joins the callee's exit into its in-state: the callee
+//! may or may not switch.
+//!
+//! [`Analysis::run`] also runs the provenance verifier
+//! ([`crate::provenance`]) once over the result, so every
+//! [`crate::checks::CheckPolicy`] is a selection over one analysis.
 
-use std::collections::HashMap;
-
-use crate::ir::{AbstractVas, BlockId, Function, Inst, Module, Reg, VasSet};
+use crate::dataflow::{self, Effect, Lattice, Problem};
+use crate::ir::{AbstractVas, BlockId, Inst, Module, Reg, Site, VasSet};
+use crate::provenance::{Provenance, VerifyReport};
 
 /// Analysis results for one module.
 #[derive(Debug, Clone)]
 pub struct Analysis {
-    /// `VASvalid` per function, per register. Registers absent from the
-    /// map are not pointers.
-    pub valid: Vec<HashMap<Reg, VasSet>>,
+    /// `VASvalid` per function, per register number. An empty set means
+    /// the register is not a pointer.
+    pub valid: Vec<Vec<VasSet>>,
     /// `VASin` per function, per block, per instruction index.
     pub vas_in: Vec<Vec<Vec<VasSet>>>,
     /// VAS set at each function's entry (union over callsites; function 0
@@ -42,211 +49,102 @@ pub struct Analysis {
     pub exit: Vec<VasSet>,
     /// `VASvalid` of each function's return value.
     pub ret_valid: Vec<VasSet>,
-    /// Fixpoint iterations used.
+    /// Function visits the solver used.
     pub iterations: u32,
+    /// Pointer provenance over the same module.
+    pub provenance: Provenance,
+    /// The provenance verifier's verdict on every load and store.
+    pub verified: VerifyReport,
 }
 
 impl Analysis {
-    /// Runs the analysis with `main` entered in `entry_vas`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fixpoint fails to converge within a generous bound
-    /// (which would indicate a non-monotone transfer bug).
+    /// Runs the analysis with `main` entered in `entry_vas`, then the
+    /// provenance verifier over its result.
     pub fn run(module: &Module, entry_vas: VasSet) -> Analysis {
-        let n = module.functions.len();
-        let mut a = Analysis {
-            valid: vec![HashMap::new(); n],
-            vas_in: module
-                .functions
-                .iter()
-                .map(|f| {
-                    f.blocks
-                        .iter()
-                        .map(|b| vec![VasSet::new(); b.insts.len()])
-                        .collect()
-                })
-                .collect(),
-            entry: vec![VasSet::new(); n],
-            exit: vec![VasSet::new(); n],
-            ret_valid: vec![VasSet::new(); n],
-            iterations: 0,
-        };
-        a.entry[0] = entry_vas;
-        let limit = 64 + module.inst_count() as u32;
-        loop {
-            a.iterations += 1;
-            assert!(a.iterations <= limit, "analysis failed to converge");
-            let mut changed = false;
-            for (fi, func) in module.functions.iter().enumerate() {
-                changed |= a.process_function(module, fi, func);
-            }
-            if !changed {
-                return a;
-            }
+        let sol = dataflow::solve(module, &mut VasValid, entry_vas, VasSet::new());
+        let provenance = Provenance::run(module, &sol.states);
+        let verified = provenance.report(module, &sol.states);
+        Analysis {
+            valid: sol.regs,
+            vas_in: sol.states,
+            entry: sol.entry,
+            exit: sol.exit,
+            ret_valid: sol.ret,
+            iterations: sol.visits,
+            provenance,
+            verified,
         }
     }
 
     /// The `VASvalid` set of a register (empty = not a pointer).
     pub fn valid_of(&self, func: usize, reg: Reg) -> VasSet {
-        self.valid[func].get(&reg).cloned().unwrap_or_default()
+        self.valid[func][reg.0 as usize].clone()
     }
 
     /// The `VASin` set of an instruction.
     pub fn vas_in_of(&self, func: usize, bb: BlockId, idx: usize) -> &VasSet {
         &self.vas_in[func][bb.0 as usize][idx]
     }
+}
 
-    fn union_into(dst: &mut VasSet, src: &VasSet) -> bool {
-        let before = dst.len();
-        dst.extend(src.iter().copied());
-        dst.len() != before
-    }
+/// The Figure 5 transfer functions: `VASin` flows, `VASvalid` per register.
+struct VasValid;
 
-    fn add_valid(&mut self, func: usize, reg: Reg, set: &VasSet) -> bool {
-        if set.is_empty() {
-            return false;
-        }
-        let entry = self.valid[func].entry(reg).or_default();
-        let before = entry.len();
-        entry.extend(set.iter().copied());
-        entry.len() != before
-    }
+impl Problem for VasValid {
+    type State = VasSet;
+    type Value = VasSet;
 
-    fn process_function(&mut self, module: &Module, fi: usize, func: &Function) -> bool {
-        let mut changed = false;
-        // Block-in sets: entry block starts from the function entry set;
-        // others from the union of predecessor outs. We recompute
-        // block-outs as we go, iterating blocks in order (the outer
-        // fixpoint handles back edges).
-        let preds = func.predecessors();
-        let mut block_out: Vec<VasSet> = vec![VasSet::new(); func.blocks.len()];
-        // Seed block_out from the previously recorded vas_in of each
-        // block's terminator so back edges see last iteration's values.
-        for (bi, b) in func.blocks.iter().enumerate() {
-            if let Some(last) = b.insts.len().checked_sub(1) {
-                block_out[bi] = self.vas_in[fi][bi][last].clone();
-                if let Some(Inst::Switch(v)) = b.insts.last() {
-                    block_out[bi] = [AbstractVas::Vas(*v)].into_iter().collect();
-                }
+    fn transfer(
+        &mut self,
+        _site: Site,
+        inst: &Inst,
+        vas_in: &mut VasSet,
+        valid: &[VasSet],
+    ) -> Effect<VasSet> {
+        let only = |v: AbstractVas| Effect::Def([v].into_iter().collect());
+        match inst {
+            Inst::Switch(v) => {
+                *vas_in = [AbstractVas::Vas(*v)].into_iter().collect();
+                Effect::None
             }
-        }
-        for (bi, block) in func.blocks.iter().enumerate() {
-            let mut cur = if bi == 0 {
-                self.entry[fi].clone()
-            } else {
+            Inst::VCast { vas, .. } => only(AbstractVas::Vas(*vas)),
+            // Shared segments are mapped at the same address in every
+            // attaching VAS, so a segment base is common-region valid;
+            // lock/unlock change no VAS state (the lockset analysis in
+            // sjmp-analyze owns them).
+            Inst::Alloca { .. } | Inst::Global { .. } | Inst::SegAddr { .. } => {
+                only(AbstractVas::Common)
+            }
+            Inst::Malloc { .. } => Effect::Def(vas_in.clone()),
+            Inst::Load { addr, .. } => {
+                // Loading a pointer out of the common region gives a
+                // statically unknown pointer; out of VAS memory it must be
+                // valid in the current VAS. An address not yet known to be
+                // a pointer contributes nothing, which keeps the rule
+                // monotone.
+                let from = &valid[addr.0 as usize];
                 let mut s = VasSet::new();
-                for p in &preds[bi] {
-                    s.extend(block_out[p.0 as usize].iter().copied());
+                if from.contains(&AbstractVas::Common) || from.contains(&AbstractVas::Unknown) {
+                    s.insert(AbstractVas::Unknown);
                 }
-                s
-            };
-            // Phis: join incoming valid sets.
-            for phi in &block.phis {
-                let mut joined = VasSet::new();
-                for (_, r) in &phi.incomings {
-                    joined.extend(self.valid_of(fi, *r));
+                if from.iter().any(|v| matches!(v, AbstractVas::Vas(_))) {
+                    s.join(vas_in);
                 }
-                changed |= self.add_valid(fi, phi.dst, &joined);
+                Effect::Def(s)
             }
-            for (ii, inst) in block.insts.iter().enumerate() {
-                changed |= Self::union_into(&mut self.vas_in[fi][bi][ii], &cur);
-                match inst {
-                    Inst::Switch(v) => {
-                        cur = [AbstractVas::Vas(*v)].into_iter().collect();
-                    }
-                    Inst::VCast { dst, vas, .. } => {
-                        let s = [AbstractVas::Vas(*vas)].into_iter().collect();
-                        changed |= self.add_valid(fi, *dst, &s);
-                    }
-                    Inst::Alloca { dst, .. } | Inst::Global { dst, .. } => {
-                        let s = [AbstractVas::Common].into_iter().collect();
-                        changed |= self.add_valid(fi, *dst, &s);
-                    }
-                    Inst::Malloc { dst, .. } => {
-                        let c = cur.clone();
-                        changed |= self.add_valid(fi, *dst, &c);
-                    }
-                    Inst::Copy { dst, src } => {
-                        let s = self.valid_of(fi, *src);
-                        changed |= self.add_valid(fi, *dst, &s);
-                    }
-                    Inst::Const { .. } => {}
-                    Inst::Load { dst, addr } => {
-                        let from = self.valid_of(fi, *addr);
-                        let mut s = VasSet::new();
-                        // Loading a pointer out of the common region gives
-                        // a statically unknown pointer; out of VAS memory
-                        // it must be valid in the current VAS.
-                        if from.contains(&AbstractVas::Common)
-                            || from.contains(&AbstractVas::Unknown)
-                        {
-                            s.insert(AbstractVas::Unknown);
-                        }
-                        if from.iter().any(|v| matches!(v, AbstractVas::Vas(_))) || from.is_empty()
-                        {
-                            s.extend(cur.iter().copied());
-                        }
-                        changed |= self.add_valid(fi, *dst, &s);
-                    }
-                    Inst::Store { .. } => {}
-                    Inst::Call {
-                        dst,
-                        func: callee,
-                        args,
-                    } => {
-                        let ci = callee.0 as usize;
-                        let c = cur.clone();
-                        changed |= Self::union_into(&mut self.entry[ci], &c);
-                        let callee_fn = &module.functions[ci];
-                        for (p, a) in callee_fn.params.iter().zip(args) {
-                            let s = self.valid_of(fi, *a);
-                            changed |= self.add_valid(ci, *p, &s);
-                        }
-                        if let Some(d) = dst {
-                            let s = self.ret_valid[ci].clone();
-                            changed |= self.add_valid(fi, *d, &s);
-                        }
-                        // Conservative: the callee may or may not switch.
-                        let exit = self.exit[ci].clone();
-                        cur.extend(exit.iter().copied());
-                    }
-                    Inst::Ret(r) => {
-                        if let Some(r) = r {
-                            let s = self.valid_of(fi, *r);
-                            let before = self.ret_valid[fi].len();
-                            self.ret_valid[fi].extend(s.iter().copied());
-                            changed |= self.ret_valid[fi].len() != before;
-                        }
-                        let before = self.exit[fi].len();
-                        self.exit[fi].extend(cur.iter().copied());
-                        changed |= self.exit[fi].len() != before;
-                    }
-                    Inst::Br(_) | Inst::CondBr { .. } => {}
-                    Inst::CheckDeref { .. } | Inst::CheckStore { .. } => {}
-                    // Locking is invisible to the VAS analysis: shared
-                    // segments are mapped at the same address in every
-                    // attaching VAS, so a segment base is common-region
-                    // valid and lock/unlock change no VAS state. The
-                    // lockset analysis (sjmp-analyze) owns these.
-                    Inst::Lock(_) | Inst::Unlock(_) => {}
-                    Inst::SegAddr { dst, .. } => {
-                        let s = [AbstractVas::Common].into_iter().collect();
-                        changed |= self.add_valid(fi, *dst, &s);
-                    }
-                }
-            }
-            let out_changed = Self::union_into(&mut block_out[bi], &cur);
-            changed |= out_changed;
+            _ => Effect::None,
         }
-        changed
+    }
+
+    fn call_return(&self, vas_in: &mut VasSet, exit: &VasSet) {
+        vas_in.join(exit);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{FuncId, Phi, VasName};
+    use crate::ir::{FuncId, Function, Phi, VasName};
 
     fn vset(items: &[AbstractVas]) -> VasSet {
         items.iter().copied().collect()
@@ -376,6 +274,37 @@ mod tests {
             vset(&[v(0)]),
             "loads from VAS memory get VASin"
         );
+    }
+
+    #[test]
+    fn load_through_a_late_pointer_is_monotone() {
+        // main: r = f(); x = *r — f: s = alloca; y = *s; ret y. `r` is
+        // unknown once f's return is known; a first pass that sees `r`
+        // still empty must not leave VASin behind in VASvalid(x).
+        let mut m = Module::new();
+        let mut main = Function::new("main", 0);
+        let r = main.fresh_reg();
+        let x = main.fresh_reg();
+        main.push(
+            BlockId(0),
+            Inst::Call {
+                dst: Some(r),
+                func: FuncId(1),
+                args: vec![],
+            },
+        );
+        main.push(BlockId(0), Inst::Load { dst: x, addr: r });
+        main.push(BlockId(0), Inst::Ret(None));
+        let mut f = Function::new("f", 0);
+        let s = f.fresh_reg();
+        let y = f.fresh_reg();
+        f.push(BlockId(0), Inst::Alloca { dst: s, size: 8 });
+        f.push(BlockId(0), Inst::Load { dst: y, addr: s });
+        f.push(BlockId(0), Inst::Ret(Some(y)));
+        m.add_function(main);
+        m.add_function(f);
+        let a = Analysis::run(&m, entry());
+        assert_eq!(a.valid_of(0, x), vset(&[AbstractVas::Unknown]));
     }
 
     #[test]

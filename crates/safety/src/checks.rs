@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 use crate::analysis::Analysis;
 use crate::ir::{AbstractVas, BlockId, Inst, Module, Site, VasSet};
-use crate::provenance::{self, SiteClass};
+use crate::provenance::SiteClass;
 
 /// How checks are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,74 +119,58 @@ impl CheckPlan {
 }
 
 /// Computes the check-insertion plan for `module` under `policy` without
-/// modifying it. [`CheckPolicy::Interprocedural`] runs the provenance
-/// verifier and drops any check whose aspect it proved safe.
+/// modifying it: a pure selection over `analysis`, which must come from
+/// the same module. [`CheckPolicy::Interprocedural`] drops any check
+/// whose aspect the provenance verifier proved safe.
 pub fn plan_checks(module: &Module, analysis: &Analysis, policy: CheckPolicy) -> CheckPlan {
-    let verified = match policy {
-        CheckPolicy::Interprocedural => Some(provenance::verify_with(module, analysis)),
-        _ => None,
-    };
     let mut plan = CheckPlan::default();
-    for (fi, func) in module.functions.iter().enumerate() {
-        for (bi, block) in func.blocks.iter().enumerate() {
-            for (ii, inst) in block.insts.iter().enumerate() {
-                let site = Site::new(fi, bi, ii);
-                let vas_in = analysis.vas_in_of(fi, BlockId(bi as u32), ii);
-                let mut decision = match inst {
-                    Inst::Load { addr, .. } => {
-                        let need = match policy {
-                            CheckPolicy::Naive => true,
-                            CheckPolicy::Analyzed | CheckPolicy::Interprocedural => {
-                                deref_needs_check(&analysis.valid_of(fi, *addr), vas_in)
-                            }
-                        };
-                        SiteDecision {
-                            need_deref: need,
-                            need_store: false,
-                        }
-                    }
-                    Inst::Store { addr, val } => {
-                        let valid_p = analysis.valid_of(fi, *addr);
-                        let valid_v = analysis.valid_of(fi, *val);
-                        let (need_deref, need_store) = match policy {
-                            CheckPolicy::Naive => (true, !valid_v.is_empty()),
-                            CheckPolicy::Analyzed | CheckPolicy::Interprocedural => (
-                                deref_needs_check(&valid_p, vas_in),
-                                // Only pointer stores need the containment
-                                // rule; integer stores have no valid set.
-                                !valid_v.is_empty() && store_ptr_needs_check(&valid_p, &valid_v),
-                            ),
-                        };
-                        SiteDecision {
-                            need_deref,
-                            need_store,
-                        }
-                    }
-                    _ => continue,
-                };
-                if let Some(report) = &verified {
-                    if let Some(verdict) = report.verdict_at(site) {
-                        if verdict.deref == SiteClass::ProvenSafe {
-                            decision.need_deref = false;
-                        }
-                        if verdict.store == Some(SiteClass::ProvenSafe) {
-                            decision.need_store = false;
-                        }
-                    }
+    for (site, inst) in module.sites() {
+        let fi = site.func as usize;
+        let (addr, val) = match inst {
+            Inst::Load { addr, .. } => (addr, None),
+            Inst::Store { addr, val } => (addr, Some(val)),
+            _ => continue,
+        };
+        let valid_p = analysis.valid_of(fi, *addr);
+        // Only pointer stores need the containment rule; integer stores
+        // have no valid set.
+        let valid_v = val
+            .map(|v| analysis.valid_of(fi, *v))
+            .filter(|v| !v.is_empty());
+        let mut decision = match policy {
+            CheckPolicy::Naive => SiteDecision {
+                need_deref: true,
+                need_store: valid_v.is_some(),
+            },
+            CheckPolicy::Analyzed | CheckPolicy::Interprocedural => SiteDecision {
+                need_deref: deref_needs_check(
+                    &valid_p,
+                    analysis.vas_in_of(fi, BlockId(site.block), site.idx as usize),
+                ),
+                need_store: valid_v.is_some_and(|v| store_ptr_needs_check(&valid_p, &v)),
+            },
+        };
+        if policy == CheckPolicy::Interprocedural {
+            if let Some(verdict) = analysis.verified.verdict_at(site) {
+                if verdict.deref == SiteClass::ProvenSafe {
+                    decision.need_deref = false;
                 }
-                plan.report.mem_ops += 1;
-                if decision.need_deref {
-                    plan.report.deref_checks += 1;
+                if verdict.store == Some(SiteClass::ProvenSafe) {
+                    decision.need_store = false;
                 }
-                if decision.need_store {
-                    plan.report.store_checks += 1;
-                }
-                if !decision.need_deref && !decision.need_store {
-                    plan.report.proven_safe += 1;
-                }
-                plan.decisions.insert(site, decision);
             }
         }
+        plan.report.mem_ops += 1;
+        if decision.need_deref {
+            plan.report.deref_checks += 1;
+        }
+        if decision.need_store {
+            plan.report.store_checks += 1;
+        }
+        if !decision.need_deref && !decision.need_store {
+            plan.report.proven_safe += 1;
+        }
+        plan.decisions.insert(site, decision);
     }
     plan
 }

@@ -340,8 +340,9 @@ pub mod dangling_sites {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::Analysis;
     use crate::interp::Interp;
-    use crate::provenance::{verify, SiteClass};
+    use crate::provenance::SiteClass;
 
     /// Every healthy example runs to completion and has zero findings.
     #[test]
@@ -349,7 +350,7 @@ mod tests {
         for (name, m) in healthy() {
             let mut interp = Interp::new(&m, VasName(0));
             assert!(interp.run(&[]).is_ok(), "{name} should run clean");
-            let report = verify(&m, entry_set());
+            let report = Analysis::run(&m, entry_set()).verified;
             assert!(
                 report.findings.is_empty(),
                 "{name} should have no findings: {:?}",
@@ -362,7 +363,7 @@ mod tests {
     #[test]
     fn dangling_example_reports_exact_chain() {
         let m = dangling_example();
-        let report = verify(&m, entry_set());
+        let report = Analysis::run(&m, entry_set()).verified;
         let load = report
             .findings
             .iter()

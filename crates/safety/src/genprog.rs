@@ -38,7 +38,7 @@ use crate::interp::{Interp, Trap};
 use crate::ir::{
     AbstractVas, BlockId, FuncId, Function, Inst, Module, Phi, Reg, SegName, VasName, VasSet,
 };
-use crate::provenance::{verify_with, SiteClass};
+use crate::provenance::SiteClass;
 
 /// Entry VAS for generated programs: `{v0}`.
 pub fn entry_set() -> VasSet {
@@ -464,7 +464,7 @@ pub struct SeedOutcome {
 pub fn validate_seed(seed: u64) -> Result<SeedOutcome, String> {
     let module = generate(seed);
     let analysis = Analysis::run(&module, entry_set());
-    let report = verify_with(&module, &analysis);
+    let report = &analysis.verified;
     let analyzed = plan_checks(&module, &analysis, CheckPolicy::Analyzed);
     let plan = plan_checks(&module, &analysis, CheckPolicy::Interprocedural);
 

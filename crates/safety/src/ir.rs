@@ -289,33 +289,35 @@ impl Module {
         &self.functions[0]
     }
 
+    /// Every instruction with its site, in program order.
+    pub fn sites(&self) -> impl Iterator<Item = (Site, &Inst)> + '_ {
+        self.functions.iter().enumerate().flat_map(|(fi, f)| {
+            f.blocks.iter().enumerate().flat_map(move |(bi, b)| {
+                b.insts
+                    .iter()
+                    .enumerate()
+                    .map(move |(ii, inst)| (Site::new(fi, bi, ii), inst))
+            })
+        })
+    }
+
     /// Total instruction count (for check-density reporting).
     pub fn inst_count(&self) -> usize {
-        self.functions
-            .iter()
-            .flat_map(|f| &f.blocks)
-            .map(|b| b.insts.len())
-            .sum()
+        self.sites().count()
     }
 
     /// Number of inserted check instructions.
     pub fn check_count(&self) -> usize {
-        self.functions
-            .iter()
-            .flat_map(|f| &f.blocks)
-            .flat_map(|b| &b.insts)
-            .filter(|i| matches!(i, Inst::CheckDeref { .. } | Inst::CheckStore { .. }))
+        self.sites()
+            .filter(|(_, i)| matches!(i, Inst::CheckDeref { .. } | Inst::CheckStore { .. }))
             .count()
     }
 
     /// Number of memory operations (loads + stores), the naive check
     /// budget.
     pub fn mem_op_count(&self) -> usize {
-        self.functions
-            .iter()
-            .flat_map(|f| &f.blocks)
-            .flat_map(|b| &b.insts)
-            .filter(|i| matches!(i, Inst::Load { .. } | Inst::Store { .. }))
+        self.sites()
+            .filter(|(_, i)| matches!(i, Inst::Load { .. } | Inst::Store { .. }))
             .count()
     }
 }

@@ -12,8 +12,16 @@
 //! * [`ir`] — the Figure 5 instruction set (`switch`, `vcast`, `alloca`,
 //!   `global`, `malloc`, copies, phis, loads, stores, calls, returns)
 //!   with functions, basic blocks, and a builder;
+//! * [`dataflow`] — the one monotone dataflow engine: a lattice trait
+//!   and a chaotic-iteration solver over the call graph that keeps the
+//!   in-state at every site, per-function entry/exit summaries and
+//!   per-register facts, and does the phi, copy, parameter and return
+//!   propagation itself; every analysis below is a set of transfer
+//!   functions on it, as is the lockset pass in `sjmp-analyze`;
 //! * [`analysis`] — the interprocedural fixpoint computing `VASvalid(p)`
-//!   for every pointer and `VASin(i)`/`VASout(i)` for every instruction;
+//!   for every pointer and `VASin(i)`/`VASout(i)` for every instruction,
+//!   plus the provenance verdicts over the same module, so every check
+//!   policy is a selection over one result;
 //! * [`checks`] — unsafe-access classification per the paper's three
 //!   dereference conditions and two store conditions, plus the
 //!   check-insertion transformation (with a naive check-everything
@@ -23,8 +31,8 @@
 //!   trap at their checks and safe programs run unmodified;
 //! * [`provenance`] — the interprocedural pointer-provenance pass: an
 //!   abstract-object lattice (segment-of-origin × abstract-VAS set)
-//!   propagated through stores/loads/calls/returns/phis with a worklist
-//!   over the call graph, classifying every memory operation as
+//!   propagated through stores/loads/calls/returns/phis on the
+//!   [`dataflow`] solver, classifying every memory operation as
 //!   proven-safe / proven-dangling / unknown with a full
 //!   alloc → escape → switch → deref chain on each finding;
 //! * [`examples`] — named example IR programs (healthy ones plus the
@@ -62,6 +70,7 @@
 
 pub mod analysis;
 pub mod checks;
+pub mod dataflow;
 pub mod examples;
 pub mod genprog;
 pub mod interp;
@@ -75,6 +84,4 @@ pub use ir::{
     AbstractVas, Block, BlockId, FuncId, Function, Inst, Module, Phi, Reg, SegName, Site, VasName,
     VasSet,
 };
-pub use provenance::{
-    verify, verify_with, DanglingFinding, Provenance, SiteClass, SiteVerdict, VerifyReport,
-};
+pub use provenance::{DanglingFinding, Provenance, SiteClass, SiteVerdict, VerifyReport};

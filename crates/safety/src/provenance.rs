@@ -21,11 +21,15 @@
 //!   everything ever stored into it, so a load through object `o` yields
 //!   `heap(o)` instead of `vunknown`.
 //!
-//! Facts propagate bottom-up through function summaries (parameter and
-//! return provenance) with a worklist over the call graph; stores, loads,
-//! phis, copies, calls and returns are the transfer functions. Escape
-//! stores are recorded per object so a verdict can cite the full chain
-//! alloc site → escape store → `switch` → dereference.
+//! [`Provenance`] is a [`crate::dataflow`] problem with [`Pts`] as the
+//! register fact and no flow state: the solver carries provenance
+//! through copies, phis, parameters and returns, and the transfer
+//! functions here mint objects and move provenance through memory. The
+//! heap, its poison flag and the escape record are facts the problem
+//! keeps for the whole module; when the heap grows, every function is
+//! visited again. Escape stores are recorded per object so a verdict can
+//! cite the full chain alloc site → escape store → `switch` →
+//! dereference.
 //!
 //! Soundness hinges on one hazard: the interpreter's per-region bump
 //! allocators hand out the *same* address sequence in every region, so a
@@ -34,15 +38,16 @@
 //! poisons the whole abstract heap — every later load degrades to
 //! unknown — rather than silently missing the write.
 //!
-//! [`verify`] classifies every load/store as proven-safe /
-//! proven-dangling / unknown; [`crate::checks::CheckPolicy::Interprocedural`]
+//! [`Analysis::run`](crate::analysis::Analysis::run) runs this pass once
+//! and keeps its classification of every load/store as proven-safe /
+//! proven-dangling / unknown in its `verified` report; [`crate::checks::CheckPolicy::Interprocedural`]
 //! elides checks at proven-safe sites, and the seeded soundness harness
 //! ([`crate::genprog`]) validates both claims against the interpreter.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 
-use crate::analysis::Analysis;
-use crate::ir::{AbstractVas, BlockId, Inst, Module, Reg, SegName, Site, VasName, VasSet};
+use crate::dataflow::{self, Effect, Lattice, Problem};
+use crate::ir::{AbstractVas, Inst, Module, Reg, SegName, Site, VasName, VasSet};
 
 /// Index of an abstract object in [`Provenance::objects`].
 pub type ObjId = u32;
@@ -103,17 +108,23 @@ impl Pts {
         }
     }
 
+    /// Bottom: no objects, no flags — an undefined or untracked value.
+    pub fn is_bottom(&self) -> bool {
+        self.objs.is_empty() && !self.unknown && !self.int
+    }
+}
+
+impl Lattice for Pts {
+    fn bottom() -> Pts {
+        Pts::default()
+    }
+
     fn join(&mut self, other: &Pts) -> bool {
         let before = (self.objs.len(), self.unknown, self.int);
         self.objs.extend(other.objs.iter().copied());
         self.unknown |= other.unknown;
         self.int |= other.int;
         before != (self.objs.len(), self.unknown, self.int)
-    }
-
-    /// Bottom: no objects, no flags — an undefined or untracked value.
-    pub fn is_bottom(&self) -> bool {
-        self.objs.is_empty() && !self.unknown && !self.int
     }
 }
 
@@ -178,15 +189,17 @@ pub struct DanglingFinding {
     pub chain: String,
 }
 
-/// Result of [`verify`]: a verdict per memory operation plus findings
-/// for every proven-dangling site.
+/// The verifier's result
+/// ([`Analysis::verified`](crate::analysis::Analysis::verified)): a
+/// verdict per memory operation plus findings for every proven-dangling
+/// site.
 #[derive(Debug, Clone)]
 pub struct VerifyReport {
     /// One verdict per load/store, in program order.
     pub verdicts: Vec<SiteVerdict>,
     /// Diagnostics for the proven-dangling sites.
     pub findings: Vec<DanglingFinding>,
-    /// Worklist passes used by the provenance fixpoint.
+    /// Function visits the provenance solve used.
     pub iterations: u32,
     by_site: HashMap<Site, usize>,
 }
@@ -208,39 +221,13 @@ impl VerifyReport {
     }
 }
 
-/// Runs [`Analysis`] and then the provenance pass, classifying every
-/// memory operation in `module`.
-pub fn verify(module: &Module, entry_vas: VasSet) -> VerifyReport {
-    let analysis = Analysis::run(module, entry_vas);
-    verify_with(module, &analysis)
-}
-
-/// Like [`verify`] but reuses an existing [`Analysis`].
-pub fn verify_with(module: &Module, analysis: &Analysis) -> VerifyReport {
-    let prov = Provenance::run(module, analysis);
-    prov.report(module, analysis)
-}
-
-/// What one `process_function` pass changed, for worklist scheduling.
-#[derive(Default)]
-struct Delta {
-    /// A register in this function changed — revisit it.
-    local: bool,
-    /// Parameter provenance of these callees changed.
-    callees: BTreeSet<usize>,
-    /// This function's return provenance changed.
-    ret: bool,
-    /// The global heap (or poison flag) changed — revisit loaders.
-    heap: bool,
-}
-
 /// The interprocedural provenance analysis state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Provenance {
     /// The abstract objects, indexed by [`ObjId`].
     pub objects: Vec<Object>,
-    /// Provenance per function, per register.
-    regs: Vec<HashMap<Reg, Pts>>,
+    /// Provenance per function, per register number.
+    regs: Vec<Vec<Pts>>,
     /// The global abstract heap: what each object's cells may contain.
     heap: HashMap<ObjId, Pts>,
     /// A store went through a `vcast` or unknown pointer: any cell in the
@@ -248,82 +235,28 @@ pub struct Provenance {
     pub heap_poisoned: bool,
     /// Sites where a pointer to each object was stored into memory.
     escapes: HashMap<ObjId, BTreeSet<Site>>,
-    /// Return-value provenance per function.
-    ret: Vec<Pts>,
     /// Object minted at each site (segaddr sites share per-name objects).
     site_obj: HashMap<Site, ObjId>,
-    /// Worklist passes used.
+    /// Function visits the solve used.
     pub iterations: u32,
 }
 
 impl Provenance {
-    /// Runs the provenance fixpoint over `module`, reusing the final
-    /// `VASvalid`/`VASin` facts in `analysis` (which must come from the
-    /// same module).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worklist fails to converge within a generous bound
-    /// (a non-monotone transfer bug).
-    pub fn run(module: &Module, analysis: &Analysis) -> Provenance {
-        let n = module.functions.len();
-        let mut p = Provenance {
-            objects: Vec::new(),
-            regs: vec![HashMap::new(); n],
-            heap: HashMap::new(),
-            heap_poisoned: false,
-            escapes: HashMap::new(),
-            ret: vec![Pts::default(); n],
-            site_obj: HashMap::new(),
-            iterations: 0,
-        };
-        p.collect_objects(module, analysis);
+    /// Solves provenance over `module`; `vas_in` is the final `VASin` of
+    /// the same module, which gives each `malloc` object its VAS set.
+    pub(crate) fn run(module: &Module, vas_in: &[Vec<Vec<VasSet>>]) -> Provenance {
+        let mut p = Provenance::default();
+        p.collect_objects(module, vas_in);
         // The interpreter passes integer arguments to main.
-        if let Some(main) = module.functions.first() {
-            for param in &main.params {
-                p.regs[0].insert(*param, Pts::int_only());
-            }
-        }
-        let callers = Self::caller_map(module);
-        let mut queued = vec![true; n];
-        let mut work: VecDeque<usize> = (0..n).collect();
-        let limit = (module.inst_count() as u32 + 64) * (n as u32 + 2) * 8;
-        while let Some(fi) = work.pop_front() {
-            queued[fi] = false;
-            p.iterations += 1;
-            assert!(p.iterations <= limit, "provenance failed to converge");
-            let delta = p.process_function(module, analysis, fi);
-            let enqueue = |i: usize, queued: &mut Vec<bool>, work: &mut VecDeque<usize>| {
-                if !queued[i] {
-                    queued[i] = true;
-                    work.push_back(i);
-                }
-            };
-            if delta.local {
-                enqueue(fi, &mut queued, &mut work);
-            }
-            for ci in delta.callees {
-                enqueue(ci, &mut queued, &mut work);
-            }
-            if delta.ret {
-                for c in &callers[fi] {
-                    enqueue(*c, &mut queued, &mut work);
-                }
-            }
-            if delta.heap {
-                // The heap is global: any function with loads may observe
-                // the new contents.
-                for i in 0..n {
-                    enqueue(i, &mut queued, &mut work);
-                }
-            }
-        }
+        let sol = dataflow::solve(module, &mut p, (), Pts::int_only());
+        p.regs = sol.regs;
+        p.iterations = sol.visits;
         p
     }
 
     /// Provenance of a register (bottom if never assigned).
-    pub fn pts_of(&self, func: usize, reg: Reg) -> Pts {
-        self.regs[func].get(&reg).cloned().unwrap_or_default()
+    pub fn pts_of(&self, func: usize, reg: Reg) -> &Pts {
+        &self.regs[func][reg.0 as usize]
     }
 
     /// Sites at which a pointer to `obj` was stored into memory.
@@ -339,178 +272,44 @@ impl Provenance {
         self.heap.get(&obj).cloned().unwrap_or_default()
     }
 
-    fn collect_objects(&mut self, module: &Module, analysis: &Analysis) {
+    fn collect_objects(&mut self, module: &Module, vas_in: &[Vec<Vec<VasSet>>]) {
         let mut seg_obj: HashMap<SegName, ObjId> = HashMap::new();
-        for (fi, func) in module.functions.iter().enumerate() {
-            for (bi, block) in func.blocks.iter().enumerate() {
-                for (ii, inst) in block.insts.iter().enumerate() {
-                    let site = Site::new(fi, bi, ii);
-                    let (origin, vas) = match inst {
-                        Inst::Alloca { .. } => (Origin::Alloca, common_set()),
-                        Inst::Global { .. } => (Origin::Global, common_set()),
-                        Inst::Malloc { .. } => (
-                            Origin::Malloc,
-                            analysis.vas_in_of(fi, BlockId(bi as u32), ii).clone(),
-                        ),
-                        Inst::VCast { vas, .. } => (
-                            Origin::VCast(*vas),
-                            [AbstractVas::Vas(*vas)].into_iter().collect(),
-                        ),
-                        Inst::SegAddr { seg, .. } => {
-                            let id = *seg_obj.entry(*seg).or_insert_with(|| {
-                                self.objects.push(Object {
-                                    site,
-                                    origin: Origin::Seg(*seg),
-                                    vas: common_set(),
-                                });
-                                (self.objects.len() - 1) as ObjId
-                            });
-                            self.site_obj.insert(site, id);
-                            continue;
-                        }
-                        _ => continue,
-                    };
-                    let id = self.objects.len() as ObjId;
-                    self.objects.push(Object { site, origin, vas });
+        for (site, inst) in module.sites() {
+            let (origin, vas) = match inst {
+                Inst::Alloca { .. } => (Origin::Alloca, common_set()),
+                Inst::Global { .. } => (Origin::Global, common_set()),
+                Inst::Malloc { .. } => (
+                    Origin::Malloc,
+                    vas_in[site.func as usize][site.block as usize][site.idx as usize].clone(),
+                ),
+                Inst::VCast { vas, .. } => (
+                    Origin::VCast(*vas),
+                    [AbstractVas::Vas(*vas)].into_iter().collect(),
+                ),
+                Inst::SegAddr { seg, .. } => {
+                    let id = *seg_obj.entry(*seg).or_insert_with(|| {
+                        self.objects.push(Object {
+                            site,
+                            origin: Origin::Seg(*seg),
+                            vas: common_set(),
+                        });
+                        (self.objects.len() - 1) as ObjId
+                    });
                     self.site_obj.insert(site, id);
+                    continue;
                 }
-            }
+                _ => continue,
+            };
+            let id = self.objects.len() as ObjId;
+            self.objects.push(Object { site, origin, vas });
+            self.site_obj.insert(site, id);
         }
     }
 
-    fn caller_map(module: &Module) -> Vec<BTreeSet<usize>> {
-        let mut callers = vec![BTreeSet::new(); module.functions.len()];
-        for (fi, func) in module.functions.iter().enumerate() {
-            for block in &func.blocks {
-                for inst in &block.insts {
-                    if let Inst::Call { func: callee, .. } = inst {
-                        callers[callee.0 as usize].insert(fi);
-                    }
-                }
-            }
-        }
-        callers
-    }
-
-    fn join_reg(&mut self, fi: usize, reg: Reg, pts: &Pts) -> bool {
-        if pts.is_bottom() {
-            return false;
-        }
-        self.regs[fi].entry(reg).or_default().join(pts)
-    }
-
-    fn process_function(&mut self, module: &Module, _analysis: &Analysis, fi: usize) -> Delta {
-        let mut delta = Delta::default();
-        let func = &module.functions[fi];
-        for (bi, block) in func.blocks.iter().enumerate() {
-            for phi in &block.phis {
-                let mut joined = Pts::default();
-                for (_, r) in &phi.incomings {
-                    joined.join(&self.pts_of(fi, *r));
-                }
-                delta.local |= self.join_reg(fi, phi.dst, &joined);
-            }
-            for (ii, inst) in block.insts.iter().enumerate() {
-                let site = Site::new(fi, bi, ii);
-                match inst {
-                    Inst::Alloca { dst, .. }
-                    | Inst::Global { dst, .. }
-                    | Inst::Malloc { dst, .. }
-                    | Inst::VCast { dst, .. }
-                    | Inst::SegAddr { dst, .. } => {
-                        let obj = self.site_obj[&site];
-                        let pts = Pts {
-                            objs: [obj].into_iter().collect(),
-                            ..Pts::default()
-                        };
-                        delta.local |= self.join_reg(fi, *dst, &pts);
-                    }
-                    Inst::Copy { dst, src } => {
-                        let pts = self.pts_of(fi, *src);
-                        delta.local |= self.join_reg(fi, *dst, &pts);
-                    }
-                    Inst::Const { dst, .. } => {
-                        delta.local |= self.join_reg(fi, *dst, &Pts::int_only());
-                    }
-                    Inst::Load { dst, addr } => {
-                        let a = self.pts_of(fi, *addr);
-                        let mut result = Pts::default();
-                        if a.unknown || self.heap_poisoned {
-                            result.join(&Pts::unknown_value());
-                        }
-                        for obj in &a.objs {
-                            if matches!(self.objects[*obj as usize].origin, Origin::VCast(_)) {
-                                // A vcast pointer can alias any cell in
-                                // its region — the load may see anything.
-                                result.join(&Pts::unknown_value());
-                            } else {
-                                result.join(&self.heap_of(*obj));
-                            }
-                        }
-                        delta.local |= self.join_reg(fi, *dst, &result);
-                    }
-                    Inst::Store { addr, val } => {
-                        let a = self.pts_of(fi, *addr);
-                        let v = self.pts_of(fi, *val);
-                        if a.unknown
-                            || a.objs.iter().any(|o| {
-                                matches!(self.objects[*o as usize].origin, Origin::VCast(_))
-                            })
-                        {
-                            // Wild store: may overwrite any tracked cell.
-                            if !self.heap_poisoned {
-                                self.heap_poisoned = true;
-                                delta.heap = true;
-                            }
-                        }
-                        for obj in &a.objs {
-                            if matches!(self.objects[*obj as usize].origin, Origin::VCast(_)) {
-                                continue;
-                            }
-                            delta.heap |= self.heap.entry(*obj).or_default().join(&v);
-                        }
-                        if !a.is_bottom() {
-                            for vo in &v.objs {
-                                self.escapes.entry(*vo).or_default().insert(site);
-                            }
-                        }
-                    }
-                    Inst::Call {
-                        dst,
-                        func: callee,
-                        args,
-                    } => {
-                        let ci = callee.0 as usize;
-                        let callee_fn = &module.functions[ci];
-                        for (p, a) in callee_fn.params.iter().zip(args) {
-                            let pts = self.pts_of(fi, *a);
-                            if ci == fi {
-                                delta.local |= self.join_reg(ci, *p, &pts);
-                            } else if self.join_reg(ci, *p, &pts) {
-                                delta.callees.insert(ci);
-                            }
-                        }
-                        if let Some(d) = dst {
-                            let pts = self.ret[ci].clone();
-                            delta.local |= self.join_reg(fi, *d, &pts);
-                        }
-                    }
-                    Inst::Ret(Some(r)) => {
-                        let pts = self.pts_of(fi, *r);
-                        delta.ret |= self.ret[fi].join(&pts);
-                    }
-                    Inst::Ret(None)
-                    | Inst::Switch(_)
-                    | Inst::Br(_)
-                    | Inst::CondBr { .. }
-                    | Inst::CheckDeref { .. }
-                    | Inst::CheckStore { .. }
-                    | Inst::Lock(_)
-                    | Inst::Unlock(_) => {}
-                }
-            }
-        }
-        delta
+    /// Whether `obj` is a `vcast` pointer, which may alias any cell in
+    /// its region.
+    pub fn is_vcast(&self, obj: ObjId) -> bool {
+        matches!(self.objects[obj as usize].origin, Origin::VCast(_))
     }
 
     /// The union of the VAS sets of the objects in `pts`.
@@ -591,20 +390,13 @@ impl Provenance {
         SiteClass::Unknown
     }
 
-    /// Builds the [`VerifyReport`] for `module`.
-    pub fn report(&self, module: &Module, analysis: &Analysis) -> VerifyReport {
+    /// Builds the [`VerifyReport`] for `module`, given its final `VASin`.
+    pub(crate) fn report(&self, module: &Module, vas_in: &[Vec<Vec<VasSet>>]) -> VerifyReport {
         // Switch sites per VAS, for chain diagnostics.
         let mut switch_sites: HashMap<VasName, Vec<Site>> = HashMap::new();
-        for (fi, func) in module.functions.iter().enumerate() {
-            for (bi, block) in func.blocks.iter().enumerate() {
-                for (ii, inst) in block.insts.iter().enumerate() {
-                    if let Inst::Switch(v) = inst {
-                        switch_sites
-                            .entry(*v)
-                            .or_default()
-                            .push(Site::new(fi, bi, ii));
-                    }
-                }
+        for (site, inst) in module.sites() {
+            if let Inst::Switch(v) = inst {
+                switch_sites.entry(*v).or_default().push(site);
             }
         }
         let mut report = VerifyReport {
@@ -613,51 +405,48 @@ impl Provenance {
             iterations: self.iterations,
             by_site: HashMap::new(),
         };
-        for (fi, func) in module.functions.iter().enumerate() {
-            for (bi, block) in func.blocks.iter().enumerate() {
-                for (ii, inst) in block.insts.iter().enumerate() {
-                    let site = Site::new(fi, bi, ii);
-                    let vas_in = analysis.vas_in_of(fi, BlockId(bi as u32), ii);
-                    let (kind, addr, val) = match inst {
-                        Inst::Load { addr, .. } => (MemOpKind::Load, addr, None),
-                        Inst::Store { addr, val } => (MemOpKind::Store, addr, Some(val)),
-                        _ => continue,
-                    };
-                    let addr_pts = self.pts_of(fi, *addr);
-                    let deref = self.deref_class(&addr_pts, vas_in);
-                    let store = val.map(|v| self.store_class(&addr_pts, &self.pts_of(fi, *v)));
-                    let class = combine(deref, store);
-                    if class == SiteClass::ProvenDangling {
-                        let (chain_kind, culprit) = if deref == SiteClass::ProvenDangling {
-                            (
-                                match kind {
-                                    MemOpKind::Load => "load",
-                                    MemOpKind::Store => "store",
-                                },
-                                addr_pts.clone(),
-                            )
-                        } else {
-                            ("store-value", self.pts_of(fi, *val.unwrap()))
-                        };
-                        report.findings.push(self.finding(
-                            site,
-                            &func.name,
-                            chain_kind,
-                            &culprit,
-                            vas_in,
-                            &switch_sites,
-                        ));
-                    }
-                    report.by_site.insert(site, report.verdicts.len());
-                    report.verdicts.push(SiteVerdict {
-                        site,
-                        kind,
-                        deref,
-                        store,
-                        class,
-                    });
-                }
+        for (site, inst) in module.sites() {
+            let fi = site.func as usize;
+            let vas_in = &vas_in[fi][site.block as usize][site.idx as usize];
+            let (kind, addr, val) = match inst {
+                Inst::Load { addr, .. } => (MemOpKind::Load, addr, None),
+                Inst::Store { addr, val } => (MemOpKind::Store, addr, Some(val)),
+                _ => continue,
+            };
+            let addr_pts = self.pts_of(fi, *addr);
+            let deref = self.deref_class(addr_pts, vas_in);
+            let store = val.map(|v| self.store_class(addr_pts, self.pts_of(fi, *v)));
+            let class = combine(deref, store);
+            if class == SiteClass::ProvenDangling {
+                let (chain_kind, culprit) = if deref == SiteClass::ProvenDangling {
+                    (
+                        match kind {
+                            MemOpKind::Load => "load",
+                            MemOpKind::Store => "store",
+                        },
+                        addr_pts,
+                    )
+                } else {
+                    ("store-value", self.pts_of(fi, *val.unwrap()))
+                };
+                let func = &module.functions[fi].name;
+                report.findings.push(self.finding(
+                    site,
+                    func,
+                    chain_kind,
+                    culprit,
+                    vas_in,
+                    &switch_sites,
+                ));
             }
+            report.by_site.insert(site, report.verdicts.len());
+            report.verdicts.push(SiteVerdict {
+                site,
+                kind,
+                deref,
+                store,
+                class,
+            });
         }
         report
     }
@@ -718,6 +507,72 @@ impl Provenance {
     }
 }
 
+/// The provenance transfer functions: objects are minted at allocation
+/// sites and provenance moves through memory via the abstract heap.
+impl Problem for Provenance {
+    type State = ();
+    type Value = Pts;
+
+    fn transfer(&mut self, site: Site, inst: &Inst, _: &mut (), regs: &[Pts]) -> Effect<Pts> {
+        let pts = |r: &Reg| &regs[r.0 as usize];
+        match inst {
+            Inst::Alloca { .. }
+            | Inst::Global { .. }
+            | Inst::Malloc { .. }
+            | Inst::VCast { .. }
+            | Inst::SegAddr { .. } => Effect::Def(Pts {
+                objs: [self.site_obj[&site]].into_iter().collect(),
+                ..Pts::default()
+            }),
+            Inst::Const { .. } => Effect::Def(Pts::int_only()),
+            Inst::Load { addr, .. } => {
+                let a = pts(addr);
+                let mut result = Pts::default();
+                if a.unknown || self.heap_poisoned {
+                    result.join(&Pts::unknown_value());
+                }
+                for obj in &a.objs {
+                    if self.is_vcast(*obj) {
+                        // A vcast pointer can alias any cell in its
+                        // region — the load may see anything.
+                        result.join(&Pts::unknown_value());
+                    } else {
+                        result.join(&self.heap_of(*obj));
+                    }
+                }
+                Effect::Def(result)
+            }
+            Inst::Store { addr, val } => {
+                let (a, v) = (pts(addr), pts(val));
+                let mut grew = false;
+                if !self.heap_poisoned && (a.unknown || a.objs.iter().any(|o| self.is_vcast(*o))) {
+                    // Wild store: may overwrite any tracked cell.
+                    self.heap_poisoned = true;
+                    grew = true;
+                }
+                for obj in &a.objs {
+                    if !self.is_vcast(*obj) {
+                        grew |= self.heap.entry(*obj).or_default().join(v);
+                    }
+                }
+                if !a.is_bottom() {
+                    for vo in &v.objs {
+                        self.escapes.entry(*vo).or_default().insert(site);
+                    }
+                }
+                if grew {
+                    Effect::Global
+                } else {
+                    Effect::None
+                }
+            }
+            _ => Effect::None,
+        }
+    }
+
+    fn call_return(&self, _: &mut (), _: &()) {}
+}
+
 fn combine(deref: SiteClass, store: Option<SiteClass>) -> SiteClass {
     match (deref, store) {
         (SiteClass::ProvenDangling, _) | (_, Some(SiteClass::ProvenDangling)) => {
@@ -762,7 +617,8 @@ pub fn fmt_vasset(set: &VasSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{FuncId, Function};
+    use crate::analysis::Analysis;
+    use crate::ir::{BlockId, FuncId, Function};
 
     fn entry() -> VasSet {
         [AbstractVas::Vas(VasName(0))].into_iter().collect()
@@ -786,7 +642,7 @@ mod tests {
         f.push(BlockId(0), Inst::Load { dst: x, addr: q });
         f.push(BlockId(0), Inst::Ret(None));
         m.add_function(f);
-        let report = verify(&m, entry());
+        let report = Analysis::run(&m, entry()).verified;
         let deref = report.verdict_at(Site::new(0, 0, 4)).unwrap();
         assert_eq!(deref.class, SiteClass::ProvenSafe);
         assert_eq!(report.count(SiteClass::ProvenDangling), 0);
@@ -810,7 +666,7 @@ mod tests {
         f.push(BlockId(0), Inst::Load { dst: x, addr: q }); // [5] deref
         f.push(BlockId(0), Inst::Ret(None));
         m.add_function(f);
-        let report = verify(&m, entry());
+        let report = Analysis::run(&m, entry()).verified;
         assert_eq!(report.findings.len(), 1);
         let finding = &report.findings[0];
         assert_eq!(finding.site, Site::new(0, 0, 5));
@@ -866,7 +722,7 @@ mod tests {
         consumer.push(BlockId(0), Inst::Ret(None));
         m.add_function(main);
         m.add_function(consumer);
-        let report = verify(&m, entry());
+        let report = Analysis::run(&m, entry()).verified;
         let finding = report
             .findings
             .iter()
@@ -904,8 +760,7 @@ mod tests {
         f.push(BlockId(0), Inst::Load { dst: q, addr: slot });
         f.push(BlockId(0), Inst::Ret(None));
         m.add_function(f);
-        let a = Analysis::run(&m, entry());
-        let prov = Provenance::run(&m, &a);
+        let prov = Analysis::run(&m, entry()).provenance;
         assert!(prov.heap_poisoned);
         assert!(prov.pts_of(0, q).unknown, "poisoned heap degrades loads");
     }
@@ -941,8 +796,7 @@ mod tests {
         rec.push(BlockId(0), Inst::Ret(Some(arg)));
         m.add_function(main);
         m.add_function(rec);
-        let a = Analysis::run(&m, entry());
-        let prov = Provenance::run(&m, &a);
+        let prov = Analysis::run(&m, entry()).provenance;
         assert_eq!(prov.pts_of(0, r), prov.pts_of(0, p));
     }
 }

@@ -6,7 +6,7 @@ use sjmp_safety::genprog::{validate_batch, validate_seed};
 use sjmp_safety::ir::{
     AbstractVas, BlockId, FuncId, Function, Inst, Module, Phi, SegName, Site, VasName, VasSet,
 };
-use sjmp_safety::provenance::{verify, SiteClass};
+use sjmp_safety::provenance::SiteClass;
 use sjmp_safety::{examples, insert_checks, plan_checks, Analysis, CheckPolicy, Interp, Trap};
 
 fn entry() -> VasSet {
@@ -41,7 +41,7 @@ fn soundness_over_512_seeds() {
 #[test]
 fn dangling_example_faults_at_the_proven_site() {
     let m = examples::dangling_example();
-    let report = verify(&m, examples::entry_set());
+    let report = Analysis::run(&m, examples::entry_set()).verified;
     assert_eq!(report.count(SiteClass::ProvenDangling), 2);
     let mut interp = Interp::new(&m, VasName(0)).with_site_log();
     let err = interp.run(&[]).unwrap_err();
@@ -59,7 +59,7 @@ fn dangling_example_faults_at_the_proven_site() {
 #[test]
 fn healthy_examples_clean_and_equivalent_under_interproc() {
     for (name, m) in examples::healthy() {
-        let report = verify(&m, examples::entry_set());
+        let report = Analysis::run(&m, examples::entry_set()).verified;
         assert!(report.findings.is_empty(), "{name}: {:?}", report.findings);
         let plain = Interp::new(&m, VasName(0)).run(&[]).unwrap();
         let mut instrumented = m.clone();
@@ -117,10 +117,9 @@ fn phi_join_of_cross_vas_pointers_stays_checked() {
     f.push(j, Inst::Load { dst: x, addr: p });
     f.push(j, Inst::Ret(None));
     m.add_function(f);
-    let report = verify(&m, entry());
-    let verdict = report.verdict_at(Site::new(0, 3, 0)).unwrap();
-    assert_eq!(verdict.class, SiteClass::Unknown);
     let a = Analysis::run(&m, entry());
+    let verdict = a.verified.verdict_at(Site::new(0, 3, 0)).unwrap();
+    assert_eq!(verdict.class, SiteClass::Unknown);
     let plan = plan_checks(&m, &a, CheckPolicy::Interprocedural);
     assert!(plan.decision_at(Site::new(0, 3, 0)).need_deref);
     // Runtime: the taken arm (then) malloc'd in VAS 1 while VAS 1 is
@@ -171,7 +170,7 @@ fn vcast_on_unknown_value() {
             .into_iter()
             .collect::<VasSet>()
     );
-    let report = verify(&m, entry());
+    let report = &a.verified;
     assert_eq!(report.count(SiteClass::ProvenDangling), 0);
     // The deref through the cast is region-safe in VAS 0 (the tag says
     // v0 and v0 is current), even though what it reads is anyone's
@@ -240,7 +239,7 @@ fn recursive_call_provenance() {
     rec.push(base, Inst::Ret(Some(q)));
     m.add_function(main);
     m.add_function(rec);
-    let report = verify(&m, entry());
+    let report = Analysis::run(&m, entry()).verified;
     // The deref of the recursion's return value is proven safe: the
     // returned pointer is exactly the VAS-0 malloc.
     let verdict = report.verdict_at(Site::new(0, 0, 5)).unwrap();
@@ -307,11 +306,10 @@ fn segment_stored_pointer_roundtrip() {
     // and the interprocedural policy elides the deref check Analyzed
     // must keep.
     let safe = build(None);
-    let report = verify(&safe, entry());
-    assert_eq!(report.count(SiteClass::ProvenDangling), 0);
-    let deref = report.verdict_at(Site::new(1, 0, 2)).unwrap();
-    assert_eq!(deref.class, SiteClass::ProvenSafe);
     let a = Analysis::run(&safe, entry());
+    assert_eq!(a.verified.count(SiteClass::ProvenDangling), 0);
+    let deref = a.verified.verdict_at(Site::new(1, 0, 2)).unwrap();
+    assert_eq!(deref.class, SiteClass::ProvenSafe);
     let analyzed = plan_checks(&safe, &a, CheckPolicy::Analyzed);
     let interproc = plan_checks(&safe, &a, CheckPolicy::Interprocedural);
     assert!(analyzed.decision_at(Site::new(1, 0, 2)).need_deref);
@@ -322,7 +320,7 @@ fn segment_stored_pointer_roundtrip() {
     // Consumer switches to VAS 2 first: proven dangling, with the chain
     // crossing the function boundary.
     let bad = build(Some(VasName(2)));
-    let report = verify(&bad, entry());
+    let report = Analysis::run(&bad, entry()).verified;
     let finding = report
         .findings
         .iter()
