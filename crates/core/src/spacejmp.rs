@@ -26,8 +26,8 @@ use sjmp_mem::KernelFlavor;
 use sjmp_mem::{Access, PageSize, VirtAddr, PAGE_SIZE};
 use sjmp_os::kernel::{GLOBAL_HI, GLOBAL_LO, PRIVATE_HI};
 use sjmp_os::{
-    Acl, CapKind, CapRights, Capability, CoreCtx, FaultOutcome, FaultSite, Kernel, MapPolicy, Mode,
-    ObjClass, OsError, Pid, Region, VmObjectId, VmspaceId,
+    Acl, CapKind, CapRights, Capability, CoreCtx, FaultOutcome, FaultSite, IdMap, Kernel,
+    MapPolicy, Mode, ObjClass, OsError, Pid, Region, VmObjectId, VmspaceId,
 };
 use sjmp_trace::{EventKind, MetricsSnapshot, Tracer};
 
@@ -172,20 +172,20 @@ impl Default for RetryPolicy {
 /// ```
 pub struct SpaceJmp {
     kernel: Kernel,
-    vases: HashMap<VasId, Vas>,
-    segments: HashMap<SegId, Segment>,
-    attachments: HashMap<VasHandle, Attachment>,
+    vases: IdMap<VasId, Vas>,
+    segments: IdMap<SegId, Segment>,
+    attachments: IdMap<VasHandle, Attachment>,
     vas_names: HashMap<String, VasId>,
     seg_names: HashMap<String, SegId>,
     /// The VAS each process is currently switched into (absent = its
     /// original, spawn-time address space).
-    current: HashMap<Pid, VasHandle>,
+    current: IdMap<Pid, VasHandle>,
     /// Processes blocked on a contended switch and the attachment they
     /// want — the nodes of the waits-for graph. A process stays
     /// registered while its switch keeps failing (including between
     /// [`SpaceJmp::vas_switch_retry`] calls that gave up) and is removed
     /// when a switch succeeds, deadlock is declared, or it dies.
-    waiters: HashMap<Pid, VasHandle>,
+    waiters: IdMap<Pid, VasHandle>,
     next_vid: u64,
     next_sid: u64,
     next_vh: u64,
@@ -207,13 +207,13 @@ impl SpaceJmp {
     pub fn new(kernel: Kernel) -> Self {
         SpaceJmp {
             kernel,
-            vases: HashMap::new(),
-            segments: HashMap::new(),
-            attachments: HashMap::new(),
+            vases: IdMap::default(),
+            segments: IdMap::default(),
+            attachments: IdMap::default(),
             vas_names: HashMap::new(),
             seg_names: HashMap::new(),
-            current: HashMap::new(),
-            waiters: HashMap::new(),
+            current: IdMap::default(),
+            waiters: IdMap::default(),
             next_vid: 1,
             next_sid: 1,
             next_vh: 1,
@@ -552,7 +552,7 @@ impl SpaceJmp {
         }
 
         // Attachment bookkeeping must be mutually consistent.
-        let mut attach_counts: HashMap<SegId, u64> = HashMap::new();
+        let mut attach_counts: IdMap<SegId, u64> = IdMap::default();
         for v in self.vases.values() {
             for (sid, _) in v.segments() {
                 *attach_counts.entry(*sid).or_insert(0) += 1;

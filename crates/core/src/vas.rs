@@ -12,10 +12,8 @@
 //! Barrelfish design of Section 4.2) plus the process's own private
 //! segments. Switching loads that vmspace's root into CR3.
 
-use std::collections::HashMap;
-
 use sjmp_mem::Pfn;
-use sjmp_os::{Acl, Pid, VmspaceId};
+use sjmp_os::{Acl, IdMap, Pid, VmspaceId};
 
 use crate::segment::{AttachMode, SegId};
 
@@ -56,7 +54,7 @@ pub struct Vas {
     template_root: Pfn,
     segments: Vec<(SegId, AttachMode)>,
     /// pid -> attachment handle (a process attaches a VAS at most once).
-    attached: HashMap<Pid, VasHandle>,
+    attached: IdMap<Pid, VasHandle>,
     /// Whether a TLB tag was requested via `vas_ctl`.
     tag_requested: bool,
 }
@@ -70,7 +68,7 @@ impl Vas {
             acl,
             template_root,
             segments: Vec::new(),
-            attached: HashMap::new(),
+            attached: IdMap::default(),
             tag_requested: false,
         }
     }

@@ -5,9 +5,6 @@
 //! through the MMU automatically produce the cycle totals that the paper's
 //! figures are computed from.
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
 use crate::addr::{PageSize, Pfn, PhysAddr, VirtAddr, PAGE_SIZE};
 use crate::backend::{Backend, TranslationBackend};
 use crate::cost::{CostModel, CycleClock};
@@ -15,6 +12,7 @@ use crate::error::{Access, MemError};
 use crate::paging::{self, PteFlags, Translation};
 use crate::phys::PhysMem;
 use crate::tlb::{Asid, Tlb, TlbStats};
+use sjmp_sim::IdMap;
 use sjmp_trace::{EventKind, Tracer};
 
 /// Environment variable that disables the host-side walk cache when set
@@ -60,30 +58,7 @@ enum FlatEntry {
     },
 }
 
-/// Multiply-xor hasher for the host cache's small fixed-width keys.
-/// SipHash (the `HashMap` default) shows up prominently in host
-/// profiles at GUPS update rates; this is one multiply per word.
-#[derive(Default)]
-struct FlatKeyHasher(u64);
-
-impl std::hash::Hasher for FlatKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 29;
-    }
-}
-
-type HostCache = HashMap<(u64, u64), FlatEntry, BuildHasherDefault<FlatKeyHasher>>;
+type HostCache = IdMap<(u64, u64), FlatEntry>;
 
 /// MMU event counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

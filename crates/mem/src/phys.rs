@@ -8,11 +8,17 @@
 //! benchmarks attach to "existing pages in the kernel's page cache" without
 //! paying population costs up front.
 //!
+//! Frames are found by frame number in a two-level table: a chunk table
+//! indexed by `pfn / 512` (one chunk per 2 MiB of physical space), each
+//! chunk a boxed array of 512 frame slots. A chunk exists only once one of
+//! its frames is materialized, and the chunk table only reaches the
+//! highest such chunk, so host memory follows the materialized frames,
+//! not the advertised capacity. Every simulated access looks its frame up
+//! here, so a lookup is two array indexings and no hashing.
+//!
 //! The store doubles as the frame allocator: [`PhysMem::alloc_frame`] hands
 //! out frames from a bump pointer plus free list, and page-table nodes built
 //! by [`crate::paging`] live in these frames like they would in real DRAM.
-
-use std::collections::HashMap;
 
 use sjmp_blk::{BlkStats, SwapDev};
 
@@ -30,6 +36,29 @@ fn zero_frame() -> FrameBox {
         .unwrap()
 }
 
+/// Frames per chunk of the frame table: one chunk spans 2 MiB.
+const CHUNK_FRAMES: u64 = 512;
+
+/// The frame slots of one 2 MiB range of physical space.
+type Chunk = Box<[Option<FrameBox>; CHUNK_FRAMES as usize]>;
+
+/// Splits a frame number into its chunk-table index and chunk slot.
+#[inline]
+fn chunk_slot(pfn: u64) -> (usize, usize) {
+    ((pfn / CHUNK_FRAMES) as usize, (pfn % CHUNK_FRAMES) as usize)
+}
+
+/// Frame `pfn`'s slot in the frame table `chunks`, creating its chunk
+/// (and growing the chunk table to reach it) on demand.
+#[inline]
+fn slot_mut(chunks: &mut Vec<Option<Chunk>>, pfn: u64) -> &mut Option<FrameBox> {
+    let (c, i) = chunk_slot(pfn);
+    if c >= chunks.len() {
+        chunks.resize_with(c + 1, || None);
+    }
+    &mut chunks[c].get_or_insert_with(|| Box::new([const { None }; CHUNK_FRAMES as usize]))[i]
+}
+
 /// Sparse simulated physical memory with a frame allocator.
 ///
 /// # Examples
@@ -44,7 +73,12 @@ fn zero_frame() -> FrameBox {
 /// ```
 #[derive(Debug)]
 pub struct PhysMem {
-    frames: HashMap<u64, FrameBox>,
+    /// The frame table: `chunks[pfn / 512][pfn % 512]` holds the frame's
+    /// bytes once materialized. Never longer than the highest chunk that
+    /// holds a materialized frame, plus one.
+    chunks: Vec<Option<Chunk>>,
+    /// Materialized frames in `chunks`.
+    resident: u64,
     capacity_frames: u64,
     next_frame: u64,
     free_list: Vec<u64>,
@@ -55,6 +89,9 @@ pub struct PhysMem {
     nvm_boundary: Option<u64>,
     /// Bump pointer for NVM allocations (grows from the boundary up).
     next_nvm_frame: u64,
+    /// Freed NVM frames, sorted ascending. NVM frames never go to
+    /// `free_list`, which feeds DRAM allocations.
+    nvm_free_list: Vec<u64>,
     /// Simulated swap device, backed by the `sjmp-blk` block device
     /// (one block per page). A slot without device bytes records a page
     /// that was entirely zero, so swapped-out untouched pages stay
@@ -81,7 +118,8 @@ impl PhysMem {
             "physical memory must hold at least one frame"
         );
         PhysMem {
-            frames: HashMap::new(),
+            chunks: Vec::new(),
+            resident: 0,
             capacity_frames,
             // Frame 0 is reserved (a null CR3 should never look valid).
             next_frame: 1,
@@ -89,6 +127,7 @@ impl PhysMem {
             allocated: 0,
             nvm_boundary: None,
             next_nvm_frame: 0,
+            nvm_free_list: Vec::new(),
             swap: SwapDev::new(PAGE_SIZE),
             table_gen: 0,
         }
@@ -130,14 +169,33 @@ impl PhysMem {
         self.nvm_boundary.is_some_and(|b| pfn.0 >= b)
     }
 
-    /// Allocates `n` consecutive frames from the NVM tier.
+    /// Allocates `n` consecutive frames from the NVM tier, reusing freed
+    /// NVM frames first.
     ///
     /// # Errors
     ///
     /// [`MemError::OutOfFrames`] if no NVM tier was configured or it is
     /// exhausted.
     pub fn alloc_contiguous_nvm(&mut self, n: u64) -> Result<Pfn, MemError> {
-        if self.nvm_boundary.is_none() || self.next_nvm_frame + n > self.capacity_frames {
+        if self.nvm_boundary.is_none() {
+            return Err(MemError::OutOfFrames);
+        }
+        // First fit among freed frames: the list is sorted and has no
+        // duplicates, so a window of `n` is consecutive iff it spans `n`.
+        let reuse = if n == 0 {
+            None
+        } else {
+            self.nvm_free_list
+                .windows(n as usize)
+                .position(|w| w[w.len() - 1] - w[0] == n - 1)
+        };
+        if let Some(at) = reuse {
+            let base = self.nvm_free_list[at];
+            self.nvm_free_list.drain(at..at + n as usize);
+            self.allocated += n;
+            return Ok(Pfn(base));
+        }
+        if self.next_nvm_frame + n > self.capacity_frames {
             return Err(MemError::OutOfFrames);
         }
         let base = self.next_nvm_frame;
@@ -163,7 +221,7 @@ impl PhysMem {
 
     /// Number of frames materialized with host memory.
     pub fn resident_frames(&self) -> u64 {
-        self.frames.len() as u64
+        self.resident
     }
 
     /// Allocates one zeroed frame.
@@ -175,7 +233,7 @@ impl PhysMem {
     pub fn alloc_frame(&mut self) -> Result<Pfn, MemError> {
         let pfn = if let Some(f) = self.free_list.pop() {
             // Reused frames must read as zero again.
-            self.frames.remove(&f);
+            self.take_frame(f);
             f
         } else if self.next_frame < self.nvm_boundary.unwrap_or(self.capacity_frames) {
             let f = self.next_frame;
@@ -239,8 +297,19 @@ impl PhysMem {
 
     /// Returns a frame to the allocator and discards its contents.
     pub fn free_frame(&mut self, pfn: Pfn) {
-        self.frames.remove(&pfn.0);
-        self.free_list.push(pfn.0);
+        self.take_frame(pfn.0);
+        self.release(pfn.0);
+    }
+
+    /// Returns an unmaterialized frame to the free list of its tier.
+    fn release(&mut self, pfn: u64) {
+        if self.is_nvm(Pfn(pfn)) {
+            if let Err(at) = self.nvm_free_list.binary_search(&pfn) {
+                self.nvm_free_list.insert(at, pfn);
+            }
+        } else {
+            self.free_list.push(pfn);
+        }
         self.allocated = self.allocated.saturating_sub(1);
     }
 
@@ -259,10 +328,9 @@ impl PhysMem {
     /// returns the swap slot holding the image. The caller (the kernel's
     /// reclaim path) is responsible for having unmapped the frame first.
     pub fn swap_out(&mut self, pfn: Pfn) -> u64 {
-        let image = self.frames.remove(&pfn.0);
+        let image = self.take_frame(pfn.0);
         let slot = self.swap.store(image.as_deref().map(|f| f.as_slice()));
-        self.free_list.push(pfn.0);
-        self.allocated = self.allocated.saturating_sub(1);
+        self.release(pfn.0);
         slot
     }
 
@@ -283,7 +351,9 @@ impl PhysMem {
         let pfn = self.alloc_frame()?;
         if let Some(image) = self.swap.take(slot) {
             let boxed: FrameBox = image.into_boxed_slice().try_into().unwrap();
-            self.frames.insert(pfn.0, boxed);
+            if slot_mut(&mut self.chunks, pfn.0).replace(boxed).is_none() {
+                self.resident += 1;
+            }
         }
         Ok(pfn)
     }
@@ -327,8 +397,30 @@ impl PhysMem {
         Ok(())
     }
 
+    /// Frame `pfn`'s bytes, if it is materialized.
+    #[inline]
+    fn frame_ref(&self, pfn: u64) -> Option<&FrameBox> {
+        let (c, i) = chunk_slot(pfn);
+        self.chunks.get(c)?.as_ref()?[i].as_ref()
+    }
+
+    /// Frame `pfn`'s bytes, materializing a zero frame if needed.
+    #[inline]
     fn frame(&mut self, pfn: u64) -> &mut FrameBox {
-        self.frames.entry(pfn).or_insert_with(zero_frame)
+        let slot = slot_mut(&mut self.chunks, pfn);
+        if slot.is_none() {
+            self.resident += 1;
+        }
+        slot.get_or_insert_with(zero_frame)
+    }
+
+    /// Drops frame `pfn`'s bytes, so it reads as zero again, and returns
+    /// them.
+    fn take_frame(&mut self, pfn: u64) -> Option<FrameBox> {
+        let (c, i) = chunk_slot(pfn);
+        let frame = self.chunks.get_mut(c)?.as_mut()?[i].take();
+        self.resident -= u64::from(frame.is_some());
+        frame
     }
 
     /// Direct mutable access to a frame's bytes, materializing it.
@@ -395,7 +487,7 @@ impl PhysMem {
             let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
             // Avoid materializing frames that were never written: they read
             // as zero.
-            match self.frames.get(&(addr >> 12)) {
+            match self.frame_ref(addr >> 12) {
                 Some(frame) => buf[done..done + chunk].copy_from_slice(&frame[off..off + chunk]),
                 None => buf[done..done + chunk].fill(0),
             }
@@ -437,7 +529,7 @@ impl PhysMem {
         while addr < end {
             let off = (addr % PAGE_SIZE) as usize;
             let chunk = ((PAGE_SIZE - off as u64).min(end - addr)) as usize;
-            if value == 0 && !self.frames.contains_key(&(addr >> 12)) {
+            if value == 0 && self.frame_ref(addr >> 12).is_none() {
                 // Zero-filling an unmaterialized frame is a no-op.
             } else {
                 let frame = self.frame(addr >> 12);
@@ -489,6 +581,113 @@ mod tests {
         let b = pm.alloc_frame().unwrap();
         assert_eq!(a, b);
         assert_eq!(pm.read_u64(b.base()).unwrap(), 0);
+    }
+
+    #[test]
+    fn freed_nvm_frames_stay_in_the_nvm_tier() {
+        let mut pm = PhysMem::new(64 * PAGE_SIZE);
+        pm.set_nvm_tier(16 * PAGE_SIZE);
+        let dram_free = pm.free_frames();
+        let nvm = pm.alloc_contiguous_nvm(1).unwrap();
+        assert!(pm.is_nvm(nvm));
+        pm.write_u64(nvm.base(), 7).unwrap();
+        pm.free_frame(nvm);
+        assert_eq!(pm.free_frames(), dram_free, "DRAM count unchanged");
+        let dram = pm.alloc_frame().unwrap();
+        assert!(!pm.is_nvm(dram), "a DRAM allocation got NVM frame {dram:?}");
+        // The freed frame goes back out as NVM, zeroed.
+        let again = pm.alloc_contiguous_nvm(1).unwrap();
+        assert_eq!(again, nvm);
+        assert_eq!(pm.read_u64(again.base()).unwrap(), 0);
+    }
+
+    #[test]
+    fn freed_nvm_runs_are_reused_contiguously() {
+        let mut pm = PhysMem::new(64 * PAGE_SIZE);
+        pm.set_nvm_tier(8 * PAGE_SIZE);
+        let a = pm.alloc_contiguous_nvm(3).unwrap();
+        let b = pm.alloc_contiguous_nvm(5).unwrap();
+        assert!(pm.alloc_contiguous_nvm(1).is_err(), "tier exhausted");
+        // Free b's frames out of order, and a's middle frame only.
+        for i in [4, 0, 2, 1, 3] {
+            pm.free_frame(Pfn(b.0 + i));
+        }
+        pm.free_frame(Pfn(a.0 + 1));
+        assert_eq!(pm.allocated_frames(), 2);
+        assert_eq!(pm.alloc_contiguous_nvm(5).unwrap(), b);
+        assert!(pm.alloc_contiguous_nvm(2).is_err(), "no run of two left");
+        assert_eq!(pm.alloc_contiguous_nvm(1).unwrap(), Pfn(a.0 + 1));
+        assert_eq!(pm.allocated_frames(), 8);
+    }
+
+    #[test]
+    fn top_of_a_512_gib_machine_is_reachable_without_a_dense_table() {
+        // M3's capacity: 128 Mi frames. Only the chunk holding the top
+        // frame is allocated; the chunk table reaches exactly that chunk.
+        let mut pm = PhysMem::new(512 << 30);
+        pm.set_nvm_tier(1 << 30);
+        let n = pm.nvm_frames();
+        let last = Pfn(pm.alloc_contiguous_nvm(n).unwrap().0 + n - 1);
+        assert_eq!(last.0, pm.capacity_frames() - 1);
+        pm.write_u64(last.base().add(PAGE_SIZE - 8), 0x5eed)
+            .unwrap();
+        assert_eq!(pm.read_u64(last.base().add(PAGE_SIZE - 8)).unwrap(), 0x5eed);
+        assert_eq!(pm.resident_frames(), 1);
+        let top_chunk = (last.0 / CHUNK_FRAMES) as usize;
+        assert_eq!(pm.chunks.len(), top_chunk + 1);
+        assert!(pm.chunks[..top_chunk].iter().all(Option::is_none));
+        // A low DRAM frame adds one chunk and leaves the table's length.
+        let low = pm.alloc_frame().unwrap();
+        pm.write_u64(low.base(), 1).unwrap();
+        assert_eq!(pm.chunks.iter().flatten().count(), 2);
+        assert_eq!(pm.chunks.len(), top_chunk + 1);
+    }
+
+    #[test]
+    fn resident_count_is_exact_across_the_frame_lifecycle() {
+        let mut pm = PhysMem::new(2048 * PAGE_SIZE);
+        // Count materialized slots the slow way.
+        let count = |pm: &PhysMem| {
+            pm.chunks
+                .iter()
+                .flatten()
+                .map(|c| c.iter().flatten().count() as u64)
+                .sum::<u64>()
+        };
+        let check = |pm: &PhysMem, want: u64| {
+            assert_eq!(pm.resident_frames(), want);
+            assert_eq!(count(pm), want);
+        };
+        let a = pm.alloc_frame().unwrap();
+        let b = pm.alloc_contiguous(600).unwrap(); // spans two chunks
+        check(&pm, 0);
+        pm.write_u64(a.base(), 1).unwrap();
+        pm.write_bytes(b.base().add(PAGE_SIZE * 511 + 4000), &[9; 200])
+            .unwrap();
+        check(&pm, 3);
+        pm.write_u64(a.base().add(8), 2).unwrap();
+        let _ = pm.read_u64(b.base().add(PAGE_SIZE * 599)).unwrap();
+        check(&pm, 4);
+        pm.fill(b.base().add(PAGE_SIZE * 100), PAGE_SIZE, 0)
+            .unwrap();
+        check(&pm, 4);
+        pm.fill(b.base().add(PAGE_SIZE * 100), 8, 3).unwrap();
+        check(&pm, 5);
+        pm.free_frame(a);
+        check(&pm, 4);
+        let reused = pm.alloc_frame().unwrap();
+        assert_eq!(reused, a);
+        check(&pm, 4);
+        let hot = Pfn(b.0 + 100);
+        let slot = pm.swap_out(hot);
+        check(&pm, 3);
+        let back = pm.swap_in(slot).unwrap();
+        check(&pm, 4);
+        assert_eq!(pm.read_u64(back.base()).unwrap(), 0x0303_0303_0303_0303);
+        let cold = pm.swap_out(Pfn(b.0 + 7));
+        check(&pm, 4);
+        let _ = pm.swap_in(cold).unwrap();
+        check(&pm, 4);
     }
 
     #[test]

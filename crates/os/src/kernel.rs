@@ -29,8 +29,6 @@
 //! the one exception: it runs kswapd-style on the boot core
 //! ([`CoreCtx::BOOT`]) regardless of who triggered it.
 
-use std::collections::HashMap;
-
 use sjmp_blk::{BlkError, BlkHooks, BlkStats, BlockDev, FlushFault, SnapshotStore, WriteFault};
 use sjmp_mem::backend::{Backend, TranslationBackend};
 use sjmp_mem::cost::{
@@ -41,6 +39,7 @@ use sjmp_mem::mmu::MmuStats;
 use sjmp_mem::paging::{self, PteFlags};
 use sjmp_mem::tlb::TlbStats;
 use sjmp_mem::{Access, Asid, MemError, Mmu, Pfn, PhysMem, VirtAddr, PAGE_SIZE};
+use sjmp_sim::IdMap;
 use sjmp_trace::{EventKind, MetricsSnapshot, Tracer};
 
 use crate::acl::Creds;
@@ -291,9 +290,9 @@ pub struct Kernel {
     /// The hardware threads: one MMU (private TLB + CR3 + stats) and one
     /// cycle clock per core.
     machine: Machine,
-    processes: HashMap<Pid, Process>,
-    vmobjects: HashMap<VmObjectId, VmObject>,
-    vmspaces: HashMap<VmspaceId, Vmspace>,
+    processes: IdMap<Pid, Process>,
+    vmobjects: IdMap<VmObjectId, VmObject>,
+    vmspaces: IdMap<VmspaceId, Vmspace>,
     next_pid: u64,
     next_obj: u64,
     next_space: u64,
@@ -303,7 +302,7 @@ pub struct Kernel {
     stats: KernelStats,
     fault: Option<FaultPlan>,
     /// Per-process memory quotas in resident frames.
-    quotas: HashMap<Pid, u64>,
+    quotas: IdMap<Pid, u64>,
     /// Global low watermark: allocations reclaim until at least this many
     /// frames are free. `None` disables pressure handling entirely.
     low_watermark: Option<u64>,
@@ -313,7 +312,7 @@ pub struct Kernel {
     /// own (the SpaceJMP layer's VAS templates). Eviction must clear the
     /// leaf PTEs there too; clearing the template leaf once covers every
     /// vmspace that links the shared subtree.
-    external_maps: HashMap<VmObjectId, Vec<(Pfn, VirtAddr)>>,
+    external_maps: IdMap<VmObjectId, Vec<(Pfn, VirtAddr)>>,
     /// Structured event tracer (disabled by default; never advances
     /// the clock, so tracing cannot perturb modeled costs).
     tracer: Tracer,
@@ -351,9 +350,9 @@ impl Kernel {
             phys,
             backend: Backend::four_level(),
             machine,
-            processes: HashMap::new(),
-            vmobjects: HashMap::new(),
-            vmspaces: HashMap::new(),
+            processes: IdMap::default(),
+            vmobjects: IdMap::default(),
+            vmspaces: IdMap::default(),
             next_pid: 1,
             next_obj: 1,
             next_space: 1,
@@ -362,10 +361,10 @@ impl Kernel {
             tagging: false,
             stats: KernelStats::default(),
             fault: None,
-            quotas: HashMap::new(),
+            quotas: IdMap::default(),
             low_watermark: None,
             reclaim_cursor: (0, 0),
-            external_maps: HashMap::new(),
+            external_maps: IdMap::default(),
             tracer: Tracer::disabled(),
             disk: SnapshotStore::new(BlockDev::new(DISK_BLOCK_SIZE)),
         }
@@ -2597,7 +2596,7 @@ impl Kernel {
     pub fn check_invariants(&mut self, external_roots: &[Pfn]) -> Vec<String> {
         let mut problems = Vec::new();
 
-        let mut region_refs: HashMap<VmObjectId, u64> = HashMap::new();
+        let mut region_refs: IdMap<VmObjectId, u64> = IdMap::default();
         for vs in self.vmspaces.values() {
             for r in vs.regions() {
                 *region_refs.entry(r.object).or_insert(0) += 1;

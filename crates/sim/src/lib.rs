@@ -27,6 +27,8 @@
 //! * **Randomness** — [`SimRng`] is the workspace's seeded PRNG;
 //!   workloads, fault plans, and arrival processes all draw from it so
 //!   any run can be replayed exactly.
+//! * **Id maps** — [`IdMap`] is the `HashMap` every crate uses for tables
+//!   keyed by simulator-minted integer ids, with the fixed [`IdHasher`].
 //!
 //! The crate is dependency-free and sits below `sjmp-mem`: the MMU, the
 //! kernel, and the workloads all charge cycles to clocks defined here.
@@ -35,6 +37,7 @@ pub mod clock;
 pub mod cores;
 pub mod engine;
 pub mod event;
+pub mod idmap;
 pub mod openloop;
 pub mod rng;
 pub mod rwlock;
@@ -43,6 +46,7 @@ pub use clock::{CoreClocks, CoreCtx, CycleClock};
 pub use cores::Cores;
 pub use engine::{ClosedLoop, Sim};
 pub use event::EventQueue;
+pub use idmap::{IdHasher, IdMap};
 pub use openloop::{Arrival, OpenLoop, ReqId};
 pub use rng::SimRng;
 pub use rwlock::{ActorId, LockMode, SimRwLock};
