@@ -1,536 +1,117 @@
-//! CI gate for the machine-readable outputs: verifies that the
-//! `results/` files a traced benchmark run produces parse as JSON and
-//! carry the required keys.
+//! CI gate for the machine-readable outputs in `results/`.
 //!
-//! Usage: `validate_results <bench-name>...` — for each name, checks
-//! `results/<name>.json` (bench report: `bench`, `sections` with
-//! `columns`/`rows`, `notes`), `results/<name>.trace.json` (Chrome
-//! `trace_event`: non-empty `traceEvents`), and
-//! `results/<name>.metrics.json` (`counters`, `histograms`). Exits
-//! nonzero with a message naming the first violation.
+//! Usage: `validate_results --all | <bench-name>...`. Exits nonzero with
+//! a message naming the report and the first rule it breaks.
 //!
-//! `validate_results --all` instead scans `results/` and validates every
-//! bench report found there; trace and metrics files are validated only
-//! where they exist (tracing is opt-in per run). The sweep also runs the
-//! stale-results check: every bench binary under `crates/bench/src/bin/`
-//! must have a committed report, and every committed report must have a
-//! matching binary — a report whose producer was deleted (or a bench
-//! added without regenerating `results/`) fails the gate.
+//! Every bench report has one shape: `bench`, `notes`, and non-empty
+//! `sections`, each with a `title`, a non-empty `columns` array of
+//! strings, and at least one row of exactly one cell per column. What a
+//! report promises beyond that is data: [`expectations`] maps each bench
+//! to its [`Rule`]s (sections found by title substring, with required
+//! columns, minimum rows, first-column values, a column whose cells come
+//! from a fixed set; required notes), and one checker, [`check_report`],
+//! applies the shape and the rules. The `ablate_safety_checks`
+//! refinement is the one row rule the table references by function.
+//!
+//! A named run also checks the Chrome trace (`results/<name>.trace.json`)
+//! and metrics (`.metrics.json`) side files, except for `selfperf`, which
+//! carries the `BENCH_selfperf.json` trajectory instead; the name
+//! `analyze_report` selects the `sjmp_lint` findings schema. `--all`
+//! checks every report in `results/`, side files where they exist
+//! (tracing is opt-in per run), then pairs reports with the binaries in
+//! `crates/bench/src/bin/`: a report without a producer, or a bench
+//! without a committed report, fails the gate.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use sjmp_trace::Json;
 
-/// One validation pass over a named benchmark's output file.
-type Check = fn(&str) -> Result<(), String>;
+use Rule::*;
 
-fn load(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("{path}: parse error: {e}"))
+/// One thing a bench report must carry beyond the common shape. A
+/// section is found by a substring of its title.
+enum Rule {
+    /// A section titled like this.
+    Section(&'static str),
+    /// A section with (at least) these columns.
+    Columns(&'static str, &'static [&'static str]),
+    /// A section with at least this many rows.
+    MinRows(&'static str, usize),
+    /// A section with a row starting with each of these cells.
+    FirstCells(&'static str, &'static [&'static str]),
+    /// A section whose cells in this column are all one of these.
+    CellsIn(&'static str, &'static str, &'static [&'static str]),
+    /// A section whose rows pass a rule that is not about shape.
+    Rows(&'static str, fn(&Table) -> Result<(), String>),
+    /// A note, exactly.
+    Note(&'static str),
+    /// A note starting with this.
+    NotePrefix(&'static str),
 }
 
-fn require<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a Json, String> {
-    doc.get(key)
-        .ok_or_else(|| format!("{path}: missing required key \"{key}\""))
-}
+const SWEEP_COLUMNS: &[&str] = &[
+    "load",
+    "offered/s",
+    "goodput/s",
+    "shed%",
+    "p999lo",
+    "p999us",
+];
 
-fn check_report(name: &str) -> Result<(), String> {
-    let path = format!("results/{name}.json");
-    let doc = load(&path)?;
-    require(&doc, &path, "bench")?;
-    require(&doc, &path, "notes")?;
-    let sections = require(&doc, &path, "sections")?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: \"sections\" is not an array"))?;
-    if sections.is_empty() {
-        return Err(format!("{path}: no sections recorded"));
-    }
-    for s in sections {
-        require(s, &path, "title")?;
-        require(s, &path, "columns")?;
-        let rows = require(s, &path, "rows")?
-            .as_arr()
-            .ok_or_else(|| format!("{path}: section \"rows\" is not an array"))?;
-        if rows.is_empty() {
-            return Err(format!("{path}: a section has no rows"));
-        }
-    }
-    Ok(())
-}
-
-fn check_trace(name: &str) -> Result<(), String> {
-    let path = format!("results/{name}.trace.json");
-    let doc = load(&path)?;
-    let events = require(&doc, &path, "traceEvents")?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: \"traceEvents\" is not an array"))?;
-    if events.is_empty() {
-        return Err(format!("{path}: trace is empty"));
-    }
-    for ev in events {
-        for key in ["name", "ph", "ts", "pid", "tid"] {
-            require(ev, &path, key)?;
-        }
-    }
-    Ok(())
-}
-
-fn check_metrics(name: &str) -> Result<(), String> {
-    let path = format!("results/{name}.metrics.json");
-    let doc = load(&path)?;
-    require(&doc, &path, "counters")?;
-    require(&doc, &path, "histograms")?;
-    Ok(())
-}
-
-/// Schema gate for `results/analyze_report.json` (the `sjmp_lint`
-/// output): `tool`, a `traces` array whose entries carry
-/// `name`/`events`/`dropped`/`findings`, and `findings_total`.
-fn check_analyze_report() -> Result<(), String> {
-    let path = "results/analyze_report.json";
-    let doc = load(path)?;
-    let tool = require(&doc, path, "tool")?
-        .as_str()
-        .ok_or_else(|| format!("{path}: \"tool\" is not a string"))?;
-    if tool != "sjmp-lint" {
-        return Err(format!("{path}: unexpected tool \"{tool}\""));
-    }
-    require(&doc, path, "findings_total")?;
-    let traces = require(&doc, path, "traces")?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: \"traces\" is not an array"))?;
-    for t in traces {
-        for key in ["name", "events", "dropped", "skipped_incomplete"] {
-            require(t, path, key)?;
-        }
-        let findings = require(t, path, "findings")?
-            .as_arr()
-            .ok_or_else(|| format!("{path}: \"findings\" is not an array"))?;
-        for f in findings {
-            for key in ["rule", "message", "segments", "pids", "cores"] {
-                require(f, path, key)?;
-            }
-        }
-    }
-    // The optional "ir" section (sjmp_lint --ir / --gen): healthy
-    // example programs must be clean, the known-dangling program must
-    // report findings, and a generator batch must have zero soundness
-    // violations.
-    if let Some(ir) = doc.get("ir") {
-        if let Some(programs) = ir.get("programs") {
-            let programs = programs
-                .as_arr()
-                .ok_or_else(|| format!("{path}: \"ir.programs\" is not an array"))?;
-            for p in programs {
-                for key in [
-                    "name",
-                    "mem_ops",
-                    "proven_safe",
-                    "proven_dangling",
-                    "unknown",
-                    "expected_dangling",
-                ] {
-                    require(p, path, key)?;
-                }
-                let name = p.get("name").and_then(Json::as_str).unwrap_or("?");
-                let findings = require(p, path, "findings")?
-                    .as_arr()
-                    .ok_or_else(|| format!("{path}: ir \"findings\" is not an array"))?;
-                let expect = matches!(p.get("expected_dangling"), Some(Json::Bool(true)));
-                if expect && findings.is_empty() {
-                    return Err(format!(
-                        "{path}: ir program \"{name}\" should report dangling findings"
-                    ));
-                }
-                if !expect && !findings.is_empty() {
-                    return Err(format!(
-                        "{path}: healthy ir program \"{name}\" has findings"
-                    ));
-                }
-            }
-        }
-        if let Some(gen) = ir.get("gen") {
-            for key in [
-                "seeds",
-                "programs",
-                "mem_sites",
-                "proven_safe",
-                "violations",
-            ] {
-                require(gen, path, key)?;
-            }
-            let violations = require(gen, path, "violations")?
-                .as_arr()
-                .ok_or_else(|| format!("{path}: \"ir.gen.violations\" is not an array"))?;
-            if !violations.is_empty() {
-                return Err(format!(
-                    "{path}: generator batch reports {} soundness violations",
-                    violations.len()
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Gate for `results/ablate_safety_checks.json`: the check-elision
-/// table must carry all three policy columns, every row must show the
-/// interprocedural verifier eliding at least as many checks as the
-/// dataflow pass (it is a refinement), and at least one program must
-/// show it strictly winning.
-fn check_safety_ablation(name: &str) -> Result<(), String> {
-    if name != "ablate_safety_checks" {
-        return Ok(());
-    }
-    let path = format!("results/{name}.json");
-    let doc = load(&path)?;
-    let sections = require(&doc, &path, "sections")?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: \"sections\" is not an array"))?;
-    let section = sections
-        .first()
-        .ok_or_else(|| format!("{path}: no sections recorded"))?;
-    let columns = section
-        .get("columns")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: section has no columns"))?;
-    let col = |name: &str| -> Result<usize, String> {
-        columns
-            .iter()
-            .position(|c| c.as_str() == Some(name))
-            .ok_or_else(|| format!("{path}: missing column \"{name}\""))
-    };
-    let naive = col("naive checks")?;
-    let pruned = col("pruned checks")?;
-    let interproc = col("interproc checks")?;
-    let rows = require(section, &path, "rows")?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: section \"rows\" is not an array"))?;
-    let cell = |row: &Json, at: usize| -> Result<f64, String> {
-        row.as_arr()
-            .and_then(|cells| cells.get(at))
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{path}: row cell {at} is not a number"))
-    };
-    let mut strictly_less = false;
-    for row in rows {
-        let n = cell(row, naive)?;
-        let p = cell(row, pruned)?;
-        let i = cell(row, interproc)?;
-        if p > n || i > p {
-            return Err(format!(
-                "{path}: check counts must refine: naive {n} >= pruned {p} >= interproc {i}"
-            ));
-        }
-        strictly_less |= i < p;
-    }
-    if !strictly_less {
-        return Err(format!(
-            "{path}: no program where the interprocedural verifier beats the dataflow pass"
-        ));
-    }
-    Ok(())
-}
-
-/// Schema gate for the durability reports. `results/crash_sweep.json`
-/// must carry all three sweep phases (block-write crash points, flush
-/// barriers, seeded faults), every `recovered` cell must read `old` or
-/// `new` (never a hybrid), and the verdict note must report zero
-/// violations. `results/warm_restart.json` must carry the phase table
-/// and the cold-vs-warm comparison with a `speedup` column.
-fn check_durability(name: &str) -> Result<(), String> {
-    let path = format!("results/{name}.json");
-    let doc = load(&path)?;
-    let sections = require(&doc, &path, "sections")?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: \"sections\" is not an array"))?;
-    let titled = |needle: &str| -> Result<&Json, String> {
-        sections
-            .iter()
-            .find(|s| {
-                s.get("title")
-                    .and_then(Json::as_str)
-                    .is_some_and(|t| t.contains(needle))
-            })
-            .ok_or_else(|| format!("{path}: no section titled like \"{needle}\""))
-    };
-    let column = |section: &Json, col: &str| -> Result<usize, String> {
-        section
-            .get("columns")
-            .and_then(Json::as_arr)
-            .and_then(|cols| {
-                cols.iter()
-                    .position(|c| c.as_str().is_some_and(|s| s == col))
-            })
-            .ok_or_else(|| format!("{path}: missing column \"{col}\""))
-    };
-    match name {
-        "crash_sweep" => {
-            for needle in [
-                "Crash at every block write",
-                "Crash at each flush barrier",
-                "Seeded torn writes",
-            ] {
-                let section = titled(needle)?;
-                let at = column(section, "recovered")?;
-                let rows = require(section, &path, "rows")?
-                    .as_arr()
-                    .ok_or_else(|| format!("{path}: section \"rows\" is not an array"))?;
-                for row in rows {
-                    let cell = row.as_arr().and_then(|r| r.get(at)).and_then(Json::as_str);
-                    if cell != Some("old") && cell != Some("new") {
-                        return Err(format!(
-                            "{path}: \"{needle}\" row recovered {cell:?}, want old|new"
-                        ));
-                    }
-                }
-            }
-            let notes = require(&doc, &path, "notes")?
-                .as_arr()
-                .ok_or_else(|| format!("{path}: \"notes\" is not an array"))?;
-            let clean = notes
-                .iter()
-                .any(|n| n.as_str().is_some_and(|s| s.starts_with("violations: 0")));
-            if !clean {
-                return Err(format!(
-                    "{path}: verdict note \"violations: 0 ...\" missing"
-                ));
-            }
-        }
-        "warm_restart" => {
-            let phases = titled("RedisJMP warm restart")?;
-            for col in ["vas_save", "recovery", "vas_load"] {
-                column(phases, col)?;
-            }
-            let compare = titled("cold rebuild vs warm restart")?;
-            column(compare, "speedup")?;
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
-/// Schema gate for `results/overload.json`: a saturation-sweep section
-/// per machine (M1/M2/M3) whose columns carry the goodput and tail
-/// columns, the bursty and degraded sections, and the self-check
-/// verdict note `overload verdict: PASS` (the bin exits nonzero — and
-/// writes a FAIL verdict — when goodput at 2x saturation drops below
-/// 90% of goodput at saturation).
-fn check_overload(name: &str) -> Result<(), String> {
-    if name != "overload" {
-        return Ok(());
-    }
-    let path = format!("results/{name}.json");
-    let doc = load(&path)?;
-    let sections = require(&doc, &path, "sections")?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: \"sections\" is not an array"))?;
-    let titled = |needle: &str| -> Result<&Json, String> {
-        sections
-            .iter()
-            .find(|s| {
-                s.get("title")
-                    .and_then(Json::as_str)
-                    .is_some_and(|t| t.contains(needle))
-            })
-            .ok_or_else(|| format!("{path}: no section titled like \"{needle}\""))
-    };
-    for machine in ["M1", "M2", "M3"] {
-        let section = titled(&format!("Saturation sweep: {machine}"))?;
-        let cols = section
-            .get("columns")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{path}: sweep section has no columns"))?;
-        for col in [
-            "load",
-            "offered/s",
-            "goodput/s",
-            "shed%",
-            "p999lo",
-            "p999us",
-        ] {
-            if !cols.iter().any(|c| c.as_str() == Some(col)) {
-                return Err(format!("{path}: {machine} sweep missing column \"{col}\""));
-            }
-        }
-        let rows = require(section, &path, "rows")?
-            .as_arr()
-            .ok_or_else(|| format!("{path}: sweep \"rows\" is not an array"))?;
-        if rows.len() < 3 {
-            return Err(format!(
-                "{path}: {machine} sweep has {} load points, want >= 3",
-                rows.len()
-            ));
-        }
-    }
-    titled("Bursty arrivals")?;
-    titled("Degraded mode")?;
-    // The tail-forensics section: slowest within-deadline requests with
-    // their latency decomposed into backoff/queue/switch/service.
-    let exemplars = titled("Tail exemplars")?;
-    let cols = exemplars
-        .get("columns")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: exemplar section has no columns"))?;
-    for col in [
-        "latency_us",
-        "backoff_us",
-        "queue_us",
-        "switch_us",
-        "service_us",
-    ] {
-        if !cols.iter().any(|c| c.as_str() == Some(col)) {
-            return Err(format!("{path}: exemplar section missing column \"{col}\""));
-        }
-    }
-    let notes = require(&doc, &path, "notes")?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: \"notes\" is not an array"))?;
-    let pass = notes
-        .iter()
-        .any(|n| n.as_str() == Some("overload verdict: PASS"));
-    if !pass {
-        return Err(format!("{path}: note \"overload verdict: PASS\" missing"));
-    }
-    Ok(())
-}
-
-/// The four workload families the self-perf harness must cover.
-const SELFPERF_WORKLOADS: [&str; 4] = ["gups", "kv", "genome", "overload"];
-
-/// Per-backend probes the self-perf *report table* must additionally
-/// carry: the host-walk-cache parity rerun and the no-VM baseline.
-/// Trajectory entries predating the backend refactor lack these, so
-/// only the table — regenerated every run — requires them.
-const SELFPERF_BACKEND_ROWS: [&str; 2] = ["gups/nocache", "gups/novm"];
-
-/// Schema gate for `results/selfperf.json` (the per-run table) and the
-/// `BENCH_selfperf.json` trajectory at the repo root. Host times are
-/// machine-dependent, so this validates shape only — the table must
-/// carry the `ns/sim-cycle` column with a row per workload family, and
-/// every trajectory entry must record `ns_per_sim_cycle` for all four
-/// families. Nothing here compares values.
-fn check_selfperf(name: &str) -> Result<(), String> {
-    if name != "selfperf" {
-        return Ok(());
-    }
-    let path = format!("results/{name}.json");
-    let doc = load(&path)?;
-    let sections = require(&doc, &path, "sections")?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: \"sections\" is not an array"))?;
-    let section = sections
-        .first()
-        .ok_or_else(|| format!("{path}: no sections recorded"))?;
-    let cols = section
-        .get("columns")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: selfperf section has no columns"))?;
-    for col in ["workload", "sim cycles", "host ms", "ns/sim-cycle"] {
-        if !cols.iter().any(|c| c.as_str() == Some(col)) {
-            return Err(format!("{path}: selfperf missing column \"{col}\""));
-        }
-    }
-    let rows = require(section, &path, "rows")?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: selfperf \"rows\" is not an array"))?;
-    for workload in SELFPERF_WORKLOADS.iter().chain(&SELFPERF_BACKEND_ROWS) {
-        let found = rows.iter().any(|r| {
-            r.as_arr()
-                .and_then(|cells| cells.first())
-                .and_then(Json::as_str)
-                == Some(*workload)
-        });
-        if !found {
-            return Err(format!("{path}: no row for workload \"{workload}\""));
-        }
-    }
-    check_selfperf_trajectory()
-}
-
-/// The trajectory file lives at the repo root (next to the other
-/// `BENCH_*.json` style artifacts), one appended entry per run.
-fn check_selfperf_trajectory() -> Result<(), String> {
-    let path = "BENCH_selfperf.json";
-    let doc = load(path)?;
-    let bench = require(&doc, path, "bench")?
-        .as_str()
-        .ok_or_else(|| format!("{path}: \"bench\" is not a string"))?;
-    if bench != "selfperf" {
-        return Err(format!("{path}: unexpected bench \"{bench}\""));
-    }
-    let runs = require(&doc, path, "runs")?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: \"runs\" is not an array"))?;
-    if runs.is_empty() {
-        return Err(format!("{path}: trajectory has no runs"));
-    }
-    for run in runs {
-        require(run, path, "unix_secs")?;
-        require(run, path, "quick")?;
-        let workloads = require(run, path, "workloads")?
-            .as_arr()
-            .ok_or_else(|| format!("{path}: \"workloads\" is not an array"))?;
-        for want in SELFPERF_WORKLOADS {
-            let entry = workloads
-                .iter()
-                .find(|w| w.get("workload").and_then(Json::as_str) == Some(want))
-                .ok_or_else(|| format!("{path}: a run is missing workload \"{want}\""))?;
-            for key in ["sim_cycles", "host_ns", "ns_per_sim_cycle"] {
-                require(entry, path, key)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Schema gate for the reports that grew translation-backend columns
-/// with the pluggable-backend refactor.
-///
-/// * `ablate_page_size` must carry the access-side touch-sweep section
-///   (columns `backend`/`page size`/`walks`/`tlb misses`/`tlb reach`/
-///   `cycles/touch`) with at least one row per backend, `4level` and
-///   `no-vm`, alongside the original construction-cost table.
-/// * `fig6_tlb_tagging` must carry the `no-vm` series column.
-/// * `fig8_gups` must carry the no-VM lower-bound section with the
-///   per-backend miss columns.
-fn check_backend_reports(name: &str) -> Result<(), String> {
-    if !matches!(name, "ablate_page_size" | "fig6_tlb_tagging" | "fig8_gups") {
-        return Ok(());
-    }
-    let path = format!("results/{name}.json");
-    let doc = load(&path)?;
-    let sections = require(&doc, &path, "sections")?
-        .as_arr()
-        .ok_or_else(|| format!("{path}: \"sections\" is not an array"))?;
-    let titled = |needle: &str| -> Result<&Json, String> {
-        sections
-            .iter()
-            .find(|s| {
-                s.get("title")
-                    .and_then(Json::as_str)
-                    .is_some_and(|t| t.contains(needle))
-            })
-            .ok_or_else(|| format!("{path}: no section titled like \"{needle}\""))
-    };
-    let columns = |section: &Json, cols: &[&str]| -> Result<(), String> {
-        let have = section
-            .get("columns")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{path}: section has no columns"))?;
-        for col in cols {
-            if !have.iter().any(|c| c.as_str() == Some(col)) {
-                return Err(format!("{path}: missing column \"{col}\""));
-            }
-        }
-        Ok(())
-    };
-    match name {
-        "ablate_page_size" => {
-            titled("mmap construction cost")?;
-            let sweep = titled("Touch sweep")?;
-            columns(
-                sweep,
+/// The expectation table: what each bench's committed report promises.
+fn expectations(bench: &str) -> &'static [Rule] {
+    match bench {
+        // Crashes at every block write and flush barrier, and seeded
+        // faults, recover the old or the new VAS image, never a hybrid.
+        "crash_sweep" => &[
+            CellsIn("Crash at every block write", "recovered", &["old", "new"]),
+            CellsIn("Crash at each flush barrier", "recovered", &["old", "new"]),
+            CellsIn("Seeded torn writes", "recovered", &["old", "new"]),
+            NotePrefix("violations: 0"),
+        ],
+        "warm_restart" => &[
+            Columns("warm restart:", &["vas_save", "recovery", "vas_load"]),
+            Columns("cold rebuild vs warm restart", &["speedup"]),
+        ],
+        // The bin writes a FAIL verdict (and exits nonzero) when goodput
+        // at 2x saturation drops below 90% of goodput at saturation.
+        "overload" => &[
+            Columns("Saturation sweep: M1", SWEEP_COLUMNS),
+            Columns("Saturation sweep: M2", SWEEP_COLUMNS),
+            Columns("Saturation sweep: M3", SWEEP_COLUMNS),
+            MinRows("Saturation sweep: M1", 3),
+            MinRows("Saturation sweep: M2", 3),
+            MinRows("Saturation sweep: M3", 3),
+            Section("Bursty arrivals"),
+            Section("Degraded mode"),
+            // Slowest within-deadline requests, latency decomposed.
+            Columns(
+                "Tail exemplars",
+                &[
+                    "latency_us",
+                    "backoff_us",
+                    "queue_us",
+                    "switch_us",
+                    "service_us",
+                ],
+            ),
+            Note("overload verdict: PASS"),
+        ],
+        // Host times are machine-dependent: shape only, never values.
+        "selfperf" => &[
+            Columns(
+                "Self-perf",
+                &["workload", "sim cycles", "host ms", "ns/sim-cycle"],
+            ),
+            FirstCells("Self-perf", &["gups", "kv", "genome", "overload"]),
+            FirstCells("Self-perf", &["gups/nocache", "gups/novm"]),
+        ],
+        // The access-side touch sweep beside the construction-cost table.
+        "ablate_page_size" => &[
+            Section("mmap construction cost"),
+            Columns(
+                "Touch sweep",
                 &[
                     "backend",
                     "page size",
@@ -539,107 +120,382 @@ fn check_backend_reports(name: &str) -> Result<(), String> {
                     "tlb reach",
                     "cycles/touch",
                 ],
-            )?;
-            let rows = require(sweep, &path, "rows")?
-                .as_arr()
-                .ok_or_else(|| format!("{path}: sweep \"rows\" is not an array"))?;
-            for backend in ["4level", "no-vm"] {
-                let found = rows.iter().any(|r| {
-                    r.as_arr()
-                        .and_then(|cells| cells.first())
-                        .and_then(Json::as_str)
-                        == Some(backend)
-                });
-                if !found {
-                    return Err(format!("{path}: no touch-sweep row for \"{backend}\""));
+            ),
+            FirstCells("Touch sweep", &["4level", "no-vm"]),
+        ],
+        "fig6_tlb_tagging" => &[Columns(
+            "Figure 6",
+            &["switch(tag off)", "switch(tag on)", "no switch", "no-vm"],
+        )],
+        "fig8_gups" => &[Columns(
+            "no-VM base+bound backend",
+            &["windows", "SpaceJMP", "no-vm", "tlb misses", "no-vm misses"],
+        )],
+        "ablate_safety_checks" => &[Rows("Safety-check ablation", check_safety_refinement)],
+        _ => &[],
+    }
+}
+
+/// The `sjmp_lint` findings report: its own schema, no producing bench.
+const ANALYZE_REPORT: &str = "analyze_report";
+
+/// The self-perf trajectory, one appended entry per run.
+const TRAJECTORY: &str = "BENCH_selfperf.json";
+
+/// The four workload families every trajectory entry records. Entries
+/// predating the backend refactor lack the `gups/*` backend probes, so
+/// only the regenerated report table requires those.
+const SELFPERF_WORKLOADS: [&str; 4] = ["gups", "kv", "genome", "overload"];
+
+const BIN_DIR: &str = "crates/bench/src/bin";
+
+/// Bench binaries that produce no report of their own: this gate,
+/// `sjmp_lint` (`analyze_report.json`) and `sjmp_top` (`.folded`).
+const TOOL_BINS: [&str; 3] = ["validate_results", "sjmp_lint", "sjmp_top"];
+
+/// One report section whose shape has been checked.
+struct Table<'a> {
+    title: &'a str,
+    columns: Vec<&'a str>,
+    rows: Vec<&'a [Json]>,
+}
+
+impl Table<'_> {
+    fn column(&self, name: &str) -> Result<usize, String> {
+        self.columns
+            .iter()
+            .position(|c| *c == name)
+            .ok_or_else(|| format!("section \"{}\": missing column \"{name}\"", self.title))
+    }
+}
+
+fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
+    doc.get(key)
+        .ok_or_else(|| format!("missing required key \"{key}\""))
+}
+
+fn arr<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    field(doc, key)?
+        .as_arr()
+        .ok_or_else(|| format!("\"{key}\" is not an array"))
+}
+
+fn keys(doc: &Json, keys: &[&str]) -> Result<(), String> {
+    keys.iter().try_for_each(|key| field(doc, key).map(drop))
+}
+
+/// The common section shape: a title, a non-empty header of strings,
+/// and at least one row with one cell per column.
+fn table(section: &Json) -> Result<Table<'_>, String> {
+    let title = field(section, "title")?.as_str().unwrap_or("?");
+    let columns = arr(section, "columns")?
+        .iter()
+        .map(Json::as_str)
+        .collect::<Option<Vec<_>>>()
+        .filter(|c| !c.is_empty())
+        .ok_or_else(|| format!("section \"{title}\": columns must be non-empty strings"))?;
+    let width = columns.len();
+    let rows = arr(section, "rows")?
+        .iter()
+        .map(|row| row.as_arr().filter(|cells| cells.len() == width))
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| format!("section \"{title}\": every row must have {width} cells"))?;
+    if rows.is_empty() {
+        return Err(format!("section \"{title}\" has no rows"));
+    }
+    Ok(Table {
+        title,
+        columns,
+        rows,
+    })
+}
+
+/// The one report checker: the common shape, then `rules`.
+fn check_report(rules: &[Rule], doc: &Json) -> Result<(), String> {
+    keys(doc, &["bench", "notes"])?;
+    let tables = arr(doc, "sections")?
+        .iter()
+        .map(table)
+        .collect::<Result<Vec<_>, _>>()?;
+    if tables.is_empty() {
+        return Err("no sections recorded".into());
+    }
+    let titled = |needle: &str| {
+        tables
+            .iter()
+            .find(|t| t.title.contains(needle))
+            .ok_or_else(|| format!("no section titled like \"{needle}\""))
+    };
+    for rule in rules {
+        match *rule {
+            Section(title) => drop(titled(title)?),
+            Columns(title, columns) => {
+                let t = titled(title)?;
+                columns.iter().try_for_each(|c| t.column(c).map(drop))?;
+            }
+            MinRows(title, min) => {
+                let t = titled(title)?;
+                if t.rows.len() < min {
+                    let rows = t.rows.len();
+                    return Err(format!(
+                        "section \"{}\" has {rows} rows, want >= {min}",
+                        t.title
+                    ));
+                }
+            }
+            FirstCells(title, cells) => {
+                let t = titled(title)?;
+                for cell in cells {
+                    if !t.rows.iter().any(|row| row[0].as_str() == Some(cell)) {
+                        return Err(format!("section \"{}\": no row for \"{cell}\"", t.title));
+                    }
+                }
+            }
+            CellsIn(title, column, allowed) => {
+                let t = titled(title)?;
+                let at = t.column(column)?;
+                for row in &t.rows {
+                    let cell = row[at].as_str();
+                    if !cell.is_some_and(|c| allowed.contains(&c)) {
+                        return Err(format!(
+                            "section \"{}\": {column} {cell:?}, want one of {allowed:?}",
+                            t.title
+                        ));
+                    }
+                }
+            }
+            Rows(title, check) => check(titled(title)?)?,
+            Note(want) | NotePrefix(want) => {
+                let exact = matches!(rule, Note(_));
+                let mut notes = arr(doc, "notes")?.iter().filter_map(Json::as_str);
+                if !notes.any(|n| n == want || !exact && n.starts_with(want)) {
+                    return Err(format!("required note \"{want}\" missing"));
                 }
             }
         }
-        "fig6_tlb_tagging" => {
-            let section = sections
-                .first()
-                .ok_or_else(|| format!("{path}: no sections recorded"))?;
-            columns(
-                section,
-                &["switch(tag off)", "switch(tag on)", "no switch", "no-vm"],
-            )?;
-        }
-        "fig8_gups" => {
-            let bound = titled("no-VM base+bound backend")?;
-            columns(
-                bound,
-                &["windows", "SpaceJMP", "no-vm", "tlb misses", "no-vm misses"],
-            )?;
-        }
-        _ => unreachable!("gated above"),
     }
     Ok(())
 }
 
-/// Bench binaries that are tools over other benches' outputs rather
-/// than report producers: `validate_results` (this gate), `sjmp_lint`
-/// (writes `analyze_report.json`, own schema), `sjmp_top` (writes
-/// `.folded` profiles).
-const TOOL_BINS: [&str; 3] = ["validate_results", "sjmp_lint", "sjmp_top"];
+/// `ablate_safety_checks`: each policy refines the one before it —
+/// naive >= pruned >= interproc checks on every row — and on at least
+/// one program the interprocedural verifier beats the dataflow pass.
+fn check_safety_refinement(t: &Table) -> Result<(), String> {
+    let naive = t.column("naive checks")?;
+    let pruned = t.column("pruned checks")?;
+    let interproc = t.column("interproc checks")?;
+    let mut strictly_less = false;
+    for row in &t.rows {
+        let num = |at: usize| {
+            row[at]
+                .as_f64()
+                .ok_or_else(|| format!("row cell {at} is not a number"))
+        };
+        let (n, p, i) = (num(naive)?, num(pruned)?, num(interproc)?);
+        if p > n || i > p {
+            return Err(format!(
+                "check counts must refine: naive {n} >= pruned {p} >= interproc {i}"
+            ));
+        }
+        strictly_less |= i < p;
+    }
+    if !strictly_less {
+        return Err("no program where the interprocedural verifier beats the dataflow pass".into());
+    }
+    Ok(())
+}
 
-/// Stale-results detection, both directions: a committed report whose
-/// producing binary no longer exists is stale (it can never be
-/// regenerated), and a bench binary with no committed report means
-/// `results/` was not regenerated after the bench landed.
-fn check_stale(report_names: &[String]) -> Result<(), String> {
-    let bin_dir = "crates/bench/src/bin";
-    let entries = std::fs::read_dir(bin_dir).map_err(|e| format!("{bin_dir}/: {e}"))?;
-    let mut bins = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("{bin_dir}/: {e}"))?;
-        let file = entry.file_name();
-        let file = file.to_string_lossy();
-        if let Some(stem) = file.strip_suffix(".rs") {
-            if !TOOL_BINS.contains(&stem) {
-                bins.push(stem.to_string());
+/// Every trajectory entry records host and simulated time for the four
+/// workload families. Nothing here compares values.
+fn check_trajectory(doc: &Json) -> Result<(), String> {
+    let bench = field(doc, "bench")?.as_str();
+    if bench != Some("selfperf") {
+        return Err(format!("unexpected bench {bench:?}"));
+    }
+    let runs = arr(doc, "runs")?;
+    if runs.is_empty() {
+        return Err("trajectory has no runs".into());
+    }
+    for run in runs {
+        keys(run, &["unix_secs", "quick"])?;
+        let workloads = arr(run, "workloads")?;
+        for want in SELFPERF_WORKLOADS {
+            let entry = workloads
+                .iter()
+                .find(|w| w.get("workload").and_then(Json::as_str) == Some(want))
+                .ok_or_else(|| format!("a run is missing workload \"{want}\""))?;
+            keys(entry, &["sim_cycles", "host_ns", "ns_per_sim_cycle"])?;
+        }
+    }
+    Ok(())
+}
+
+/// The `sjmp_lint` findings report: `tool`, `findings_total`, and
+/// `traces` entries carrying `name`/`events`/`dropped`/`findings`. Its
+/// optional `ir` section (`--ir` / `--gen`) must show healthy example
+/// programs clean, expected-dangling ones with findings, and a
+/// generator batch with zero soundness violations.
+fn check_analyze_report(doc: &Json) -> Result<(), String> {
+    let tool = field(doc, "tool")?.as_str();
+    if tool != Some("sjmp-lint") {
+        return Err(format!("unexpected tool {tool:?}"));
+    }
+    field(doc, "findings_total")?;
+    for trace in arr(doc, "traces")? {
+        keys(trace, &["name", "events", "dropped", "skipped_incomplete"])?;
+        for finding in arr(trace, "findings")? {
+            keys(finding, &["rule", "message", "segments", "pids", "cores"])?;
+        }
+    }
+    let Some(ir) = doc.get("ir") else {
+        return Ok(());
+    };
+    if ir.get("programs").is_some() {
+        for program in arr(ir, "programs")? {
+            keys(
+                program,
+                &["name", "mem_ops", "proven_safe", "proven_dangling"],
+            )?;
+            keys(program, &["unknown", "expected_dangling"])?;
+            let name = program.get("name").and_then(Json::as_str).unwrap_or("?");
+            let dangling = !arr(program, "findings")?.is_empty();
+            let expected = matches!(program.get("expected_dangling"), Some(Json::Bool(true)));
+            if expected && !dangling {
+                return Err(format!(
+                    "ir program \"{name}\" should report dangling findings"
+                ));
+            }
+            if dangling && !expected {
+                return Err(format!("healthy ir program \"{name}\" has findings"));
             }
         }
     }
-    for name in report_names {
-        if !bins.iter().any(|b| b == name) {
+    if let Some(gen) = ir.get("gen") {
+        keys(gen, &["seeds", "programs", "mem_sites", "proven_safe"])?;
+        let violations = arr(gen, "violations")?.len();
+        if violations > 0 {
             return Err(format!(
-                "results/{name}.json is stale: no bench binary {bin_dir}/{name}.rs produces it"
+                "generator batch reports {violations} soundness violations"
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn check_trace(doc: &Json) -> Result<(), String> {
+    let events = arr(doc, "traceEvents")?;
+    if events.is_empty() {
+        return Err("trace is empty".into());
+    }
+    events
+        .iter()
+        .try_for_each(|ev| keys(ev, &["name", "ph", "ts", "pid", "tid"]))
+}
+
+/// Loads `root/path` and applies `check`, naming `path` in any error.
+fn check_file(
+    root: &Path,
+    path: &str,
+    check: impl Fn(&Json) -> Result<(), String>,
+) -> Result<(), String> {
+    let text = std::fs::read_to_string(root.join(path)).map_err(|e| format!("{path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("{path}: parse error: {e}"))?;
+    check(&doc).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Validates the outputs named `name`; returns what was checked.
+fn validate(root: &Path, name: &str, sweep: bool) -> Result<String, String> {
+    let report = format!("results/{name}.json");
+    if name == ANALYZE_REPORT {
+        check_file(root, &report, check_analyze_report)?;
+        return Ok(report);
+    }
+    check_file(root, &report, |doc| check_report(expectations(name), doc))?;
+    // The self-perf harness times the host, not the machine: it exports
+    // no trace, and its report comes with the trajectory.
+    let selfperf = name == "selfperf";
+    if selfperf {
+        check_file(root, TRAJECTORY, check_trajectory)?;
+    }
+    let trace = format!("results/{name}.trace.json");
+    if !root.join(&trace).exists() && (sweep || selfperf) {
+        return Ok(report);
+    }
+    check_file(root, &trace, check_trace)?;
+    let metrics = format!("results/{name}.metrics.json");
+    check_file(root, &metrics, |doc| keys(doc, &["counters", "histograms"]))?;
+    Ok(format!("results/{name}{{.json,.trace.json,.metrics.json}}"))
+}
+
+/// The names of the `*<suffix>` files in `root/dir`, sorted.
+fn stems(root: &Path, dir: &str, suffix: &str) -> Result<Vec<String>, String> {
+    let entries = std::fs::read_dir(root.join(dir)).map_err(|e| format!("{dir}/: {e}"))?;
+    let mut names = Vec::new();
+    for entry in entries {
+        let file = entry.map_err(|e| format!("{dir}/: {e}"))?.file_name();
+        names.extend(
+            file.to_string_lossy()
+                .strip_suffix(suffix)
+                .map(String::from),
+        );
+    }
+    names.sort();
+    Ok(names)
+}
+
+/// Every report in `results/`: each `<name>.json` but the trace and
+/// metrics side files.
+fn all_report_names(root: &Path) -> Result<Vec<String>, String> {
+    let mut names = stems(root, "results", ".json")?;
+    names.retain(|n| !n.ends_with(".trace") && !n.ends_with(".metrics"));
+    if names.iter().all(|n| n == ANALYZE_REPORT) {
+        return Err("results/: no bench reports found".into());
+    }
+    Ok(names)
+}
+
+/// Stale-results detection, both directions: a committed report whose
+/// producing binary no longer exists can never be regenerated, and a
+/// bench binary with no committed report means `results/` was not
+/// regenerated after the bench landed.
+fn check_stale(root: &Path, report_names: &[String]) -> Result<(), String> {
+    let mut bins = stems(root, BIN_DIR, ".rs")?;
+    bins.retain(|b| !TOOL_BINS.contains(&b.as_str()));
+    for name in report_names {
+        if name != ANALYZE_REPORT && !bins.contains(name) {
+            return Err(format!(
+                "results/{name}.json is stale: no bench binary {BIN_DIR}/{name}.rs produces it"
             ));
         }
     }
     for bin in &bins {
         if !report_names.contains(bin) {
             return Err(format!(
-                "{bin_dir}/{bin}.rs has no committed report: run it to produce results/{bin}.json"
+                "{BIN_DIR}/{bin}.rs has no committed report: run it to produce results/{bin}.json"
             ));
         }
     }
     Ok(())
 }
 
-/// Every bench name with a report file in `results/`, i.e. `<name>.json`
-/// excluding the `.trace.json` / `.metrics.json` side files and the
-/// `analyze_report.json` findings report (which has its own schema and
-/// gate, [`check_analyze_report`]).
-fn all_report_names() -> Result<Vec<String>, String> {
-    let mut names = Vec::new();
-    let entries = std::fs::read_dir("results").map_err(|e| format!("results/: {e}"))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("results/: {e}"))?;
-        let file = entry.file_name();
-        let file = file.to_string_lossy();
-        if let Some(name) = file.strip_suffix(".json") {
-            if !name.ends_with(".trace") && !name.ends_with(".metrics") && name != "analyze_report"
-            {
-                names.push(name.to_string());
-            }
-        }
+/// Runs the gate over `args` (`--all` or bench names) from `root`.
+fn run(root: &Path, args: &[String]) -> Result<(), String> {
+    let sweep = args.iter().any(|a| a == "--all");
+    let names = if sweep {
+        all_report_names(root)?
+    } else {
+        args.to_vec()
+    };
+    for name in &names {
+        println!("ok: {}", validate(root, name, sweep)?);
     }
-    if names.is_empty() {
-        return Err("results/: no bench reports found".into());
+    // Pairing needs the bin dir, so it runs only in a sweep from a
+    // checkout (a bare results/ copy has nothing to pair against).
+    if sweep && root.join(BIN_DIR).is_dir() {
+        check_stale(root, &names)?;
+        println!("ok: results/ and {BIN_DIR}/ pair 1:1 (no stale reports)");
     }
-    names.sort();
-    Ok(names)
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -648,83 +504,334 @@ fn main() -> ExitCode {
         eprintln!("usage: validate_results --all | <bench-name>...");
         return ExitCode::FAILURE;
     }
-    let sweep = args.iter().any(|a| a == "--all");
-    let names = if sweep {
-        match all_report_names() {
-            Ok(names) => names,
-            Err(e) => {
-                eprintln!("FAIL {e}");
-                return ExitCode::FAILURE;
+    match run(Path::new("."), &args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("FAIL {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::PathBuf;
+
+    fn root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    fn committed(path: &str) -> Json {
+        let text = std::fs::read_to_string(root().join(path)).unwrap();
+        Json::parse(&text).unwrap()
+    }
+
+    /// The gate's verdict on `doc` as `bench`'s report.
+    fn verdict(bench: &str, doc: &Json) -> Result<(), String> {
+        check_report(expectations(bench), doc).map_err(|e| format!("results/{bench}.json: {e}"))
+    }
+
+    fn field_mut<'a>(doc: &'a mut Json, key: &str) -> &'a mut Json {
+        match doc {
+            Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            _ => panic!("not an object"),
+        }
+    }
+
+    fn items(doc: &mut Json) -> &mut Vec<Json> {
+        match doc {
+            Json::Arr(items) => items,
+            _ => panic!("not an array"),
+        }
+    }
+
+    /// The first section whose title contains `needle`.
+    fn section<'a>(doc: &'a mut Json, needle: &str) -> &'a mut Json {
+        items(field_mut(doc, "sections"))
+            .iter_mut()
+            .find(|s| {
+                s.get("title")
+                    .and_then(Json::as_str)
+                    .unwrap()
+                    .contains(needle)
+            })
+            .unwrap()
+    }
+
+    /// The string element equal to `value` in the array `doc`.
+    fn element<'a>(doc: &'a mut Json, value: &str) -> &'a mut Json {
+        items(doc)
+            .iter_mut()
+            .find(|c| c.as_str() == Some(value))
+            .unwrap()
+    }
+
+    fn rename_title(doc: &mut Json, needle: &str) {
+        *field_mut(section(doc, needle), "title") = Json::str("renamed");
+    }
+
+    fn rename_column(doc: &mut Json, needle: &str, column: &str) {
+        *element(field_mut(section(doc, needle), "columns"), column) = Json::str("renamed");
+    }
+
+    fn rows<'a>(doc: &'a mut Json, needle: &str) -> &'a mut Vec<Json> {
+        items(field_mut(section(doc, needle), "rows"))
+    }
+
+    /// Renames the first cell of every row that starts with `first`.
+    fn rename_rows(doc: &mut Json, needle: &str, first: &str) {
+        for row in rows(doc, needle) {
+            let cells = items(row);
+            if cells[0].as_str() == Some(first) {
+                cells[0] = Json::str("renamed");
             }
         }
-    } else {
-        args
-    };
-    for name in &names {
-        // Named invocations demand the full traced triple; the sweep
-        // validates whatever each benchmark actually produced. The
-        // self-perf harness measures the host, not the machine — it has
-        // no event stream to export, so no triple is demanded.
-        let side_files_required = (!sweep && name != "selfperf")
-            || std::path::Path::new(&format!("results/{name}.trace.json")).exists();
-        let checks: &[Check] = if side_files_required {
-            &[check_report, check_trace, check_metrics]
-        } else {
-            &[check_report]
-        };
-        for check in checks {
-            if let Err(e) = check(name) {
-                eprintln!("FAIL {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        // The durability and overload reports carry extra,
-        // bench-specific guarantees.
-        if let Err(e) = check_durability(name) {
-            eprintln!("FAIL {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = check_overload(name) {
-            eprintln!("FAIL {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = check_selfperf(name) {
-            eprintln!("FAIL {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = check_backend_reports(name) {
-            eprintln!("FAIL {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = check_safety_ablation(name) {
-            eprintln!("FAIL {e}");
-            return ExitCode::FAILURE;
-        }
-        if side_files_required {
-            println!("ok: results/{name}{{.json,.trace.json,.metrics.json}}");
-        } else {
-            println!("ok: results/{name}.json");
+    }
+
+    fn set_cell(doc: &mut Json, needle: &str, row: usize, column: usize, value: Json) {
+        items(&mut rows(doc, needle)[row])[column] = value;
+    }
+
+    fn replace_note(doc: &mut Json, prefix: &str) {
+        let notes = items(field_mut(doc, "notes"));
+        let note = notes
+            .iter_mut()
+            .find(|n| n.as_str().unwrap().starts_with(prefix))
+            .unwrap();
+        *note = Json::str("replaced");
+    }
+
+    type Edit = fn(&mut Json);
+
+    /// One in-memory mutation per guarantee the table states: the
+    /// report, the mutation, and the rule the failure must name.
+    type Mutation = (&'static str, Edit, &'static str);
+
+    const OLD_OR_NEW: &str = "want one of [\"old\", \"new\"]";
+
+    const MUTATIONS: &[Mutation] = &[
+        (
+            "crash_sweep",
+            |d| set_cell(d, "Crash at every block write", 0, 1, Json::str("hybrid")),
+            OLD_OR_NEW,
+        ),
+        (
+            "crash_sweep",
+            |d| set_cell(d, "Crash at each flush barrier", 1, 2, Json::str("hybrid")),
+            OLD_OR_NEW,
+        ),
+        (
+            "crash_sweep",
+            |d| set_cell(d, "Seeded torn writes", 2, 1, Json::str("hybrid")),
+            OLD_OR_NEW,
+        ),
+        (
+            "crash_sweep",
+            |d| replace_note(d, "violations: 0"),
+            "required note \"violations: 0\" missing",
+        ),
+        (
+            "warm_restart",
+            |d| rename_column(d, "warm restart:", "vas_load"),
+            "missing column \"vas_load\"",
+        ),
+        (
+            "warm_restart",
+            |d| rename_column(d, "cold rebuild", "speedup"),
+            "missing column \"speedup\"",
+        ),
+        (
+            "overload",
+            |d| rename_column(d, "Saturation sweep: M2", "p999lo"),
+            "missing column \"p999lo\"",
+        ),
+        (
+            "overload",
+            |d| rows(d, "Saturation sweep: M3").truncate(2),
+            "has 2 rows, want >= 3",
+        ),
+        (
+            "overload",
+            |d| rename_title(d, "Bursty arrivals"),
+            "no section titled like \"Bursty arrivals\"",
+        ),
+        (
+            "overload",
+            |d| rename_title(d, "Degraded mode"),
+            "no section titled like \"Degraded mode\"",
+        ),
+        (
+            "overload",
+            |d| rename_column(d, "Tail exemplars", "queue_us"),
+            "missing column \"queue_us\"",
+        ),
+        (
+            "overload",
+            |d| replace_note(d, "overload verdict: PASS"),
+            "required note \"overload verdict: PASS\" missing",
+        ),
+        (
+            "selfperf",
+            |d| rename_column(d, "Self-perf", "ns/sim-cycle"),
+            "missing column \"ns/sim-cycle\"",
+        ),
+        (
+            "selfperf",
+            |d| rename_rows(d, "Self-perf", "genome"),
+            "no row for \"genome\"",
+        ),
+        (
+            "selfperf",
+            |d| rename_rows(d, "Self-perf", "gups/novm"),
+            "no row for \"gups/novm\"",
+        ),
+        (
+            "ablate_page_size",
+            |d| rename_rows(d, "Touch sweep", "4level"),
+            "no row for \"4level\"",
+        ),
+        (
+            "ablate_page_size",
+            |d| rename_rows(d, "Touch sweep", "no-vm"),
+            "no row for \"no-vm\"",
+        ),
+        (
+            "fig6_tlb_tagging",
+            |d| rename_column(d, "Figure 6", "no-vm"),
+            "missing column \"no-vm\"",
+        ),
+        (
+            "fig8_gups",
+            |d| rename_column(d, "no-VM base+bound", "no-vm misses"),
+            "missing column \"no-vm misses\"",
+        ),
+        (
+            "ablate_safety_checks",
+            |d| set_cell(d, "Safety-check", 3, 4, Json::Int(301)),
+            "check counts must refine",
+        ),
+        (
+            "ablate_safety_checks",
+            |d| set_cell(d, "Safety-check", 2, 4, Json::Int(250)),
+            "no program where the interprocedural verifier beats the dataflow pass",
+        ),
+    ];
+
+    #[test]
+    fn every_committed_report_passes() {
+        assert_eq!(run(&root(), &["--all".to_string()]), Ok(()));
+        // The CI's named run of the one bench that exports no trace.
+        assert_eq!(run(&root(), &["selfperf".to_string()]), Ok(()));
+    }
+
+    #[test]
+    fn each_guarantee_fails_its_mutation() {
+        for (bench, mutate, rule) in MUTATIONS {
+            let mut doc = committed(&format!("results/{bench}.json"));
+            mutate(&mut doc);
+            let err = verdict(bench, &doc).expect_err(rule);
+            let report = format!("results/{bench}.json: ");
+            assert!(err.starts_with(&report) && err.contains(rule), "{err}");
         }
     }
-    // The findings report is validated whenever present (the sweep) or
-    // when explicitly named `analyze_report` above would have failed the
-    // bench-report schema — it rides along with --all.
-    if sweep && std::path::Path::new("results/analyze_report.json").exists() {
-        if let Err(e) = check_analyze_report() {
-            eprintln!("FAIL {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("ok: results/analyze_report.json");
+
+    #[test]
+    fn ragged_rows_and_headerless_sections_fail() {
+        let mut doc = committed("results/fig1_mmap_scaling.json");
+        items(&mut rows(&mut doc, "Figure 1")[0]).push(Json::Int(0));
+        let err = verdict("fig1_mmap_scaling", &doc).unwrap_err();
+        assert!(err.contains("every row must have 5 cells"), "{err}");
+
+        let mut doc = committed("results/fig7_rpc_latency.json");
+        items(field_mut(section(&mut doc, "Figure 7"), "columns")).clear();
+        let err = verdict("fig7_rpc_latency", &doc).unwrap_err();
+        assert!(err.contains("columns must be non-empty strings"), "{err}");
     }
-    // Stale detection needs both sides of the pairing, so it only runs
-    // in the sweep, and only from a checkout (CI runs at the repo root;
-    // a bare results/ copy has no bin dir to pair against).
-    if sweep && std::path::Path::new("crates/bench/src/bin").is_dir() {
-        if let Err(e) = check_stale(&names) {
-            eprintln!("FAIL {e}");
-            return ExitCode::FAILURE;
+
+    #[test]
+    fn trajectory_requires_every_family_and_its_keys() {
+        let mut doc = committed(TRAJECTORY);
+        assert_eq!(check_trajectory(&doc), Ok(()));
+        let run = &mut items(field_mut(&mut doc, "runs"))[0];
+        let kv = items(field_mut(run, "workloads"))
+            .iter_mut()
+            .find(|w| w.get("workload").and_then(Json::as_str) == Some("kv"))
+            .unwrap();
+        match kv {
+            Json::Obj(fields) => fields.retain(|(k, _)| k != "ns_per_sim_cycle"),
+            _ => unreachable!(),
         }
-        println!("ok: results/ and crates/bench/src/bin/ pair 1:1 (no stale reports)");
+        let err = check_trajectory(&doc).unwrap_err();
+        assert!(
+            err.contains("missing required key \"ns_per_sim_cycle\""),
+            "{err}"
+        );
     }
-    ExitCode::SUCCESS
+
+    /// A findings report as `sjmp_lint --ir --gen` writes it.
+    const ANALYZE_DOC: &str = r#"{
+        "tool": "sjmp-lint",
+        "traces": [{"name": "fig8_gups", "events": 9, "dropped": 0,
+                    "skipped_incomplete": false, "findings": []}],
+        "ir": {
+            "programs": [
+                {"name": "quickstart", "mem_ops": 2, "proven_safe": 2, "proven_dangling": 0,
+                 "unknown": 0, "expected_dangling": false, "findings": []},
+                {"name": "dangling-escape", "mem_ops": 4, "proven_safe": 2, "proven_dangling": 2,
+                 "unknown": 0, "expected_dangling": true,
+                 "findings": [{"rule": "cross-vas-dangling", "message": "dangling load",
+                               "segments": [], "pids": [], "cores": []}]}
+            ],
+            "gen": {"seeds": 8, "programs": 8, "mem_sites": 40, "proven_safe": 30,
+                    "violations": []}
+        },
+        "findings_total": 0
+    }"#;
+
+    fn ir_programs(doc: &mut Json) -> &mut Vec<Json> {
+        items(field_mut(field_mut(doc, "ir"), "programs"))
+    }
+
+    #[test]
+    fn analyze_report_ir_expectations_and_generator_violations() {
+        let doc = Json::parse(ANALYZE_DOC).unwrap();
+        assert_eq!(check_analyze_report(&doc), Ok(()));
+        let cases: [(Edit, &str); 3] = [
+            (
+                |d| {
+                    let programs = ir_programs(d);
+                    let dangling = programs[1].get("findings").unwrap().clone();
+                    *field_mut(&mut programs[0], "findings") = dangling;
+                },
+                "healthy ir program \"quickstart\" has findings",
+            ),
+            (
+                |d| items(field_mut(&mut ir_programs(d)[1], "findings")).clear(),
+                "ir program \"dangling-escape\" should report dangling findings",
+            ),
+            (
+                |d| {
+                    let gen = field_mut(field_mut(d, "ir"), "gen");
+                    items(field_mut(gen, "violations")).push(Json::str("seed 3"));
+                },
+                "generator batch reports 1 soundness violations",
+            ),
+        ];
+        for (mutate, rule) in cases {
+            let mut doc = Json::parse(ANALYZE_DOC).unwrap();
+            mutate(&mut doc);
+            assert_eq!(check_analyze_report(&doc), Err(rule.to_string()));
+        }
+    }
+
+    #[test]
+    fn a_named_analyze_report_run_uses_the_findings_schema() {
+        let dir = std::env::temp_dir().join(format!("validate_results_{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("results")).unwrap();
+        std::fs::write(dir.join("results/analyze_report.json"), ANALYZE_DOC).unwrap();
+        let verdict = run(&dir, &[ANALYZE_REPORT.to_string()]);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(verdict, Ok(()));
+    }
 }
