@@ -14,8 +14,8 @@
 
 use sjmp_bench::{quick_mode, Report};
 use sjmp_mem::cost::{CostModel, CycleClock, MachineId, MachineProfile};
-use sjmp_mem::paging::PteFlags;
-use sjmp_mem::{Asid, Backend, Mmu, PhysMem, TranslationBackend, VirtAddr};
+use sjmp_mem::paging::{self, PteFlags};
+use sjmp_mem::{Asid, Backend, Mmu, PhysMem, VirtAddr};
 use sjmp_sim::SimRng;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +33,7 @@ fn run(series: Series, pages: u64, iters: u64) -> f64 {
         Series::SwitchNoVm => Backend::seg_map(),
         _ => Backend::four_level(),
     };
-    let root = backend.new_root(&mut phys).expect("root");
+    let root = paging::new_root(&mut phys).expect("root");
     let base = VirtAddr::new(0x1000_0000);
     let frames = phys.alloc_contiguous(pages).expect("frames");
     backend

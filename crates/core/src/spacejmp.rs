@@ -20,8 +20,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use sjmp_mem::backend::TranslationBackend;
-use sjmp_mem::paging::PteFlags;
+use sjmp_mem::paging::{self, PteFlags};
 use sjmp_mem::KernelFlavor;
 use sjmp_mem::{Access, PageSize, VirtAddr, PAGE_SIZE};
 use sjmp_os::kernel::{GLOBAL_HI, GLOBAL_LO, PRIVATE_HI};
@@ -632,10 +631,7 @@ impl SpaceJmp {
             return Err(SjError::NameTaken(name.to_string()));
         }
         let creds = self.kernel.process(pid)?.creds();
-        let backend = self.kernel.backend().clone();
-        let root = backend
-            .new_root(self.kernel.phys_mut())
-            .map_err(OsError::from)?;
+        let root = paging::new_root(self.kernel.phys_mut()).map_err(OsError::from)?;
         let vid = VasId(self.next_vid);
         self.next_vid += 1;
         self.vases
@@ -1937,10 +1933,8 @@ impl SpaceJmp {
             // sharing this tree.
             let first = base.pml4_index();
             let last = base.add(size - 1).pml4_index();
-            let backend = self.kernel.backend().clone();
             for slot in first..=last {
-                backend
-                    .ensure_root_slot(self.kernel.phys_mut(), template_root, slot)
+                paging::ensure_root_slot(self.kernel.phys_mut(), template_root, slot)
                     .map_err(OsError::from)?;
             }
             self.kernel

@@ -1,303 +1,46 @@
-//! Pluggable translation backends.
+//! The translation authority: the four-level tree, plus an optional
+//! no-VM shadow.
 //!
-//! Historically the simulator hardwired one translation strategy: the
-//! four-level x86-64 walker in [`crate::paging`]. [`TranslationBackend`]
-//! turns that strategy into a seam so alternative memory-management
-//! designs can be compared on the same harness (in the spirit of
-//! Virtuoso's modular MMU and the "memory management without virtual
-//! memory" line of work):
+//! The four-level x86-64 tree in simulated frames ([`crate::paging`]) is
+//! the one authority for address-space *structure*: frame accounting,
+//! invariant audits, reclaim and offline trace replay all walk it, under
+//! every backend. [`Backend`] chooses only how *translation* reads it:
 //!
-//! * [`FourLevel`] — the default: a thin delegate to [`crate::paging`].
-//!   Simulated cycle counts are bit-identical to the pre-trait code.
-//! * [`crate::segmap::SegMap`] — a no-VM, software-managed baseline.
-//!   Structural operations still build the real page-table trees (so
-//!   frame accounting, invariant audits, and trace replay are unchanged),
-//!   but *translation* consults a flat per-root segment table: one
-//!   base+bound check instead of a TLB lookup and page walk.
+//! * [`Backend::FourLevel`] — the default: translate walks the tree.
+//! * [`Backend::SegMap`] — a no-VM, software-managed baseline (in the
+//!   spirit of "memory management without virtual memory"): translate
+//!   consults a flat per-root segment table ([`crate::segmap::SegMap`])
+//!   that shadows the tree — one base+bound check instead of a TLB
+//!   lookup and page walk.
 //!
-//! The backend owns the *tables*; the per-core [`crate::mmu::Mmu`] owns
-//! the TLB, CR3, cycle charging, and the host-side walk cache. Every
-//! method takes `&self`: backends that keep state (the segment shadow
-//! table) use interior mutability so one backend instance can be shared
-//! by every core's MMU and by the kernel.
+//! [`Backend`]'s methods are exactly the operations the shadow must see.
+//! Each structural method runs the [`crate::paging`] call, then, only for
+//! the no-VM backend, updates the shadow. Operations the shadow never
+//! sees (`new_root`, `ensure_root_slot`, `collect_table_frames`, ...)
+//! are [`crate::paging`] calls at their call sites.
+//!
+//! The contract every caller relies on (the OS layer, the invariant
+//! audits and the determinism gate):
+//!
+//! * **Pure translate.** [`Backend::translate`] mutates no state the
+//!   simulation can observe (no accessed/dirty bits, no cycle charges);
+//!   the per-core [`crate::mmu::Mmu`] charges costs, which lets it
+//!   memoize results in a host-side cache without changing simulated
+//!   behaviour.
+//! * **Shadow follows the tree.** The shadow changes only when the tree
+//!   does, so every change to it is covered by a
+//!   [`PhysMem::table_generation`] bump — the host walk cache's one
+//!   validity check.
+//! * **Determinism.** Identical call sequences produce identical results;
+//!   no host randomness or wall-clock reads.
 
-use std::collections::HashSet;
-
-use crate::addr::{PageSize, Pfn, PhysAddr, VirtAddr};
-use crate::error::MemError;
+use crate::addr::{PageSize, Pfn, PhysAddr, VirtAddr, PAGE_SIZE};
+use crate::error::{Access, MemError};
 use crate::paging::{self, MapStats, PteFlags, Translation, UnmapStats};
 use crate::phys::PhysMem;
 use crate::segmap::SegMap;
 
-/// The translation strategy contract.
-///
-/// Implementations must uphold these invariants (relied on by the OS
-/// layer, the invariant audits, and the determinism gate):
-///
-/// * **Real trees.** Structural operations (`map`, `unmap_region`,
-///   `link_subtree`, `free_tables`, ...) must keep the four-level tables
-///   in simulated frames authoritative, even if `translate` never reads
-///   them: frame accounting ([`Self::collect_table_frames`]) and offline
-///   trace replay walk those trees directly.
-/// * **Pure translate.** [`Self::translate`] must not mutate any state
-///   observable by the simulation (no accessed/dirty bits, no cycle
-///   charges) — the MMU charges costs, which lets it memoize results in
-///   a host-side cache without changing simulated behaviour.
-/// * **Determinism.** Identical call sequences must produce identical
-///   results; no host randomness or wall-clock reads.
-pub trait TranslationBackend {
-    /// Allocates a fresh, empty root (PML4) table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfFrames`] if no frame is available.
-    fn new_root(&self, phys: &mut PhysMem) -> Result<Pfn, MemError>;
-
-    /// Maps one page of `size` at `va -> pa`.
-    ///
-    /// # Errors
-    ///
-    /// As [`paging::map`]: misalignment, double map, out of frames.
-    fn map(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-        pa: PhysAddr,
-        size: PageSize,
-        flags: PteFlags,
-    ) -> Result<MapStats, MemError>;
-
-    /// Maps a contiguous region `va..va+len` to `pa..pa+len`.
-    ///
-    /// # Errors
-    ///
-    /// As [`paging::map_region`]; on error earlier pages stay mapped and
-    /// the caller decides whether to roll back.
-    #[allow(clippy::too_many_arguments)]
-    fn map_region(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-        pa: PhysAddr,
-        len: u64,
-        size: PageSize,
-        flags: PteFlags,
-    ) -> Result<MapStats, MemError>;
-
-    /// Unmaps a contiguous region, skipping unmapped holes.
-    ///
-    /// # Errors
-    ///
-    /// As [`paging::unmap_region`] (misalignment only).
-    fn unmap_region(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-        len: u64,
-    ) -> Result<UnmapStats, MemError>;
-
-    /// Resolves `va` to a [`Translation`] plus the number of table levels
-    /// visited (0 for backends that do not walk; 2/3/4 for 1 GiB / 2 MiB
-    /// / 4 KiB leaves of the four-level tree). Must be read-only.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::PageFault`] if no translation exists.
-    fn translate(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-    ) -> Result<(Translation, u32), MemError>;
-
-    /// Rewrites the permission flags of the leaf entry covering `va`,
-    /// keeping its physical target and page size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::PageFault`] if no translation exists.
-    fn protect(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-        flags: PteFlags,
-    ) -> Result<(), MemError>;
-
-    /// Backend-side invalidation hook, called when a root's cached
-    /// translations must be dropped (TLB shootdown). The stock backends
-    /// keep no per-root caches, so the default is a no-op; the MMU's
-    /// host-side walk cache is invalidated separately by the MMU itself.
-    fn flush(&self, root: Pfn) {
-        let _ = root;
-    }
-
-    /// Shares the subtree under `src_root[pml4_index]` into `dst_root`.
-    ///
-    /// # Errors
-    ///
-    /// As [`paging::link_subtree`].
-    fn link_subtree(
-        &self,
-        phys: &mut PhysMem,
-        dst_root: Pfn,
-        src_root: Pfn,
-        pml4_index: usize,
-    ) -> Result<(), MemError>;
-
-    /// Unlinks a shared subtree without freeing its tables.
-    fn unlink_subtree(&self, phys: &mut PhysMem, root: Pfn, pml4_index: usize);
-
-    /// Ensures `root[pml4_index]` points at a (possibly empty) PDPT.
-    ///
-    /// # Errors
-    ///
-    /// As [`paging::ensure_root_slot`].
-    fn ensure_root_slot(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        pml4_index: usize,
-    ) -> Result<(Pfn, bool), MemError>;
-
-    /// Evicts the 4 KiB leaf at `va`, leaving a swap marker; returns the
-    /// frame it mapped. See [`paging::clear_leaf`].
-    fn clear_leaf(&self, phys: &mut PhysMem, root: Pfn, va: VirtAddr) -> Option<Pfn>;
-
-    /// Whether the leaf entry for `va` carries the swap marker.
-    fn leaf_is_swap_marked(&self, phys: &mut PhysMem, root: Pfn, va: VirtAddr) -> bool;
-
-    /// Frees every table frame under `root` except the `shared` slots.
-    fn free_tables(&self, phys: &mut PhysMem, root: Pfn, shared: &[usize]);
-
-    /// Adds the table frames reachable from `root` to `seen`, skipping
-    /// the PML4 slots in `skip`; returns how many were newly added.
-    fn collect_table_frames(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        skip: &[usize],
-        seen: &mut HashSet<Pfn>,
-    ) -> u64;
-}
-
-/// The default backend: the four-level x86-64 walker, verbatim.
-///
-/// Every method is a direct delegate to [`crate::paging`], so simulated
-/// cycles, trace events, and frame accounting are bit-identical to the
-/// pre-trait code paths.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FourLevel;
-
-impl TranslationBackend for FourLevel {
-    fn new_root(&self, phys: &mut PhysMem) -> Result<Pfn, MemError> {
-        paging::new_root(phys)
-    }
-
-    fn map(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-        pa: PhysAddr,
-        size: PageSize,
-        flags: PteFlags,
-    ) -> Result<MapStats, MemError> {
-        paging::map(phys, root, va, pa, size, flags)
-    }
-
-    fn map_region(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-        pa: PhysAddr,
-        len: u64,
-        size: PageSize,
-        flags: PteFlags,
-    ) -> Result<MapStats, MemError> {
-        paging::map_region(phys, root, va, pa, len, size, flags)
-    }
-
-    fn unmap_region(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-        len: u64,
-    ) -> Result<UnmapStats, MemError> {
-        paging::unmap_region(phys, root, va, len)
-    }
-
-    fn translate(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-    ) -> Result<(Translation, u32), MemError> {
-        paging::walk(phys, root, va)
-    }
-
-    fn protect(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-        flags: PteFlags,
-    ) -> Result<(), MemError> {
-        paging::protect(phys, root, va, flags)
-    }
-
-    fn link_subtree(
-        &self,
-        phys: &mut PhysMem,
-        dst_root: Pfn,
-        src_root: Pfn,
-        pml4_index: usize,
-    ) -> Result<(), MemError> {
-        paging::link_subtree(phys, dst_root, src_root, pml4_index)
-    }
-
-    fn unlink_subtree(&self, phys: &mut PhysMem, root: Pfn, pml4_index: usize) {
-        paging::unlink_subtree(phys, root, pml4_index);
-    }
-
-    fn ensure_root_slot(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        pml4_index: usize,
-    ) -> Result<(Pfn, bool), MemError> {
-        paging::ensure_root_slot(phys, root, pml4_index)
-    }
-
-    fn clear_leaf(&self, phys: &mut PhysMem, root: Pfn, va: VirtAddr) -> Option<Pfn> {
-        paging::clear_leaf(phys, root, va)
-    }
-
-    fn leaf_is_swap_marked(&self, phys: &mut PhysMem, root: Pfn, va: VirtAddr) -> bool {
-        paging::leaf_is_swap_marked(phys, root, va)
-    }
-
-    fn free_tables(&self, phys: &mut PhysMem, root: Pfn, shared: &[usize]) {
-        paging::free_tables(phys, root, shared);
-    }
-
-    fn collect_table_frames(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        skip: &[usize],
-        seen: &mut HashSet<Pfn>,
-    ) -> u64 {
-        paging::collect_table_frames(phys, root, skip, seen)
-    }
-}
-
-/// A concrete, cloneable backend choice.
+/// A concrete, cloneable translation backend.
 ///
 /// Clones share state: the [`SegMap`] variant carries its segment table
 /// behind an `Arc`, so the kernel and every core's MMU observe the same
@@ -319,7 +62,7 @@ impl Backend {
 
     /// A fresh no-VM segment-table backend.
     pub fn seg_map() -> Self {
-        Backend::SegMap(SegMap::new())
+        Backend::SegMap(SegMap::default())
     }
 
     /// Whether this is the no-VM segment-table backend.
@@ -334,23 +77,13 @@ impl Backend {
             Backend::SegMap(_) => "no-vm",
         }
     }
-}
 
-macro_rules! delegate {
-    ($self:ident, $method:ident($($arg:expr),*)) => {
-        match $self {
-            Backend::FourLevel => FourLevel.$method($($arg),*),
-            Backend::SegMap(s) => s.$method($($arg),*),
-        }
-    };
-}
-
-impl TranslationBackend for Backend {
-    fn new_root(&self, phys: &mut PhysMem) -> Result<Pfn, MemError> {
-        delegate!(self, new_root(phys))
-    }
-
-    fn map(
+    /// Maps one page of `size` at `va -> pa`.
+    ///
+    /// # Errors
+    ///
+    /// As [`paging::map`]: misalignment, double map, out of frames.
+    pub fn map(
         &self,
         phys: &mut PhysMem,
         root: Pfn,
@@ -359,10 +92,21 @@ impl TranslationBackend for Backend {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<MapStats, MemError> {
-        delegate!(self, map(phys, root, va, pa, size, flags))
+        let stats = paging::map(phys, root, va, pa, size, flags)?;
+        if let Backend::SegMap(s) = self {
+            s.record(root, va, pa, size.bytes(), size, flags);
+        }
+        Ok(stats)
     }
 
-    fn map_region(
+    /// Maps a contiguous region `va..va+len` to `pa..pa+len`.
+    ///
+    /// # Errors
+    ///
+    /// As [`paging::map_region`]; on error earlier pages stay mapped and
+    /// the caller decides whether to roll back.
+    #[allow(clippy::too_many_arguments)]
+    pub fn map_region(
         &self,
         phys: &mut PhysMem,
         root: Pfn,
@@ -372,85 +116,92 @@ impl TranslationBackend for Backend {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<MapStats, MemError> {
-        delegate!(self, map_region(phys, root, va, pa, len, size, flags))
+        let stats = paging::map_region(phys, root, va, pa, len, size, flags)?;
+        if let Backend::SegMap(s) = self {
+            s.record(root, va, pa, len, size, flags);
+        }
+        Ok(stats)
     }
 
-    fn unmap_region(
+    /// Unmaps a contiguous region, skipping unmapped holes.
+    ///
+    /// # Errors
+    ///
+    /// As [`paging::unmap_region`] (misalignment only).
+    pub fn unmap_region(
         &self,
         phys: &mut PhysMem,
         root: Pfn,
         va: VirtAddr,
         len: u64,
     ) -> Result<UnmapStats, MemError> {
-        delegate!(self, unmap_region(phys, root, va, len))
+        let stats = paging::unmap_region(phys, root, va, len)?;
+        if let Backend::SegMap(s) = self {
+            s.trim(root, va, len);
+        }
+        Ok(stats)
     }
 
-    fn translate(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-    ) -> Result<(Translation, u32), MemError> {
-        delegate!(self, translate(phys, root, va))
+    /// Evicts the 4 KiB leaf at `va`, leaving a swap marker; returns the
+    /// frame it mapped. See [`paging::clear_leaf`].
+    pub fn clear_leaf(&self, phys: &mut PhysMem, root: Pfn, va: VirtAddr) -> Option<Pfn> {
+        let pfn = paging::clear_leaf(phys, root, va)?;
+        if let Backend::SegMap(s) = self {
+            s.trim(root, va.align_down(PAGE_SIZE), PAGE_SIZE);
+        }
+        Some(pfn)
     }
 
-    fn protect(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-        flags: PteFlags,
-    ) -> Result<(), MemError> {
-        delegate!(self, protect(phys, root, va, flags))
-    }
-
-    fn flush(&self, root: Pfn) {
-        delegate!(self, flush(root))
-    }
-
-    fn link_subtree(
+    /// Shares the subtree under `src_root[pml4_index]` into `dst_root`.
+    ///
+    /// # Errors
+    ///
+    /// As [`paging::link_subtree`].
+    pub fn link_subtree(
         &self,
         phys: &mut PhysMem,
         dst_root: Pfn,
         src_root: Pfn,
         pml4_index: usize,
     ) -> Result<(), MemError> {
-        delegate!(self, link_subtree(phys, dst_root, src_root, pml4_index))
+        paging::link_subtree(phys, dst_root, src_root, pml4_index)?;
+        if let Backend::SegMap(s) = self {
+            s.link(dst_root, src_root, pml4_index);
+        }
+        Ok(())
     }
 
-    fn unlink_subtree(&self, phys: &mut PhysMem, root: Pfn, pml4_index: usize) {
-        delegate!(self, unlink_subtree(phys, root, pml4_index))
+    /// Frees every table frame under `root` except the `shared` slots.
+    pub fn free_tables(&self, phys: &mut PhysMem, root: Pfn, shared: &[usize]) {
+        paging::free_tables(phys, root, shared);
+        if let Backend::SegMap(s) = self {
+            s.drop_root(root);
+        }
     }
 
-    fn ensure_root_slot(
+    /// Resolves `va` to a [`Translation`] plus the number of table levels
+    /// visited: 2/3/4 for 1 GiB / 2 MiB / 4 KiB leaves of the tree, 0 for
+    /// the no-VM shadow, which does not walk. Read-only.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::PageFault`] if no translation exists.
+    pub fn translate(
         &self,
         phys: &mut PhysMem,
         root: Pfn,
-        pml4_index: usize,
-    ) -> Result<(Pfn, bool), MemError> {
-        delegate!(self, ensure_root_slot(phys, root, pml4_index))
-    }
-
-    fn clear_leaf(&self, phys: &mut PhysMem, root: Pfn, va: VirtAddr) -> Option<Pfn> {
-        delegate!(self, clear_leaf(phys, root, va))
-    }
-
-    fn leaf_is_swap_marked(&self, phys: &mut PhysMem, root: Pfn, va: VirtAddr) -> bool {
-        delegate!(self, leaf_is_swap_marked(phys, root, va))
-    }
-
-    fn free_tables(&self, phys: &mut PhysMem, root: Pfn, shared: &[usize]) {
-        delegate!(self, free_tables(phys, root, shared))
-    }
-
-    fn collect_table_frames(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        skip: &[usize],
-        seen: &mut HashSet<Pfn>,
-    ) -> u64 {
-        delegate!(self, collect_table_frames(phys, root, skip, seen))
+        va: VirtAddr,
+    ) -> Result<(Translation, u32), MemError> {
+        match self {
+            Backend::FourLevel => paging::walk(phys, root, va),
+            Backend::SegMap(s) => s
+                .lookup(root, va)
+                .map(|t| (t, 0))
+                .ok_or(MemError::PageFault {
+                    va,
+                    access: Access::Read,
+                }),
+        }
     }
 }
 
@@ -486,28 +237,6 @@ impl TranslationKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn four_level_delegates_to_paging() {
-        let mut phys = PhysMem::new(1 << 24);
-        let be = Backend::default();
-        let root = be.new_root(&mut phys).unwrap();
-        let va = VirtAddr::new(0x40_0000);
-        be.map(
-            &mut phys,
-            root,
-            va,
-            PhysAddr::new(0x80_0000),
-            PageSize::Size4K,
-            PteFlags::USER | PteFlags::WRITABLE,
-        )
-        .unwrap();
-        // The backend and the raw walker agree exactly.
-        let (bt, blv) = be.translate(&mut phys, root, va.add(7)).unwrap();
-        let (pt, plv) = paging::walk(&mut phys, root, va.add(7)).unwrap();
-        assert_eq!((bt, blv), (pt, plv));
-        assert_eq!(blv, 4);
-    }
 
     #[test]
     fn backend_names() {

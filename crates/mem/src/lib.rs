@@ -13,8 +13,8 @@
 //!   mapping, unmapping, walking, and subtree sharing.
 //! * [`tlb`] — a set-associative TLB with 12-bit ASID tags, where tag zero
 //!   is reserved to always flush (the paper's convention).
-//! * [`backend`] — the pluggable translation seam ([`backend::Backend`]):
-//!   the four-level walker or the no-VM base+bound table.
+//! * [`backend`] — how translation reads the tables ([`backend::Backend`]):
+//!   the four-level walk, or the no-VM base+bound shadow of the tree.
 //! * [`segmap`] — the no-VM backend's shadow segment table.
 //! * [`mmu`] — CR3, translation, and data access with cycle accounting.
 //! * [`cost`] — machine profiles (Table 1) and event costs (Table 2,
@@ -58,7 +58,7 @@ pub mod segmap;
 pub mod tlb;
 
 pub use addr::{PageSize, Pfn, PhysAddr, VirtAddr, Vpn, PAGE_SIZE};
-pub use backend::{Backend, TranslationBackend, TranslationKind};
+pub use backend::{Backend, TranslationKind};
 pub use cost::{
     CoreClocks, CoreCtx, CostModel, CycleClock, KernelFlavor, MachineId, MachineProfile,
 };

@@ -7,7 +7,8 @@
 //! through. [`Machine`] makes the hardware threads explicit: the
 //! [`MachineProfile`]'s `total_cores()` determines how many [`Mmu`]s are
 //! built, each with its private TLB, CR3, stats, and per-core
-//! [`CycleClock`] drawn from one shared [`CoreClocks`] set.
+//! [`CycleClock`](crate::cost::CycleClock) drawn from one shared
+//! [`CoreClocks`] set.
 
 use crate::backend::Backend;
 use crate::cost::{CoreClocks, CostModel, MachineProfile};

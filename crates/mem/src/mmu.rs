@@ -6,7 +6,7 @@
 //! figures are computed from.
 
 use crate::addr::{PageSize, Pfn, PhysAddr, VirtAddr, PAGE_SIZE};
-use crate::backend::{Backend, TranslationBackend};
+use crate::backend::Backend;
 use crate::cost::{CostModel, CycleClock};
 use crate::error::{Access, MemError};
 use crate::paging::{self, PteFlags, Translation};
@@ -30,7 +30,7 @@ pub const HOST_WALK_CACHE_ENV: &str = "SJMP_HOST_WALK_CACHE";
 /// Every entry is stamped with the [`PhysMem::table_generation`] it was
 /// built under; any page-table mutation anywhere bumps the generation,
 /// so a single integer compare on the hit path revalidates the entry
-/// against every map/unmap/protect/free since. Stale entries are simply
+/// against every map/unmap/evict/link/free since. Stale entries are simply
 /// overwritten by the re-walk's insert.
 #[derive(Debug, Clone)]
 enum FlatEntry {
@@ -343,7 +343,6 @@ impl Mmu {
     /// Flushes all non-global TLB entries (explicit shootdown).
     pub fn flush_tlb(&mut self) {
         self.host_cache.clear();
-        self.backend.flush(self.cr3.unwrap_or(Pfn(0)));
         self.tlb.flush_nonglobal();
         self.tracer
             .instant(self.clock.now(), self.core_id, EventKind::TlbFlush, 0, 0);
@@ -498,8 +497,7 @@ impl Mmu {
                 _ => {}
             }
         }
-        let backend = self.backend.clone();
-        let walked = backend.translate(phys, root, va);
+        let walked = self.backend.translate(phys, root, va);
         if self.host_cache_enabled {
             if let Ok((tr, levels)) = &walked {
                 // The walk only *read* tables, so the generation it ran
@@ -1057,20 +1055,22 @@ mod tests {
     fn segmap_backend_translates_by_bounds_check_without_tlb() {
         let (mut phys, mut mmu, root) = setup();
         mmu.set_backend(Backend::seg_map());
-        let pa = {
+        let mut map = |va: u64, flags: PteFlags| {
             let frame = phys.alloc_frame().unwrap();
             mmu.backend()
                 .map(
                     &mut phys,
                     root,
-                    VirtAddr::new(0x1000),
+                    VirtAddr::new(va),
                     frame.base(),
                     PageSize::Size4K,
-                    PteFlags::USER | PteFlags::WRITABLE,
+                    flags,
                 )
                 .unwrap();
             frame.base()
         };
+        let pa = map(0x1000, PteFlags::USER | PteFlags::WRITABLE);
+        map(0x2000, PteFlags::USER); // read-only
         mmu.load_cr3(root, Asid::UNTAGGED);
         let c = CostModel::default();
         let t0 = mmu.clock().now();
@@ -1100,14 +1100,10 @@ mod tests {
         assert_eq!(mmu.stats().faults, 1);
 
         // Write to a read-only segment: protection fault.
-        mmu.backend()
-            .protect(&mut phys, root, VirtAddr::new(0x1000), PteFlags::USER)
-            .unwrap();
-        mmu.invlpg(VirtAddr::new(0x1000));
         assert_eq!(
-            mmu.translate(&mut phys, VirtAddr::new(0x1000), Access::Write),
+            mmu.translate(&mut phys, VirtAddr::new(0x2000), Access::Write),
             Err(MemError::ProtectionFault {
-                va: VirtAddr::new(0x1000),
+                va: VirtAddr::new(0x2000),
                 access: Access::Write,
             })
         );

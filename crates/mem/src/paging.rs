@@ -692,62 +692,6 @@ pub fn decode_pte(pte: u64) -> Option<(PhysAddr, PteFlags)> {
     Some((entry_addr(pte), entry_flags(pte)))
 }
 
-/// Rewrites the permission flags of the leaf entry covering `va`,
-/// preserving its physical target and page size (the PS bit for
-/// superpages). `mprotect`-style: the entry stays present.
-///
-/// # Errors
-///
-/// Returns [`MemError::PageFault`] if no translation exists.
-pub fn protect(
-    phys: &mut PhysMem,
-    root: Pfn,
-    va: VirtAddr,
-    flags: PteFlags,
-) -> Result<(), MemError> {
-    let fault = MemError::PageFault {
-        va,
-        access: Access::Read,
-    };
-    let new_flags = flags | PteFlags::PRESENT;
-    let pml4e = read_entry(phys, root, va.pml4_index());
-    if !entry_present(pml4e) {
-        return Err(fault);
-    }
-    let pdpt = entry_addr(pml4e).pfn();
-    let pdpte = read_entry(phys, pdpt, va.pdpt_index());
-    if !entry_present(pdpte) {
-        return Err(fault);
-    }
-    if entry_flags(pdpte).contains(PteFlags::HUGE) {
-        let e = make_entry(entry_addr(pdpte), new_flags | PteFlags::HUGE);
-        write_entry(phys, pdpt, va.pdpt_index(), e);
-        return Ok(());
-    }
-    let pd = entry_addr(pdpte).pfn();
-    let pde = read_entry(phys, pd, va.pd_index());
-    if !entry_present(pde) {
-        return Err(fault);
-    }
-    if entry_flags(pde).contains(PteFlags::HUGE) {
-        let e = make_entry(entry_addr(pde), new_flags | PteFlags::HUGE);
-        write_entry(phys, pd, va.pd_index(), e);
-        return Ok(());
-    }
-    let pt = entry_addr(pde).pfn();
-    let pte = read_entry(phys, pt, va.pt_index());
-    if !entry_present(pte) {
-        return Err(fault);
-    }
-    write_entry(
-        phys,
-        pt,
-        va.pt_index(),
-        make_entry(entry_addr(pte), new_flags),
-    );
-    Ok(())
-}
-
 /// Links the subtree rooted under `src_root[pml4_index]` into `dst_root` at
 /// the same slot, sharing all lower-level tables.
 ///
@@ -787,11 +731,6 @@ pub fn link_subtree(
     Ok(())
 }
 
-/// Unlinks a shared subtree from `root` without freeing its tables.
-pub fn unlink_subtree(phys: &mut PhysMem, root: Pfn, pml4_index: usize) {
-    write_entry(phys, root, pml4_index, 0);
-}
-
 /// The table frame a root's PML4 slot points to, or `None` if the slot
 /// is empty. Offline audits use this to verify that an attached
 /// vmspace's shared slots still reference the template's subtrees
@@ -806,14 +745,6 @@ pub fn root_slot_entry(phys: &mut PhysMem, root: Pfn, pml4_index: usize) -> Opti
 pub fn count_table_frames(phys: &mut PhysMem, root: Pfn) -> u64 {
     let mut seen = std::collections::HashSet::new();
     collect_table_frames(phys, root, &[], &mut seen)
-}
-
-/// Like [`count_table_frames`], but skipping the PML4 slots in `skip` —
-/// used by frame-accounting audits to count a vmspace's *private* tables
-/// while attributing shared (linked) subtrees to the root that owns them.
-pub fn count_table_frames_excluding(phys: &mut PhysMem, root: Pfn, skip: &[usize]) -> u64 {
-    let mut seen = std::collections::HashSet::new();
-    collect_table_frames(phys, root, skip, &mut seen)
 }
 
 /// Adds every table frame reachable from `root` (skipping the PML4 slots
@@ -1137,10 +1068,6 @@ mod tests {
         .unwrap();
         let (t2, _) = walk(&mut phys, root_b, va.add(4096)).unwrap();
         assert_eq!(t2.pa.raw(), 0x9000);
-        // Unlink removes visibility from b only.
-        unlink_subtree(&mut phys, root_b, va.pml4_index());
-        assert!(walk(&mut phys, root_b, va).is_err());
-        assert!(walk(&mut phys, root_a, va).is_ok());
     }
 
     #[test]
@@ -1260,51 +1187,6 @@ mod tests {
         .unwrap();
         let (t, _) = walk(&mut phys, root, va).unwrap();
         assert_eq!(t.pa.raw(), 0x8000);
-    }
-
-    #[test]
-    fn protect_rewrites_leaf_flags_across_page_sizes() {
-        let (mut phys, root) = setup();
-        let rw = PteFlags::USER | PteFlags::WRITABLE;
-        map(
-            &mut phys,
-            root,
-            VirtAddr::new(0x1000),
-            PhysAddr::new(0x2000),
-            PageSize::Size4K,
-            rw,
-        )
-        .unwrap();
-        protect(&mut phys, root, VirtAddr::new(0x1000), PteFlags::USER).unwrap();
-        let (t, _) = walk(&mut phys, root, VirtAddr::new(0x1000)).unwrap();
-        assert!(!t.flags.contains(PteFlags::WRITABLE));
-        assert_eq!(t.pa.raw(), 0x2000, "target preserved");
-
-        map(
-            &mut phys,
-            root,
-            VirtAddr::new(0x20_0000),
-            PhysAddr::new(0x40_0000),
-            PageSize::Size2M,
-            rw,
-        )
-        .unwrap();
-        protect(
-            &mut phys,
-            root,
-            VirtAddr::new(0x20_0000 + 0x999),
-            PteFlags::USER,
-        )
-        .unwrap();
-        let (t2, levels) = walk(&mut phys, root, VirtAddr::new(0x20_0000 + 0x999)).unwrap();
-        assert!(!t2.flags.contains(PteFlags::WRITABLE));
-        assert_eq!(t2.size, PageSize::Size2M, "PS bit preserved");
-        assert_eq!(levels, 3);
-
-        assert!(matches!(
-            protect(&mut phys, root, VirtAddr::new(0x9000_0000), PteFlags::USER),
-            Err(MemError::PageFault { .. })
-        ));
     }
 
     #[test]

@@ -1,35 +1,35 @@
-//! The no-VM base+bound baseline backend.
+//! The no-VM base+bound baseline's shadow segment table.
 //!
 //! "The Cost of Software-Based Memory Management Without Virtual Memory"
 //! asks what address translation costs when there is no page-granular
 //! indirection at all: contiguous segments, a base+bound check per
-//! access, no TLB. [`SegMap`] reproduces that design point as a
-//! [`TranslationBackend`], giving the fig6/fig8 comparisons a lower
-//! bound that no paging scheme can beat.
+//! access, no TLB. [`SegMap`] reproduces that design point for
+//! [`Backend::SegMap`](crate::backend::Backend::SegMap), giving the
+//! fig6/fig8 comparisons a lower bound that no paging scheme can beat.
 //!
-//! The implementation is a *shadow* of the four-level tables, not a
-//! replacement: every structural operation first delegates to
-//! [`crate::paging`] so the real trees keep existing in simulated frames
-//! (frame-accounting audits, offline trace replay, and reclaim all walk
-//! those trees and are unchanged under this backend), then records the
-//! mapping in a flat per-root segment table. Only
-//! [`TranslationBackend::translate`] consults the shadow — a sorted-array
-//! binary search standing in for the hardware bound check.
+//! It is a *shadow* of the four-level tree, not a replacement: the tree
+//! in simulated frames stays the one authority for structure (frame
+//! accounting, audits, reclaim and offline trace replay walk it under
+//! every backend). [`crate::backend::Backend`] runs each structural
+//! [`crate::paging`] call and then feeds this table through its hooks —
+//! record, trim, link, drop a root — and only
+//! [`Backend::translate`](crate::backend::Backend::translate) looks a
+//! mapping up here: a sorted-array binary search standing in for the
+//! hardware bound check.
 //!
 //! Mappings made through a root whose PML4 slot is *linked* to a
-//! template ([`TranslationBackend::link_subtree`]) are recorded against
-//! the template root, mirroring how a paging write through a linked slot
-//! lands in the shared subtree and becomes visible to every root that
-//! links it.
+//! template are recorded against the template root, mirroring how a
+//! paging write through a linked slot lands in the shared subtree and
+//! becomes visible to every root that links it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::addr::{PageSize, Pfn, PhysAddr, VirtAddr, PAGE_SIZE};
-use crate::error::MemError;
-use crate::paging::{self, MapStats, PteFlags, Translation, UnmapStats};
-use crate::phys::PhysMem;
-use crate::TranslationBackend;
+use crate::addr::{PageSize, Pfn, PhysAddr, VirtAddr};
+use crate::paging::{PteFlags, Translation};
+
+/// Offset bits within one PML4 slot's 512 GiB of virtual space.
+const SLOT_MASK: u64 = (1 << 39) - 1;
 
 /// One contiguous virtual-to-physical segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,49 +74,11 @@ impl SegMapState {
             .map_or(root, |(_, src)| *src)
     }
 
-    fn insert(&mut self, owner: Pfn, entry: SegEntry) {
-        let v = self.segs.entry(owner).or_default();
-        let at = v.partition_point(|e| e.base < entry.base);
-        v.insert(at, entry);
-    }
-
-    fn find(&self, root: Pfn, va: VirtAddr) -> Option<&SegEntry> {
-        if let Some(e) = Self::find_in(self.segs.get(&root), va) {
-            return Some(e);
-        }
-        let slot = va.pml4_index();
-        for (s, src) in self.links.get(&root)?.iter() {
-            if *s == slot {
-                if let Some(e) = Self::find_in(self.segs.get(src), va) {
-                    return Some(e);
-                }
-            }
-        }
-        None
-    }
-
     fn find_in(v: Option<&Vec<SegEntry>>, va: VirtAddr) -> Option<&SegEntry> {
         let v = v?;
         let idx = v.partition_point(|e| e.base.raw() <= va.raw());
         let e = &v[idx.checked_sub(1)?];
         e.covers(va).then_some(e)
-    }
-
-    /// Removes `[va, va+len)` from every table visible through `root`
-    /// (its own and any linked template's), splitting partially covered
-    /// entries. Mirrors a paging unmap through a linked slot, which
-    /// mutates the shared subtree.
-    fn trim(&mut self, root: Pfn, va: VirtAddr, len: u64) {
-        let mut owners: Vec<Pfn> = vec![root];
-        if let Some(ls) = self.links.get(&root) {
-            owners.extend(ls.iter().map(|(_, src)| *src));
-        }
-        for owner in owners {
-            let Some(v) = self.segs.get_mut(&owner) else {
-                continue;
-            };
-            Self::trim_vec(v, va.raw(), va.raw() + len);
-        }
     }
 
     fn trim_vec(v: &mut Vec<SegEntry>, start: u64, end: u64) {
@@ -147,43 +109,9 @@ impl SegMapState {
         }
         *v = out;
     }
-
-    /// Rewrites the flags of the 4 KiB page containing `va`, splitting
-    /// the covering entry if it spans more than that page.
-    fn reprotect(&mut self, root: Pfn, va: VirtAddr, flags: PteFlags) {
-        let page = va.align_down(PAGE_SIZE);
-        let mut owners: Vec<Pfn> = vec![root];
-        if let Some(ls) = self.links.get(&root) {
-            owners.extend(ls.iter().map(|(_, src)| *src));
-        }
-        for owner in owners {
-            let Some(v) = self.segs.get_mut(&owner) else {
-                continue;
-            };
-            let Some(idx) = v
-                .iter()
-                .position(|e| e.covers(page) && e.covers(page.add(PAGE_SIZE - 1)))
-            else {
-                continue;
-            };
-            let e = v[idx];
-            let off = page.raw() - e.base.raw();
-            Self::trim_vec(v, page.raw(), page.raw() + PAGE_SIZE);
-            let entry = SegEntry {
-                base: page,
-                len: PAGE_SIZE,
-                pa: e.pa.add(off),
-                flags: flags | PteFlags::PRESENT,
-                page_size: PageSize::Size4K,
-            };
-            let at = v.partition_point(|x| x.base < entry.base);
-            v.insert(at, entry);
-            return;
-        }
-    }
 }
 
-/// The no-VM backend: per-root flat segment tables shadowing the real
+/// The no-VM shadow: per-root flat segment tables mirroring the real
 /// four-level trees. Clones share state.
 #[derive(Debug, Clone, Default)]
 pub struct SegMap {
@@ -191,195 +119,108 @@ pub struct SegMap {
 }
 
 impl SegMap {
-    /// Creates an empty segment-table backend.
-    pub fn new() -> Self {
-        SegMap::default()
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, SegMapState> {
         self.state.lock().expect("segmap state poisoned")
     }
 
-    /// Number of segment entries recorded for `root` (its own, not
-    /// counting linked templates) — for tests and reports.
-    pub fn entries_for(&self, root: Pfn) -> usize {
-        self.lock().segs.get(&root).map_or(0, Vec::len)
-    }
-}
-
-impl TranslationBackend for SegMap {
-    fn new_root(&self, phys: &mut PhysMem) -> Result<Pfn, MemError> {
-        paging::new_root(phys)
-    }
-
-    fn map(
+    /// Records the mapping `va..va+len -> pa..pa+len` made through `root`.
+    pub(crate) fn record(
         &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-        pa: PhysAddr,
-        size: PageSize,
-        flags: PteFlags,
-    ) -> Result<MapStats, MemError> {
-        let stats = paging::map(phys, root, va, pa, size, flags)?;
-        let mut st = self.lock();
-        let owner = st.owner(root, va.pml4_index());
-        st.insert(
-            owner,
-            SegEntry {
-                base: va,
-                len: size.bytes(),
-                pa,
-                flags: flags | PteFlags::PRESENT,
-                page_size: size,
-            },
-        );
-        Ok(stats)
-    }
-
-    fn map_region(
-        &self,
-        phys: &mut PhysMem,
         root: Pfn,
         va: VirtAddr,
         pa: PhysAddr,
         len: u64,
-        size: PageSize,
+        page_size: PageSize,
         flags: PteFlags,
-    ) -> Result<MapStats, MemError> {
-        let stats = paging::map_region(phys, root, va, pa, len, size, flags)?;
+    ) {
         let mut st = self.lock();
         let owner = st.owner(root, va.pml4_index());
-        st.insert(
-            owner,
-            SegEntry {
-                base: va,
-                len,
-                pa,
-                flags: flags | PteFlags::PRESENT,
-                page_size: size,
-            },
-        );
-        Ok(stats)
+        let v = st.segs.entry(owner).or_default();
+        let at = v.partition_point(|e| e.base < va);
+        let entry = SegEntry {
+            base: va,
+            len,
+            pa,
+            flags: flags | PteFlags::PRESENT,
+            page_size,
+        };
+        v.insert(at, entry);
     }
 
-    fn unmap_region(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-        len: u64,
-    ) -> Result<UnmapStats, MemError> {
-        let stats = paging::unmap_region(phys, root, va, len)?;
-        self.lock().trim(root, va, len);
-        Ok(stats)
+    /// Removes `[va, va+len)` as seen through `root`, splitting partially
+    /// covered entries. Each PML4 slot's part of the range is trimmed
+    /// from that slot's owner only — the linked template's table for a
+    /// linked slot, `root`'s own otherwise — exactly the tree a paging
+    /// unmap through `root` mutates.
+    pub(crate) fn trim(&self, root: Pfn, va: VirtAddr, len: u64) {
+        let mut st = self.lock();
+        let (mut start, end) = (va.raw(), va.raw() + len);
+        while start < end {
+            let stop = end.min((start | SLOT_MASK).saturating_add(1));
+            let owner = st.owner(root, VirtAddr::new_unchecked(start).pml4_index());
+            if let Some(v) = st.segs.get_mut(&owner) {
+                SegMapState::trim_vec(v, start, stop);
+            }
+            start = stop;
+        }
     }
 
-    fn translate(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-    ) -> Result<(Translation, u32), MemError> {
-        let _ = phys; // the shadow table is authoritative for lookups
-        let st = self.lock();
-        let e = st.find(root, va).ok_or(MemError::PageFault {
-            va,
-            access: crate::error::Access::Read,
-        })?;
-        Ok((
-            Translation {
-                pa: e.pa.add(va.raw() - e.base.raw()),
-                flags: e.flags,
-                size: e.page_size,
-            },
-            0,
-        ))
-    }
-
-    fn protect(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        va: VirtAddr,
-        flags: PteFlags,
-    ) -> Result<(), MemError> {
-        paging::protect(phys, root, va, flags)?;
-        self.lock().reprotect(root, va, flags);
-        Ok(())
-    }
-
-    fn link_subtree(
-        &self,
-        phys: &mut PhysMem,
-        dst_root: Pfn,
-        src_root: Pfn,
-        pml4_index: usize,
-    ) -> Result<(), MemError> {
-        paging::link_subtree(phys, dst_root, src_root, pml4_index)?;
+    /// Records that `dst_root`'s `pml4_index` slot now shares `src_root`'s.
+    pub(crate) fn link(&self, dst_root: Pfn, src_root: Pfn, pml4_index: usize) {
         let mut st = self.lock();
         let links = st.links.entry(dst_root).or_default();
         if !links.contains(&(pml4_index, src_root)) {
             links.push((pml4_index, src_root));
         }
-        Ok(())
     }
 
-    fn unlink_subtree(&self, phys: &mut PhysMem, root: Pfn, pml4_index: usize) {
-        paging::unlink_subtree(phys, root, pml4_index);
-        if let Some(links) = self.lock().links.get_mut(&root) {
-            links.retain(|(s, _)| *s != pml4_index);
-        }
-    }
-
-    fn ensure_root_slot(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        pml4_index: usize,
-    ) -> Result<(Pfn, bool), MemError> {
-        paging::ensure_root_slot(phys, root, pml4_index)
-    }
-
-    fn clear_leaf(&self, phys: &mut PhysMem, root: Pfn, va: VirtAddr) -> Option<Pfn> {
-        let pfn = paging::clear_leaf(phys, root, va)?;
-        let page = va.align_down(PAGE_SIZE);
-        self.lock().trim(root, page, PAGE_SIZE);
-        Some(pfn)
-    }
-
-    fn leaf_is_swap_marked(&self, phys: &mut PhysMem, root: Pfn, va: VirtAddr) -> bool {
-        paging::leaf_is_swap_marked(phys, root, va)
-    }
-
-    fn free_tables(&self, phys: &mut PhysMem, root: Pfn, shared: &[usize]) {
-        paging::free_tables(phys, root, shared);
+    /// Forgets `root`'s own segments and links (its tables were freed).
+    pub(crate) fn drop_root(&self, root: Pfn) {
         let mut st = self.lock();
         st.segs.remove(&root);
         st.links.remove(&root);
     }
 
-    fn collect_table_frames(
-        &self,
-        phys: &mut PhysMem,
-        root: Pfn,
-        skip: &[usize],
-        seen: &mut std::collections::HashSet<Pfn>,
-    ) -> u64 {
-        paging::collect_table_frames(phys, root, skip, seen)
+    /// The translation of `va` through `root`: its own segments first,
+    /// then the template linked at `va`'s PML4 slot.
+    pub(crate) fn lookup(&self, root: Pfn, va: VirtAddr) -> Option<Translation> {
+        let st = self.lock();
+        let slot = va.pml4_index();
+        let e = SegMapState::find_in(st.segs.get(&root), va).or_else(|| {
+            let links = st.links.get(&root)?;
+            links
+                .iter()
+                .filter(|(s, _)| *s == slot)
+                .find_map(|(_, src)| SegMapState::find_in(st.segs.get(src), va))
+        })?;
+        Some(Translation {
+            pa: e.pa.add(va.raw() - e.base.raw()),
+            flags: e.flags,
+            size: e.page_size,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
     use crate::error::Access;
+    use crate::paging;
+    use crate::phys::PhysMem;
 
-    fn setup() -> (PhysMem, SegMap, Pfn) {
+    fn setup() -> (PhysMem, Backend, Pfn) {
         let mut phys = PhysMem::new(1 << 24);
-        let sm = SegMap::new();
-        let root = sm.new_root(&mut phys).unwrap();
-        (phys, sm, root)
+        let root = paging::new_root(&mut phys).unwrap();
+        (phys, Backend::seg_map(), root)
+    }
+
+    /// Number of segment entries recorded for `root` itself.
+    fn entries(be: &Backend, root: Pfn) -> usize {
+        match be {
+            Backend::SegMap(s) => s.lock().segs.get(&root).map_or(0, Vec::len),
+            Backend::FourLevel => 0,
+        }
     }
 
     fn rw() -> PteFlags {
@@ -419,10 +260,10 @@ mod tests {
     #[test]
     fn linked_template_mappings_are_visible() {
         let (mut phys, sm, template) = setup();
-        let attached = sm.new_root(&mut phys).unwrap();
+        let attached = paging::new_root(&mut phys).unwrap();
+        let other = paging::new_root(&mut phys).unwrap();
         let va = VirtAddr::new(0x1_0000_0000); // PML4 slot 0
-        sm.ensure_root_slot(&mut phys, template, va.pml4_index())
-            .unwrap();
+        paging::ensure_root_slot(&mut phys, template, va.pml4_index()).unwrap();
         sm.link_subtree(&mut phys, attached, template, va.pml4_index())
             .unwrap();
         // Mapping *through the attached root* lands in the template's
@@ -438,11 +279,12 @@ mod tests {
         .unwrap();
         assert!(sm.translate(&mut phys, template, va).is_ok());
         assert!(sm.translate(&mut phys, attached, va).is_ok());
-        assert_eq!(sm.entries_for(template), 1);
-        assert_eq!(sm.entries_for(attached), 0);
-        // Unlink hides it from the attached root only.
-        sm.unlink_subtree(&mut phys, attached, va.pml4_index());
-        assert!(sm.translate(&mut phys, attached, va).is_err());
+        assert!(sm.translate(&mut phys, other, va).is_err(), "not linked");
+        assert_eq!(entries(&sm, template), 1);
+        assert_eq!(entries(&sm, attached), 0);
+        // Freeing the attached root's private tables leaves the
+        // template's mapping in place.
+        sm.free_tables(&mut phys, attached, &[va.pml4_index()]);
         assert!(sm.translate(&mut phys, template, va).is_ok());
     }
 
@@ -467,7 +309,7 @@ mod tests {
             4 * 4096,
         )
         .unwrap();
-        assert_eq!(sm.entries_for(root), 2, "entry split around the hole");
+        assert_eq!(entries(&sm, root), 2, "entry split around the hole");
         assert!(sm
             .translate(&mut phys, root, VirtAddr::new(0x10_0000 + 3 * 4096))
             .is_ok());
@@ -478,6 +320,43 @@ mod tests {
             .translate(&mut phys, root, VirtAddr::new(0x10_0000 + 9 * 4096))
             .unwrap();
         assert_eq!(t.pa.raw(), 0x20_0000 + 9 * 4096, "tail keeps its offsets");
+    }
+
+    #[test]
+    fn unmap_trims_only_the_tree_each_slot_belongs_to() {
+        let (mut phys, sm, template) = setup();
+        let attached = paging::new_root(&mut phys).unwrap();
+        let (private, shared) = (VirtAddr::new(0x1000), VirtAddr::new(1 << 39));
+        for root in [template, attached] {
+            sm.map(
+                &mut phys,
+                root,
+                private,
+                PhysAddr::new(0x9000),
+                PageSize::Size4K,
+                rw(),
+            )
+            .unwrap();
+        }
+        sm.map(
+            &mut phys,
+            template,
+            shared,
+            PhysAddr::new(0xa000),
+            PageSize::Size4K,
+            rw(),
+        )
+        .unwrap();
+        sm.link_subtree(&mut phys, attached, template, shared.pml4_index())
+            .unwrap();
+        // Slot 0 is private to each root: unmapping it through the
+        // attached root leaves the template's own mapping alone.
+        sm.unmap_region(&mut phys, attached, private, 4096).unwrap();
+        assert!(sm.translate(&mut phys, attached, private).is_err());
+        assert!(sm.translate(&mut phys, template, private).is_ok());
+        // Slot 1 is linked: the unmap lands in the shared table.
+        sm.unmap_region(&mut phys, attached, shared, 4096).unwrap();
+        assert!(sm.translate(&mut phys, template, shared).is_err());
     }
 
     #[test]
@@ -495,7 +374,11 @@ mod tests {
         .unwrap();
         let evicted = sm.clear_leaf(&mut phys, root, VirtAddr::new(0x10_1000));
         assert!(evicted.is_some());
-        assert!(sm.leaf_is_swap_marked(&mut phys, root, VirtAddr::new(0x10_1000)));
+        assert!(paging::leaf_is_swap_marked(
+            &mut phys,
+            root,
+            VirtAddr::new(0x10_1000)
+        ));
         assert!(sm
             .translate(&mut phys, root, VirtAddr::new(0x10_1000))
             .is_err());
@@ -505,34 +388,6 @@ mod tests {
         assert!(sm
             .translate(&mut phys, root, VirtAddr::new(0x10_2000))
             .is_ok());
-    }
-
-    #[test]
-    fn protect_rewrites_one_page() {
-        let (mut phys, sm, root) = setup();
-        sm.map_region(
-            &mut phys,
-            root,
-            VirtAddr::new(0x10_0000),
-            PhysAddr::new(0x20_0000),
-            2 * 4096,
-            PageSize::Size4K,
-            rw(),
-        )
-        .unwrap();
-        sm.protect(&mut phys, root, VirtAddr::new(0x10_0000), PteFlags::USER)
-            .unwrap();
-        let (t, _) = sm
-            .translate(&mut phys, root, VirtAddr::new(0x10_0000))
-            .unwrap();
-        assert!(!t.flags.permits(Access::Write), "write bit dropped");
-        let (t2, _) = sm
-            .translate(&mut phys, root, VirtAddr::new(0x10_1000))
-            .unwrap();
-        assert!(t2.flags.permits(Access::Write), "neighbour untouched");
-        // The real tables agree.
-        let (pt, _) = paging::walk(&mut phys, root, VirtAddr::new(0x10_0000)).unwrap();
-        assert!(!pt.flags.permits(Access::Write));
     }
 
     #[test]
@@ -547,9 +402,9 @@ mod tests {
             rw(),
         )
         .unwrap();
-        assert_eq!(sm.entries_for(root), 1);
+        assert_eq!(entries(&sm, root), 1);
         sm.free_tables(&mut phys, root, &[]);
-        assert_eq!(sm.entries_for(root), 0);
+        assert_eq!(entries(&sm, root), 0);
         assert!(sm
             .translate(&mut phys, root, VirtAddr::new(0x1000))
             .is_err());

@@ -30,7 +30,7 @@
 //! ([`CoreCtx::BOOT`]) regardless of who triggered it.
 
 use sjmp_blk::{BlkError, BlkHooks, BlkStats, BlockDev, FlushFault, SnapshotStore, WriteFault};
-use sjmp_mem::backend::{Backend, TranslationBackend};
+use sjmp_mem::backend::Backend;
 use sjmp_mem::cost::{
     CoreClocks, CoreCtx, CostModel, CycleClock, KernelFlavor, MachineId, MachineProfile,
 };
@@ -138,7 +138,7 @@ pub enum PressureLevel {
     /// Free memory comfortably above the watermark.
     #[default]
     Normal,
-    /// Free memory within [`PRESSURE_ELEVATED_FACTOR`]× the watermark:
+    /// Free memory within `PRESSURE_ELEVATED_FACTOR`× the watermark:
     /// reclaim will start soon; shed optional work.
     Elevated,
     /// Free memory at or below the watermark: reclaim is active and the
@@ -1026,7 +1026,7 @@ impl Kernel {
         self.fault_gate(FaultSite::SpaceAlloc)?;
         let id = VmspaceId(self.next_space);
         self.next_space += 1;
-        let root = self.backend.new_root(&mut self.phys)?;
+        let root = paging::new_root(&mut self.phys)?;
         self.vmspaces.insert(id, Vmspace::new(id, root));
         Ok(id)
     }
@@ -2659,14 +2659,10 @@ impl Kernel {
             .collect();
         let mut seen = std::collections::HashSet::new();
         for root in external_roots {
-            owned_frames +=
-                self.backend
-                    .collect_table_frames(&mut self.phys, *root, &[], &mut seen);
+            owned_frames += paging::collect_table_frames(&mut self.phys, *root, &[], &mut seen);
         }
         for (root, skip) in roots {
-            owned_frames +=
-                self.backend
-                    .collect_table_frames(&mut self.phys, root, &skip, &mut seen);
+            owned_frames += paging::collect_table_frames(&mut self.phys, root, &skip, &mut seen);
         }
         let allocated = self.phys.allocated_frames();
         if owned_frames != allocated {
