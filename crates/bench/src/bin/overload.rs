@@ -307,7 +307,7 @@ fn run() -> Result<(), String> {
     let tracer = trace_from_env();
     let mut report = Report::new("overload");
     let mut retention = Vec::new();
-    for machine in [MachineId::M1, MachineId::M2, MachineId::M3] {
+    for machine in MachineId::ALL {
         retention.push(poisson_sweep(&mut report, machine, quick, &tracer)?);
     }
     bursty_section(&mut report, quick, &tracer)?;

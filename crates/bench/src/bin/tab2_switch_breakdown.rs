@@ -56,7 +56,7 @@ fn main() {
         &["name", "memory", "cores", "freq[GHz]", "TLB"],
         &[6, 10, 6, 10, 6],
     );
-    for m in [MachineId::M1, MachineId::M2, MachineId::M3] {
+    for m in MachineId::ALL {
         let p = MachineProfile::of(m);
         report.row(
             &[

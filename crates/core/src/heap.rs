@@ -17,7 +17,7 @@
 
 use sjmp_alloc::{AllocError, MemAccess, Mspace};
 use sjmp_mem::VirtAddr;
-use sjmp_os::{Kernel, Pid};
+use sjmp_os::{Pid, ProcMem};
 
 use crate::error::{SjError, SjResult};
 use crate::segment::SegId;
@@ -25,12 +25,22 @@ use crate::spacejmp::SpaceJmp;
 
 /// [`MemAccess`] over a virtual range of a process's current address
 /// space: every allocator word access becomes a simulated load/store
-/// through the MMU (and is charged cycles accordingly).
+/// through the MMU (and is charged cycles accordingly). One allocator
+/// call holds one [`ProcMem`], so it resolves the process once.
 struct KernelMem<'a> {
-    kernel: &'a mut Kernel,
-    pid: Pid,
+    mem: ProcMem<'a>,
     base: VirtAddr,
     size: u64,
+}
+
+impl<'a> KernelMem<'a> {
+    fn new(sj: &'a mut SpaceJmp, pid: Pid, base: VirtAddr, size: u64) -> SjResult<Self> {
+        Ok(KernelMem {
+            mem: sj.kernel_mut().proc_mem(pid)?,
+            base,
+            size,
+        })
+    }
 }
 
 impl MemAccess for KernelMem<'_> {
@@ -43,8 +53,8 @@ impl MemAccess for KernelMem<'_> {
             offset + 8 <= self.size,
             "allocator access out of segment bounds"
         );
-        self.kernel
-            .load_u64(self.pid, self.base.add(offset))
+        self.mem
+            .load_u64(self.base.add(offset))
             .expect("heap segment must be mapped in the current VAS")
     }
 
@@ -53,8 +63,8 @@ impl MemAccess for KernelMem<'_> {
             offset + 8 <= self.size,
             "allocator access out of segment bounds"
         );
-        self.kernel
-            .store_u64(self.pid, self.base.add(offset), value)
+        self.mem
+            .store_u64(self.base.add(offset), value)
             .expect("heap segment must be mapped writable in the current VAS")
     }
 }
@@ -83,13 +93,7 @@ impl VasHeap {
     pub fn format(sj: &mut SpaceJmp, pid: Pid, sid: SegId) -> SjResult<VasHeap> {
         let (base, size) = Self::segment_extent(sj, sid)?;
         Self::check_mapped(sj, pid, base)?;
-        Mspace::format(KernelMem {
-            kernel: sj.kernel_mut(),
-            pid,
-            base,
-            size,
-        })
-        .map_err(alloc_err)?;
+        Mspace::format(KernelMem::new(sj, pid, base, size)?).map_err(alloc_err)?;
         Ok(VasHeap { sid, base, size })
     }
 
@@ -102,13 +106,7 @@ impl VasHeap {
     pub fn open(sj: &mut SpaceJmp, pid: Pid, sid: SegId) -> SjResult<VasHeap> {
         let (base, size) = Self::segment_extent(sj, sid)?;
         Self::check_mapped(sj, pid, base)?;
-        Mspace::attach(KernelMem {
-            kernel: sj.kernel_mut(),
-            pid,
-            base,
-            size,
-        })
-        .map_err(alloc_err)?;
+        Mspace::attach(KernelMem::new(sj, pid, base, size)?).map_err(alloc_err)?;
         Ok(VasHeap { sid, base, size })
     }
 
@@ -138,13 +136,7 @@ impl VasHeap {
 
     fn mspace<'a>(&self, sj: &'a mut SpaceJmp, pid: Pid) -> SjResult<Mspace<KernelMem<'a>>> {
         Self::check_mapped(sj, pid, self.base)?;
-        Mspace::attach(KernelMem {
-            kernel: sj.kernel_mut(),
-            pid,
-            base: self.base,
-            size: self.size,
-        })
-        .map_err(alloc_err)
+        Mspace::attach(KernelMem::new(sj, pid, self.base, self.size)?).map_err(alloc_err)
     }
 
     /// Allocates `size` bytes; returns a virtual address valid in any

@@ -14,7 +14,7 @@
 //! behaviour the paper measures.
 
 use sjmp_mem::VirtAddr;
-use sjmp_os::Pid;
+use sjmp_os::{OsResult, Pid, ProcMem};
 use spacejmp_core::{SjError, SjResult, SpaceJmp, VasHeap};
 
 use crate::ops::{LinearIndex, OpWork, INDEX_WINDOW};
@@ -86,9 +86,9 @@ impl RecStore {
     pub fn create(sj: &mut SpaceJmp, pid: Pid, heap: VasHeap, capacity: u64) -> SjResult<RecStore> {
         let header = heap.calloc(sj, pid, HEADER_SIZE)?;
         let entries = heap.calloc(sj, pid, capacity.max(1) * 8)?;
-        let k = sj.kernel_mut();
-        k.store_u64(pid, header.add(H_CAP), capacity.max(1))?;
-        k.store_u64(pid, header.add(H_ENTRIES), entries.raw())?;
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        m.store_u64(header.add(H_CAP), capacity.max(1))?;
+        m.store_u64(header.add(H_ENTRIES), entries.raw())?;
         heap.set_root(sj, pid, header)?;
         Ok(RecStore { heap, header })
     }
@@ -113,22 +113,19 @@ impl RecStore {
     ///
     /// Access errors if the segment is unmapped.
     pub fn count(&self, sj: &mut SpaceJmp, pid: Pid) -> SjResult<u64> {
-        sj.kernel_mut()
-            .load_u64(pid, self.header.add(H_COUNT))
-            .map_err(Into::into)
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        Ok(m.load_u64(self.header.add(H_COUNT))?)
     }
 
-    fn entries_ptr(&self, sj: &mut SpaceJmp, pid: Pid) -> SjResult<VirtAddr> {
-        Ok(VirtAddr::new(
-            sj.kernel_mut().load_u64(pid, self.header.add(H_ENTRIES))?,
-        ))
+    /// The record count and the entry array's address, read in that
+    /// order — the preamble of every whole-store pass.
+    fn table(&self, m: &mut ProcMem<'_>) -> OsResult<(u64, VirtAddr)> {
+        let count = m.load_u64(self.header.add(H_COUNT))?;
+        Ok((count, self.entries_ptr(m)?))
     }
 
-    fn entry(&self, sj: &mut SpaceJmp, pid: Pid, i: u64) -> SjResult<VirtAddr> {
-        let entries = self.entries_ptr(sj, pid)?;
-        Ok(VirtAddr::new(
-            sj.kernel_mut().load_u64(pid, entries.add(i * 8))?,
-        ))
+    fn entries_ptr(&self, m: &mut ProcMem<'_>) -> OsResult<VirtAddr> {
+        Ok(VirtAddr::new(m.load_u64(self.header.add(H_ENTRIES))?))
     }
 
     /// Appends a record.
@@ -138,10 +135,10 @@ impl RecStore {
     /// [`SjError::InvalidArgument`] when full; heap exhaustion.
     pub fn append(&self, sj: &mut SpaceJmp, pid: Pid, r: &Record) -> SjResult<()> {
         let (count, cap) = {
-            let k = sj.kernel_mut();
+            let mut m = sj.kernel_mut().proc_mem(pid)?;
             (
-                k.load_u64(pid, self.header.add(H_COUNT))?,
-                k.load_u64(pid, self.header.add(H_CAP))?,
+                m.load_u64(self.header.add(H_COUNT))?,
+                m.load_u64(self.header.add(H_CAP))?,
             )
         };
         if count == cap {
@@ -157,25 +154,20 @@ impl RecStore {
         for &(n, op) in &r.cigar {
             blob.extend_from_slice(&((n << 4) | op.code()).to_le_bytes());
         }
-        let k = sj.kernel_mut();
-        k.store_bytes(pid, qname_ptr, r.qname.as_bytes())?;
-        k.store_bytes(pid, blob_ptr, &blob)?;
-        k.store_u64(
-            pid,
-            rec.add(R_FLAGS),
-            r.flag as u64 | ((r.mapq as u64) << 16),
-        )?;
-        k.store_u64(pid, rec.add(R_TID), r.tid as i64 as u64)?;
-        k.store_u64(pid, rec.add(R_POS), r.pos as i64 as u64)?;
-        k.store_u64(pid, rec.add(R_QNAME), qname_ptr.raw())?;
-        k.store_u64(pid, rec.add(R_QLEN), r.qname.len() as u64)?;
-        k.store_u64(pid, rec.add(R_BLOB), blob_ptr.raw())?;
-        k.store_u64(pid, rec.add(R_SLEN), r.seq.len() as u64)?;
-        k.store_u64(pid, rec.add(R_CLEN), r.cigar.len() as u64)?;
-        let entries = self.entries_ptr(sj, pid)?;
-        let k = sj.kernel_mut();
-        k.store_u64(pid, entries.add(count * 8), rec.raw())?;
-        k.store_u64(pid, self.header.add(H_COUNT), count + 1)?;
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        m.store_bytes(qname_ptr, r.qname.as_bytes())?;
+        m.store_bytes(blob_ptr, &blob)?;
+        m.store_u64(rec.add(R_FLAGS), r.flag as u64 | ((r.mapq as u64) << 16))?;
+        m.store_u64(rec.add(R_TID), r.tid as i64 as u64)?;
+        m.store_u64(rec.add(R_POS), r.pos as i64 as u64)?;
+        m.store_u64(rec.add(R_QNAME), qname_ptr.raw())?;
+        m.store_u64(rec.add(R_QLEN), r.qname.len() as u64)?;
+        m.store_u64(rec.add(R_BLOB), blob_ptr.raw())?;
+        m.store_u64(rec.add(R_SLEN), r.seq.len() as u64)?;
+        m.store_u64(rec.add(R_CLEN), r.cigar.len() as u64)?;
+        let entries = self.entries_ptr(&mut m)?;
+        m.store_u64(entries.add(count * 8), rec.raw())?;
+        m.store_u64(self.header.add(H_COUNT), count + 1)?;
         Ok(())
     }
 
@@ -185,20 +177,21 @@ impl RecStore {
     ///
     /// Access errors / out-of-range indices surface as kernel errors.
     pub fn read_record(&self, sj: &mut SpaceJmp, pid: Pid, i: u64) -> SjResult<Record> {
-        let rec = self.entry(sj, pid, i)?;
-        let k = sj.kernel_mut();
-        let packed = k.load_u64(pid, rec.add(R_FLAGS))?;
-        let tid = k.load_u64(pid, rec.add(R_TID))? as i64 as i32;
-        let pos = k.load_u64(pid, rec.add(R_POS))? as i64 as i32;
-        let qname_ptr = VirtAddr::new(k.load_u64(pid, rec.add(R_QNAME))?);
-        let qlen = k.load_u64(pid, rec.add(R_QLEN))? as usize;
-        let blob_ptr = VirtAddr::new(k.load_u64(pid, rec.add(R_BLOB))?);
-        let slen = k.load_u64(pid, rec.add(R_SLEN))? as usize;
-        let clen = k.load_u64(pid, rec.add(R_CLEN))? as usize;
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        let entries = self.entries_ptr(&mut m)?;
+        let rec = VirtAddr::new(m.load_u64(entries.add(i * 8))?);
+        let packed = m.load_u64(rec.add(R_FLAGS))?;
+        let tid = m.load_u64(rec.add(R_TID))? as i64 as i32;
+        let pos = m.load_u64(rec.add(R_POS))? as i64 as i32;
+        let qname_ptr = VirtAddr::new(m.load_u64(rec.add(R_QNAME))?);
+        let qlen = m.load_u64(rec.add(R_QLEN))? as usize;
+        let blob_ptr = VirtAddr::new(m.load_u64(rec.add(R_BLOB))?);
+        let slen = m.load_u64(rec.add(R_SLEN))? as usize;
+        let clen = m.load_u64(rec.add(R_CLEN))? as usize;
         let mut qname = vec![0u8; qlen];
-        k.load_bytes(pid, qname_ptr, &mut qname)?;
+        m.load_bytes(qname_ptr, &mut qname)?;
         let mut blob = vec![0u8; slen * 2 + clen * 4];
-        k.load_bytes(pid, blob_ptr, &mut blob)?;
+        m.load_bytes(blob_ptr, &mut blob)?;
         let mut cigar = Vec::with_capacity(clen);
         for c in 0..clen {
             let v = u32::from_le_bytes(
@@ -230,13 +223,12 @@ impl RecStore {
     ///
     /// Access errors.
     pub fn flagstat(&self, sj: &mut SpaceJmp, pid: Pid) -> SjResult<(Flagstat, OpWork)> {
-        let count = self.count(sj, pid)?;
-        let entries = self.entries_ptr(sj, pid)?;
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        let (count, entries) = self.table(&mut m)?;
         let mut fs = Flagstat::default();
         for i in 0..count {
-            let k = sj.kernel_mut();
-            let rec = VirtAddr::new(k.load_u64(pid, entries.add(i * 8))?);
-            let packed = k.load_u64(pid, rec.add(R_FLAGS))?;
+            let rec = VirtAddr::new(m.load_u64(entries.add(i * 8))?);
+            let packed = m.load_u64(rec.add(R_FLAGS))?;
             fs.add((packed & 0xffff) as u16);
         }
         Ok((
@@ -256,23 +248,21 @@ impl RecStore {
     ///
     /// Access errors.
     pub fn qname_sort(&self, sj: &mut SpaceJmp, pid: Pid) -> SjResult<OpWork> {
-        let count = self.count(sj, pid)?;
-        let entries = self.entries_ptr(sj, pid)?;
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        let (count, entries) = self.table(&mut m)?;
         let mut keyed: Vec<(Vec<u8>, u64)> = Vec::with_capacity(count as usize);
         for i in 0..count {
-            let k = sj.kernel_mut();
-            let rec = VirtAddr::new(k.load_u64(pid, entries.add(i * 8))?);
-            let qptr = VirtAddr::new(k.load_u64(pid, rec.add(R_QNAME))?);
-            let qlen = k.load_u64(pid, rec.add(R_QLEN))? as usize;
+            let rec = VirtAddr::new(m.load_u64(entries.add(i * 8))?);
+            let qptr = VirtAddr::new(m.load_u64(rec.add(R_QNAME))?);
+            let qlen = m.load_u64(rec.add(R_QLEN))? as usize;
             let mut name = vec![0u8; qlen];
-            k.load_bytes(pid, qptr, &mut name)?;
+            m.load_bytes(qptr, &mut name)?;
             keyed.push((name, rec.raw()));
         }
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
         let comparisons = nlogn(count);
         for (i, (_, rec)) in keyed.iter().enumerate() {
-            sj.kernel_mut()
-                .store_u64(pid, entries.add(i as u64 * 8), *rec)?;
+            m.store_u64(entries.add(i as u64 * 8), *rec)?;
         }
         Ok(OpWork {
             records: count,
@@ -286,28 +276,26 @@ impl RecStore {
     ///
     /// Access errors.
     pub fn coordinate_sort(&self, sj: &mut SpaceJmp, pid: Pid) -> SjResult<OpWork> {
-        let count = self.count(sj, pid)?;
-        let entries = self.entries_ptr(sj, pid)?;
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        let (count, entries) = self.table(&mut m)?;
         let mut keyed: Vec<((i64, i64), u64)> = Vec::with_capacity(count as usize);
         for i in 0..count {
-            let k = sj.kernel_mut();
-            let rec = VirtAddr::new(k.load_u64(pid, entries.add(i * 8))?);
-            let packed = k.load_u64(pid, rec.add(R_FLAGS))?;
+            let rec = VirtAddr::new(m.load_u64(entries.add(i * 8))?);
+            let packed = m.load_u64(rec.add(R_FLAGS))?;
             let unmapped = packed & crate::record::flags::UNMAPPED as u64 != 0;
             let key = if unmapped {
                 (i64::MAX, i64::MAX)
             } else {
                 (
-                    k.load_u64(pid, rec.add(R_TID))? as i64,
-                    k.load_u64(pid, rec.add(R_POS))? as i64,
+                    m.load_u64(rec.add(R_TID))? as i64,
+                    m.load_u64(rec.add(R_POS))? as i64,
                 )
             };
             keyed.push((key, rec.raw()));
         }
         keyed.sort_by_key(|&(key, _)| key);
         for (i, (_, rec)) in keyed.iter().enumerate() {
-            sj.kernel_mut()
-                .store_u64(pid, entries.add(i as u64 * 8), *rec)?;
+            m.store_u64(entries.add(i as u64 * 8), *rec)?;
         }
         Ok(OpWork {
             records: count,
@@ -328,20 +316,19 @@ impl RecStore {
         pid: Pid,
         n_refs: usize,
     ) -> SjResult<(LinearIndex, OpWork)> {
-        let count = self.count(sj, pid)?;
-        let entries = self.entries_ptr(sj, pid)?;
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        let (count, entries) = self.table(&mut m)?;
         let mut index = LinearIndex {
             refs: vec![Vec::new(); n_refs],
         };
         for i in 0..count {
-            let k = sj.kernel_mut();
-            let rec = VirtAddr::new(k.load_u64(pid, entries.add(i * 8))?);
-            let packed = k.load_u64(pid, rec.add(R_FLAGS))?;
+            let rec = VirtAddr::new(m.load_u64(entries.add(i * 8))?);
+            let packed = m.load_u64(rec.add(R_FLAGS))?;
             if packed & crate::record::flags::UNMAPPED as u64 != 0 {
                 continue;
             }
-            let tid = k.load_u64(pid, rec.add(R_TID))? as i64;
-            let pos = k.load_u64(pid, rec.add(R_POS))? as i64 as i32;
+            let tid = m.load_u64(rec.add(R_TID))? as i64;
+            let pos = m.load_u64(rec.add(R_POS))? as i64 as i32;
             if tid < 0 || tid as usize >= n_refs {
                 continue;
             }

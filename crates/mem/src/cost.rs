@@ -52,6 +52,11 @@ pub enum MachineId {
     M3,
 }
 
+impl MachineId {
+    /// Every evaluation machine, in Table 1 order.
+    pub const ALL: [MachineId; 3] = [MachineId::M1, MachineId::M2, MachineId::M3];
+}
+
 /// Hardware parameters for a simulated machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineProfile {

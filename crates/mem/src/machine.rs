@@ -166,6 +166,19 @@ mod tests {
     }
 
     #[test]
+    fn every_machine_profile_has_a_maskable_tlb() {
+        // `Tlb::new` panics unless entries / ways is a power of two, so a
+        // profile with an odd set count fails here rather than at boot.
+        for id in MachineId::ALL {
+            let profile = MachineProfile::of(id);
+            let sets = profile.tlb_entries / profile.tlb_ways;
+            assert!(sets.is_power_of_two(), "{}: {sets} sets", profile.name);
+            let m = Machine::new(profile, &CostModel::default());
+            assert!(m.mmus().iter().all(|mmu| mmu.tlb_stats().insertions == 0));
+        }
+    }
+
+    #[test]
     fn mmu_charges_its_own_core_clock() {
         let mut m = Machine::new(MachineProfile::of(MachineId::M1), &CostModel::default());
         let mut phys = PhysMem::new(1 << 22);

@@ -525,10 +525,10 @@ impl Mmu {
         walked
     }
 
-    /// Charges the tier cost of touching `pa`: DRAM accesses cost one
-    /// cache access; NVM-tier accesses pay the read/write extra.
+    /// The tier cost of touching one cache line at `pa`: DRAM accesses
+    /// cost one cache access; NVM-tier accesses pay the read/write extra.
     #[inline]
-    fn charge_data(&self, phys: &PhysMem, pa: PhysAddr, write: bool) {
+    fn data_cycles(&self, phys: &PhysMem, pa: PhysAddr, write: bool) -> u64 {
         let mut cycles = self.cost.cache_hit;
         if phys.is_nvm(pa.pfn()) {
             cycles += if write {
@@ -537,7 +537,7 @@ impl Mmu {
                 self.cost.nvm_read_extra
             };
         }
-        self.clock.advance(cycles);
+        cycles
     }
 
     /// Loads one cache line's worth of data at `va` (Figure 6's "page
@@ -548,7 +548,7 @@ impl Mmu {
     /// Same as [`Self::translate`].
     pub fn touch(&mut self, phys: &mut PhysMem, va: VirtAddr) -> Result<(), MemError> {
         let pa = self.translate(phys, va, Access::Read)?;
-        self.charge_data(phys, pa, false);
+        self.clock.advance(self.data_cycles(phys, pa, false));
         Ok(())
     }
 
@@ -560,7 +560,7 @@ impl Mmu {
     /// [`MemError::BadPhysAddr`] for misaligned addresses.
     pub fn read_u64(&mut self, phys: &mut PhysMem, va: VirtAddr) -> Result<u64, MemError> {
         let pa = self.translate(phys, va, Access::Read)?;
-        self.charge_data(phys, pa, false);
+        self.clock.advance(self.data_cycles(phys, pa, false));
         phys.read_u64(pa)
     }
 
@@ -577,7 +577,7 @@ impl Mmu {
         value: u64,
     ) -> Result<(), MemError> {
         let pa = self.translate(phys, va, Access::Write)?;
-        self.charge_data(phys, pa, true);
+        self.clock.advance(self.data_cycles(phys, pa, true));
         phys.write_u64(pa, value)
     }
 
@@ -599,11 +599,8 @@ impl Mmu {
             let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
             let chunk = in_page.min(buf.len() - done);
             let lines = 1 + chunk as u64 / 64;
-            let mut per_line = self.cost.cache_hit;
-            if phys.is_nvm(pa.pfn()) {
-                per_line += self.cost.nvm_read_extra;
-            }
-            self.clock.advance(per_line * lines);
+            self.clock
+                .advance(self.data_cycles(phys, pa, false) * lines);
             phys.read_bytes(pa, &mut buf[done..done + chunk])?;
             done += chunk;
         }
@@ -628,11 +625,7 @@ impl Mmu {
             let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
             let chunk = in_page.min(buf.len() - done);
             let lines = 1 + chunk as u64 / 64;
-            let mut per_line = self.cost.cache_hit;
-            if phys.is_nvm(pa.pfn()) {
-                per_line += self.cost.nvm_write_extra;
-            }
-            self.clock.advance(per_line * lines);
+            self.clock.advance(self.data_cycles(phys, pa, true) * lines);
             phys.write_bytes(pa, &buf[done..done + chunk])?;
             done += chunk;
         }

@@ -14,12 +14,13 @@
 //! entries carry the page size they cache: a 2 MiB or 1 GiB superpage
 //! occupies **one** entry keyed by its size-aligned page number, which is
 //! what gives superpages their TLB-reach advantage ([`Tlb::reach_bytes`]).
-//! Lookups probe each supported size's key in the set; inserts and
-//! invalidations match on `(vpn, size)`. Capacity and associativity come
-//! from [`crate::cost::MachineProfile`].
+//! Lookups probe each supported size's key in the set, skipping sizes
+//! with no resident entry; inserts and invalidations match on
+//! `(vpn, size)`. Capacity and associativity come from
+//! [`crate::cost::MachineProfile`]; the set count must be a power of two,
+//! so a page's set is its page number masked, not divided.
 
 use crate::addr::{PageSize, PhysAddr, Vpn};
-use crate::error::Access;
 use crate::paging::PteFlags;
 
 /// Address-space identifier (12-bit, like x86 PCID).
@@ -60,6 +61,16 @@ struct TlbEntry {
 
 /// Page sizes in probe order (smallest first — the common case).
 const PROBE_SIZES: [PageSize; 3] = [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G];
+
+/// Index of `size` in [`PROBE_SIZES`] (and in `Tlb::resident`).
+#[inline]
+fn size_slot(size: PageSize) -> usize {
+    match size {
+        PageSize::Size4K => 0,
+        PageSize::Size2M => 1,
+        PageSize::Size1G => 2,
+    }
+}
 
 /// The size-aligned lookup key for `vpn` at `size`.
 #[inline]
@@ -128,8 +139,12 @@ impl TlbStats {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     entries: Vec<TlbEntry>,
-    sets: usize,
+    /// Set count minus one; the set of a key is `key & set_mask`.
+    set_mask: usize,
     ways: usize,
+    /// Valid entries per page size, indexed like [`PROBE_SIZES`]. A
+    /// lookup skips every size whose count is zero.
+    resident: [usize; 3],
     tick: u64,
     stats: TlbStats,
 }
@@ -139,16 +154,23 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a positive multiple of `ways`.
+    /// Panics if `entries` is not a positive multiple of `ways`, or if
+    /// the resulting set count is not a power of two.
     pub fn new(entries: usize, ways: usize) -> Self {
         assert!(
             ways > 0 && entries > 0 && entries.is_multiple_of(ways),
             "entries must be a multiple of ways"
         );
+        let sets = entries / ways;
+        assert!(
+            sets.is_power_of_two(),
+            "the set count (entries / ways) must be a power of two"
+        );
         Tlb {
             entries: vec![TlbEntry::default(); entries],
-            sets: entries / ways,
+            set_mask: sets - 1,
             ways,
+            resident: [0; 3],
             tick: 0,
             stats: TlbStats::default(),
         }
@@ -169,23 +191,32 @@ impl Tlb {
         self.stats = TlbStats::default();
     }
 
+    /// Valid entries caching pages of `size`.
+    pub fn resident(&self, size: PageSize) -> usize {
+        self.resident[size_slot(size)]
+    }
+
     #[inline]
     fn set_range(&self, vpn: Vpn) -> std::ops::Range<usize> {
-        let set = (vpn.0 as usize) % self.sets;
+        let set = (vpn.0 as usize) & self.set_mask;
         let start = set * self.ways;
         start..start + self.ways
     }
 
-    /// Looks up a translation for `vpn` under `asid`, probing every
-    /// supported page size's key (smallest first). Returns the physical
-    /// page base, flags, and the cached page size on a hit.
+    /// Looks up a translation for `vpn` under `asid`, probing the key of
+    /// every page size that has a resident entry (smallest first).
+    /// Returns the physical page base, flags, and the cached page size on
+    /// a hit.
     ///
     /// Global entries hit regardless of tag. Updates LRU and counters
     /// (one hit or miss per call, however many sizes were probed).
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> Option<(PhysAddr, PteFlags, PageSize)> {
         self.tick += 1;
         let tick = self.tick;
-        for size in PROBE_SIZES {
+        for (slot, size) in PROBE_SIZES.into_iter().enumerate() {
+            if self.resident[slot] == 0 {
+                continue;
+            }
             let key = size_key(vpn, size);
             let range = self.set_range(key);
             for e in &mut self.entries[range] {
@@ -198,12 +229,6 @@ impl Tlb {
         }
         self.stats.misses += 1;
         None
-    }
-
-    /// Checks whether the cached flags permit `access`; the MMU consults
-    /// this before raising a protection fault.
-    pub fn permits(flags: PteFlags, access: Access) -> bool {
-        flags.permits(access)
     }
 
     /// Inserts a translation for the page of `size` containing `vpn`
@@ -241,8 +266,11 @@ impl Tlb {
             free
         } else {
             self.stats.evictions += 1;
-            set.iter_mut().min_by_key(|e| e.stamp).expect("ways > 0")
+            let lru = set.iter_mut().min_by_key(|e| e.stamp).expect("ways > 0");
+            self.resident[size_slot(lru.size)] -= 1;
+            lru
         };
+        self.resident[size_slot(size)] += 1;
         *victim = TlbEntry {
             valid: true,
             asid,
@@ -262,6 +290,7 @@ impl Tlb {
         for e in &mut self.entries {
             if e.valid && !e.global {
                 e.valid = false;
+                self.resident[size_slot(e.size)] -= 1;
             }
         }
     }
@@ -272,6 +301,7 @@ impl Tlb {
         for e in &mut self.entries {
             if e.valid && e.asid == asid && !e.global {
                 e.valid = false;
+                self.resident[size_slot(e.size)] -= 1;
             }
         }
     }
@@ -280,12 +310,13 @@ impl Tlb {
     /// semantics for shared mappings), at every page size: a superpage
     /// entry covering the 4 KiB page is dropped too.
     pub fn flush_page(&mut self, vpn: Vpn) {
-        for size in PROBE_SIZES {
+        for (slot, size) in PROBE_SIZES.into_iter().enumerate() {
             let key = size_key(vpn, size);
             let range = self.set_range(key);
             for e in &mut self.entries[range] {
                 if e.valid && e.size == size && e.vpn == key {
                     e.valid = false;
+                    self.resident[slot] -= 1;
                 }
             }
         }
@@ -625,6 +656,13 @@ mod tests {
     #[should_panic(expected = "multiple of ways")]
     fn bad_geometry_rejected() {
         let _ = Tlb::new(10, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be a power of two")]
+    fn non_power_of_two_set_count_rejected() {
+        // 24 entries, 4 ways: six sets, which a mask cannot index.
+        let _ = Tlb::new(24, 4);
     }
 
     #[test]

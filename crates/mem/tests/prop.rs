@@ -1,7 +1,9 @@
 //! Randomized tests over the paging and TLB substrate: arbitrary
 //! map/unmap sequences keep the page tables consistent with a shadow
-//! model, the MMU (TLB + walker) always agrees with a direct walk, and
-//! the no-VM backend's segment table always agrees with the tree.
+//! model, the MMU (TLB + walker) always agrees with a direct walk, the
+//! no-VM backend's segment table always agrees with the tree, and the
+//! TLB's masked, size-skipping probe behaves exactly like the plain
+//! divide-and-probe-every-size TLB it replaced.
 //!
 //! Cases are generated from fixed seeds with [`SimRng`], so every run
 //! explores the same sequences and any failure replays exactly.
@@ -10,7 +12,9 @@ use std::collections::HashMap;
 
 use sjmp_mem::cost::{CostModel, CycleClock};
 use sjmp_mem::paging::{self, PteFlags};
-use sjmp_mem::{Access, Asid, Backend, MemError, Mmu, PageSize, Pfn, PhysMem, VirtAddr};
+use sjmp_mem::{
+    Access, Asid, Backend, MemError, Mmu, PageSize, Pfn, PhysAddr, PhysMem, Tlb, VirtAddr, Vpn,
+};
 use sjmp_sim::SimRng;
 
 #[derive(Debug, Clone)]
@@ -330,5 +334,305 @@ fn tlb_never_contradicts_the_page_tables() {
                 mmu.flush_tlb();
             }
         }
+    }
+}
+
+/// The TLB before set masking and per-size resident counts, kept as the
+/// reference model: the set index is `vpn % sets` and every lookup and
+/// page flush probes all three page sizes.
+mod reference {
+    use sjmp_mem::paging::PteFlags;
+    use sjmp_mem::{Asid, PageSize, PhysAddr, TlbStats, Vpn};
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct TlbEntry {
+        valid: bool,
+        asid: Asid,
+        global: bool,
+        vpn: Vpn,
+        frame_base: PhysAddr,
+        flags: PteFlags,
+        size: PageSize,
+        stamp: u64,
+    }
+
+    const PROBE_SIZES: [PageSize; 3] = [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G];
+
+    #[inline]
+    fn size_key(vpn: Vpn, size: PageSize) -> Vpn {
+        Vpn(vpn.0 & !(size.base_pages() - 1))
+    }
+
+    #[derive(Debug, Clone)]
+    pub struct RefTlb {
+        entries: Vec<TlbEntry>,
+        sets: usize,
+        ways: usize,
+        tick: u64,
+        stats: TlbStats,
+    }
+
+    impl RefTlb {
+        pub fn new(entries: usize, ways: usize) -> Self {
+            assert!(
+                ways > 0 && entries > 0 && entries.is_multiple_of(ways),
+                "entries must be a multiple of ways"
+            );
+            RefTlb {
+                entries: vec![TlbEntry::default(); entries],
+                sets: entries / ways,
+                ways,
+                tick: 0,
+                stats: TlbStats::default(),
+            }
+        }
+
+        pub fn stats(&self) -> TlbStats {
+            self.stats
+        }
+
+        #[inline]
+        fn set_range(&self, vpn: Vpn) -> std::ops::Range<usize> {
+            let set = (vpn.0 as usize) % self.sets;
+            let start = set * self.ways;
+            start..start + self.ways
+        }
+
+        pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> Option<(PhysAddr, PteFlags, PageSize)> {
+            self.tick += 1;
+            let tick = self.tick;
+            for size in PROBE_SIZES {
+                let key = size_key(vpn, size);
+                let range = self.set_range(key);
+                for e in &mut self.entries[range] {
+                    if e.valid && e.size == size && e.vpn == key && (e.global || e.asid == asid) {
+                        e.stamp = tick;
+                        self.stats.hits += 1;
+                        return Some((e.frame_base, e.flags, e.size));
+                    }
+                }
+            }
+            self.stats.misses += 1;
+            None
+        }
+
+        pub fn insert(
+            &mut self,
+            asid: Asid,
+            vpn: Vpn,
+            frame_base: PhysAddr,
+            flags: PteFlags,
+            global: bool,
+            size: PageSize,
+        ) {
+            self.tick += 1;
+            let tick = self.tick;
+            let key = size_key(vpn, size);
+            let frame_base = PhysAddr::new(frame_base.raw() & !(size.bytes() - 1));
+            let range = self.set_range(key);
+            let set = &mut self.entries[range];
+            if let Some(e) = set
+                .iter_mut()
+                .find(|e| e.valid && e.vpn == key && e.size == size && e.asid == asid)
+            {
+                e.frame_base = frame_base;
+                e.flags = flags;
+                e.global = global;
+                e.stamp = tick;
+                return;
+            }
+            let victim = if let Some(free) = set.iter_mut().find(|e| !e.valid) {
+                free
+            } else {
+                self.stats.evictions += 1;
+                set.iter_mut().min_by_key(|e| e.stamp).expect("ways > 0")
+            };
+            *victim = TlbEntry {
+                valid: true,
+                asid,
+                global,
+                vpn: key,
+                frame_base,
+                flags,
+                size,
+                stamp: tick,
+            };
+            self.stats.insertions += 1;
+        }
+
+        pub fn flush_nonglobal(&mut self) {
+            self.stats.flushes += 1;
+            for e in &mut self.entries {
+                if e.valid && !e.global {
+                    e.valid = false;
+                }
+            }
+        }
+
+        pub fn flush_asid(&mut self, asid: Asid) {
+            self.stats.asid_flushes += 1;
+            for e in &mut self.entries {
+                if e.valid && e.asid == asid && !e.global {
+                    e.valid = false;
+                }
+            }
+        }
+
+        pub fn flush_page(&mut self, vpn: Vpn) {
+            for size in PROBE_SIZES {
+                let key = size_key(vpn, size);
+                let range = self.set_range(key);
+                for e in &mut self.entries[range] {
+                    if e.valid && e.size == size && e.vpn == key {
+                        e.valid = false;
+                    }
+                }
+            }
+        }
+
+        pub fn occupancy(&self) -> usize {
+            self.entries.iter().filter(|e| e.valid).count()
+        }
+
+        pub fn reach_bytes(&self) -> u64 {
+            self.entries
+                .iter()
+                .filter(|e| e.valid)
+                .map(|e| e.size.bytes())
+                .sum()
+        }
+
+        /// Valid entries of `size`, counted from the entry array.
+        pub fn recount(&self, size: PageSize) -> usize {
+            self.entries
+                .iter()
+                .filter(|e| e.valid && e.size == size)
+                .count()
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum TlbOp {
+    Insert {
+        asid: Asid,
+        vpn: Vpn,
+        base: PhysAddr,
+        flags: PteFlags,
+        global: bool,
+        size: PageSize,
+    },
+    Lookup {
+        asid: Asid,
+        vpn: Vpn,
+    },
+    FlushNonGlobal,
+    FlushAsid(Asid),
+    FlushPage(Vpn),
+}
+
+/// A page number that lands in one of a few 1 GiB and 2 MiB regions, so
+/// keys of different sizes share sets and cover each other.
+fn tlb_vpn(rng: &mut SimRng) -> Vpn {
+    let gib = PageSize::Size1G.base_pages();
+    let mib = PageSize::Size2M.base_pages();
+    Vpn(rng.gen_range(0..3) * gib + rng.gen_range(0..4) * mib + rng.gen_range(0..24))
+}
+
+fn tlb_op(rng: &mut SimRng) -> TlbOp {
+    let asid = Asid(rng.gen_range(0..4) as u16);
+    match rng.gen_range(0..20) {
+        0..=7 => TlbOp::Insert {
+            asid,
+            vpn: tlb_vpn(rng),
+            base: PhysAddr::new(rng.gen_range(0..1 << 20) << 12),
+            flags: [
+                PteFlags::PRESENT,
+                PteFlags::PRESENT | PteFlags::WRITABLE,
+                PteFlags::PRESENT | PteFlags::USER,
+            ][rng.index(3)],
+            global: rng.gen_bool(0.15),
+            size: [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G]
+                [[0, 0, 0, 0, 1, 1, 2][rng.index(7)]],
+        },
+        8..=16 => TlbOp::Lookup {
+            asid,
+            vpn: tlb_vpn(rng),
+        },
+        17 => TlbOp::FlushNonGlobal,
+        18 => TlbOp::FlushAsid(asid),
+        _ => TlbOp::FlushPage(tlb_vpn(rng)),
+    }
+}
+
+#[test]
+fn masked_tlb_matches_the_reference_tlb() {
+    for seed in 0..40u64 {
+        let mut rng = SimRng::seed_from_u64(seed ^ 0x7eb);
+        let (entries, ways) = [(4, 4), (8, 2), (16, 4), (64, 4), (32, 8)][seed as usize % 5];
+        let mut tlb = Tlb::new(entries, ways);
+        let mut reference = reference::RefTlb::new(entries, ways);
+        // Every (asid, vpn) ever inserted: the probe set for comparing
+        // the two TLBs' whole contents.
+        let mut keys: Vec<(Asid, Vpn)> = Vec::new();
+        for step in 0..400 {
+            let op = tlb_op(&mut rng);
+            let at = format!("seed {seed} step {step} {op:?}");
+            match op {
+                TlbOp::Insert {
+                    asid,
+                    vpn,
+                    base,
+                    flags,
+                    global,
+                    size,
+                } => {
+                    tlb.insert(asid, vpn, base, flags, global, size);
+                    reference.insert(asid, vpn, base, flags, global, size);
+                    if !keys.contains(&(asid, vpn)) {
+                        keys.push((asid, vpn));
+                    }
+                }
+                TlbOp::Lookup { asid, vpn } => {
+                    assert_eq!(tlb.lookup(asid, vpn), reference.lookup(asid, vpn), "{at}");
+                }
+                TlbOp::FlushNonGlobal => {
+                    tlb.flush_nonglobal();
+                    reference.flush_nonglobal();
+                }
+                TlbOp::FlushAsid(asid) => {
+                    tlb.flush_asid(asid);
+                    reference.flush_asid(asid);
+                }
+                TlbOp::FlushPage(vpn) => {
+                    tlb.flush_page(vpn);
+                    reference.flush_page(vpn);
+                }
+            }
+            assert_eq!(tlb.stats(), reference.stats(), "{at}");
+            assert_eq!(tlb.occupancy(), reference.occupancy(), "{at}");
+            assert_eq!(tlb.reach_bytes(), reference.reach_bytes(), "{at}");
+            for size in [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G] {
+                assert_eq!(tlb.resident(size), reference.recount(size), "{at} {size}");
+            }
+            if matches!(op, TlbOp::Lookup { .. }) {
+                continue;
+            }
+            // Same contents: every key ever inserted resolves alike. The
+            // probes run on clones, so they leave the LRU stamps that
+            // pick the next victim untouched.
+            let (mut t, mut r) = (tlb.clone(), reference.clone());
+            for &(asid, vpn) in &keys {
+                assert_eq!(
+                    t.lookup(asid, vpn),
+                    r.lookup(asid, vpn),
+                    "{at} probe {vpn:?}"
+                );
+            }
+        }
+        assert!(
+            tlb.stats().evictions > 0,
+            "seed {seed}: the stream must evict"
+        );
     }
 }

@@ -1703,6 +1703,23 @@ impl Kernel {
         unreachable!("fault_in_with_reclaim loop always returns");
     }
 
+    /// A view of `pid`'s memory that resolves the process's core once,
+    /// so a batch of loads and stores through it (an allocator call, a
+    /// record append) pays one process-table lookup instead of one per
+    /// word. [`Self::load_u64`] and its siblings are one-access views.
+    ///
+    /// # Errors
+    ///
+    /// [`OsError::NoSuchProcess`] for unknown pids.
+    pub fn proc_mem(&mut self, pid: Pid) -> OsResult<ProcMem<'_>> {
+        let core = self.process(pid)?.core();
+        Ok(ProcMem {
+            kernel: self,
+            pid,
+            core,
+        })
+    }
+
     /// Reads a `u64` at `va` in `pid`'s current space, faulting pages in
     /// as needed — the convenience load path for workloads.
     ///
@@ -1710,17 +1727,7 @@ impl Kernel {
     ///
     /// Unresolvable faults.
     pub fn load_u64(&mut self, pid: Pid, va: VirtAddr) -> OsResult<u64> {
-        loop {
-            let (mmu, phys) = self.mem_of(pid)?;
-            match mmu.read_u64(phys, va) {
-                Ok(v) => {
-                    self.trace_mem_access(pid, va, EventKind::MemRead);
-                    return Ok(v);
-                }
-                Err(MemError::PageFault { .. }) => self.handle_fault(pid, va, Access::Read)?,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        self.proc_mem(pid)?.load_u64(va)
     }
 
     /// Writes a `u64` at `va` in `pid`'s current space, faulting pages in
@@ -1730,31 +1737,7 @@ impl Kernel {
     ///
     /// Unresolvable faults.
     pub fn store_u64(&mut self, pid: Pid, va: VirtAddr, value: u64) -> OsResult<()> {
-        loop {
-            let (mmu, phys) = self.mem_of(pid)?;
-            match mmu.write_u64(phys, va, value) {
-                Ok(()) => {
-                    self.trace_mem_access(pid, va, EventKind::MemWrite);
-                    return Ok(());
-                }
-                Err(MemError::PageFault { .. }) => self.handle_fault(pid, va, Access::Write)?,
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Records a committed word access for replay analysis. Only global
-    /// (shared-segment) addresses are recorded — private traffic cannot
-    /// race across processes and would swamp the ring — and recording
-    /// charges no modeled cycles, preserving the zero-cost-tracing
-    /// invariant.
-    fn trace_mem_access(&mut self, pid: Pid, va: VirtAddr, kind: EventKind) {
-        if !self.tracer.enabled() || va < GLOBAL_LO || va >= GLOBAL_HI {
-            return;
-        }
-        let Ok(ctx) = self.ctx_of(pid) else { return };
-        self.tracer
-            .instant(self.now_on(ctx), ctx.core as u32, kind, va.raw(), pid.0);
+        self.proc_mem(pid)?.store_u64(va, value)
     }
 
     /// Reads `buf.len()` bytes at `va` in `pid`'s current space, faulting
@@ -1764,16 +1747,7 @@ impl Kernel {
     ///
     /// Unresolvable faults.
     pub fn load_bytes(&mut self, pid: Pid, va: VirtAddr, buf: &mut [u8]) -> OsResult<()> {
-        loop {
-            let (mmu, phys) = self.mem_of(pid)?;
-            match mmu.read_bytes(phys, va, buf) {
-                Ok(()) => return Ok(()),
-                Err(MemError::PageFault { va: fva, .. }) => {
-                    self.handle_fault(pid, fva, Access::Read)?
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        self.proc_mem(pid)?.load_bytes(va, buf)
     }
 
     /// Writes `buf` at `va` in `pid`'s current space, faulting pages in
@@ -1783,16 +1757,7 @@ impl Kernel {
     ///
     /// Unresolvable faults.
     pub fn store_bytes(&mut self, pid: Pid, va: VirtAddr, buf: &[u8]) -> OsResult<()> {
-        loop {
-            let (mmu, phys) = self.mem_of(pid)?;
-            match mmu.write_bytes(phys, va, buf) {
-                Ok(()) => return Ok(()),
-                Err(MemError::PageFault { va: fva, .. }) => {
-                    self.handle_fault(pid, fva, Access::Write)?
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        self.proc_mem(pid)?.store_bytes(va, buf)
     }
 
     // ---- switching ---------------------------------------------------------
@@ -2674,6 +2639,101 @@ impl Kernel {
     }
 }
 
+/// One process's memory, borrowed from the kernel by
+/// [`Kernel::proc_mem`]: loads and stores in the process's current
+/// address space, through the MMU of the core it is pinned to.
+///
+/// This is the kernel's one word-access path. Every access translates
+/// and charges exactly as [`Mmu::read_u64`] and friends do; a page fault
+/// runs [`Kernel::handle_fault`] and retries the whole access, and a
+/// committed shared-segment word access is recorded in the trace.
+#[derive(Debug)]
+pub struct ProcMem<'k> {
+    kernel: &'k mut Kernel,
+    pid: Pid,
+    core: usize,
+}
+
+impl ProcMem<'_> {
+    /// Reads a `u64` at `va`, faulting pages in as needed.
+    ///
+    /// # Errors
+    ///
+    /// Unresolvable faults.
+    pub fn load_u64(&mut self, va: VirtAddr) -> OsResult<u64> {
+        let v = self.access(Access::Read, |mmu, phys| mmu.read_u64(phys, va))?;
+        self.trace_word(va, EventKind::MemRead);
+        Ok(v)
+    }
+
+    /// Writes a `u64` at `va`, faulting pages in as needed.
+    ///
+    /// # Errors
+    ///
+    /// Unresolvable faults.
+    pub fn store_u64(&mut self, va: VirtAddr, value: u64) -> OsResult<()> {
+        self.access(Access::Write, |mmu, phys| mmu.write_u64(phys, va, value))?;
+        self.trace_word(va, EventKind::MemWrite);
+        Ok(())
+    }
+
+    /// Reads `buf.len()` bytes at `va`, faulting pages in as needed.
+    ///
+    /// # Errors
+    ///
+    /// Unresolvable faults.
+    pub fn load_bytes(&mut self, va: VirtAddr, buf: &mut [u8]) -> OsResult<()> {
+        self.access(Access::Read, |mmu, phys| mmu.read_bytes(phys, va, buf))
+    }
+
+    /// Writes `buf` at `va`, faulting pages in as needed.
+    ///
+    /// # Errors
+    ///
+    /// Unresolvable faults.
+    pub fn store_bytes(&mut self, va: VirtAddr, buf: &[u8]) -> OsResult<()> {
+        self.access(Access::Write, |mmu, phys| mmu.write_bytes(phys, va, buf))
+    }
+
+    /// Runs `op` on the core's MMU until it stops page-faulting: each
+    /// fault is handled at the faulting address and the whole `op`
+    /// retried. The pid is resolved again after every handled fault, so
+    /// a retry never runs for a process that has gone away.
+    fn access<T>(
+        &mut self,
+        access: Access,
+        mut op: impl FnMut(&mut Mmu, &mut PhysMem) -> Result<T, MemError>,
+    ) -> OsResult<T> {
+        loop {
+            let k = &mut *self.kernel;
+            match op(k.machine.mmu_mut(self.core), &mut k.phys) {
+                Ok(v) => return Ok(v),
+                Err(MemError::PageFault { va, .. }) => {
+                    self.kernel
+                        .handle_fault_on(CoreCtx::new(self.core), self.pid, va, access)?;
+                    self.core = self.kernel.process(self.pid)?.core();
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// Records a committed word access for replay analysis. Only global
+    /// (shared-segment) addresses are recorded — private traffic cannot
+    /// race across processes and would swamp the ring — and recording
+    /// charges no modeled cycles, preserving the zero-cost-tracing
+    /// invariant.
+    fn trace_word(&self, va: VirtAddr, kind: EventKind) {
+        let k = &*self.kernel;
+        if !k.tracer.enabled() || va < GLOBAL_LO || va >= GLOBAL_HI {
+            return;
+        }
+        let ctx = CoreCtx::new(self.core);
+        k.tracer
+            .instant(k.now_on(ctx), ctx.core as u32, kind, va.raw(), self.pid.0);
+    }
+}
+
 /// Kernel-side interposition on snapshot-disk IO: every block read,
 /// write, and flush barrier issued by [`SnapshotStore`] is charged to
 /// the executing core, wrapped in a trace span, and (for writes and
@@ -3244,6 +3304,84 @@ mod tests {
         )
         .unwrap();
         (pid, va)
+    }
+
+    /// Everything a batch of accesses can move: the values it read, the
+    /// per-core clocks, each core's MMU and TLB counters, and the kernel
+    /// counters.
+    type BatchOutcome = (
+        Vec<u64>,
+        Vec<u8>,
+        Vec<u64>,
+        Vec<(MmuStats, TlbStats)>,
+        KernelStats,
+    );
+
+    /// Runs one batch of word and byte accesses on a fresh kernel, either
+    /// through a single [`Kernel::proc_mem`] view or through per-call
+    /// `Kernel` methods. The batch first-touches demand pages as it goes,
+    /// so faults are handled midway through the view's life.
+    fn run_batch(one_view: bool) -> BatchOutcome {
+        let mut k = kernel();
+        k.spawn("idle", user()).unwrap();
+        let (pid, va) = pressured_setup(&mut k, 4);
+        assert_eq!(k.ctx_of(pid).unwrap().core, 1, "the batch runs off core 0");
+        let bytes: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
+        let straddle = va.add(2 * PAGE_SIZE - 100);
+        let mut back = vec![0u8; bytes.len()];
+        let mut words = Vec::new();
+        if one_view {
+            let mut m = k.proc_mem(pid).unwrap();
+            m.store_u64(va, 11).unwrap();
+            m.store_bytes(straddle, &bytes).unwrap();
+            m.store_u64(va.add(8), 12).unwrap();
+            for i in 0..4 {
+                words.push(m.load_u64(va.add(i * PAGE_SIZE)).unwrap());
+            }
+            m.load_bytes(straddle, &mut back).unwrap();
+        } else {
+            k.store_u64(pid, va, 11).unwrap();
+            k.store_bytes(pid, straddle, &bytes).unwrap();
+            k.store_u64(pid, va.add(8), 12).unwrap();
+            for i in 0..4 {
+                words.push(k.load_u64(pid, va.add(i * PAGE_SIZE)).unwrap());
+            }
+            k.load_bytes(pid, straddle, &mut back).unwrap();
+        }
+        assert_eq!(back, bytes);
+        let mmus = k
+            .machine()
+            .mmus()
+            .iter()
+            .map(|m| (m.stats(), m.tlb_stats()))
+            .collect();
+        (words, back, k.clocks().snapshot(), mmus, k.stats())
+    }
+
+    #[test]
+    fn proc_mem_batch_matches_per_call_accesses() {
+        let batch = run_batch(true);
+        let at_2p = u64::from_le_bytes(batch.1[100..108].try_into().unwrap());
+        assert_eq!(batch.0, vec![11, 0, at_2p, 0]);
+        assert_eq!(
+            batch.4.faults_handled, 4,
+            "every page's first touch faults, inside the view's life"
+        );
+        assert_eq!(batch, run_batch(false));
+    }
+
+    #[test]
+    fn proc_mem_of_an_unknown_or_exited_pid_is_no_such_process() {
+        let mut k = kernel();
+        assert!(matches!(k.proc_mem(Pid(42)), Err(OsError::NoSuchProcess)));
+        let pid = k.spawn("p", user()).unwrap();
+        k.activate(pid).unwrap();
+        k.exit(pid).unwrap();
+        assert!(matches!(k.proc_mem(pid), Err(OsError::NoSuchProcess)));
+        assert!(matches!(
+            k.load_u64(pid, VirtAddr::new(STACK_TOP.raw() - 8)),
+            Err(OsError::NoSuchProcess)
+        ));
     }
 
     #[test]

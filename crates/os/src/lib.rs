@@ -47,8 +47,8 @@ pub use caps::{CSpace, CapKind, CapRights, CapSlot, Capability, ObjClass};
 pub use error::{CapError, OsError};
 pub use fault::{FaultOutcome, FaultPlan, FaultSite, FaultStats};
 pub use kernel::{
-    Kernel, KernelSnapshot, KernelStats, OsResult, PhysStats, PressureLevel, GLOBAL_HI, GLOBAL_LO,
-    PRIVATE_HI, PRIVATE_LO,
+    Kernel, KernelSnapshot, KernelStats, OsResult, PhysStats, PressureLevel, ProcMem, GLOBAL_HI,
+    GLOBAL_LO, PRIVATE_HI, PRIVATE_LO,
 };
 pub use process::{Pid, Process};
 pub use sjmp_mem::cost::CoreCtx;

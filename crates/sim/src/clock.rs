@@ -7,8 +7,8 @@
 //! it executes on. A machine is a set of such clocks ([`CoreClocks`]);
 //! global wall time is their maximum, total CPU time their sum.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// The hardware thread a piece of work executes on.
 ///
@@ -41,9 +41,11 @@ impl std::fmt::Display for CoreCtx {
 /// One hardware thread's simulated cycle counter.
 ///
 /// Clones share the same counter, so the MMU, the kernel, and workloads
-/// can all charge cycles to one core's timeline. The counter is atomic,
-/// making the clock `Send + Sync` for multi-threaded tests, but the
-/// simulation itself is logically single-timeline per core.
+/// can all charge cycles to one core's timeline. The counter is a plain
+/// shared cell: the whole simulation runs on one host thread, so the
+/// clock is neither `Send` nor `Sync`, and charging cycles is an ordinary
+/// add. Running simulated cores on parallel host threads would have to
+/// revisit this type.
 ///
 /// # Examples
 ///
@@ -55,36 +57,36 @@ impl std::fmt::Display for CoreCtx {
 /// assert_eq!(view.now(), 100);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct CycleClock(Arc<AtomicU64>);
+pub struct CycleClock(Rc<Cell<u64>>);
 
 impl CycleClock {
     /// Creates a clock at cycle zero.
     pub fn new() -> Self {
-        CycleClock(Arc::new(AtomicU64::new(0)))
+        CycleClock::default()
     }
 
     /// Current simulated cycle.
     #[inline]
     pub fn now(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 
-    /// Advances the clock by `cycles`.
+    /// Advances the clock by `cycles` (wrapping on overflow).
     #[inline]
     pub fn advance(&self, cycles: u64) {
-        self.0.fetch_add(cycles, Ordering::Relaxed);
+        self.0.set(self.0.get().wrapping_add(cycles));
     }
 
     /// Jumps the clock forward to `t` if it is behind (a blocked core
     /// waiting for work that finishes at `t`). Never moves time backwards.
     #[inline]
     pub fn catch_up(&self, t: u64) {
-        self.0.fetch_max(t, Ordering::Relaxed);
+        self.0.set(self.0.get().max(t));
     }
 
     /// Resets the clock to zero (useful between benchmark phases).
     pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
+        self.0.set(0);
     }
 
     /// Cycles elapsed since `start`.

@@ -9,7 +9,9 @@
 
 use spacejmp::gups::{self, GupsConfig};
 use spacejmp::kv::{run_classic, run_jmp as kv_run_jmp, KvBenchConfig};
+use spacejmp::os::{KernelSnapshot, OsError};
 use spacejmp::prelude::*;
+use spacejmp::trace::{Event, Tracer};
 
 /// Spawns a process, gives it a one-segment VAS at `va`, and switches it
 /// in. With two spawns this exercises two distinct cores.
@@ -151,4 +153,102 @@ fn identical_multicore_runs_are_bit_identical() {
         assert_eq!(x.secs.to_bits(), y.secs.to_bits());
         assert_eq!(x.rps.to_bits(), y.rps.to_bits());
     }
+}
+
+/// One traced batch of word and byte accesses by a worker pinned to a
+/// core other than 0, in its switched-in segment, either through one
+/// `Kernel::proc_mem` view or through per-call `Kernel` methods. Returns
+/// the values read, the per-core clocks, every core's MMU and TLB
+/// counters, the consolidated snapshot and the trace.
+fn traced_batch(one_view: bool) -> (Vec<u64>, Vec<u64>, String, KernelSnapshot, Vec<Event>) {
+    let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::DragonFly, MachineId::M2));
+    let tracer = Tracer::new(1 << 14);
+    sj.set_tracer(tracer.clone());
+    let va = VirtAddr::new(0x1000_0000_0000);
+    let page = 4096;
+    let _ = switched_in_worker(&mut sj, "w0", va);
+    // Worker 1 runs on core 1 in a demand-paged segment: pages 0-1 are
+    // touched and then swapped out, the rest are never touched, so the
+    // batch below takes both major and first-touch faults.
+    let pid = sj
+        .kernel_mut()
+        .spawn("w1", Creds::new(1, 1))
+        .expect("spawn");
+    sj.kernel_mut().activate(pid).expect("activate");
+    let vid = sj.vas_create(pid, "w1-v", Mode(0o660)).expect("vas");
+    let sid = sj
+        .seg_alloc_swappable(pid, "w1-s", va, 16 * page, Mode(0o660))
+        .expect("seg");
+    sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite)
+        .expect("seg attach");
+    let vh = sj.vas_attach(pid, vid).expect("vas attach");
+    sj.vas_switch(pid, vh).expect("switch");
+    assert_eq!(sj.kernel().ctx_of(pid).expect("ctx").core, 1);
+    sj.kernel_mut().store_u64(pid, va, 1).expect("warm");
+    sj.kernel_mut()
+        .store_u64(pid, va.add(page), 2)
+        .expect("warm");
+    sj.kernel_mut().sys_reclaim(64);
+    let before = sj.kernel().stats();
+    let blob: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+    let mut back = vec![0u8; blob.len()];
+    let mut words = Vec::new();
+    let k = sj.kernel_mut();
+    if one_view {
+        let mut m = k.proc_mem(pid).expect("view");
+        m.store_u64(va.add(8), 7).expect("store");
+        m.store_u64(va.add(3 * page), 9).expect("first touch");
+        m.store_bytes(va.add(5 * page - 64), &blob).expect("bytes");
+        for i in 0..8 {
+            words.push(m.load_u64(va.add(i * page)).expect("load"));
+        }
+        m.load_bytes(va.add(5 * page - 64), &mut back)
+            .expect("bytes");
+    } else {
+        k.store_u64(pid, va.add(8), 7).expect("store");
+        k.store_u64(pid, va.add(3 * page), 9).expect("first touch");
+        k.store_bytes(pid, va.add(5 * page - 64), &blob)
+            .expect("bytes");
+        for i in 0..8 {
+            words.push(k.load_u64(pid, va.add(i * page)).expect("load"));
+        }
+        k.load_bytes(pid, va.add(5 * page - 64), &mut back)
+            .expect("bytes");
+    }
+    assert_eq!(back, blob);
+    let after = k.stats();
+    assert!(
+        after.faults_handled >= before.faults_handled + 6,
+        "first touches fault in the middle of the batch"
+    );
+    assert_eq!(after.major_faults, before.major_faults + 2, "swap-ins");
+    let per_core: Vec<String> = k
+        .machine()
+        .mmus()
+        .iter()
+        .map(|m| format!("{:?} {:?}", m.stats(), m.tlb_stats()))
+        .collect();
+    (
+        words,
+        k.clocks().snapshot(),
+        per_core.join("\n"),
+        k.stats_snapshot(),
+        tracer.events(),
+    )
+}
+
+#[test]
+fn one_proc_mem_view_matches_per_call_accesses() {
+    let (words, ..) = traced_batch(true);
+    assert_eq!(&words[..4], &[1, 2, 0, 9], "swapped-in, untouched, stored");
+    assert_eq!(traced_batch(true), traced_batch(false));
+}
+
+#[test]
+fn proc_mem_of_an_unknown_pid_is_a_typed_error() {
+    let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::DragonFly, MachineId::M2));
+    assert!(matches!(
+        sj.kernel_mut().proc_mem(Pid(7)),
+        Err(OsError::NoSuchProcess)
+    ));
 }

@@ -134,7 +134,7 @@ fn unsharded_client_still_works_alongside() {
 
 #[test]
 fn goodput_holds_past_saturation_on_every_machine() {
-    for machine in [MachineId::M1, MachineId::M2, MachineId::M3] {
+    for machine in MachineId::ALL {
         let cfg = OverloadConfig {
             machine,
             requests: 4000,
