@@ -27,6 +27,12 @@
 //! both hold `size | IN_USE`. Free chunks additionally store free-list
 //! `next`/`prev` offsets in their first two payload words. Freeing
 //! coalesces with both neighbours via the boundary tags.
+//!
+//! The metadata sits in memory that every process mapping the area can
+//! write, so the allocator checks each chunk offset and size it reads
+//! before following it, and reports a bad one as
+//! [`AllocError::Corrupt`] instead of touching memory outside the area.
+//! The checks are host-side compares; they read no extra word.
 
 use crate::mem::MemAccess;
 
@@ -41,6 +47,9 @@ pub enum AllocError {
     TooSmall,
     /// `free`/`realloc` called with an invalid pointer.
     BadPointer(u64),
+    /// Allocator metadata read at this offset is impossible: a chunk
+    /// offset or size outside the area, or a free list that never ends.
+    Corrupt(u64),
 }
 
 impl std::fmt::Display for AllocError {
@@ -50,6 +59,7 @@ impl std::fmt::Display for AllocError {
             AllocError::BadMagic => write!(f, "area does not contain an mspace"),
             AllocError::TooSmall => write!(f, "area too small for an mspace"),
             AllocError::BadPointer(p) => write!(f, "invalid pointer {p:#x}"),
+            AllocError::Corrupt(o) => write!(f, "corrupt allocator metadata at offset {o:#x}"),
         }
     }
 }
@@ -66,6 +76,8 @@ const OFF_BINS: u64 = 40;
 const NBINS: u64 = 48;
 // 40 + 48*8 = 424, padded up to the next 16-byte boundary for chunks.
 const HDR_END: u64 = (OFF_BINS + NBINS * 8).next_multiple_of(16);
+/// The first real chunk, after the start sentinel.
+const FIRST_CHUNK: u64 = HDR_END + MIN_CHUNK;
 
 const IN_USE: u64 = 1;
 const SIZE_MASK: u64 = !0xf;
@@ -141,10 +153,9 @@ impl<M: MemAccess> Mspace<M> {
         ms.mem.write_u64(total - 16, 16 | IN_USE);
         ms.mem.write_u64(total - 8, 16 | IN_USE);
         // Main free chunk.
-        let first = HDR_END + MIN_CHUNK;
-        let size = (total - 16) - first;
-        ms.set_header(first, size);
-        ms.bin_push(first, size);
+        let size = (total - 16) - FIRST_CHUNK;
+        ms.set_header(FIRST_CHUNK, size);
+        ms.bin_push(FIRST_CHUNK, size)?;
         Ok(ms)
     }
 
@@ -153,12 +164,16 @@ impl<M: MemAccess> Mspace<M> {
     ///
     /// # Errors
     ///
-    /// [`AllocError::BadMagic`] if the area was not formatted.
+    /// [`AllocError::BadMagic`] if the area was not formatted;
+    /// [`AllocError::Corrupt`] if its recorded size does not fit it.
     pub fn attach(mut mem: M) -> Result<Self, AllocError> {
         if mem.size() < MIN_AREA || mem.read_u64(OFF_MAGIC) != MAGIC {
             return Err(AllocError::BadMagic);
         }
         let total = mem.read_u64(OFF_TOTAL);
+        if total < MIN_AREA || total > mem.size() || !total.is_multiple_of(16) {
+            return Err(AllocError::Corrupt(OFF_TOTAL));
+        }
         Ok(Mspace { mem, total })
     }
 
@@ -184,6 +199,42 @@ impl<M: MemAccess> Mspace<M> {
         self.mem.read_u64(c)
     }
 
+    /// Checks a chunk offset read from a bin head or a free-list link
+    /// before following it: 16-aligned, and a real chunk of the area.
+    fn check_chunk(&self, c: u64) -> Result<u64, AllocError> {
+        if c.is_multiple_of(16) && (FIRST_CHUNK..self.total - 16).contains(&c) {
+            Ok(c)
+        } else {
+            Err(AllocError::Corrupt(c))
+        }
+    }
+
+    /// Checks a free-list link (0 ends the list).
+    fn check_link(&self, c: u64) -> Result<u64, AllocError> {
+        if c == 0 {
+            Ok(0)
+        } else {
+            self.check_chunk(c)
+        }
+    }
+
+    /// Whether a chunk at `c` can have `size` bytes: at least a minimum
+    /// chunk, and ending before the end sentinel.
+    fn size_fits(&self, c: u64, size: u64) -> bool {
+        c < self.total - 16 && size >= MIN_CHUNK && size <= self.total - 16 - c
+    }
+
+    /// The size in free chunk `c`'s header, checked before it is trusted.
+    fn free_size(&mut self, c: u64) -> Result<u64, AllocError> {
+        let h = self.header(c);
+        let size = h & SIZE_MASK;
+        if h & IN_USE == 0 && self.size_fits(c, size) {
+            Ok(size)
+        } else {
+            Err(AllocError::Corrupt(c))
+        }
+    }
+
     fn bin_head(&mut self, idx: usize) -> u64 {
         self.mem.read_u64(OFF_BINS + (idx as u64) * 8)
     }
@@ -192,20 +243,23 @@ impl<M: MemAccess> Mspace<M> {
         self.mem.write_u64(OFF_BINS + (idx as u64) * 8, v);
     }
 
-    fn bin_push(&mut self, c: u64, size: u64) {
+    fn bin_push(&mut self, c: u64, size: u64) -> Result<(), AllocError> {
         let idx = bin_index(size);
         let head = self.bin_head(idx);
+        let head = self.check_link(head)?;
         self.mem.write_u64(c + 8, head); // next
         self.mem.write_u64(c + 16, 0); // prev
         if head != 0 {
             self.mem.write_u64(head + 16, c);
         }
         self.set_bin_head(idx, c);
+        Ok(())
     }
 
-    fn bin_remove(&mut self, c: u64, size: u64) {
+    fn bin_remove(&mut self, c: u64, size: u64) -> Result<(), AllocError> {
         let next = self.mem.read_u64(c + 8);
         let prev = self.mem.read_u64(c + 16);
+        let (next, prev) = (self.check_link(next)?, self.check_link(prev)?);
         if prev == 0 {
             self.set_bin_head(bin_index(size), next);
         } else {
@@ -214,6 +268,7 @@ impl<M: MemAccess> Mspace<M> {
         if next != 0 {
             self.mem.write_u64(next + 16, prev);
         }
+        Ok(())
     }
 
     // -- public allocation API ---------------------------------------------
@@ -222,18 +277,26 @@ impl<M: MemAccess> Mspace<M> {
     ///
     /// # Errors
     ///
-    /// [`AllocError::OutOfMemory`] when no chunk fits.
+    /// [`AllocError::OutOfMemory`] when no chunk fits;
+    /// [`AllocError::Corrupt`] when the free lists are damaged.
     pub fn malloc(&mut self, size: u64) -> Result<u64, AllocError> {
         let want = (size.max(16) + OVERHEAD + 15) & !0xf;
         let mut idx = bin_index(want);
+        // No sound free list holds more chunks than fit in the area, so
+        // a walk past that many is going round a cycle.
+        let mut budget = (self.total - FIRST_CHUNK) / MIN_CHUNK;
         while idx < NBINS as usize {
             let mut c = self.bin_head(idx);
             while c != 0 {
-                let h = self.header(c);
-                let csize = h & SIZE_MASK;
+                c = self.check_chunk(c)?;
+                if budget == 0 {
+                    return Err(AllocError::Corrupt(c));
+                }
+                budget -= 1;
+                let csize = self.free_size(c)?;
                 if csize >= want {
-                    self.bin_remove(c, csize);
-                    self.place(c, csize, want);
+                    self.bin_remove(c, csize)?;
+                    self.place(c, csize, want)?;
                     let live = self.mem.read_u64(OFF_LIVE);
                     self.mem.write_u64(OFF_LIVE, live + want - OVERHEAD);
                     let n = self.mem.read_u64(OFF_COUNT);
@@ -249,15 +312,16 @@ impl<M: MemAccess> Mspace<M> {
 
     /// Splits chunk `c` (free, size `csize`) into a used chunk of `want`
     /// and a free remainder if large enough.
-    fn place(&mut self, c: u64, csize: u64, want: u64) {
+    fn place(&mut self, c: u64, csize: u64, want: u64) -> Result<(), AllocError> {
         if csize - want >= MIN_CHUNK {
             self.set_header(c, want | IN_USE);
             let rest = c + want;
             let rest_size = csize - want;
             self.set_header(rest, rest_size);
-            self.bin_push(rest, rest_size);
+            self.bin_push(rest, rest_size)
         } else {
             self.set_header(c, csize | IN_USE);
+            Ok(())
         }
     }
 
@@ -277,10 +341,14 @@ impl<M: MemAccess> Mspace<M> {
     /// # Errors
     ///
     /// [`AllocError::BadPointer`] for pointers that do not reference a
-    /// live allocation.
+    /// live allocation; [`AllocError::Corrupt`] when a neighbour's
+    /// boundary tag or the free lists are damaged.
     pub fn free(&mut self, ptr: u64) -> Result<(), AllocError> {
         let mut c = ptr.wrapping_sub(8);
-        if ptr < HDR_END + 8 || ptr >= self.total || !ptr.is_multiple_of(8) || !c.is_multiple_of(16)
+        if ptr < FIRST_CHUNK + 8
+            || ptr >= self.total
+            || !ptr.is_multiple_of(8)
+            || !c.is_multiple_of(16)
         {
             return Err(AllocError::BadPointer(ptr));
         }
@@ -289,7 +357,7 @@ impl<M: MemAccess> Mspace<M> {
             return Err(AllocError::BadPointer(ptr));
         }
         let mut size = h & SIZE_MASK;
-        if size < MIN_CHUNK || c + size > self.total - 16 {
+        if !self.size_fits(c, size) {
             return Err(AllocError::BadPointer(ptr));
         }
         let live = self.mem.read_u64(OFF_LIVE);
@@ -302,21 +370,26 @@ impl<M: MemAccess> Mspace<M> {
         let nh = self.header(next);
         if nh & IN_USE == 0 {
             let nsize = nh & SIZE_MASK;
-            self.bin_remove(next, nsize);
+            if !self.size_fits(next, nsize) {
+                return Err(AllocError::Corrupt(next));
+            }
+            self.bin_remove(next, nsize)?;
             size += nsize;
         }
         // Coalesce with previous chunk (via its footer).
         let pf = self.mem.read_u64(c - 8);
         if pf & IN_USE == 0 {
             let psize = pf & SIZE_MASK;
+            if psize < MIN_CHUNK || psize > c - FIRST_CHUNK {
+                return Err(AllocError::Corrupt(c - 8));
+            }
             let prev = c - psize;
-            self.bin_remove(prev, psize);
+            self.bin_remove(prev, psize)?;
             c = prev;
             size += psize;
         }
         self.set_header(c, size);
-        self.bin_push(c, size);
-        Ok(())
+        self.bin_push(c, size)
     }
 
     /// Resizes an allocation, copying contents as needed.
@@ -330,7 +403,7 @@ impl<M: MemAccess> Mspace<M> {
             return Err(AllocError::BadPointer(ptr));
         }
         let h = self.header(c);
-        if h & IN_USE == 0 {
+        if h & IN_USE == 0 || !self.size_fits(c, h & SIZE_MASK) {
             return Err(AllocError::BadPointer(ptr));
         }
         let old_payload = (h & SIZE_MASK) - OVERHEAD;
@@ -354,7 +427,7 @@ impl<M: MemAccess> Mspace<M> {
             return Err(AllocError::BadPointer(ptr));
         }
         let h = self.header(c);
-        if h & IN_USE == 0 {
+        if h & IN_USE == 0 || !self.size_fits(c, h & SIZE_MASK) {
             return Err(AllocError::BadPointer(ptr));
         }
         Ok((h & SIZE_MASK) - OVERHEAD)
@@ -536,9 +609,74 @@ mod tests {
         let p = m.malloc(64).unwrap();
         assert!(m.free(p + 16).is_err(), "interior pointer");
         assert!(m.free(7).is_err(), "header area");
+        assert!(m.free(HDR_END + 8).is_err(), "start sentinel");
         assert!(m.free(1 << 40).is_err(), "out of range");
         m.free(p).unwrap();
         assert!(m.free(p).is_err(), "double free");
+    }
+
+    #[test]
+    fn corrupt_metadata_is_an_error_not_a_panic() {
+        // A freed chunk's `next` link overwritten with garbage.
+        let mut m = ms(64 * 1024);
+        let a = m.malloc(24).unwrap();
+        let _b = m.malloc(24).unwrap();
+        m.free(a).unwrap();
+        m.mem_mut().write_u64(a, 0x0707_0707_0707_0707);
+        assert_eq!(
+            m.malloc(24),
+            Err(AllocError::Corrupt(0x0707_0707_0707_0707))
+        );
+
+        // A misaligned bin head.
+        let mut m = ms(64 * 1024);
+        let head = OFF_BINS + bin_index(48) as u64 * 8;
+        m.mem_mut().write_u64(head, FIRST_CHUNK + 8);
+        assert_eq!(m.malloc(24), Err(AllocError::Corrupt(FIRST_CHUNK + 8)));
+
+        // A free chunk whose size runs past the end of the area, and one
+        // marked in use while on a free list.
+        for bad in [1 << 40, 48 | IN_USE] {
+            let mut m = ms(64 * 1024);
+            let a = m.malloc(24).unwrap();
+            let _b = m.malloc(24).unwrap();
+            m.free(a).unwrap();
+            m.mem_mut().write_u64(a - 8, bad);
+            assert_eq!(m.malloc(24), Err(AllocError::Corrupt(a - 8)), "{bad:#x}");
+        }
+
+        // A free list that loops: a large-bin chunk too small for the
+        // request, linked to itself.
+        let mut m = ms(64 * 1024);
+        let a = m.malloc(1000).unwrap();
+        let _guard = m.malloc(16).unwrap();
+        m.free(a).unwrap();
+        m.mem_mut().write_u64(a, a - 8);
+        assert_eq!(m.malloc(1500), Err(AllocError::Corrupt(a - 8)));
+
+        // A bad `prev` link, met while unlinking the chunk.
+        let mut m = ms(64 * 1024);
+        let a = m.malloc(24).unwrap();
+        let _b = m.malloc(24).unwrap();
+        m.free(a).unwrap();
+        m.mem_mut().write_u64(a + 8, 3);
+        assert_eq!(m.malloc(24), Err(AllocError::Corrupt(3)));
+
+        // A footer claiming a free predecessor larger than the heap.
+        let mut m = ms(64 * 1024);
+        let a = m.malloc(24).unwrap();
+        let b = m.malloc(24).unwrap();
+        m.mem_mut().write_u64(b - 16, 4096);
+        assert_eq!(m.free(b), Err(AllocError::Corrupt(b - 16)));
+        let _ = a;
+
+        // A recorded size larger than the memory behind it.
+        let mut m = ms(4096);
+        m.mem_mut().write_u64(OFF_TOTAL, 1 << 20);
+        assert_eq!(
+            Mspace::attach(m.into_inner()).unwrap_err(),
+            AllocError::Corrupt(OFF_TOTAL)
+        );
     }
 
     #[test]

@@ -251,5 +251,6 @@ fn alloc_err(e: AllocError) -> SjError {
         AllocError::BadMagic => SjError::InvalidArgument("segment holds no heap"),
         AllocError::TooSmall => SjError::InvalidArgument("segment too small for a heap"),
         AllocError::BadPointer(_) => SjError::InvalidArgument("invalid heap pointer"),
+        AllocError::Corrupt(_) => SjError::InvalidArgument("heap metadata is corrupt"),
     }
 }

@@ -185,6 +185,9 @@ pub struct SpaceJmp {
     /// [`SpaceJmp::vas_switch_retry`] calls that gave up) and is removed
     /// when a switch succeeds, deadlock is declared, or it dies.
     waiters: IdMap<Pid, VasHandle>,
+    /// The lock set of the switch in progress, kept between switches so
+    /// a switch allocates nothing.
+    lock_buf: Vec<(SegId, AttachMode)>,
     next_vid: u64,
     next_sid: u64,
     next_vh: u64,
@@ -213,6 +216,7 @@ impl SpaceJmp {
             seg_names: HashMap::new(),
             current: IdMap::default(),
             waiters: IdMap::default(),
+            lock_buf: Vec::new(),
             next_vid: 1,
             next_sid: 1,
             next_vh: 1,
@@ -892,17 +896,33 @@ impl SpaceJmp {
     }
 
     fn vas_switch_inner(&mut self, pid: Pid, vh: VasHandle) -> SjResult<()> {
+        let mut lock_set = std::mem::take(&mut self.lock_buf);
+        lock_set.clear();
+        let r = self.switch_with(pid, vh, &mut lock_set);
+        self.lock_buf = lock_set;
+        r
+    }
+
+    /// The body of [`Self::vas_switch`], collecting the lock set into
+    /// `lock_set` (empty on entry).
+    fn switch_with(
+        &mut self,
+        pid: Pid,
+        vh: VasHandle,
+        lock_set: &mut Vec<(SegId, AttachMode)>,
+    ) -> SjResult<()> {
         let ctx = self.ctx(pid);
         let tracer = self.kernel.tracer().clone();
-        let att = self.attachments.get(&vh).ok_or(SjError::NotFound)?.clone();
+        let att = self.attachments.get(&vh).ok_or(SjError::NotFound)?;
         if att.pid != pid {
             return Err(SjError::BadHandle);
         }
+        let (vid, vmspace, root_cap) = (att.vid, att.vmspace, att.root_cap);
         // Barrelfish: switching replaces the thread's root page table via
         // a checked capability invocation; a revoked capability bars the
         // switch ("revoking the process' root page table prohibits the
         // process from switching into the VAS").
-        if let Some(slot) = att.root_cap {
+        if let Some(slot) = root_cap {
             self.kernel
                 .process(pid)?
                 .cspace()
@@ -917,15 +937,9 @@ impl SpaceJmp {
                 .map_err(|e| SjError::Os(OsError::Cap(e)))?;
         }
         // Collect the lock set for the target VAS.
-        let mut lock_set: Vec<(SegId, AttachMode)> = Vec::new();
-        for (sid, mode) in self.vas(att.vid)?.segments() {
-            if self.segment(*sid)?.lockable() {
-                lock_set.push((*sid, *mode));
-            }
-        }
-        for (sid, mode) in &att.local_segments {
-            if self.segment(*sid)?.lockable() {
-                lock_set.push((*sid, *mode));
+        for &(sid, mode) in self.vas(vid)?.segments().iter().chain(&att.local_segments) {
+            if self.segment(sid)?.lockable() {
+                lock_set.push((sid, mode));
             }
         }
         // Seeded race injection: a `Fail` at the SegLock site *elides*
@@ -951,13 +965,14 @@ impl SpaceJmp {
         });
         // Try-acquire all; roll back on contention. `try_acquire` is
         // re-entrant, so segments also held for the previous VAS succeed
-        // (including upgrades when no other reader is present).
-        let mut acquired = Vec::new();
-        for (sid, mode) in &lock_set {
+        // (including upgrades when no other reader is present). The
+        // locks acquired so far are the first `acquired` of the set.
+        let mut acquired = 0;
+        for &(sid, mode) in lock_set.iter() {
             let lock_cost = self.kernel.cost().lock_uncontended;
-            let seg = self.segment_mut(*sid)?;
-            if seg.lock_mut().try_acquire(pid, *mode) {
-                acquired.push(*sid);
+            let seg = self.segment_mut(sid)?;
+            if seg.lock_mut().try_acquire(pid, mode) {
+                acquired += 1;
                 self.kernel.clocks().advance(ctx.core, lock_cost);
                 tracer.instant(
                     self.now_on(ctx),
@@ -974,7 +989,7 @@ impl SpaceJmp {
                     sid.0,
                     pid.0,
                 );
-                for a in acquired {
+                for &(a, _) in &lock_set[..acquired] {
                     // Roll back: restore the hold the previous VAS needs,
                     // or release entirely.
                     match self.previous_mode(pid, a) {
@@ -989,14 +1004,14 @@ impl SpaceJmp {
                 return Err(SjError::WouldBlock);
             }
         }
-        self.stats.lock_acquisitions += acquired.len() as u64;
+        self.stats.lock_acquisitions += acquired as u64;
         // Load the new translation root *before* touching the previous
         // VAS's lock holds: a mid-switch kernel fault then unwinds exactly
         // like contention. If the process crashed inside the kernel, its
         // corpse keeps every lock it holds until `reap_process` runs.
-        if let Err(e) = self.kernel.switch_vmspace(pid, att.vmspace) {
+        if let Err(e) = self.kernel.switch_vmspace(pid, vmspace) {
             if e != OsError::Crashed {
-                for a in acquired {
+                for &(a, _) in &lock_set[..acquired] {
                     match self.previous_mode(pid, a) {
                         Some(prev) => self.segment_mut(a)?.lock_mut().downgrade_to(pid, prev),
                         None => self.segment_mut(a)?.lock_mut().release(pid),
@@ -1007,9 +1022,9 @@ impl SpaceJmp {
         }
         // Release locks of the VAS we are leaving (those not re-acquired),
         // and narrow re-acquired holds to the new mode.
-        self.release_current_locks(pid, &lock_set)?;
-        for (sid, mode) in &lock_set {
-            self.segment_mut(*sid)?.lock_mut().downgrade_to(pid, *mode);
+        self.release_current_locks(pid, lock_set)?;
+        for &(sid, mode) in lock_set.iter() {
+            self.segment_mut(sid)?.lock_mut().downgrade_to(pid, mode);
         }
         self.current.insert(pid, vh);
         self.waiters.remove(&pid);
@@ -1019,7 +1034,7 @@ impl SpaceJmp {
             ctx.core as u32,
             EventKind::VasEnter,
             pid.0,
-            att.vid.0,
+            vid.0,
         );
         Ok(())
     }
@@ -2230,30 +2245,26 @@ impl SpaceJmp {
 
     /// Releases locks held for the current VAS, except those in `keep`.
     fn release_current_locks(&mut self, pid: Pid, keep: &[(SegId, AttachMode)]) -> SjResult<()> {
-        let Some(vh) = self.current.get(&pid).copied() else {
-            return Ok(());
-        };
-        let Some(att) = self.attachments.get(&vh).cloned() else {
-            return Ok(());
-        };
         let ctx = self.ctx(pid);
-        let tracer = self.kernel.tracer().clone();
-        let mut held: Vec<SegId> = Vec::new();
-        if let Some(v) = self.vases.get(&att.vid) {
-            held.extend(v.segments().iter().map(|(s, _)| *s));
-        }
-        held.extend(att.local_segments.iter().map(|(s, _)| *s));
-        for sid in held {
-            if keep.iter().any(|(k, _)| *k == sid) {
+        let Some(att) = self
+            .current
+            .get(&pid)
+            .and_then(|vh| self.attachments.get(vh))
+        else {
+            return Ok(());
+        };
+        let vas_segments = self.vases.get(&att.vid).map_or(&[][..], |v| v.segments());
+        for &(sid, _) in vas_segments.iter().chain(&att.local_segments) {
+            if keep.iter().any(|&(k, _)| k == sid) {
                 continue;
             }
             if let Some(seg) = self.segments.get_mut(&sid) {
                 let lock = seg.lock_mut();
-                let held = lock.writer() == Some(pid) || lock.readers().contains(&pid);
+                let held = lock.held_by(pid);
                 lock.release(pid);
                 if held {
-                    tracer.instant(
-                        self.now_on(ctx),
+                    self.kernel.tracer().instant(
+                        self.kernel.clocks().now_on(ctx.core),
                         ctx.core as u32,
                         EventKind::LockRelease,
                         sid.0,

@@ -15,7 +15,7 @@
 //! parameter on mutating operations.
 
 use sjmp_mem::VirtAddr;
-use sjmp_os::Pid;
+use sjmp_os::{Pid, ProcMem};
 use spacejmp_core::{SjError, SjResult, SpaceJmp, VasHeap};
 
 /// Initial bucket count (power of two).
@@ -82,10 +82,10 @@ impl SegDict {
     pub fn create(sj: &mut SpaceJmp, pid: Pid, heap: VasHeap) -> SjResult<SegDict> {
         let header = heap.calloc(sj, pid, HEADER_SIZE)?;
         let table0 = heap.calloc(sj, pid, INITIAL_BUCKETS * 8)?;
-        let k = sj.kernel_mut();
-        k.store_u64(pid, header.add(H_T0), table0.raw())?;
-        k.store_u64(pid, header.add(H_CAP0), INITIAL_BUCKETS)?;
-        k.store_u64(pid, header.add(H_REHASH), NOT_REHASHING)?;
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        m.store_u64(header.add(H_T0), table0.raw())?;
+        m.store_u64(header.add(H_CAP0), INITIAL_BUCKETS)?;
+        m.store_u64(header.add(H_REHASH), NOT_REHASHING)?;
         heap.set_root(sj, pid, header)?;
         Ok(SegDict { heap, header })
     }
@@ -113,8 +113,8 @@ impl SegDict {
     ///
     /// Access errors if the segment is not mapped.
     pub fn len(&self, sj: &mut SpaceJmp, pid: Pid) -> SjResult<u64> {
-        let k = sj.kernel_mut();
-        Ok(k.load_u64(pid, self.h(H_USED0))? + k.load_u64(pid, self.h(H_USED1))?)
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        Ok(m.load_u64(self.h(H_USED0))? + m.load_u64(self.h(H_USED1))?)
     }
 
     /// Whether the dictionary is empty.
@@ -132,49 +132,47 @@ impl SegDict {
     ///
     /// Access errors if the segment is not mapped.
     pub fn is_rehashing(&self, sj: &mut SpaceJmp, pid: Pid) -> SjResult<bool> {
-        Ok(sj.kernel_mut().load_u64(pid, self.h(H_REHASH))? != NOT_REHASHING)
+        self.rehashing(&mut sj.kernel_mut().proc_mem(pid)?)
+    }
+
+    fn rehashing(&self, m: &mut ProcMem<'_>) -> SjResult<bool> {
+        Ok(m.load_u64(self.h(H_REHASH))? != NOT_REHASHING)
     }
 
     /// Finds the entry for `key` in table `t` (0 or 1); returns
     /// `(prev_entry_or_null, entry)` for unlink support.
     fn find_in_table(
         &self,
-        sj: &mut SpaceJmp,
-        pid: Pid,
+        m: &mut ProcMem<'_>,
         t: u64,
         hash: u64,
         key: &[u8],
     ) -> SjResult<Option<(VirtAddr, VirtAddr)>> {
-        let (tbl_f, cap_f) = if t == 0 {
-            (H_T0, H_CAP0)
-        } else {
-            (H_T1, H_CAP1)
-        };
-        let k = sj.kernel_mut();
-        let table = k.load_u64(pid, self.h(tbl_f))?;
+        let (tbl_f, cap_f) = table_fields(t);
+        let table = m.load_u64(self.h(tbl_f))?;
         if table == 0 {
             return Ok(None);
         }
-        let cap = k.load_u64(pid, self.h(cap_f))?;
+        let cap = m.load_u64(self.h(cap_f))?;
         let bucket = VirtAddr::new(table).add((hash & (cap - 1)) * 8);
         let mut prev = VirtAddr::NULL;
-        let mut cur = k.load_u64(pid, bucket)?;
+        let mut cur = m.load_u64(bucket)?;
         while cur != 0 {
             let e = VirtAddr::new(cur);
-            let ehash = k.load_u64(pid, e.add(E_HASH))?;
+            let ehash = m.load_u64(e.add(E_HASH))?;
             if ehash == hash {
-                let klen = k.load_u64(pid, e.add(E_KLEN))?;
+                let klen = m.load_u64(e.add(E_KLEN))?;
                 if klen as usize == key.len() {
-                    let kptr = VirtAddr::new(k.load_u64(pid, e.add(E_KEY))?);
+                    let kptr = VirtAddr::new(m.load_u64(e.add(E_KEY))?);
                     let mut kbuf = vec![0u8; klen as usize];
-                    k.load_bytes(pid, kptr, &mut kbuf)?;
+                    m.load_bytes(kptr, &mut kbuf)?;
                     if kbuf == key {
                         return Ok(Some((prev, e)));
                     }
                 }
             }
             prev = e;
-            cur = k.load_u64(pid, e.add(E_NEXT))?;
+            cur = m.load_u64(e.add(E_NEXT))?;
         }
         Ok(None)
     }
@@ -186,13 +184,13 @@ impl SegDict {
     /// Access errors if the segment is not mapped in the current VAS.
     pub fn get(&self, sj: &mut SpaceJmp, pid: Pid, key: &[u8]) -> SjResult<Option<Vec<u8>>> {
         let hash = hash_key(key);
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
         for t in [0u64, 1] {
-            if let Some((_, e)) = self.find_in_table(sj, pid, t, hash, key)? {
-                let k = sj.kernel_mut();
-                let vlen = k.load_u64(pid, e.add(E_VLEN))?;
-                let vptr = VirtAddr::new(k.load_u64(pid, e.add(E_VAL))?);
+            if let Some((_, e)) = self.find_in_table(&mut m, t, hash, key)? {
+                let vlen = m.load_u64(e.add(E_VLEN))?;
+                let vptr = VirtAddr::new(m.load_u64(e.add(E_VAL))?);
                 let mut buf = vec![0u8; vlen as usize];
-                k.load_bytes(pid, vptr, &mut buf)?;
+                m.load_bytes(vptr, &mut buf)?;
                 return Ok(Some(buf));
             }
         }
@@ -220,45 +218,43 @@ impl SegDict {
             self.maybe_resize(sj, pid, stats)?;
             self.rehash_step(sj, pid, stats)?;
         }
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
         // Replace in place if present (either table).
         for t in [0u64, 1] {
-            if let Some((_, e)) = self.find_in_table(sj, pid, t, hash, key)? {
-                let old_vptr = VirtAddr::new(sj.kernel_mut().load_u64(pid, e.add(E_VAL))?);
+            if let Some((_, e)) = self.find_in_table(&mut m, t, hash, key)? {
+                let old_vptr = VirtAddr::new(m.load_u64(e.add(E_VAL))?);
                 self.heap.free(sj, pid, old_vptr)?;
                 let vptr = self.heap.malloc(sj, pid, val.len().max(1) as u64)?;
-                let k = sj.kernel_mut();
-                k.store_bytes(pid, vptr, val)?;
-                k.store_u64(pid, e.add(E_VAL), vptr.raw())?;
-                k.store_u64(pid, e.add(E_VLEN), val.len() as u64)?;
+                let mut m = sj.kernel_mut().proc_mem(pid)?;
+                m.store_bytes(vptr, val)?;
+                m.store_u64(e.add(E_VAL), vptr.raw())?;
+                m.store_u64(e.add(E_VLEN), val.len() as u64)?;
                 return Ok(());
             }
         }
         // Fresh insert, into table1 if rehashing else table0.
-        let rehashing = self.is_rehashing(sj, pid)?;
-        let (tbl_f, cap_f, used_f) = if rehashing {
-            (H_T1, H_CAP1, H_USED1)
-        } else {
-            (H_T0, H_CAP0, H_USED0)
-        };
+        let t = u64::from(self.rehashing(&mut m)?);
         let entry = self.heap.malloc(sj, pid, ENTRY_SIZE)?;
         let kptr = self.heap.malloc(sj, pid, key.len().max(1) as u64)?;
         let vptr = self.heap.malloc(sj, pid, val.len().max(1) as u64)?;
-        let k = sj.kernel_mut();
-        k.store_bytes(pid, kptr, key)?;
-        k.store_bytes(pid, vptr, val)?;
-        let table = k.load_u64(pid, self.h(tbl_f))?;
-        let cap = k.load_u64(pid, self.h(cap_f))?;
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        m.store_bytes(kptr, key)?;
+        m.store_bytes(vptr, val)?;
+        let (tbl_f, cap_f) = table_fields(t);
+        let table = m.load_u64(self.h(tbl_f))?;
+        let cap = m.load_u64(self.h(cap_f))?;
         let bucket = VirtAddr::new(table).add((hash & (cap - 1)) * 8);
-        let head = k.load_u64(pid, bucket)?;
-        k.store_u64(pid, entry.add(E_NEXT), head)?;
-        k.store_u64(pid, entry.add(E_HASH), hash)?;
-        k.store_u64(pid, entry.add(E_KEY), kptr.raw())?;
-        k.store_u64(pid, entry.add(E_KLEN), key.len() as u64)?;
-        k.store_u64(pid, entry.add(E_VAL), vptr.raw())?;
-        k.store_u64(pid, entry.add(E_VLEN), val.len() as u64)?;
-        k.store_u64(pid, bucket, entry.raw())?;
-        let used = k.load_u64(pid, self.h(used_f))?;
-        k.store_u64(pid, self.h(used_f), used + 1)?;
+        let head = m.load_u64(bucket)?;
+        m.store_u64(entry.add(E_NEXT), head)?;
+        m.store_u64(entry.add(E_HASH), hash)?;
+        m.store_u64(entry.add(E_KEY), kptr.raw())?;
+        m.store_u64(entry.add(E_KLEN), key.len() as u64)?;
+        m.store_u64(entry.add(E_VAL), vptr.raw())?;
+        m.store_u64(entry.add(E_VLEN), val.len() as u64)?;
+        m.store_u64(bucket, entry.raw())?;
+        let used_f = used_field(t);
+        let used = m.load_u64(self.h(used_f))?;
+        m.store_u64(self.h(used_f), used + 1)?;
         Ok(())
     }
 
@@ -279,28 +275,24 @@ impl SegDict {
             self.rehash_step(sj, pid, stats)?;
         }
         let hash = hash_key(key);
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
         for t in [0u64, 1] {
-            if let Some((prev, e)) = self.find_in_table(sj, pid, t, hash, key)? {
-                let k = sj.kernel_mut();
-                let next = k.load_u64(pid, e.add(E_NEXT))?;
+            if let Some((prev, e)) = self.find_in_table(&mut m, t, hash, key)? {
+                let next = m.load_u64(e.add(E_NEXT))?;
                 if prev == VirtAddr::NULL {
-                    let (tbl_f, cap_f) = if t == 0 {
-                        (H_T0, H_CAP0)
-                    } else {
-                        (H_T1, H_CAP1)
-                    };
-                    let table = k.load_u64(pid, self.h(tbl_f))?;
-                    let cap = k.load_u64(pid, self.h(cap_f))?;
+                    let (tbl_f, cap_f) = table_fields(t);
+                    let table = m.load_u64(self.h(tbl_f))?;
+                    let cap = m.load_u64(self.h(cap_f))?;
                     let bucket = VirtAddr::new(table).add((hash & (cap - 1)) * 8);
-                    k.store_u64(pid, bucket, next)?;
+                    m.store_u64(bucket, next)?;
                 } else {
-                    k.store_u64(pid, prev.add(E_NEXT), next)?;
+                    m.store_u64(prev.add(E_NEXT), next)?;
                 }
-                let kptr = VirtAddr::new(k.load_u64(pid, e.add(E_KEY))?);
-                let vptr = VirtAddr::new(k.load_u64(pid, e.add(E_VAL))?);
-                let used_f = if t == 0 { H_USED0 } else { H_USED1 };
-                let used = k.load_u64(pid, self.h(used_f))?;
-                k.store_u64(pid, self.h(used_f), used - 1)?;
+                let kptr = VirtAddr::new(m.load_u64(e.add(E_KEY))?);
+                let vptr = VirtAddr::new(m.load_u64(e.add(E_VAL))?);
+                let used_f = used_field(t);
+                let used = m.load_u64(self.h(used_f))?;
+                m.store_u64(self.h(used_f), used - 1)?;
                 self.heap.free(sj, pid, kptr)?;
                 self.heap.free(sj, pid, vptr)?;
                 self.heap.free(sj, pid, e)?;
@@ -312,26 +304,22 @@ impl SegDict {
 
     /// Starts a resize if the load factor reached 1.0 and none is active.
     fn maybe_resize(&self, sj: &mut SpaceJmp, pid: Pid, stats: &mut DictStats) -> SjResult<()> {
-        if self.is_rehashing(sj, pid)? {
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        if self.rehashing(&mut m)? {
             return Ok(());
         }
-        let (cap0, used0) = {
-            let k = sj.kernel_mut();
-            (
-                k.load_u64(pid, self.h(H_CAP0))?,
-                k.load_u64(pid, self.h(H_USED0))?,
-            )
-        };
+        let cap0 = m.load_u64(self.h(H_CAP0))?;
+        let used0 = m.load_u64(self.h(H_USED0))?;
         if used0 < cap0 {
             return Ok(());
         }
         let new_cap = cap0 * 2;
         let table1 = self.heap.calloc(sj, pid, new_cap * 8)?;
-        let k = sj.kernel_mut();
-        k.store_u64(pid, self.h(H_T1), table1.raw())?;
-        k.store_u64(pid, self.h(H_CAP1), new_cap)?;
-        k.store_u64(pid, self.h(H_USED1), 0)?;
-        k.store_u64(pid, self.h(H_REHASH), 0)?;
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        m.store_u64(self.h(H_T1), table1.raw())?;
+        m.store_u64(self.h(H_CAP1), new_cap)?;
+        m.store_u64(self.h(H_USED1), 0)?;
+        m.store_u64(self.h(H_REHASH), 0)?;
         stats.resizes += 1;
         Ok(())
     }
@@ -340,61 +328,73 @@ impl SegDict {
     /// `dictRehash(d, 1)`), finishing the rehash when the last bucket
     /// moves.
     fn rehash_step(&self, sj: &mut SpaceJmp, pid: Pid, stats: &mut DictStats) -> SjResult<()> {
-        let idx = sj.kernel_mut().load_u64(pid, self.h(H_REHASH))?;
+        let mut m = sj.kernel_mut().proc_mem(pid)?;
+        let idx = m.load_u64(self.h(H_REHASH))?;
         if idx == NOT_REHASHING {
             return Ok(());
         }
-        let (table0, cap0, table1, cap1) = {
-            let k = sj.kernel_mut();
-            (
-                k.load_u64(pid, self.h(H_T0))?,
-                k.load_u64(pid, self.h(H_CAP0))?,
-                k.load_u64(pid, self.h(H_T1))?,
-                k.load_u64(pid, self.h(H_CAP1))?,
-            )
-        };
+        let table0 = m.load_u64(self.h(H_T0))?;
+        let cap0 = m.load_u64(self.h(H_CAP0))?;
+        let table1 = m.load_u64(self.h(H_T1))?;
+        let cap1 = m.load_u64(self.h(H_CAP1))?;
         // Move every entry in bucket `idx` of table0 to table1.
         let bucket = VirtAddr::new(table0).add(idx * 8);
-        let mut cur = sj.kernel_mut().load_u64(pid, bucket)?;
+        let mut cur = m.load_u64(bucket)?;
         let mut moved = 0u64;
         while cur != 0 {
             let e = VirtAddr::new(cur);
-            let k = sj.kernel_mut();
-            let next = k.load_u64(pid, e.add(E_NEXT))?;
-            let hash = k.load_u64(pid, e.add(E_HASH))?;
+            let next = m.load_u64(e.add(E_NEXT))?;
+            let hash = m.load_u64(e.add(E_HASH))?;
             let dst_bucket = VirtAddr::new(table1).add((hash & (cap1 - 1)) * 8);
-            let dst_head = k.load_u64(pid, dst_bucket)?;
-            k.store_u64(pid, e.add(E_NEXT), dst_head)?;
-            k.store_u64(pid, dst_bucket, e.raw())?;
+            let dst_head = m.load_u64(dst_bucket)?;
+            m.store_u64(e.add(E_NEXT), dst_head)?;
+            m.store_u64(dst_bucket, e.raw())?;
             cur = next;
             moved += 1;
         }
-        let k = sj.kernel_mut();
-        k.store_u64(pid, bucket, 0)?;
+        m.store_u64(bucket, 0)?;
         if moved > 0 {
-            let u0 = k.load_u64(pid, self.h(H_USED0))?;
-            let u1 = k.load_u64(pid, self.h(H_USED1))?;
-            k.store_u64(pid, self.h(H_USED0), u0 - moved)?;
-            k.store_u64(pid, self.h(H_USED1), u1 + moved)?;
+            let u0 = m.load_u64(self.h(H_USED0))?;
+            let u1 = m.load_u64(self.h(H_USED1))?;
+            m.store_u64(self.h(H_USED0), u0 - moved)?;
+            m.store_u64(self.h(H_USED1), u1 + moved)?;
             stats.rehash_migrations += 1;
         }
         if idx + 1 >= cap0 {
             // Rehash complete: table1 becomes table0.
-            let t1 = k.load_u64(pid, self.h(H_T1))?;
-            let c1 = k.load_u64(pid, self.h(H_CAP1))?;
-            let u1 = k.load_u64(pid, self.h(H_USED1))?;
-            k.store_u64(pid, self.h(H_T0), t1)?;
-            k.store_u64(pid, self.h(H_CAP0), c1)?;
-            k.store_u64(pid, self.h(H_USED0), u1)?;
-            k.store_u64(pid, self.h(H_T1), 0)?;
-            k.store_u64(pid, self.h(H_CAP1), 0)?;
-            k.store_u64(pid, self.h(H_USED1), 0)?;
-            k.store_u64(pid, self.h(H_REHASH), NOT_REHASHING)?;
+            let t1 = m.load_u64(self.h(H_T1))?;
+            let c1 = m.load_u64(self.h(H_CAP1))?;
+            let u1 = m.load_u64(self.h(H_USED1))?;
+            m.store_u64(self.h(H_T0), t1)?;
+            m.store_u64(self.h(H_CAP0), c1)?;
+            m.store_u64(self.h(H_USED0), u1)?;
+            m.store_u64(self.h(H_T1), 0)?;
+            m.store_u64(self.h(H_CAP1), 0)?;
+            m.store_u64(self.h(H_USED1), 0)?;
+            m.store_u64(self.h(H_REHASH), NOT_REHASHING)?;
             self.heap.free(sj, pid, VirtAddr::new(table0))?;
         } else {
-            k.store_u64(pid, self.h(H_REHASH), idx + 1)?;
+            m.store_u64(self.h(H_REHASH), idx + 1)?;
         }
         Ok(())
+    }
+}
+
+/// Header fields holding table `t`'s (0 or 1) pointer and capacity.
+fn table_fields(t: u64) -> (u64, u64) {
+    if t == 0 {
+        (H_T0, H_CAP0)
+    } else {
+        (H_T1, H_CAP1)
+    }
+}
+
+/// Header field holding table `t`'s live-entry count.
+fn used_field(t: u64) -> u64 {
+    if t == 0 {
+        H_USED0
+    } else {
+        H_USED1
     }
 }
 

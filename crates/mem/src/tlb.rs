@@ -19,6 +19,12 @@
 //! `(vpn, size)`. Capacity and associativity come from
 //! [`crate::cost::MachineProfile`]; the set count must be a power of two,
 //! so a page's set is its page number masked, not divided.
+//!
+//! Two host-side shortcuts leave the model untouched. A bitmap of valid
+//! slots lets the whole-TLB flushes visit only valid entries, and a
+//! last-hit memo answers a repeat lookup of the same `(asid, vpn)`
+//! without a probe. Neither changes which entry a lookup finds, which
+//! entry an insert evicts, or any counter.
 
 use crate::addr::{PageSize, PhysAddr, Vpn};
 use crate::paging::PteFlags;
@@ -145,6 +151,13 @@ pub struct Tlb {
     /// Valid entries per page size, indexed like [`PROBE_SIZES`]. A
     /// lookup skips every size whose count is zero.
     resident: [usize; 3],
+    /// One bit per slot, set exactly when the slot's entry is valid.
+    valid_bits: Vec<u64>,
+    /// The last lookup that hit: its key and the slot it found. Only
+    /// lookups run between two inserts or flushes, and they change
+    /// nothing but LRU stamps, so a repeat of that key would probe to
+    /// the same slot. Every insert and flush clears it.
+    last_hit: Option<(Asid, Vpn, usize)>,
     tick: u64,
     stats: TlbStats,
 }
@@ -171,6 +184,8 @@ impl Tlb {
             set_mask: sets - 1,
             ways,
             resident: [0; 3],
+            valid_bits: vec![0; entries.div_ceil(64)],
+            last_hit: None,
             tick: 0,
             stats: TlbStats::default(),
         }
@@ -196,6 +211,31 @@ impl Tlb {
         self.resident[size_slot(size)]
     }
 
+    /// Invalidates the (valid) entry in `slot`.
+    #[inline]
+    fn invalidate(&mut self, slot: usize) {
+        let e = &mut self.entries[slot];
+        e.valid = false;
+        self.resident[size_slot(e.size)] -= 1;
+        self.valid_bits[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    /// Invalidates every valid entry that `doomed` selects, visiting
+    /// valid slots only.
+    fn invalidate_where(&mut self, doomed: impl Fn(&TlbEntry) -> bool) {
+        self.last_hit = None;
+        for w in 0..self.valid_bits.len() {
+            let mut bits = self.valid_bits[w];
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if doomed(&self.entries[slot]) {
+                    self.invalidate(slot);
+                }
+            }
+        }
+    }
+
     #[inline]
     fn set_range(&self, vpn: Vpn) -> std::ops::Range<usize> {
         let set = (vpn.0 as usize) & self.set_mask;
@@ -213,16 +253,26 @@ impl Tlb {
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> Option<(PhysAddr, PteFlags, PageSize)> {
         self.tick += 1;
         let tick = self.tick;
-        for (slot, size) in PROBE_SIZES.into_iter().enumerate() {
-            if self.resident[slot] == 0 {
+        if let Some((a, v, slot)) = self.last_hit {
+            if a == asid && v == vpn {
+                let e = &mut self.entries[slot];
+                e.stamp = tick;
+                self.stats.hits += 1;
+                return Some((e.frame_base, e.flags, e.size));
+            }
+        }
+        for (size_idx, size) in PROBE_SIZES.into_iter().enumerate() {
+            if self.resident[size_idx] == 0 {
                 continue;
             }
             let key = size_key(vpn, size);
             let range = self.set_range(key);
-            for e in &mut self.entries[range] {
+            let start = range.start;
+            for (way, e) in self.entries[range].iter_mut().enumerate() {
                 if e.valid && e.size == size && e.vpn == key && (e.global || e.asid == asid) {
                     e.stamp = tick;
                     self.stats.hits += 1;
+                    self.last_hit = Some((asid, vpn, start + way));
                     return Some((e.frame_base, e.flags, e.size));
                 }
             }
@@ -244,10 +294,12 @@ impl Tlb {
         size: PageSize,
     ) {
         self.tick += 1;
+        self.last_hit = None;
         let tick = self.tick;
         let key = size_key(vpn, size);
         let frame_base = PhysAddr::new(frame_base.raw() & !(size.bytes() - 1));
         let range = self.set_range(key);
+        let start = range.start;
         let set = &mut self.entries[range];
         // Overwrite an existing entry for the same (vpn, size, asid)
         // first. Size participates in the match: a 4 KiB page and a
@@ -262,16 +314,23 @@ impl Tlb {
             e.stamp = tick;
             return;
         }
-        let victim = if let Some(free) = set.iter_mut().find(|e| !e.valid) {
+        let way = if let Some(free) = set.iter().position(|e| !e.valid) {
+            let slot = start + free;
+            self.valid_bits[slot / 64] |= 1 << (slot % 64);
             free
         } else {
+            // The LRU victim's slot stays valid, so its bit stays set.
             self.stats.evictions += 1;
-            let lru = set.iter_mut().min_by_key(|e| e.stamp).expect("ways > 0");
-            self.resident[size_slot(lru.size)] -= 1;
+            let (lru, e) = set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.stamp)
+                .expect("ways > 0");
+            self.resident[size_slot(e.size)] -= 1;
             lru
         };
         self.resident[size_slot(size)] += 1;
-        *victim = TlbEntry {
+        set[way] = TlbEntry {
             valid: true,
             asid,
             global,
@@ -287,36 +346,26 @@ impl Tlb {
     /// Flushes all non-global entries (untagged CR3 write).
     pub fn flush_nonglobal(&mut self) {
         self.stats.flushes += 1;
-        for e in &mut self.entries {
-            if e.valid && !e.global {
-                e.valid = false;
-                self.resident[size_slot(e.size)] -= 1;
-            }
-        }
+        self.invalidate_where(|e| !e.global);
     }
 
     /// Flushes entries belonging to one ASID (INVPCID-style).
     pub fn flush_asid(&mut self, asid: Asid) {
         self.stats.asid_flushes += 1;
-        for e in &mut self.entries {
-            if e.valid && e.asid == asid && !e.global {
-                e.valid = false;
-                self.resident[size_slot(e.size)] -= 1;
-            }
-        }
+        self.invalidate_where(|e| e.asid == asid && !e.global);
     }
 
     /// Invalidates the page containing `vpn` across all ASIDs (INVLPG
     /// semantics for shared mappings), at every page size: a superpage
     /// entry covering the 4 KiB page is dropped too.
     pub fn flush_page(&mut self, vpn: Vpn) {
-        for (slot, size) in PROBE_SIZES.into_iter().enumerate() {
+        self.last_hit = None;
+        for size in PROBE_SIZES {
             let key = size_key(vpn, size);
-            let range = self.set_range(key);
-            for e in &mut self.entries[range] {
+            for slot in self.set_range(key) {
+                let e = &self.entries[slot];
                 if e.valid && e.size == size && e.vpn == key {
-                    e.valid = false;
-                    self.resident[slot] -= 1;
+                    self.invalidate(slot);
                 }
             }
         }
@@ -324,7 +373,10 @@ impl Tlb {
 
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
+        self.valid_bits
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Bytes of address space the currently valid entries translate —

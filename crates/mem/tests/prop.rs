@@ -526,22 +526,34 @@ enum TlbOp {
         asid: Asid,
         vpn: Vpn,
     },
+    /// Looks the last looked-up `(asid, vpn)` up again.
+    Relookup,
+    /// Looks the last looked-up page up under the ASID `shift` tags
+    /// further on (mod 4), so never under the same one.
+    RelookupOtherAsid {
+        shift: u16,
+    },
     FlushNonGlobal,
     FlushAsid(Asid),
     FlushPage(Vpn),
 }
 
 /// A page number that lands in one of a few 1 GiB and 2 MiB regions, so
-/// keys of different sizes share sets and cover each other.
+/// keys of different sizes share sets and cover each other. The 64-page
+/// strides spread 4 KiB keys over the sets of the 128-set geometries,
+/// so their valid-slot bitmaps fill more than one word.
 fn tlb_vpn(rng: &mut SimRng) -> Vpn {
     let gib = PageSize::Size1G.base_pages();
     let mib = PageSize::Size2M.base_pages();
-    Vpn(rng.gen_range(0..3) * gib + rng.gen_range(0..4) * mib + rng.gen_range(0..24))
+    Vpn(rng.gen_range(0..3) * gib
+        + rng.gen_range(0..4) * mib
+        + rng.gen_range(0..4) * 64
+        + rng.gen_range(0..24))
 }
 
 fn tlb_op(rng: &mut SimRng) -> TlbOp {
     let asid = Asid(rng.gen_range(0..4) as u16);
-    match rng.gen_range(0..20) {
+    match rng.gen_range(0..26) {
         0..=7 => TlbOp::Insert {
             asid,
             vpn: tlb_vpn(rng),
@@ -559,22 +571,39 @@ fn tlb_op(rng: &mut SimRng) -> TlbOp {
             asid,
             vpn: tlb_vpn(rng),
         },
-        17 => TlbOp::FlushNonGlobal,
-        18 => TlbOp::FlushAsid(asid),
+        // Seven in sixteen lookups repeat the last one, which is what
+        // the last-hit memo answers.
+        17..=21 => TlbOp::Relookup,
+        22..=23 => TlbOp::RelookupOtherAsid {
+            shift: rng.gen_range(1..4) as u16,
+        },
+        24 => TlbOp::FlushNonGlobal,
+        25 => TlbOp::FlushAsid(asid),
         _ => TlbOp::FlushPage(tlb_vpn(rng)),
     }
 }
 
 #[test]
 fn masked_tlb_matches_the_reference_tlb() {
-    for seed in 0..40u64 {
+    for seed in 0..42u64 {
         let mut rng = SimRng::seed_from_u64(seed ^ 0x7eb);
-        let (entries, ways) = [(4, 4), (8, 2), (16, 4), (64, 4), (32, 8)][seed as usize % 5];
+        // The last two are the M1/M2 shape, whose valid-slot bitmaps span
+        // several words.
+        let (entries, ways) = [
+            (4, 4),
+            (8, 2),
+            (16, 4),
+            (64, 4),
+            (32, 8),
+            (256, 4),
+            (512, 4),
+        ][seed as usize % 7];
         let mut tlb = Tlb::new(entries, ways);
         let mut reference = reference::RefTlb::new(entries, ways);
         // Every (asid, vpn) ever inserted: the probe set for comparing
         // the two TLBs' whole contents.
         let mut keys: Vec<(Asid, Vpn)> = Vec::new();
+        let mut last = (Asid(0), Vpn(0));
         for step in 0..400 {
             let op = tlb_op(&mut rng);
             let at = format!("seed {seed} step {step} {op:?}");
@@ -593,9 +622,9 @@ fn masked_tlb_matches_the_reference_tlb() {
                         keys.push((asid, vpn));
                     }
                 }
-                TlbOp::Lookup { asid, vpn } => {
-                    assert_eq!(tlb.lookup(asid, vpn), reference.lookup(asid, vpn), "{at}");
-                }
+                TlbOp::Lookup { asid, vpn } => last = (asid, vpn),
+                TlbOp::Relookup => {}
+                TlbOp::RelookupOtherAsid { shift } => last.0 = Asid((last.0 .0 + shift) % 4),
                 TlbOp::FlushNonGlobal => {
                     tlb.flush_nonglobal();
                     reference.flush_nonglobal();
@@ -609,13 +638,21 @@ fn masked_tlb_matches_the_reference_tlb() {
                     reference.flush_page(vpn);
                 }
             }
+            let looked_up = matches!(
+                op,
+                TlbOp::Lookup { .. } | TlbOp::Relookup | TlbOp::RelookupOtherAsid { .. }
+            );
+            if looked_up {
+                let (asid, vpn) = last;
+                assert_eq!(tlb.lookup(asid, vpn), reference.lookup(asid, vpn), "{at}");
+            }
             assert_eq!(tlb.stats(), reference.stats(), "{at}");
             assert_eq!(tlb.occupancy(), reference.occupancy(), "{at}");
             assert_eq!(tlb.reach_bytes(), reference.reach_bytes(), "{at}");
             for size in [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G] {
                 assert_eq!(tlb.resident(size), reference.recount(size), "{at} {size}");
             }
-            if matches!(op, TlbOp::Lookup { .. }) {
+            if looked_up {
                 continue;
             }
             // Same contents: every key ever inserted resolves alike. The

@@ -47,6 +47,36 @@ fn physical_exhaustion_fails_cleanly() {
 }
 
 #[test]
+fn corrupted_free_list_in_a_shared_heap_is_a_typed_error() {
+    // Any process that can write the segment can scribble over the
+    // allocator's free-list links; the next malloc must fail cleanly
+    // instead of following the garbage out of the segment.
+    let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::DragonFly, MachineId::M2));
+    let pid = sj.kernel_mut().spawn("p", Creds::new(1, 1)).unwrap();
+    sj.kernel_mut().activate(pid).unwrap();
+    let vid = sj.vas_create(pid, "v", Mode(0o600)).unwrap();
+    let sid = sj
+        .seg_alloc(pid, "heap", VirtAddr::new(SEG_BASE), 1 << 20, Mode(0o600))
+        .unwrap();
+    sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite).unwrap();
+    let vh = sj.vas_attach(pid, vid).unwrap();
+    sj.vas_switch(pid, vh).unwrap();
+    let heap = VasHeap::format(&mut sj, pid, sid).unwrap();
+    let a = heap.malloc(&mut sj, pid, 24).unwrap();
+    heap.malloc(&mut sj, pid, 24).unwrap();
+    heap.free(&mut sj, pid, a).unwrap();
+    // `a`'s first payload word is now the freed chunk's `next` link.
+    sj.kernel_mut()
+        .store_u64(pid, a, 0x0707_0707_0707_0707)
+        .unwrap();
+    assert_eq!(
+        heap.malloc(&mut sj, pid, 24),
+        Err(SjError::InvalidArgument("heap metadata is corrupt"))
+    );
+    assert!(sj.check_invariants().is_empty());
+}
+
+#[test]
 fn heap_exhaustion_leaves_dictionary_consistent() {
     let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::DragonFly, MachineId::M2));
     let pid = sj.kernel_mut().spawn("kv", Creds::new(1, 1)).unwrap();
