@@ -1,7 +1,8 @@
-//! CI gate for the machine-readable outputs in `results/`.
+//! CI gate for the machine-readable outputs in `results/` and the
+//! host-speed trajectory.
 //!
 //! Usage: `validate_results --all | <bench-name>...`. Exits nonzero with
-//! a message naming the report and the first rule it breaks.
+//! a message naming the file and the first rule it breaks.
 //!
 //! Every bench report has one shape: `bench`, `notes`, and non-empty
 //! `sections`, each with a `title`, a non-empty `columns` array of
@@ -14,17 +15,19 @@
 //! refinement is the one row rule the table references by function.
 //!
 //! A named run also checks the Chrome trace (`results/<name>.trace.json`)
-//! and metrics (`.metrics.json`) side files, except for `selfperf`, which
-//! carries the `BENCH_selfperf.json` trajectory instead; the name
-//! `analyze_report` selects the `sjmp_lint` findings schema. `--all`
-//! checks every report in `results/`, side files where they exist
-//! (tracing is opt-in per run), then pairs reports with the binaries in
-//! `crates/bench/src/bin/`: a report without a producer, or a bench
-//! without a committed report, fails the gate.
+//! and metrics (`.metrics.json`) side files; the name `analyze_report`
+//! selects the `sjmp_lint` findings schema. `--all` checks every report
+//! in `results/`, side files where they exist (tracing is opt-in per
+//! run), and the `BENCH_selfperf.json` trajectory
+//! ([`sjmp_bench::trajectory::check`]: every entry a `sjmp_perf` run
+//! under a manifest naming its commit); then it pairs reports with the
+//! binaries in `crates/bench/src/bin/`: a report without a producer, or
+//! a bench without a committed report, fails the gate.
 
 use std::path::Path;
 use std::process::ExitCode;
 
+use sjmp_bench::trajectory;
 use sjmp_trace::Json;
 
 use Rule::*;
@@ -98,15 +101,6 @@ fn expectations(bench: &str) -> &'static [Rule] {
             ),
             Note("overload verdict: PASS"),
         ],
-        // Host times are machine-dependent: shape only, never values.
-        "selfperf" => &[
-            Columns(
-                "Self-perf",
-                &["workload", "sim cycles", "host ms", "ns/sim-cycle"],
-            ),
-            FirstCells("Self-perf", &["gups", "kv", "genome", "overload"]),
-            FirstCells("Self-perf", &["gups/nocache", "gups/novm"]),
-        ],
         // The access-side touch sweep beside the construction-cost table.
         "ablate_page_size" => &[
             Section("mmap construction cost"),
@@ -139,19 +133,17 @@ fn expectations(bench: &str) -> &'static [Rule] {
 /// The `sjmp_lint` findings report: its own schema, no producing bench.
 const ANALYZE_REPORT: &str = "analyze_report";
 
-/// The self-perf trajectory, one appended entry per run.
-const TRAJECTORY: &str = "BENCH_selfperf.json";
-
-/// The four workload families every trajectory entry records. Entries
-/// predating the backend refactor lack the `gups/*` backend probes, so
-/// only the regenerated report table requires those.
-const SELFPERF_WORKLOADS: [&str; 4] = ["gups", "kv", "genome", "overload"];
-
 const BIN_DIR: &str = "crates/bench/src/bin";
 
 /// Bench binaries that produce no report of their own: this gate,
-/// `sjmp_lint` (`analyze_report.json`) and `sjmp_top` (`.folded`).
-const TOOL_BINS: [&str; 3] = ["validate_results", "sjmp_lint", "sjmp_top"];
+/// `sjmp_lint` (`analyze_report.json`), `sjmp_top` (`.folded`) and
+/// `perf_trajectory` (`BENCH_selfperf.json`).
+const TOOL_BINS: [&str; 4] = [
+    "validate_results",
+    "sjmp_lint",
+    "sjmp_top",
+    "perf_trajectory",
+];
 
 /// One report section whose shape has been checked.
 struct Table<'a> {
@@ -305,31 +297,6 @@ fn check_safety_refinement(t: &Table) -> Result<(), String> {
     Ok(())
 }
 
-/// Every trajectory entry records host and simulated time for the four
-/// workload families. Nothing here compares values.
-fn check_trajectory(doc: &Json) -> Result<(), String> {
-    let bench = field(doc, "bench")?.as_str();
-    if bench != Some("selfperf") {
-        return Err(format!("unexpected bench {bench:?}"));
-    }
-    let runs = arr(doc, "runs")?;
-    if runs.is_empty() {
-        return Err("trajectory has no runs".into());
-    }
-    for run in runs {
-        keys(run, &["unix_secs", "quick"])?;
-        let workloads = arr(run, "workloads")?;
-        for want in SELFPERF_WORKLOADS {
-            let entry = workloads
-                .iter()
-                .find(|w| w.get("workload").and_then(Json::as_str) == Some(want))
-                .ok_or_else(|| format!("a run is missing workload \"{want}\""))?;
-            keys(entry, &["sim_cycles", "host_ns", "ns_per_sim_cycle"])?;
-        }
-    }
-    Ok(())
-}
-
 /// The `sjmp_lint` findings report: `tool`, `findings_total`, and
 /// `traces` entries carrying `name`/`events`/`dropped`/`findings`. Its
 /// optional `ir` section (`--ir` / `--gen`) must show healthy example
@@ -411,14 +378,8 @@ fn validate(root: &Path, name: &str, sweep: bool) -> Result<String, String> {
         return Ok(report);
     }
     check_file(root, &report, |doc| check_report(expectations(name), doc))?;
-    // The self-perf harness times the host, not the machine: it exports
-    // no trace, and its report comes with the trajectory.
-    let selfperf = name == "selfperf";
-    if selfperf {
-        check_file(root, TRAJECTORY, check_trajectory)?;
-    }
     let trace = format!("results/{name}.trace.json");
-    if !root.join(&trace).exists() && (sweep || selfperf) {
+    if !root.join(&trace).exists() && sweep {
         return Ok(report);
     }
     check_file(root, &trace, check_trace)?;
@@ -488,6 +449,10 @@ fn run(root: &Path, args: &[String]) -> Result<(), String> {
     };
     for name in &names {
         println!("ok: {}", validate(root, name, sweep)?);
+    }
+    if sweep {
+        check_file(root, trajectory::PATH, trajectory::check)?;
+        println!("ok: {}", trajectory::PATH);
     }
     // Pairing needs the bin dir, so it runs only in a sweep from a
     // checkout (a bare results/ copy has nothing to pair against).
@@ -672,21 +637,6 @@ mod tests {
             "required note \"overload verdict: PASS\" missing",
         ),
         (
-            "selfperf",
-            |d| rename_column(d, "Self-perf", "ns/sim-cycle"),
-            "missing column \"ns/sim-cycle\"",
-        ),
-        (
-            "selfperf",
-            |d| rename_rows(d, "Self-perf", "genome"),
-            "no row for \"genome\"",
-        ),
-        (
-            "selfperf",
-            |d| rename_rows(d, "Self-perf", "gups/novm"),
-            "no row for \"gups/novm\"",
-        ),
-        (
             "ablate_page_size",
             |d| rename_rows(d, "Touch sweep", "4level"),
             "no row for \"4level\"",
@@ -721,8 +671,6 @@ mod tests {
     #[test]
     fn every_committed_report_passes() {
         assert_eq!(run(&root(), &["--all".to_string()]), Ok(()));
-        // The CI's named run of the one bench that exports no trace.
-        assert_eq!(run(&root(), &["selfperf".to_string()]), Ok(()));
     }
 
     #[test]
@@ -749,24 +697,91 @@ mod tests {
         assert!(err.contains("columns must be non-empty strings"), "{err}");
     }
 
-    #[test]
-    fn trajectory_requires_every_family_and_its_keys() {
-        let mut doc = committed(TRAJECTORY);
-        assert_eq!(check_trajectory(&doc), Ok(()));
-        let run = &mut items(field_mut(&mut doc, "runs"))[0];
-        let kv = items(field_mut(run, "workloads"))
-            .iter_mut()
-            .find(|w| w.get("workload").and_then(Json::as_str) == Some("kv"))
-            .unwrap();
-        match kv {
-            Json::Obj(fields) => fields.retain(|(k, _)| k != "ns_per_sim_cycle"),
-            _ => unreachable!(),
+    fn remove(doc: &mut Json, key: &str) {
+        match doc {
+            Json::Obj(fields) => fields.retain(|(k, _)| k != key),
+            _ => panic!("not an object"),
         }
-        let err = check_trajectory(&doc).unwrap_err();
-        assert!(
-            err.contains("missing required key \"ns_per_sim_cycle\""),
-            "{err}"
-        );
+    }
+
+    fn first_run(doc: &mut Json) -> &mut Json {
+        &mut items(field_mut(doc, "runs"))[0]
+    }
+
+    fn manifest(doc: &mut Json) -> &mut Json {
+        field_mut(first_run(doc), "manifest")
+    }
+
+    /// Drops the first run's end-to-end metrics named `<prefix>...`.
+    fn drop_metrics(doc: &mut Json, prefix: &str) {
+        match field_mut(first_run(doc), "metrics") {
+            Json::Obj(metrics) => metrics.retain(|(name, _)| !name.starts_with(prefix)),
+            _ => panic!("not an object"),
+        }
+    }
+
+    /// A run as the retired ns-per-simulated-cycle harness appended it.
+    const LEGACY_RUN: &str = r#"{"unix_secs": 1786198917, "quick": false, "workloads": [
+        {"workload": "gups", "sim_cycles": 5135085, "host_ns": 46670244,
+         "ns_per_sim_cycle": 9.08850466934822}]}"#;
+
+    /// One in-memory mutation per trajectory rule, and the rule the
+    /// failure must name.
+    const TRAJECTORY_MUTATIONS: &[(Edit, &str)] = &[
+        (
+            |d| remove(first_run(d), "manifest"),
+            "run 0: missing manifest",
+        ),
+        (
+            |d| remove(manifest(d), "commit"),
+            "run 0: manifest names no commit",
+        ),
+        (
+            |d| *field_mut(manifest(d), "commit") = Json::str("53552d9"),
+            "manifest commit \"53552d9\" is not 40 hex digits",
+        ),
+        (
+            |d| drop_metrics(d, "kv_mixed."),
+            "missing workload \"kv_mixed\"",
+        ),
+        (
+            |d| drop_metrics(d, "gups_walk.ref_ns_per_op"),
+            "missing metric \"gups_walk.ref_ns_per_op\"",
+        ),
+        (
+            |d| drop_metrics(d, "genome_pipeline.unit_ns"),
+            "missing metric \"genome_pipeline.unit_ns\"",
+        ),
+        (
+            |d| items(field_mut(d, "runs")).clear(),
+            "trajectory has no runs",
+        ),
+        (
+            |d| items(field_mut(d, "runs")).push(Json::parse(LEGACY_RUN).unwrap()),
+            "run 1: missing manifest",
+        ),
+    ];
+
+    #[test]
+    fn each_trajectory_rule_fails_its_mutation() {
+        let dir = std::env::temp_dir().join(format!("validate_trajectory_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = trajectory::PATH;
+        let verdict = |doc: &Json| {
+            std::fs::write(dir.join(path), doc.pretty()).unwrap();
+            check_file(&dir, path, trajectory::check)
+        };
+        assert_eq!(verdict(&committed(path)), Ok(()));
+        for (mutate, rule) in TRAJECTORY_MUTATIONS {
+            let mut doc = committed(path);
+            mutate(&mut doc);
+            let err = verdict(&doc).expect_err(rule);
+            assert!(
+                err.starts_with(&format!("{path}: ")) && err.contains(rule),
+                "{err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A findings report as `sjmp_lint --ir --gen` writes it.

@@ -23,6 +23,8 @@
 //! ([`trace_from_env`]) and dump Chrome `trace_event` + metrics JSON
 //! alongside ([`export_trace`]).
 
+pub mod trajectory;
+
 use std::fmt::Display;
 use std::path::PathBuf;
 

@@ -1375,11 +1375,12 @@ impl SpaceJmp {
             .map_err(|_| err())?
             .to_string();
         let rest = &rest[name_len..];
-        let base = VirtAddr::new(u64::from_le_bytes(rest[..8].try_into().expect("8 bytes")));
+        let base =
+            VirtAddr::new_unchecked(u64::from_le_bytes(rest[..8].try_into().expect("8 bytes")));
         let size = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
         let mode = Mode(u32::from_le_bytes(rest[16..20].try_into().expect("4 bytes")) as u16);
         let contents = &rest[20..];
-        if contents.len() as u64 != size {
+        if !base.is_canonical() || contents.len() as u64 != size {
             return Err(err());
         }
         let sid = self.seg_alloc(pid, &name, base, size, mode)?;

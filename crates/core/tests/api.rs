@@ -954,6 +954,14 @@ fn segment_image_survives_a_reboot() {
     // Corrupt images are rejected.
     assert!(sj2.restore_segment(p2, b"garbage").is_err());
     assert!(sj2.restore_segment(p2, &image[..image.len() - 5]).is_err());
+    // A non-canonical base (after the 8-byte magic, the 4-byte name
+    // length and the name) is a typed error, not a panic.
+    let mut non_canonical = image.clone();
+    non_canonical[16..24].copy_from_slice(&0x0000_8000_0000_0000u64.to_le_bytes());
+    assert!(matches!(
+        sj2.restore_segment(p2, &non_canonical),
+        Err(SjError::InvalidArgument("corrupt segment image"))
+    ));
 }
 
 #[test]

@@ -210,8 +210,8 @@ impl Backend {
 ///
 /// Distinct from [`Backend`] because "four-level with the host walk
 /// cache disabled" is the same *simulated* backend — the knob only
-/// affects host wall-time, which is exactly what the parity checks in
-/// `selfperf` and CI verify.
+/// affects host wall-time, and the backend-parity tests and CI check
+/// that it moves no simulated result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TranslationKind {
     /// Four-level walker, host walk cache enabled (the default).
