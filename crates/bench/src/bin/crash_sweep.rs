@@ -255,11 +255,8 @@ fn sweep_seeded(report: &mut Report, tracer: &Tracer, pages: u64, seeds: u64) ->
         sj.vas_save(pid, vid)
             .expect("torn writes and dropped flushes are silent");
         sj.kernel_mut().set_fault_plan(None);
-        let m = sj.kernel_mut().sys_stats().to_metrics();
-        let (torn, dropped) = (
-            m.counter("blk.torn_writes"),
-            m.counter("blk.dropped_flushes"),
-        );
+        let blk = sj.kernel_mut().sys_stats().blk;
+        let (torn, dropped) = (blk.torn_writes, blk.dropped_flushes);
         let what = format!("seed {seed}");
         let (outcome, replays) =
             recover_and_classify(sj, tracer, "tz", &old_image, &new_image, &what);

@@ -130,7 +130,7 @@ fn redis(report: &mut Report, quick: bool, tracer: &Tracer) {
         );
     }
 
-    let stats = sj.kernel_mut().sys_phys_stats();
+    let stats = sj.kernel_mut().sys_stats();
     let problems = sj.check_invariants();
     assert!(
         problems.is_empty(),
@@ -152,10 +152,10 @@ fn redis(report: &mut Report, quick: bool, tracer: &Tracer) {
     report.row(
         &[
             format!("{:.0}K", f64::from(sets) * freq / set_cycles as f64 / 1e3),
-            stats.evictions.to_string(),
-            stats.major_faults.to_string(),
-            stats.swap_slots_used.to_string(),
-            stats.quota_denials.to_string(),
+            stats.kernel.evictions.to_string(),
+            stats.kernel.major_faults.to_string(),
+            stats.phys.swap_slots_used.to_string(),
+            stats.kernel.quota_denials.to_string(),
         ],
         &widths,
     );

@@ -50,6 +50,12 @@ impl std::error::Error for BlkError {}
 
 /// Counters for block-device activity, surfaced as the `blk` metrics
 /// group in `KernelSnapshot`/`sys_stats`.
+///
+/// The one counter group written by hand: `sjmp-blk` has no
+/// dependencies, so it cannot use `sjmp_trace::counter_group!`. It
+/// offers the same three operations the macro generates
+/// ([`Self::delta_since`], [`Self::combined`] as the element-wise sum,
+/// and [`Self::counters`]), so every group exports and diffs alike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlkStats {
     /// Blocks read.
@@ -90,6 +96,18 @@ impl BlkStats {
             dropped_flushes: self.dropped_flushes + other.dropped_flushes,
             journal_replays: self.journal_replays + other.journal_replays,
         }
+    }
+
+    /// Every counter as `(exported metric name, value)`.
+    pub fn counters(&self) -> [(&'static str, u64); 6] {
+        [
+            ("blk.reads", self.reads),
+            ("blk.writes", self.writes),
+            ("blk.flushes", self.flushes),
+            ("blk.torn_writes", self.torn_writes),
+            ("blk.dropped_flushes", self.dropped_flushes),
+            ("blk.journal_replays", self.journal_replays),
+        ]
     }
 }
 

@@ -16,7 +16,7 @@
 //!   pointer-rich data structures live between tool invocations.
 
 use sjmp_alloc::{AllocError, MemAccess, Mspace};
-use sjmp_mem::VirtAddr;
+use sjmp_mem::{Access, VirtAddr};
 use sjmp_os::{Pid, ProcMem};
 
 use crate::error::{SjError, SjResult};
@@ -89,10 +89,12 @@ impl VasHeap {
     /// # Errors
     ///
     /// * [`SjError::NotFound`] for unknown segments.
-    /// * Allocation/permission errors surfaced from the access path.
+    /// * [`SjError::PermissionDenied`] when the current VAS maps the
+    ///   segment read-only.
+    /// * Allocation errors surfaced from the access path.
     pub fn format(sj: &mut SpaceJmp, pid: Pid, sid: SegId) -> SjResult<VasHeap> {
         let (base, size) = Self::segment_extent(sj, sid)?;
-        Self::check_mapped(sj, pid, base)?;
+        Self::check_mapped(sj, pid, base, Access::Write)?;
         Mspace::format(KernelMem::new(sj, pid, base, size)?).map_err(alloc_err)?;
         Ok(VasHeap { sid, base, size })
     }
@@ -105,7 +107,7 @@ impl VasHeap {
     /// [`SjError::InvalidArgument`] if the segment holds no heap.
     pub fn open(sj: &mut SpaceJmp, pid: Pid, sid: SegId) -> SjResult<VasHeap> {
         let (base, size) = Self::segment_extent(sj, sid)?;
-        Self::check_mapped(sj, pid, base)?;
+        Self::check_mapped(sj, pid, base, Access::Read)?;
         Mspace::attach(KernelMem::new(sj, pid, base, size)?).map_err(alloc_err)?;
         Ok(VasHeap { sid, base, size })
     }
@@ -115,13 +117,17 @@ impl VasHeap {
         Ok((seg.base(), seg.size()))
     }
 
-    fn check_mapped(sj: &mut SpaceJmp, pid: Pid, base: VirtAddr) -> SjResult<()> {
+    /// Host-only check, before any allocator word access, that the
+    /// current VAS maps the heap for `access`. The allocator's
+    /// [`MemAccess`] cannot fail, so a store through a read-only mapping
+    /// must be refused here rather than fault inside it.
+    fn check_mapped(sj: &SpaceJmp, pid: Pid, base: VirtAddr, access: Access) -> SjResult<()> {
         let space = sj.kernel().process(pid)?.current_space();
-        let vs = sj.kernel().vmspace(space)?;
-        if vs.find_region(base).is_none() {
-            return Err(SjError::NotAttached);
+        match sj.kernel().vmspace(space)?.find_region(base) {
+            None => Err(SjError::NotAttached),
+            Some(region) if !region.permits(access) => Err(SjError::PermissionDenied),
+            Some(_) => Ok(()),
         }
-        Ok(())
     }
 
     /// The segment hosting this heap.
@@ -134,8 +140,13 @@ impl VasHeap {
         self.base
     }
 
-    fn mspace<'a>(&self, sj: &'a mut SpaceJmp, pid: Pid) -> SjResult<Mspace<KernelMem<'a>>> {
-        Self::check_mapped(sj, pid, self.base)?;
+    fn mspace<'a>(
+        &self,
+        sj: &'a mut SpaceJmp,
+        pid: Pid,
+        access: Access,
+    ) -> SjResult<Mspace<KernelMem<'a>>> {
+        Self::check_mapped(sj, pid, self.base, access)?;
         Mspace::attach(KernelMem::new(sj, pid, self.base, self.size)?).map_err(alloc_err)
     }
 
@@ -144,11 +155,15 @@ impl VasHeap {
     ///
     /// # Errors
     ///
-    /// [`SjError::Os`]-wrapped out-of-memory, or [`SjError::NotAttached`]
-    /// when the current VAS does not map the heap segment.
+    /// [`SjError::Os`]-wrapped out-of-memory, [`SjError::NotAttached`]
+    /// when the current VAS does not map the heap segment, or
+    /// [`SjError::PermissionDenied`] when it maps it read-only.
     pub fn malloc(&self, sj: &mut SpaceJmp, pid: Pid, size: u64) -> SjResult<VirtAddr> {
         let base = self.base;
-        let off = self.mspace(sj, pid)?.malloc(size).map_err(alloc_err)?;
+        let off = self
+            .mspace(sj, pid, Access::Write)?
+            .malloc(size)
+            .map_err(alloc_err)?;
         Ok(base.add(off))
     }
 
@@ -159,7 +174,10 @@ impl VasHeap {
     /// As [`Self::malloc`].
     pub fn calloc(&self, sj: &mut SpaceJmp, pid: Pid, size: u64) -> SjResult<VirtAddr> {
         let base = self.base;
-        let off = self.mspace(sj, pid)?.calloc(size).map_err(alloc_err)?;
+        let off = self
+            .mspace(sj, pid, Access::Write)?
+            .calloc(size)
+            .map_err(alloc_err)?;
         Ok(base.add(off))
     }
 
@@ -174,7 +192,9 @@ impl VasHeap {
             return Err(SjError::InvalidArgument("pointer outside heap segment"));
         }
         let off = ptr.offset_from(self.base);
-        self.mspace(sj, pid)?.free(off).map_err(alloc_err)
+        self.mspace(sj, pid, Access::Write)?
+            .free(off)
+            .map_err(alloc_err)
     }
 
     /// Resizes an allocation.
@@ -195,7 +215,7 @@ impl VasHeap {
         let base = self.base;
         let off = ptr.offset_from(base);
         let new = self
-            .mspace(sj, pid)?
+            .mspace(sj, pid, Access::Write)?
             .realloc(off, size)
             .map_err(alloc_err)?;
         Ok(base.add(new))
@@ -207,9 +227,10 @@ impl VasHeap {
     ///
     /// # Errors
     ///
-    /// [`SjError::NotAttached`] if the segment is not mapped.
+    /// [`SjError::NotAttached`] if the segment is not mapped,
+    /// [`SjError::PermissionDenied`] if it is mapped read-only.
     pub fn set_root(&self, sj: &mut SpaceJmp, pid: Pid, root: VirtAddr) -> SjResult<()> {
-        self.mspace(sj, pid)?.set_root(root.raw());
+        self.mspace(sj, pid, Access::Write)?.set_root(root.raw());
         Ok(())
     }
 
@@ -220,7 +241,7 @@ impl VasHeap {
     ///
     /// [`SjError::NotAttached`] if the segment is not mapped.
     pub fn root(&self, sj: &mut SpaceJmp, pid: Pid) -> SjResult<VirtAddr> {
-        let raw = self.mspace(sj, pid)?.root();
+        let raw = self.mspace(sj, pid, Access::Read)?.root();
         Ok(VirtAddr::new(raw))
     }
 
@@ -230,7 +251,7 @@ impl VasHeap {
     ///
     /// [`SjError::NotAttached`] if the segment is not mapped.
     pub fn allocated_bytes(&self, sj: &mut SpaceJmp, pid: Pid) -> SjResult<u64> {
-        Ok(self.mspace(sj, pid)?.allocated_bytes())
+        Ok(self.mspace(sj, pid, Access::Read)?.allocated_bytes())
     }
 
     /// Live allocation count.
@@ -239,7 +260,7 @@ impl VasHeap {
     ///
     /// [`SjError::NotAttached`] if the segment is not mapped.
     pub fn allocation_count(&self, sj: &mut SpaceJmp, pid: Pid) -> SjResult<u64> {
-        Ok(self.mspace(sj, pid)?.allocation_count())
+        Ok(self.mspace(sj, pid, Access::Read)?.allocation_count())
     }
 }
 

@@ -17,7 +17,9 @@
 //! Integrity is the block layer's job: the snapshot store checksums the
 //! whole payload into its journal record and superblock, so decoding
 //! here only validates structure (magic, lengths) and reports corruption
-//! as `None` rather than panicking.
+//! as `None` rather than panicking. Counts in the input are untrusted:
+//! the decoders never size an allocation from one, so a huge count
+//! runs out of input and fails instead of exhausting memory.
 
 use sjmp_mem::PAGE_SIZE;
 
@@ -51,7 +53,7 @@ impl Catalog {
             return None;
         }
         let count = r.u32()?;
-        let mut entries = Vec::with_capacity(count as usize);
+        let mut entries = Vec::new();
         for _ in 0..count {
             let name = r.string()?;
             let len = r.u64()?;
@@ -176,7 +178,7 @@ impl VasImage {
         }
         let mode = u16::try_from(r.u32()?).ok()?;
         let count = r.u32()?;
-        let mut segments = Vec::with_capacity(count as usize);
+        let mut segments = Vec::new();
         for _ in 0..count {
             let name = r.string()?;
             let base = r.u64()?;
@@ -186,7 +188,7 @@ impl VasImage {
             let lockable = r.byte()? != 0;
             let swappable = r.byte()? != 0;
             let page_count = r.u64()?;
-            let mut pages = Vec::with_capacity(page_count as usize);
+            let mut pages = Vec::new();
             for _ in 0..page_count {
                 let index = r.u64()?;
                 let data = r.take(PAGE_SIZE as usize)?.to_vec();
@@ -274,6 +276,32 @@ mod tests {
         let img = image();
         let decoded = VasImage::decode(&img.encode()).expect("valid image");
         assert_eq!(decoded, img);
+    }
+
+    #[test]
+    fn huge_counts_are_corruption_not_allocations() {
+        let empty = VasImage {
+            mode: 0o660,
+            segments: vec![SegmentImage {
+                pages: Vec::new(),
+                ..image().segments[0].clone()
+            }],
+        };
+        // The page count is the last field of an image with no pages.
+        let mut pages = empty.encode();
+        let at = pages.len() - 8;
+        pages[at..].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(VasImage::decode(&pages), None);
+        // The segment count follows the magic and the mode.
+        let mut segments = empty.encode();
+        segments[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(VasImage::decode(&segments), None);
+        // The catalog's entry count follows its magic.
+        let mut catalog = Catalog::new();
+        catalog.upsert("a", vec![1]);
+        let mut entries = catalog.encode();
+        entries[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(Catalog::decode(&entries), None);
     }
 
     #[test]

@@ -74,45 +74,28 @@ pub enum SegCtl {
     Destroy,
 }
 
-/// SpaceJMP-layer event counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SjStats {
-    /// `vas_switch` calls completed.
-    pub switches: u64,
-    /// `vas_attach` calls completed.
-    pub attaches: u64,
-    /// Segment locks acquired across all switches.
-    pub lock_acquisitions: u64,
-    /// Switch attempts aborted because a lock was contended.
-    pub lock_contentions: u64,
-    /// Lock acquisitions elided by [`FaultSite::SegLock`] injection —
-    /// each one is a seeded race the analyzer must find.
-    pub lock_skips: u64,
-    /// Switches that succeeded only after backoff ([`SpaceJmp::vas_switch_retry`]).
-    pub retried_switches: u64,
-    /// Switch attempts abandoned as deadlocked.
-    pub deadlocks: u64,
-    /// Crashed processes reclaimed with [`SpaceJmp::reap_process`].
-    pub reaps: u64,
-    /// Processes sacrificed by [`SpaceJmp::oom_kill`].
-    pub oom_kills: u64,
-}
-
-impl SjStats {
-    /// Counters accumulated since `earlier` (an older snapshot of the
-    /// same instance), for phase measurements.
-    pub fn delta_since(&self, earlier: &SjStats) -> SjStats {
-        SjStats {
-            switches: self.switches - earlier.switches,
-            attaches: self.attaches - earlier.attaches,
-            lock_acquisitions: self.lock_acquisitions - earlier.lock_acquisitions,
-            lock_contentions: self.lock_contentions - earlier.lock_contentions,
-            lock_skips: self.lock_skips - earlier.lock_skips,
-            retried_switches: self.retried_switches - earlier.retried_switches,
-            deadlocks: self.deadlocks - earlier.deadlocks,
-            reaps: self.reaps - earlier.reaps,
-            oom_kills: self.oom_kills - earlier.oom_kills,
-        }
+sjmp_trace::counter_group! {
+    /// SpaceJMP-layer event counters.
+    pub struct SjStats {
+        /// `vas_switch` calls completed.
+        switches => "sj.switches",
+        /// `vas_attach` calls completed.
+        attaches => "sj.attaches",
+        /// Segment locks acquired across all switches.
+        lock_acquisitions => "sj.lock_acquisitions",
+        /// Switch attempts aborted because a lock was contended.
+        lock_contentions => "sj.lock_contentions",
+        /// Lock acquisitions elided by [`FaultSite::SegLock`] injection —
+        /// each one is a seeded race the analyzer must find.
+        lock_skips => "sj.lock_skips",
+        /// Switches that succeeded only after backoff ([`SpaceJmp::vas_switch_retry`]).
+        retried_switches => "sj.retried_switches",
+        /// Switch attempts abandoned as deadlocked.
+        deadlocks => "sj.deadlocks",
+        /// Crashed processes reclaimed with [`SpaceJmp::reap_process`].
+        reaps => "sj.reaps",
+        /// Processes sacrificed by [`SpaceJmp::oom_kill`].
+        oom_kills => "sj.oom_kills",
     }
 }
 
@@ -313,15 +296,7 @@ impl SpaceJmp {
     /// [`sjmp_os::Kernel::sys_stats`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut m = self.kernel.stats_snapshot().to_metrics();
-        m.set_counter("sj.switches", self.stats.switches);
-        m.set_counter("sj.attaches", self.stats.attaches);
-        m.set_counter("sj.lock_acquisitions", self.stats.lock_acquisitions);
-        m.set_counter("sj.lock_contentions", self.stats.lock_contentions);
-        m.set_counter("sj.lock_skips", self.stats.lock_skips);
-        m.set_counter("sj.retried_switches", self.stats.retried_switches);
-        m.set_counter("sj.deadlocks", self.stats.deadlocks);
-        m.set_counter("sj.reaps", self.stats.reaps);
-        m.set_counter("sj.oom_kills", self.stats.oom_kills);
+        m.extend(self.stats.counters());
         m
     }
 
@@ -1570,6 +1545,17 @@ impl SpaceJmp {
         let bytes = catalog.get(name).ok_or(SjError::NotFound)?;
         let image = VasImage::decode(bytes)
             .ok_or(SjError::InvalidArgument("corrupt VAS image in catalog"))?;
+        // Validate before creating anything, so a bad image leaves no
+        // VAS or segment behind.
+        let page_beyond_segment = image.segments.iter().any(|seg| {
+            let pages = seg.size.div_ceil(PAGE_SIZE);
+            seg.pages.iter().any(|(index, _)| *index >= pages)
+        });
+        if page_beyond_segment {
+            return Err(SjError::InvalidArgument(
+                "VAS image page beyond its segment",
+            ));
+        }
         let vid = self.vas_create(pid, name, Mode(image.mode))?;
         for seg in &image.segments {
             let base = VirtAddr::new(seg.base);

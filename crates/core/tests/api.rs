@@ -477,6 +477,39 @@ fn heap_requires_mapping() {
 }
 
 #[test]
+fn heap_through_a_read_only_attach_is_a_typed_error() {
+    let (mut sj, p0, p1) = setup_two();
+    let va = VirtAddr::new(SEG_BASE);
+    let rw = sj.vas_create(p0, "rw", Mode(0o660)).unwrap();
+    let sid = sj.seg_alloc(p0, "heap", va, 1 << 20, Mode(0o660)).unwrap();
+    sj.seg_attach(p0, rw, sid, AttachMode::ReadWrite).unwrap();
+    let vh0 = sj.vas_attach(p0, rw).unwrap();
+    sj.vas_switch(p0, vh0).unwrap();
+    let heap = VasHeap::format(&mut sj, p0, sid).unwrap();
+    let ptr = heap.malloc(&mut sj, p0, 64).unwrap();
+    heap.set_root(&mut sj, p0, ptr).unwrap();
+    sj.vas_switch_home(p0).unwrap();
+
+    // p1 maps the same segment read-only through a second VAS: reads
+    // work, and every call that would write is refused before the
+    // allocator touches memory.
+    let ro = sj.vas_create(p1, "ro", Mode(0o660)).unwrap();
+    sj.seg_attach(p1, ro, sid, AttachMode::ReadOnly).unwrap();
+    let vh1 = sj.vas_attach(p1, ro).unwrap();
+    sj.vas_switch(p1, vh1).unwrap();
+    let denied = SjError::PermissionDenied;
+    assert_eq!(VasHeap::format(&mut sj, p1, sid), Err(denied.clone()));
+    let heap1 = VasHeap::open(&mut sj, p1, sid).unwrap();
+    assert_eq!(heap1, heap);
+    assert_eq!(heap1.malloc(&mut sj, p1, 64), Err(denied.clone()));
+    assert_eq!(heap1.free(&mut sj, p1, ptr), Err(denied.clone()));
+    assert_eq!(heap1.set_root(&mut sj, p1, VirtAddr::NULL), Err(denied));
+    assert_eq!(heap1.root(&mut sj, p1), Ok(ptr));
+    assert_eq!(heap1.allocation_count(&mut sj, p1), Ok(1));
+    assert!(sj.check_invariants().is_empty());
+}
+
+#[test]
 fn local_segment_attach_is_private() {
     let (mut sj, p0, p1) = setup_two();
     let vid = sj.vas_create(p0, "v", Mode(0o660)).unwrap();

@@ -577,7 +577,7 @@ mod more_tests {
                 .unwrap();
             assert_eq!(got, Some(val.clone()), "key{i} corrupted by swap");
         }
-        let stats = sj.kernel_mut().sys_phys_stats();
+        let stats = sj.kernel_mut().sys_stats().kernel;
         assert!(stats.evictions > 0, "store never swapped: not constrained");
         assert!(stats.major_faults > 0, "no page ever came back from swap");
         let problems = sj.check_invariants();

@@ -60,29 +60,17 @@ enum FlatEntry {
 
 type HostCache = IdMap<(u64, u64), FlatEntry>;
 
-/// MMU event counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MmuStats {
-    /// CR3 writes (address-space switches at the hardware level).
-    pub cr3_loads: u64,
-    /// Translations requested.
-    pub translations: u64,
-    /// Page walks performed (TLB misses).
-    pub walks: u64,
-    /// Faults raised (page + protection).
-    pub faults: u64,
-}
-
-impl MmuStats {
-    /// Counters accumulated since `earlier` (an older snapshot of the
-    /// same MMU), for phase measurements without resetting.
-    pub fn delta_since(&self, earlier: &MmuStats) -> MmuStats {
-        MmuStats {
-            cr3_loads: self.cr3_loads - earlier.cr3_loads,
-            translations: self.translations - earlier.translations,
-            walks: self.walks - earlier.walks,
-            faults: self.faults - earlier.faults,
-        }
+sjmp_trace::counter_group! {
+    /// MMU event counters.
+    pub struct MmuStats {
+        /// CR3 writes (address-space switches at the hardware level).
+        cr3_loads => "mmu.cr3_loads",
+        /// Translations requested.
+        translations => "mmu.translations",
+        /// Page walks performed (TLB misses).
+        walks => "mmu.walks",
+        /// Faults raised (page + protection).
+        faults => "mmu.faults",
     }
 }
 

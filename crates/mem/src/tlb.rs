@@ -84,21 +84,22 @@ fn size_key(vpn: Vpn, size: PageSize) -> Vpn {
     Vpn(vpn.0 & !(size.base_pages() - 1))
 }
 
-/// Hit/miss/flush counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TlbStats {
-    /// Successful lookups.
-    pub hits: u64,
-    /// Failed lookups.
-    pub misses: u64,
-    /// Full (non-global) flushes.
-    pub flushes: u64,
-    /// Per-ASID flushes.
-    pub asid_flushes: u64,
-    /// Entries evicted by capacity/conflict.
-    pub evictions: u64,
-    /// Entries inserted.
-    pub insertions: u64,
+sjmp_trace::counter_group! {
+    /// Hit/miss/flush counters.
+    pub struct TlbStats {
+        /// Successful lookups.
+        hits => "tlb.hits",
+        /// Failed lookups.
+        misses => "tlb.misses",
+        /// Full (non-global) flushes.
+        flushes => "tlb.flushes",
+        /// Per-ASID flushes.
+        asid_flushes => "tlb.asid_flushes",
+        /// Entries evicted by capacity/conflict.
+        evictions => "tlb.evictions",
+        /// Entries inserted.
+        insertions => "tlb.insertions",
+    }
 }
 
 impl TlbStats {
@@ -109,20 +110,6 @@ impl TlbStats {
             0.0
         } else {
             self.misses as f64 / total as f64
-        }
-    }
-
-    /// Counters accumulated since `earlier` (an older snapshot of the
-    /// same TLB). Lets benchmarks measure a phase without resetting
-    /// the live counters out from under other observers.
-    pub fn delta_since(&self, earlier: &TlbStats) -> TlbStats {
-        TlbStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            flushes: self.flushes - earlier.flushes,
-            asid_flushes: self.asid_flushes - earlier.asid_flushes,
-            evictions: self.evictions - earlier.evictions,
-            insertions: self.insertions - earlier.insertions,
         }
     }
 }

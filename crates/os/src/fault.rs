@@ -120,28 +120,20 @@ struct Rule {
     spent: bool,
 }
 
-/// Counters of what a plan actually injected, for harness reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Clean failures injected.
-    pub failures: u64,
-    /// Crashes injected.
-    pub crashes: u64,
+sjmp_trace::counter_group! {
+    /// Counters of what a plan actually injected, for harness reporting.
+    pub struct FaultStats {
+        /// Clean failures injected.
+        failures => "fault_plan.failures",
+        /// Crashes injected.
+        crashes => "fault_plan.crashes",
+    }
 }
 
 impl FaultStats {
     /// Total injected faults of either kind.
     pub fn total(&self) -> u64 {
         self.failures + self.crashes
-    }
-
-    /// Faults injected since `earlier` (an older snapshot of the same
-    /// plan), for phase measurements.
-    pub fn delta_since(&self, earlier: &FaultStats) -> FaultStats {
-        FaultStats {
-            failures: self.failures - earlier.failures,
-            crashes: self.crashes - earlier.crashes,
-        }
     }
 }
 

@@ -83,45 +83,27 @@ const RECLAIM_BATCH: u64 = 16;
 /// 4 KiB-sector NVMe devices the cost model is calibrated against).
 pub const DISK_BLOCK_SIZE: u64 = 4096;
 
-/// Counters for kernel events.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelStats {
-    /// System calls / capability invocations serviced.
-    pub kernel_entries: u64,
-    /// vmspace switches performed.
-    pub space_switches: u64,
-    /// Page faults handled.
-    pub faults_handled: u64,
-    /// mmap calls serviced.
-    pub mmaps: u64,
-    /// munmap calls serviced.
-    pub munmaps: u64,
-    /// Pages evicted to swap by the reclaim scan.
-    pub evictions: u64,
-    /// Faults that had to read a page back from swap.
-    pub major_faults: u64,
-    /// Reclaim passes run (watermark, allocation-retry, or explicit).
-    pub reclaim_passes: u64,
-    /// Allocations denied because a process exceeded its memory quota.
-    pub quota_denials: u64,
-}
-
-impl KernelStats {
-    /// Counters accumulated since `earlier` (an older snapshot of the
-    /// same kernel), so benchmarks can measure a phase instead of
-    /// cumulative-since-boot totals.
-    pub fn delta_since(&self, earlier: &KernelStats) -> KernelStats {
-        KernelStats {
-            kernel_entries: self.kernel_entries - earlier.kernel_entries,
-            space_switches: self.space_switches - earlier.space_switches,
-            faults_handled: self.faults_handled - earlier.faults_handled,
-            mmaps: self.mmaps - earlier.mmaps,
-            munmaps: self.munmaps - earlier.munmaps,
-            evictions: self.evictions - earlier.evictions,
-            major_faults: self.major_faults - earlier.major_faults,
-            reclaim_passes: self.reclaim_passes - earlier.reclaim_passes,
-            quota_denials: self.quota_denials - earlier.quota_denials,
-        }
+sjmp_trace::counter_group! {
+    /// Counters for kernel events.
+    pub struct KernelStats {
+        /// System calls / capability invocations serviced.
+        kernel_entries => "kernel.entries",
+        /// vmspace switches performed.
+        space_switches => "kernel.space_switches",
+        /// Page faults handled.
+        faults_handled => "kernel.faults_handled",
+        /// mmap calls serviced.
+        mmaps => "kernel.mmaps",
+        /// munmap calls serviced.
+        munmaps => "kernel.munmaps",
+        /// Pages evicted to swap by the reclaim scan.
+        evictions => "kernel.evictions",
+        /// Faults that had to read a page back from swap.
+        major_faults => "kernel.major_faults",
+        /// Reclaim passes run (watermark, allocation-retry, or explicit).
+        reclaim_passes => "kernel.reclaim_passes",
+        /// Allocations denied because a process exceeded its memory quota.
+        quota_denials => "kernel.quota_denials",
     }
 }
 
@@ -157,28 +139,21 @@ impl PressureLevel {
     }
 }
 
-/// Snapshot of physical-memory and pressure state, returned by
-/// [`Kernel::sys_phys_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhysStats {
-    /// Machine capacity in frames (DRAM + NVM tiers).
-    pub total_frames: u64,
-    /// Frames currently allocated to objects or page tables.
-    pub allocated_frames: u64,
-    /// Frames the allocator can still supply (bump region + free list).
-    pub free_frames: u64,
-    /// Frames in the NVM capacity tier (0 when none is configured).
-    pub nvm_frames: u64,
-    /// Swap slots holding evicted page images.
-    pub swap_slots_used: u64,
-    /// Pages evicted to swap since boot.
-    pub evictions: u64,
-    /// Major faults (swap-ins) since boot.
-    pub major_faults: u64,
-    /// Reclaim passes since boot.
-    pub reclaim_passes: u64,
-    /// Quota denials since boot.
-    pub quota_denials: u64,
+sjmp_trace::counter_group! {
+    /// Physical-memory occupancy, part of every [`KernelSnapshot`]. These
+    /// are gauges: a phase delta keeps the current reading.
+    pub struct PhysStats: gauges {
+        /// Machine capacity in frames (DRAM + NVM tiers).
+        total_frames => "phys.total_frames",
+        /// Frames currently allocated to objects or page tables.
+        allocated_frames => "phys.allocated_frames",
+        /// Frames the allocator can still supply (bump region + free list).
+        free_frames => "phys.free_frames",
+        /// Frames in the NVM capacity tier (0 when none is configured).
+        nvm_frames => "phys.nvm_frames",
+        /// Swap slots holding evicted page images.
+        swap_slots_used => "phys.swap_slots_used",
+    }
 }
 
 /// One consolidated kernel-state snapshot, returned by
@@ -196,7 +171,7 @@ pub struct KernelSnapshot {
     pub cycles: u64,
     /// Kernel event counters.
     pub kernel: KernelStats,
-    /// Physical-memory and pressure counters.
+    /// Physical-memory occupancy gauges.
     pub phys: PhysStats,
     /// MMU counters summed over all cores.
     pub mmu: MmuStats,
@@ -210,25 +185,13 @@ pub struct KernelSnapshot {
 
 impl KernelSnapshot {
     /// Counters accumulated since `earlier` (an older snapshot of the
-    /// same kernel). Gauge-like fields (`phys` occupancy, `cycles`…)
-    /// keep `self`'s current values; monotonic counters subtract.
+    /// same kernel). Each group applies its own rule: counters and
+    /// `cycles` subtract, the `phys` gauges keep `self`'s readings.
     pub fn delta_since(&self, earlier: &KernelSnapshot) -> KernelSnapshot {
         KernelSnapshot {
             cycles: self.cycles - earlier.cycles,
             kernel: self.kernel.delta_since(&earlier.kernel),
-            phys: PhysStats {
-                // Occupancy figures are gauges: report the current
-                // values, not a meaningless difference.
-                total_frames: self.phys.total_frames,
-                allocated_frames: self.phys.allocated_frames,
-                free_frames: self.phys.free_frames,
-                nvm_frames: self.phys.nvm_frames,
-                swap_slots_used: self.phys.swap_slots_used,
-                evictions: self.phys.evictions - earlier.phys.evictions,
-                major_faults: self.phys.major_faults - earlier.phys.major_faults,
-                reclaim_passes: self.phys.reclaim_passes - earlier.phys.reclaim_passes,
-                quota_denials: self.phys.quota_denials - earlier.phys.quota_denials,
-            },
+            phys: self.phys.delta_since(&earlier.phys),
             mmu: self.mmu.delta_since(&earlier.mmu),
             tlb: self.tlb.delta_since(&earlier.tlb),
             faults: self.faults.delta_since(&earlier.faults),
@@ -236,44 +199,18 @@ impl KernelSnapshot {
         }
     }
 
-    /// Flattens every counter into a uniform [`MetricsSnapshot`]
-    /// (names like `kernel.space_switches`, `tlb.misses`), the form
-    /// the exporters serialize.
+    /// Flattens every group into a uniform [`MetricsSnapshot`] under
+    /// the names each group declares (`kernel.space_switches`,
+    /// `tlb.misses`…), the form the exporters serialize.
     pub fn to_metrics(&self) -> MetricsSnapshot {
         let mut m = MetricsSnapshot::default();
         m.set_counter("clock.cycles", self.cycles);
-        m.set_counter("kernel.entries", self.kernel.kernel_entries);
-        m.set_counter("kernel.space_switches", self.kernel.space_switches);
-        m.set_counter("kernel.faults_handled", self.kernel.faults_handled);
-        m.set_counter("kernel.mmaps", self.kernel.mmaps);
-        m.set_counter("kernel.munmaps", self.kernel.munmaps);
-        m.set_counter("kernel.evictions", self.kernel.evictions);
-        m.set_counter("kernel.major_faults", self.kernel.major_faults);
-        m.set_counter("kernel.reclaim_passes", self.kernel.reclaim_passes);
-        m.set_counter("kernel.quota_denials", self.kernel.quota_denials);
-        m.set_counter("phys.total_frames", self.phys.total_frames);
-        m.set_counter("phys.allocated_frames", self.phys.allocated_frames);
-        m.set_counter("phys.free_frames", self.phys.free_frames);
-        m.set_counter("phys.nvm_frames", self.phys.nvm_frames);
-        m.set_counter("phys.swap_slots_used", self.phys.swap_slots_used);
-        m.set_counter("mmu.cr3_loads", self.mmu.cr3_loads);
-        m.set_counter("mmu.translations", self.mmu.translations);
-        m.set_counter("mmu.walks", self.mmu.walks);
-        m.set_counter("mmu.faults", self.mmu.faults);
-        m.set_counter("tlb.hits", self.tlb.hits);
-        m.set_counter("tlb.misses", self.tlb.misses);
-        m.set_counter("tlb.flushes", self.tlb.flushes);
-        m.set_counter("tlb.asid_flushes", self.tlb.asid_flushes);
-        m.set_counter("tlb.evictions", self.tlb.evictions);
-        m.set_counter("tlb.insertions", self.tlb.insertions);
-        m.set_counter("fault_plan.failures", self.faults.failures);
-        m.set_counter("fault_plan.crashes", self.faults.crashes);
-        m.set_counter("blk.reads", self.blk.reads);
-        m.set_counter("blk.writes", self.blk.writes);
-        m.set_counter("blk.flushes", self.blk.flushes);
-        m.set_counter("blk.torn_writes", self.blk.torn_writes);
-        m.set_counter("blk.dropped_flushes", self.blk.dropped_flushes);
-        m.set_counter("blk.journal_replays", self.blk.journal_replays);
+        m.extend(self.kernel.counters());
+        m.extend(self.phys.counters());
+        m.extend(self.mmu.counters());
+        m.extend(self.tlb.counters());
+        m.extend(self.faults.counters());
+        m.extend(self.blk.counters());
         m
     }
 }
@@ -2258,23 +2195,6 @@ impl Kernel {
             .map(|(_, pid)| Pid(pid))
     }
 
-    /// Reports physical-memory and pressure counters (a syscall, so the
-    /// entry cost is charged).
-    pub fn sys_phys_stats(&mut self) -> PhysStats {
-        self.charge_entry();
-        PhysStats {
-            total_frames: self.phys.capacity_frames(),
-            allocated_frames: self.phys.allocated_frames(),
-            free_frames: self.phys.free_frames(),
-            nvm_frames: self.phys.nvm_frames(),
-            swap_slots_used: self.phys.swap_slots_used(),
-            evictions: self.stats.evictions,
-            major_faults: self.stats.major_faults,
-            reclaim_passes: self.stats.reclaim_passes,
-            quota_denials: self.stats.quota_denials,
-        }
-    }
-
     /// Explicitly requests reclamation of up to `frames` frames (the
     /// retry valve for workloads that hit a quota or OOM error).
     pub fn sys_reclaim(&mut self, frames: u64) -> u64 {
@@ -2298,18 +2218,8 @@ impl Kernel {
         let mut mmu = MmuStats::default();
         let mut tlb = TlbStats::default();
         for m in self.machine.mmus() {
-            let ms = m.stats();
-            mmu.cr3_loads += ms.cr3_loads;
-            mmu.translations += ms.translations;
-            mmu.walks += ms.walks;
-            mmu.faults += ms.faults;
-            let ts = m.tlb_stats();
-            tlb.hits += ts.hits;
-            tlb.misses += ts.misses;
-            tlb.flushes += ts.flushes;
-            tlb.asid_flushes += ts.asid_flushes;
-            tlb.evictions += ts.evictions;
-            tlb.insertions += ts.insertions;
+            mmu = mmu.add(&m.stats());
+            tlb = tlb.add(&m.tlb_stats());
         }
         KernelSnapshot {
             // Total CPU cycles over every hardware thread; equals the
@@ -2322,10 +2232,6 @@ impl Kernel {
                 free_frames: self.phys.free_frames(),
                 nvm_frames: self.phys.nvm_frames(),
                 swap_slots_used: self.phys.swap_slots_used(),
-                evictions: self.stats.evictions,
-                major_faults: self.stats.major_faults,
-                reclaim_passes: self.stats.reclaim_passes,
-                quota_denials: self.stats.quota_denials,
             },
             mmu,
             tlb,
@@ -3557,13 +3463,13 @@ mod tests {
         for i in 0..112u64 {
             k.store_u64(pid, va.add(i * PAGE_SIZE), i).unwrap();
         }
-        let s = k.sys_phys_stats();
-        assert_eq!(s.total_frames, 160);
-        assert!(s.allocated_frames + s.free_frames <= 160);
-        assert!(s.swap_slots_used > 0);
-        assert_eq!(s.evictions, k.stats().evictions);
-        assert_eq!(s.major_faults, k.stats().major_faults);
-        assert!(s.reclaim_passes > 0);
+        let s = k.sys_stats();
+        assert_eq!(s.phys.total_frames, 160);
+        assert!(s.phys.allocated_frames + s.phys.free_frames <= 160);
+        assert!(s.phys.swap_slots_used > 0);
+        assert_eq!(s.kernel, k.stats());
+        assert!(s.kernel.evictions > 0);
+        assert!(s.kernel.reclaim_passes > 0);
         // The audit cross-checks the same numbers exactly.
         assert!(k.check_invariants(&[]).is_empty());
     }
@@ -3575,12 +3481,12 @@ mod tests {
         for i in 0..32u64 {
             k.store_u64(pid, va.add(i * PAGE_SIZE), i).unwrap();
         }
-        let free0 = k.sys_phys_stats().free_frames;
+        let free0 = k.sys_stats().phys.free_frames;
         // Two passes: the first strips reference bits, the second evicts.
         k.sys_reclaim(16);
         let freed = k.sys_reclaim(16);
         assert!(freed > 0, "second pass must evict unreferenced pages");
-        assert!(k.sys_phys_stats().free_frames > free0);
+        assert!(k.sys_stats().phys.free_frames > free0);
         // Evicted pages still read back correctly.
         for i in 0..32u64 {
             assert_eq!(k.load_u64(pid, va.add(i * PAGE_SIZE)).unwrap(), i);

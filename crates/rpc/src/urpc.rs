@@ -54,29 +54,17 @@ impl std::fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
-/// Channel statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChannelStats {
-    /// Messages sent.
-    pub sent: u64,
-    /// Messages received.
-    pub received: u64,
-    /// Cache lines transferred.
-    pub lines: u64,
-    /// Producer stalls on a full ring.
-    pub stalls: u64,
-}
-
-impl ChannelStats {
-    /// Counters accumulated since `earlier` (an older snapshot of the
-    /// same channel), for phase measurements.
-    pub fn delta_since(&self, earlier: &ChannelStats) -> ChannelStats {
-        ChannelStats {
-            sent: self.sent - earlier.sent,
-            received: self.received - earlier.received,
-            lines: self.lines - earlier.lines,
-            stalls: self.stalls - earlier.stalls,
-        }
+sjmp_trace::counter_group! {
+    /// Channel statistics.
+    pub struct ChannelStats {
+        /// Messages sent.
+        sent => "urpc.sent",
+        /// Messages received.
+        received => "urpc.received",
+        /// Cache lines transferred.
+        lines => "urpc.lines",
+        /// Producer stalls on a full ring.
+        stalls => "urpc.stalls",
     }
 }
 

@@ -7,6 +7,8 @@
 //! constants alone: a ring-buffered structured event tracer stamped
 //! with simulated cycles, and a metrics registry of monotonic counters
 //! plus log₂-bucketed cycle histograms with snapshot/delta semantics.
+//! [`counter_group!`] declares the workspace's typed counter groups,
+//! each field once beside its exported name.
 //!
 //! ## Design rules
 //!

@@ -1,18 +1,113 @@
-//! Unified metrics registry: monotonic counters and log₂ cycle
-//! histograms with snapshot/delta semantics.
+//! Counter groups and the metrics registry.
 //!
-//! The scattered `*Stats` structs around the workspace are cumulative
-//! since boot, which makes phase measurements ("how many TLB misses in
-//! phase 2?") awkward: the caller has to subtract by hand, field by
-//! field. The registry replaces that with two uniform primitives —
-//! named `u64` counters and named [`Histogram`]s of cycle durations —
-//! and a [`MetricsSnapshot`] that supports `delta(&earlier)`, so a
-//! phase is measured by snapshotting before and after and subtracting
-//! once.
+//! Two halves share one export form, [`MetricsSnapshot`]:
+//!
+//! * **Counter groups** ([`counter_group!`](crate::counter_group)).
+//!   Each subsystem keeps its always-on counters in a plain `Copy`
+//!   struct of `pub u64` fields, so a hot-path increment stays one
+//!   field add. The macro declares such a struct with every field
+//!   listed once beside its exported name, and generates the phase
+//!   delta, the element-wise sum and the `(name, value)` list from
+//!   that one list. `sjmp_blk::BlkStats` is the one group written by
+//!   hand, because `sjmp-blk` has no dependencies; it offers the same
+//!   three operations.
+//! * **The registry** ([`MetricsRegistry`]). Named `u64` counters and
+//!   named log₂ [`Histogram`]s of cycle durations, filled by the tracer
+//!   as spans end.
+//!
+//! A counter group exports by writing its `counters()` into a
+//! [`MetricsSnapshot`]. A phase is measured either way round: subtract
+//! the typed groups and export the difference, or export both ends and
+//! [`MetricsSnapshot::delta`] them. The two agree on every counter;
+//! gauges differ by design (the typed delta keeps the current reading,
+//! the exported delta subtracts).
 
 use std::collections::BTreeMap;
 
 use crate::json::Json;
+
+/// Declares a counter group: a `Copy`/`Default`/`PartialEq` struct of
+/// `pub u64` fields, each listed once with the metric name it exports
+/// under.
+///
+/// The macro generates, from that one list:
+///
+/// * `delta_since(&earlier)`: the group's reading since an older
+///   snapshot of the same source. Counters subtract; a group declared
+///   `: gauges` keeps its current reading instead.
+/// * `add(&other)`: the element-wise sum, for folding several sources
+///   (cores, devices) into one group.
+/// * `counters()`: every field as `(exported name, value)`, in
+///   declaration order, ready for [`MetricsSnapshot::extend`].
+///
+/// Field attributes (doc comments) pass through to the struct.
+///
+/// ```
+/// sjmp_trace::counter_group! {
+///     /// Widget events.
+///     pub struct WidgetStats {
+///         /// Widgets made.
+///         made => "widget.made",
+///         /// Widgets broken.
+///         broken => "widget.broken",
+///     }
+/// }
+///
+/// let early = WidgetStats { made: 2, broken: 0 };
+/// let late = WidgetStats { made: 5, broken: 1 };
+/// assert_eq!(late.delta_since(&early), WidgetStats { made: 3, broken: 1 });
+/// assert_eq!(late.add(&early).made, 7);
+/// assert_eq!(late.counters(), [("widget.made", 5), ("widget.broken", 1)]);
+/// ```
+#[macro_export]
+macro_rules! counter_group {
+    (@delta, $now:ident, $earlier:ident, $name:ident { $($field:ident)* }) => {
+        $name { $($field: $now.$field - $earlier.$field,)* }
+    };
+    (@delta gauges, $now:ident, $earlier:ident, $name:ident { $($field:ident)* }) => {{
+        let _ = $earlier;
+        *$now
+    }};
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident $(: $kind:ident)? {
+            $(
+                $(#[$fmeta:meta])*
+                $field:ident => $metric:literal,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $(
+                $(#[$fmeta])*
+                pub $field: u64,
+            )*
+        }
+
+        impl $name {
+            /// The group's reading since `earlier`, an older snapshot of
+            /// the same source, for phase measurements without resetting
+            /// the live counters. Counters subtract; gauges keep the
+            /// current reading.
+            pub fn delta_since(&self, earlier: &$name) -> $name {
+                $crate::counter_group!(@delta $($kind)?, self, earlier, $name { $($field)* })
+            }
+
+            /// Element-wise sum, for folding several sources into one group.
+            pub fn add(&self, other: &$name) -> $name {
+                $name { $($field: self.$field + other.$field,)* }
+            }
+
+            /// Every field as `(exported metric name, value)`, in
+            /// declaration order.
+            pub fn counters(&self) -> [(&'static str, u64); [$($metric),*].len()] {
+                [$(($metric, self.$field)),*]
+            }
+        }
+    };
+}
 
 /// Number of histogram buckets: bucket `i` counts values whose bit
 /// length is `i` (value 0 lands in bucket 0, so `u64` needs 65).
@@ -286,8 +381,7 @@ impl MetricsSnapshot {
         self.histograms.get(name)
     }
 
-    /// Sets a counter directly (used when folding external `*Stats`
-    /// structs into one consolidated snapshot).
+    /// Sets a counter directly.
     pub fn set_counter(&mut self, name: &str, v: u64) {
         self.counters.insert(name.to_string(), v);
     }
@@ -329,6 +423,16 @@ impl MetricsSnapshot {
             ("counters".to_string(), counters),
             ("histograms".to_string(), histograms),
         ])
+    }
+}
+
+/// Sets each `(name, value)` counter: how a counter group's
+/// `counters()` lands in an export.
+impl<'a> Extend<(&'a str, u64)> for MetricsSnapshot {
+    fn extend<I: IntoIterator<Item = (&'a str, u64)>>(&mut self, counters: I) {
+        for (name, v) in counters {
+            self.set_counter(name, v);
+        }
     }
 }
 

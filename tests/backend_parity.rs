@@ -125,7 +125,7 @@ fn swap_path(backend: Backend) -> SwapRun {
         "audit failed:\n{}",
         problems.join("\n")
     );
-    let stats = sj.kernel_mut().sys_phys_stats();
+    let stats = sj.kernel_mut().sys_stats().kernel;
     SwapRun {
         loads,
         evictions: stats.evictions,

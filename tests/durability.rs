@@ -9,6 +9,7 @@
 //! linter.
 
 use spacejmp::analyze::lint_kernel;
+use spacejmp::core::{Catalog, SegmentImage, VasImage};
 use spacejmp::kv::JmpClient;
 use spacejmp::mem::PAGE_SIZE;
 use spacejmp::os::{FaultPlan, FaultSite, OsError};
@@ -169,6 +170,37 @@ fn loading_a_never_saved_name_is_not_found() {
 }
 
 #[test]
+fn loading_an_image_with_a_page_beyond_its_segment_creates_nothing() {
+    let mut sj = boot();
+    let pid = spawn(&mut sj, "p");
+    let image = VasImage {
+        mode: 0o660,
+        segments: vec![SegmentImage {
+            name: "bad-s".into(),
+            base: SEG_BASE,
+            size: 1 << 20,
+            writable: true,
+            mode: 0o660,
+            lockable: true,
+            swappable: false,
+            pages: vec![(1 << 30, vec![0xAB; PAGE_SIZE as usize])],
+        }],
+    };
+    let mut catalog = Catalog::new();
+    catalog.upsert("bad", image.encode());
+    sj.kernel_mut()
+        .disk_commit(CoreCtx::new(0), &catalog.encode())
+        .unwrap();
+    assert!(matches!(
+        sj.vas_load(pid, "bad"),
+        Err(SjError::InvalidArgument(_))
+    ));
+    assert_eq!(sj.vas_find("bad"), Err(SjError::NotFound));
+    assert_eq!(sj.seg_find("bad-s"), Err(SjError::NotFound));
+    assert_clean(&mut sj);
+}
+
+#[test]
 fn saving_twice_preserves_other_catalog_entries() {
     let mut sj = boot();
     let pid = spawn(&mut sj, "p");
@@ -211,13 +243,13 @@ fn swappable_segment_with_evicted_pages_survives_restart() {
     // contents back through it without faulting pages in.
     let evicted = sj.kernel_mut().sys_reclaim(PAGES);
     assert!(evicted > 0, "reclaim evicted nothing");
-    let swapped_before = sj.kernel_mut().sys_phys_stats().swap_slots_used;
+    let swapped_before = sj.kernel_mut().sys_stats().phys.swap_slots_used;
     assert!(swapped_before > 0);
 
     // save_segment on a swappable segment (previously refused).
     let image = sj.save_segment(pid, sid).unwrap();
     assert_eq!(
-        sj.kernel_mut().sys_phys_stats().swap_slots_used,
+        sj.kernel_mut().sys_stats().phys.swap_slots_used,
         swapped_before,
         "saving must not disturb evicted pages"
     );
@@ -247,21 +279,21 @@ fn swappable_segment_clones_preserving_evicted_pages() {
     let (_, sid) = build_vas(&mut sj, pid, "cl", PAGES, true, |p| 0xC0_0000 + p);
     let evicted = sj.kernel_mut().sys_reclaim(PAGES);
     assert!(evicted > 0);
-    let before = sj.kernel_mut().sys_phys_stats();
+    let before = sj.kernel_mut().sys_stats();
 
     // seg_clone on a swappable segment (previously refused): page
     // states are copied — evicted pages land in fresh swap slots, no
     // page of either side is faulted in.
     let clone_sid = sj.seg_clone(pid, sid, "cl-copy").unwrap();
-    let after = sj.kernel_mut().sys_phys_stats();
+    let after = sj.kernel_mut().sys_stats();
     assert!(
-        after.swap_slots_used > before.swap_slots_used,
+        after.phys.swap_slots_used > before.phys.swap_slots_used,
         "clone copied swap slots: {} -> {}",
-        before.swap_slots_used,
-        after.swap_slots_used
+        before.phys.swap_slots_used,
+        after.phys.swap_slots_used
     );
     assert_eq!(
-        after.major_faults, before.major_faults,
+        after.kernel.major_faults, before.kernel.major_faults,
         "cloning faulted pages in"
     );
 

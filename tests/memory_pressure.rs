@@ -94,7 +94,7 @@ fn evicted_pages_fault_back_with_contents_intact() {
     // Force every resident page out to the swap device.
     let evicted = sj.kernel_mut().sys_reclaim(PAGES);
     assert!(evicted > 0, "reclaim evicted nothing");
-    let mid = sj.kernel_mut().sys_phys_stats();
+    let mid = sj.kernel_mut().sys_stats().phys;
     assert!(mid.swap_slots_used > 0, "no pages went to swap: {mid:?}");
 
     // Every load major-faults the page back in with its value intact.
@@ -105,7 +105,7 @@ fn evicted_pages_fault_back_with_contents_intact() {
             0xC0DE_0000 + page
         );
     }
-    let end = sj.kernel_mut().sys_phys_stats();
+    let end = sj.kernel_mut().sys_stats().kernel;
     assert!(end.evictions > 0);
     assert!(
         end.major_faults >= evicted,
@@ -142,7 +142,7 @@ fn quota_caps_resident_set_by_self_eviction() {
             "resident set {resident} exceeds quota {quota} after page {page}"
         );
     }
-    let stats = sj.kernel_mut().sys_phys_stats();
+    let stats = sj.kernel_mut().sys_stats().kernel;
     assert!(stats.evictions >= PAGES - HEADROOM);
 
     // Everything written is still readable (from swap where needed).
@@ -179,7 +179,7 @@ fn quota_breach_returns_typed_error_the_workload_can_retry() {
         }
         other => panic!("expected QuotaExceeded, got {other:?}"),
     }
-    let denials = sj.kernel_mut().sys_phys_stats().quota_denials;
+    let denials = sj.kernel_mut().sys_stats().kernel.quota_denials;
     assert!(denials > 0);
 
     // The typed error is retryable: raise the quota and the same store
@@ -320,7 +320,7 @@ fn randomized_oversubscription_stays_consistent() {
         assert_clean(&mut sj);
     }
 
-    let stats = sj.kernel_mut().sys_phys_stats();
+    let stats = sj.kernel_mut().sys_stats().kernel;
     assert!(stats.evictions > 0, "never evicted: {stats:?}");
     assert!(stats.major_faults > 0, "never swapped in: {stats:?}");
 }

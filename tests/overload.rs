@@ -85,7 +85,7 @@ fn memory_pressure_flips_shards_read_only_and_recovery_restores_writes() {
 
     // Set the watermark above the current free-frame count: instantly
     // critical, without having to actually exhaust the machine.
-    let free = sj.kernel_mut().sys_phys_stats().free_frames;
+    let free = sj.kernel_mut().sys_stats().phys.free_frames;
     sj.kernel_mut().set_low_watermark(Some(free + 8));
     assert_eq!(sj.kernel().mem_pressure(), PressureLevel::Critical);
     assert!(kv.degraded(&sj, 0) && kv.degraded(&sj, 1));
