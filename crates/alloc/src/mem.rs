@@ -29,6 +29,22 @@ pub trait MemAccess {
     /// As [`MemAccess::read_u64`].
     fn write_u64(&mut self, offset: u64, value: u64);
 
+    /// Reads the `u64`s at `offset`, `offset + 8`, ... until one is
+    /// nonzero or `max` have been read; returns how many were read and
+    /// the last one (`(0, 0)` when `max` is 0). The `max` words must lie
+    /// inside the area.
+    ///
+    /// The default reads word by word. An implementation may batch the
+    /// reads, but must leave every observable effect as the default does.
+    fn read_until_nonzero(&mut self, offset: u64, max: u64) -> (u64, u64) {
+        let (mut read, mut word) = (0, 0);
+        while word == 0 && read < max {
+            word = self.read_u64(offset + read * 8);
+            read += 1;
+        }
+        (read, word)
+    }
+
     /// Copies `len` bytes from `src` to `dst` (non-overlapping), rounding
     /// the tail up to whole words. Both offsets must be 8-aligned.
     fn copy_words(&mut self, src: u64, dst: u64, len: u64) {
@@ -106,6 +122,17 @@ mod tests {
         m.zero(32, 12); // rounds up to 16
         assert_eq!(m.read_u64(32), 0);
         assert_eq!(m.read_u64(40), 0);
+    }
+
+    #[test]
+    fn read_until_nonzero_stops_at_the_first_nonzero_word_or_max() {
+        let mut m = VecMem::new(64);
+        m.write_u64(24, 5);
+        assert_eq!(m.read_until_nonzero(0, 8), (4, 5));
+        assert_eq!(m.read_until_nonzero(0, 2), (2, 0));
+        assert_eq!(m.read_until_nonzero(32, 4), (4, 0));
+        assert_eq!(m.read_until_nonzero(24, 1), (1, 5));
+        assert_eq!(m.read_until_nonzero(0, 0), (0, 0));
     }
 
     #[test]

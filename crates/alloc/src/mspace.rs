@@ -224,6 +224,22 @@ impl<M: MemAccess> Mspace<M> {
         c < self.total - 16 && size >= MIN_CHUNK && size <= self.total - 16 - c
     }
 
+    /// The chunk behind payload pointer `ptr` and its size, if `ptr`
+    /// names a live allocation: a real chunk of the area (not the start
+    /// sentinel), 16-aligned, marked in use, with a size that fits.
+    fn live_chunk(&mut self, ptr: u64) -> Result<(u64, u64), AllocError> {
+        let c = ptr.wrapping_sub(8);
+        if ptr < FIRST_CHUNK + 8 || ptr >= self.total || !c.is_multiple_of(16) {
+            return Err(AllocError::BadPointer(ptr));
+        }
+        let h = self.header(c);
+        let size = h & SIZE_MASK;
+        if h & IN_USE == 0 || !self.size_fits(c, size) {
+            return Err(AllocError::BadPointer(ptr));
+        }
+        Ok((c, size))
+    }
+
     /// The size in free chunk `c`'s header, checked before it is trusted.
     fn free_size(&mut self, c: u64) -> Result<u64, AllocError> {
         let h = self.header(c);
@@ -280,13 +296,22 @@ impl<M: MemAccess> Mspace<M> {
     /// [`AllocError::OutOfMemory`] when no chunk fits;
     /// [`AllocError::Corrupt`] when the free lists are damaged.
     pub fn malloc(&mut self, size: u64) -> Result<u64, AllocError> {
-        let want = (size.max(16) + OVERHEAD + 15) & !0xf;
+        let want = size
+            .max(16)
+            .checked_add(OVERHEAD + 15)
+            .ok_or(AllocError::OutOfMemory)?
+            & !0xf;
         let mut idx = bin_index(want);
         // No sound free list holds more chunks than fit in the area, so
         // a walk past that many is going round a cycle.
         let mut budget = (self.total - FIRST_CHUNK) / MIN_CHUNK;
         while idx < NBINS as usize {
-            let mut c = self.bin_head(idx);
+            // Skip the run of empty bins in one read: it reads the same
+            // heads, and stops at the first non-empty one.
+            let (read, mut c) = self
+                .mem
+                .read_until_nonzero(OFF_BINS + idx as u64 * 8, NBINS - idx as u64);
+            idx += read as usize - 1;
             while c != 0 {
                 c = self.check_chunk(c)?;
                 if budget == 0 {
@@ -344,22 +369,7 @@ impl<M: MemAccess> Mspace<M> {
     /// live allocation; [`AllocError::Corrupt`] when a neighbour's
     /// boundary tag or the free lists are damaged.
     pub fn free(&mut self, ptr: u64) -> Result<(), AllocError> {
-        let mut c = ptr.wrapping_sub(8);
-        if ptr < FIRST_CHUNK + 8
-            || ptr >= self.total
-            || !ptr.is_multiple_of(8)
-            || !c.is_multiple_of(16)
-        {
-            return Err(AllocError::BadPointer(ptr));
-        }
-        let h = self.header(c);
-        if h & IN_USE == 0 {
-            return Err(AllocError::BadPointer(ptr));
-        }
-        let mut size = h & SIZE_MASK;
-        if !self.size_fits(c, size) {
-            return Err(AllocError::BadPointer(ptr));
-        }
+        let (mut c, mut size) = self.live_chunk(ptr)?;
         let live = self.mem.read_u64(OFF_LIVE);
         self.mem
             .write_u64(OFF_LIVE, live.saturating_sub(size - OVERHEAD));
@@ -398,15 +408,8 @@ impl<M: MemAccess> Mspace<M> {
     ///
     /// As [`Self::malloc`] and [`Self::free`].
     pub fn realloc(&mut self, ptr: u64, new_size: u64) -> Result<u64, AllocError> {
-        let c = ptr.wrapping_sub(8);
-        if !ptr.is_multiple_of(8) || ptr < HDR_END + 8 || ptr >= self.total {
-            return Err(AllocError::BadPointer(ptr));
-        }
-        let h = self.header(c);
-        if h & IN_USE == 0 || !self.size_fits(c, h & SIZE_MASK) {
-            return Err(AllocError::BadPointer(ptr));
-        }
-        let old_payload = (h & SIZE_MASK) - OVERHEAD;
+        let (_, size) = self.live_chunk(ptr)?;
+        let old_payload = size - OVERHEAD;
         if new_size <= old_payload {
             return Ok(ptr); // shrink in place (no split for simplicity)
         }
@@ -422,15 +425,8 @@ impl<M: MemAccess> Mspace<M> {
     ///
     /// [`AllocError::BadPointer`] for invalid pointers.
     pub fn usable_size(&mut self, ptr: u64) -> Result<u64, AllocError> {
-        let c = ptr.wrapping_sub(8);
-        if !ptr.is_multiple_of(8) || ptr < HDR_END + 8 || ptr >= self.total {
-            return Err(AllocError::BadPointer(ptr));
-        }
-        let h = self.header(c);
-        if h & IN_USE == 0 || !self.size_fits(c, h & SIZE_MASK) {
-            return Err(AllocError::BadPointer(ptr));
-        }
-        Ok((h & SIZE_MASK) - OVERHEAD)
+        let (_, size) = self.live_chunk(ptr)?;
+        Ok(size - OVERHEAD)
     }
 
     // -- statistics --------------------------------------------------------
@@ -613,6 +609,37 @@ mod tests {
         assert!(m.free(1 << 40).is_err(), "out of range");
         m.free(p).unwrap();
         assert!(m.free(p).is_err(), "double free");
+    }
+
+    #[test]
+    fn the_start_sentinel_is_not_a_live_allocation() {
+        let mut m = ms(64 * 1024);
+        let sentinel = HDR_END + 8;
+        assert_eq!(
+            m.usable_size(sentinel),
+            Err(AllocError::BadPointer(sentinel))
+        );
+        assert_eq!(
+            m.realloc(sentinel, 100),
+            Err(AllocError::BadPointer(sentinel))
+        );
+        assert_eq!(m.free(sentinel), Err(AllocError::BadPointer(sentinel)));
+        // The refused realloc allocated nothing.
+        assert_eq!((m.allocation_count(), m.allocated_bytes()), (0, 0));
+        m.check_invariants();
+    }
+
+    #[test]
+    fn huge_sizes_are_out_of_memory() {
+        let mut m = ms(64 * 1024);
+        let p = m.malloc(64).unwrap();
+        for size in [u64::MAX, u64::MAX - 10, u64::MAX - 31, u64::MAX / 2] {
+            assert_eq!(m.malloc(size), Err(AllocError::OutOfMemory), "{size}");
+            assert_eq!(m.calloc(size), Err(AllocError::OutOfMemory), "{size}");
+            assert_eq!(m.realloc(p, size), Err(AllocError::OutOfMemory), "{size}");
+        }
+        assert_eq!(m.allocation_count(), 1);
+        m.check_invariants();
     }
 
     #[test]

@@ -67,6 +67,16 @@ impl MemAccess for KernelMem<'_> {
             .store_u64(self.base.add(offset), value)
             .expect("heap segment must be mapped writable in the current VAS")
     }
+
+    fn read_until_nonzero(&mut self, offset: u64, max: u64) -> (u64, u64) {
+        assert!(
+            offset + max * 8 <= self.size,
+            "allocator access out of segment bounds"
+        );
+        self.mem
+            .load_until_nonzero(self.base.add(offset), max)
+            .expect("heap segment must be mapped in the current VAS")
+    }
 }
 
 /// A heap living inside a SpaceJMP segment.
@@ -273,5 +283,164 @@ fn alloc_err(e: AllocError) -> SjError {
         AllocError::TooSmall => SjError::InvalidArgument("segment too small for a heap"),
         AllocError::BadPointer(_) => SjError::InvalidArgument("invalid heap pointer"),
         AllocError::Corrupt(_) => SjError::InvalidArgument("heap metadata is corrupt"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::segment::AttachMode;
+    use sjmp_mem::{KernelFlavor, MachineId};
+    use sjmp_os::{Creds, Kernel, Mode, OsError};
+    use sjmp_trace::Tracer;
+
+    const HEAP_BASE: u64 = 0x1000_0000_0000;
+    const HEAP_SIZE: u64 = 64 * 1024;
+
+    /// A process switched into a VAS holding a formatted heap.
+    fn heap_process(traced: bool) -> (SpaceJmp, Pid, VasHeap) {
+        let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::DragonFly, MachineId::M2));
+        if traced {
+            sj.kernel_mut().set_tracer(Tracer::new(1 << 20));
+        }
+        let pid = sj.kernel_mut().spawn("p", Creds::new(100, 100)).unwrap();
+        sj.kernel_mut().activate(pid).unwrap();
+        let vid = sj.vas_create(pid, "v", Mode(0o660)).unwrap();
+        let va = VirtAddr::new(HEAP_BASE);
+        let sid = sj
+            .seg_alloc(pid, "heap", va, HEAP_SIZE, Mode(0o660))
+            .unwrap();
+        sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite).unwrap();
+        let vh = sj.vas_attach(pid, vid).unwrap();
+        sj.vas_switch(pid, vh).unwrap();
+        let heap = VasHeap::format(&mut sj, pid, sid).unwrap();
+        (sj, pid, heap)
+    }
+
+    /// [`KernelMem`] without its `read_until_nonzero`: the trait's
+    /// word-by-word default, which the runs must equal.
+    struct PerWord<'a>(KernelMem<'a>);
+
+    impl MemAccess for PerWord<'_> {
+        fn size(&self) -> u64 {
+            self.0.size()
+        }
+
+        fn read_u64(&mut self, offset: u64) -> u64 {
+            self.0.read_u64(offset)
+        }
+
+        fn write_u64(&mut self, offset: u64, value: u64) {
+            self.0.write_u64(offset, value)
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Malloc(u64),
+        Calloc(u64),
+        /// Frees the i-th live allocation (modulo the live count).
+        Free(usize),
+        /// Reallocs the i-th live allocation.
+        Realloc(usize, u64),
+    }
+
+    /// A seeded op sequence (splitmix64): small and large requests, so
+    /// bin scans start in every size class and some requests fail.
+    fn random_ops(seed: u64, count: usize) -> Vec<Op> {
+        let mut state = seed;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        (0..count)
+            .map(|_| {
+                let size = match next(8) {
+                    0 => 1 + next(16_384),
+                    _ => 1 + next(600),
+                };
+                match next(5) {
+                    0 | 1 => Op::Malloc(size),
+                    2 => Op::Calloc(size),
+                    3 => Op::Free(next(1 << 16) as usize),
+                    _ => Op::Realloc(next(1 << 16) as usize, size),
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `op` through an mspace over `mem`, tracking live offsets.
+    fn apply<M: MemAccess>(mem: M, live: &mut Vec<u64>, op: Op) -> Result<u64, AllocError> {
+        let mut ms = Mspace::attach(mem)?;
+        match op {
+            Op::Malloc(size) => ms.malloc(size).inspect(|&p| live.push(p)),
+            Op::Calloc(size) => ms.calloc(size).inspect(|&p| live.push(p)),
+            Op::Free(_) | Op::Realloc(..) if live.is_empty() => Ok(0),
+            Op::Free(i) => {
+                let p = live.swap_remove(i % live.len());
+                ms.free(p).map(|()| p)
+            }
+            Op::Realloc(i, size) => {
+                let i = i % live.len();
+                let p = ms.realloc(live[i], size)?;
+                live[i] = p;
+                Ok(p)
+            }
+        }
+    }
+
+    fn segment_bytes(sj: &mut SpaceJmp, pid: Pid) -> Vec<u8> {
+        let mut buf = vec![0; HEAP_SIZE as usize];
+        let mut mem = sj.kernel_mut().proc_mem(pid).unwrap();
+        mem.load_bytes(VirtAddr::new(HEAP_BASE), &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn bin_scan_runs_equal_word_by_word_reads() {
+        for seed in 0..24 {
+            let traced = seed % 4 == 0;
+            let (mut run_sj, run_pid, heap) = heap_process(traced);
+            let (mut word_sj, word_pid, _) = heap_process(traced);
+            let (mut run_live, mut word_live) = (Vec::new(), Vec::new());
+            for (step, op) in random_ops(seed, 200).into_iter().enumerate() {
+                let run_mem = KernelMem::new(&mut run_sj, run_pid, heap.base, heap.size).unwrap();
+                let by_run = apply(run_mem, &mut run_live, op);
+                let word_mem = KernelMem::new(&mut word_sj, word_pid, heap.base, heap.size);
+                let by_word = apply(PerWord(word_mem.unwrap()), &mut word_live, op);
+                let at = format!("seed {seed}, step {step}, {op:?}");
+                assert_eq!(by_run, by_word, "{at}");
+                let (run_k, word_k) = (run_sj.kernel(), word_sj.kernel());
+                assert_eq!(run_k.now(), word_k.now(), "{at}");
+                assert_eq!(run_k.stats_snapshot(), word_k.stats_snapshot(), "{at}");
+            }
+            assert_eq!(
+                run_sj.kernel().tracer().events(),
+                word_sj.kernel().tracer().events(),
+                "seed {seed}"
+            );
+            assert_eq!(
+                segment_bytes(&mut run_sj, run_pid),
+                segment_bytes(&mut word_sj, word_pid),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn huge_sizes_are_a_typed_error() {
+        let (mut sj, pid, heap) = heap_process(false);
+        let p = heap.malloc(&mut sj, pid, 64).unwrap();
+        let oom = SjError::Os(OsError::Mem(sjmp_mem::MemError::OutOfFrames));
+        for size in [u64::MAX, u64::MAX - 10] {
+            assert_eq!(heap.malloc(&mut sj, pid, size), Err(oom.clone()));
+            assert_eq!(heap.calloc(&mut sj, pid, size), Err(oom.clone()));
+            assert_eq!(heap.realloc(&mut sj, pid, p, size), Err(oom.clone()));
+        }
+        assert_eq!(heap.allocation_count(&mut sj, pid), Ok(1));
+        heap.free(&mut sj, pid, p).unwrap();
     }
 }

@@ -343,6 +343,7 @@ impl Mmu {
     /// * [`MemError::NoAddressSpace`] if CR3 was never loaded.
     /// * [`MemError::PageFault`] if no translation exists.
     /// * [`MemError::ProtectionFault`] if the mapping forbids `access`.
+    #[inline]
     pub fn translate(
         &mut self,
         phys: &mut PhysMem,
@@ -546,10 +547,68 @@ impl Mmu {
     ///
     /// Translation errors as in [`Self::translate`], plus
     /// [`MemError::BadPhysAddr`] for misaligned addresses.
+    #[inline]
     pub fn read_u64(&mut self, phys: &mut PhysMem, va: VirtAddr) -> Result<u64, MemError> {
         let pa = self.translate(phys, va, Access::Read)?;
         self.clock.advance(self.data_cycles(phys, pa, false));
         phys.read_u64(pa)
+    }
+
+    /// Reads the `u64`s at `va`, `va + 8`, ... until one is nonzero,
+    /// `max` have been read, or the 4 KiB page ends. Returns how many
+    /// words were read and the last one (`(0, 0)` when `max` is 0).
+    ///
+    /// Simulated state ends exactly as after that many
+    /// [`Self::read_u64`] calls. The first word takes the normal path,
+    /// which may hit, miss, walk or fault. Every later word would hit
+    /// the TLB entry the first one used, so they are charged in one
+    /// step: one [`Tlb::repeat_hit`] for their lookups, and their
+    /// translations and `tlb_lookup` plus data cycles each. With a
+    /// tracer, or without a TLB (the segment map), every word goes
+    /// through [`Self::read_u64`], so events keep their timestamps.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::read_u64`] for the first word.
+    pub fn read_until_nonzero(
+        &mut self,
+        phys: &mut PhysMem,
+        va: VirtAddr,
+        max: u64,
+    ) -> Result<(u64, u64), MemError> {
+        // At least one word while `max` allows, so a misaligned `va`
+        // fails exactly as `read_u64` does.
+        let limit = max.min((PAGE_SIZE - va.page_offset()).div_ceil(8));
+        if limit < 2 || self.tracer.enabled() || self.backend.is_seg_map() {
+            let (mut read, mut word) = (0, 0);
+            while word == 0 && read < limit {
+                word = self.read_u64(phys, va.add(read * 8))?;
+                read += 1;
+            }
+            return Ok((read, word));
+        }
+        let pa = self.translate(phys, va, Access::Read)?;
+        let data = self.data_cycles(phys, pa, false);
+        self.clock.advance(data);
+        let mut word = phys.read_u64(pa)?;
+        let mut read = 1;
+        while word == 0 && read < limit {
+            word = phys.read_u64(pa.add(read * 8))?;
+            read += 1;
+        }
+        let rest = read - 1;
+        if self.tlb.repeat_hit(self.asid, va.vpn(), rest).is_some() {
+            self.stats.translations += rest;
+            self.clock
+                .advance(rest.wrapping_mul(self.cost.tlb_lookup + data));
+        } else {
+            // The first word's translation left its entry in the TLB,
+            // so this cannot happen; charge word by word all the same.
+            for i in 1..read {
+                self.read_u64(phys, va.add(i * 8))?;
+            }
+        }
+        Ok((read, word))
     }
 
     /// Writes a naturally-aligned `u64` through the current address space.
@@ -558,6 +617,7 @@ impl Mmu {
     ///
     /// Translation errors as in [`Self::translate`], plus
     /// [`MemError::BadPhysAddr`] for misaligned addresses.
+    #[inline]
     pub fn write_u64(
         &mut self,
         phys: &mut PhysMem,
@@ -1106,5 +1166,144 @@ mod tests {
         );
         assert_eq!(mmu.stats().cr3_loads, 2);
         assert_eq!(mmu.tlb_stats().flushes, 0, "no TLB to flush");
+    }
+
+    /// One of two identical machines: one reads runs, the other the same
+    /// words one `read_u64` at a time.
+    struct Twin {
+        phys: PhysMem,
+        mmu: Mmu,
+        tracer: Tracer,
+    }
+
+    /// 4 KiB pages mapped at `0x1000..=0xc000`, in an 8-entry 2-way TLB
+    /// (4 sets, so pages 4 apart share a set).
+    const TWIN_PAGES: u64 = 12;
+
+    fn twins(seg_map: bool, traced: bool) -> [Twin; 2] {
+        std::array::from_fn(|_| {
+            let mut phys = PhysMem::new(1 << 22);
+            let root = paging::new_root(&mut phys).unwrap();
+            let mut mmu = Mmu::new(8, 2, CostModel::default(), CycleClock::new());
+            if seg_map {
+                mmu.set_backend(Backend::seg_map());
+            }
+            for page in 1..=TWIN_PAGES {
+                let frame = phys.alloc_frame().unwrap();
+                let flags = PteFlags::USER | PteFlags::WRITABLE;
+                let va = VirtAddr::new(page * PAGE_SIZE);
+                mmu.backend()
+                    .map(&mut phys, root, va, frame.base(), PageSize::Size4K, flags)
+                    .unwrap();
+            }
+            let tracer = if traced {
+                Tracer::new(1 << 16)
+            } else {
+                Tracer::disabled()
+            };
+            mmu.set_tracer(tracer.clone(), 0);
+            mmu.load_cr3(root, Asid::UNTAGGED);
+            for (va, v) in [(0x1080, 7), (0x2ff8, 9), (0x3000, 5)] {
+                mmu.write_u64(&mut phys, VirtAddr::new(va), v).unwrap();
+            }
+            mmu.flush_tlb();
+            Twin { phys, mmu, tracer }
+        })
+    }
+
+    /// What `read_until_nonzero` must equal: the same stopping rule,
+    /// one `read_u64` per word.
+    fn per_word(t: &mut Twin, va: u64, max: u64) -> Result<(u64, u64), MemError> {
+        let limit = max.min((PAGE_SIZE - va % PAGE_SIZE).div_ceil(8));
+        let (mut read, mut word) = (0, 0);
+        while word == 0 && read < limit {
+            word = t.mmu.read_u64(&mut t.phys, VirtAddr::new(va + read * 8))?;
+            read += 1;
+        }
+        Ok((read, word))
+    }
+
+    fn assert_twins_agree(a: &Twin, b: &Twin, what: &str) {
+        assert_eq!(a.mmu.clock().now(), b.mmu.clock().now(), "clock, {what}");
+        assert_eq!(a.mmu.stats(), b.mmu.stats(), "MmuStats, {what}");
+        assert_eq!(a.mmu.tlb_stats(), b.mmu.tlb_stats(), "TlbStats, {what}");
+        assert_eq!(a.tracer.events(), b.tracer.events(), "trace, {what}");
+    }
+
+    /// Runs the same reads as runs on one twin and word by word on the
+    /// other, then cycles every page through the TLB's sets, so each
+    /// eviction picks its victim by the stamps the runs left.
+    fn check_runs_match_per_word(seg_map: bool, traced: bool) {
+        let [mut a, mut b] = twins(seg_map, traced);
+        let cases = [
+            (0x1000, 64, Ok((17, 7))),  // a TLB miss, stopped by 7
+            (0x1008, 4, Ok((4, 0))),    // a hit, stopped by max
+            (0x4f80, 100, Ok((16, 0))), // stopped by the page end
+            (0x2f00, 100, Ok((32, 9))), // the page's last word
+            (0x3000, 10, Ok((1, 5))),   // a nonzero first word
+            (0x1000, 0, Ok((0, 0))),
+            (
+                0x40_0000,
+                4,
+                Err(MemError::PageFault {
+                    va: VirtAddr::new(0x40_0000),
+                    access: Access::Read,
+                }),
+            ),
+        ];
+        for (va, max, want) in cases {
+            let got = a
+                .mmu
+                .read_until_nonzero(&mut a.phys, VirtAddr::new(va), max);
+            assert_eq!(got, want, "run at {va:#x}");
+            assert_eq!(got, per_word(&mut b, va, max), "run at {va:#x}");
+            assert_twins_agree(&a, &b, &format!("run at {va:#x}"));
+        }
+        let misaligned = a
+            .mmu
+            .read_until_nonzero(&mut a.phys, VirtAddr::new(0x1004), 4);
+        assert!(matches!(misaligned, Err(MemError::BadPhysAddr(_))));
+        assert_eq!(misaligned, per_word(&mut b, 0x1004, 4));
+        assert_twins_agree(&a, &b, "a misaligned run");
+        for round in 0..3 {
+            for page in (1..=TWIN_PAGES).rev() {
+                let va = page * PAGE_SIZE + round * 64;
+                let got = a.mmu.read_until_nonzero(&mut a.phys, VirtAddr::new(va), 3);
+                assert_eq!(got, per_word(&mut b, va, 3));
+                assert_twins_agree(&a, &b, &format!("page {page}, round {round}"));
+            }
+        }
+        if !seg_map {
+            assert!(a.mmu.tlb_stats().evictions > 0, "the sets overflowed");
+        }
+    }
+
+    #[test]
+    fn read_until_nonzero_matches_per_word_reads() {
+        check_runs_match_per_word(false, false);
+    }
+
+    #[test]
+    fn read_until_nonzero_matches_per_word_reads_traced() {
+        check_runs_match_per_word(false, true);
+    }
+
+    #[test]
+    fn read_until_nonzero_matches_per_word_reads_on_the_segment_map() {
+        check_runs_match_per_word(true, false);
+        check_runs_match_per_word(true, true);
+    }
+
+    #[test]
+    fn read_until_nonzero_charges_one_probe_for_the_run() {
+        let [mut a, _] = twins(false, false);
+        let c = CostModel::default();
+        let va = VirtAddr::new(0x1000);
+        a.mmu.read_u64(&mut a.phys, va).unwrap();
+        let (t0, tlb0) = (a.mmu.clock().now(), a.mmu.tlb_stats());
+        assert_eq!(a.mmu.read_until_nonzero(&mut a.phys, va, 64), Ok((17, 7)));
+        assert_eq!(a.mmu.clock().since(t0), 17 * (c.tlb_lookup + c.cache_hit));
+        let tlb = a.mmu.tlb_stats().delta_since(&tlb0);
+        assert_eq!((tlb.hits, tlb.misses), (17, 0));
     }
 }

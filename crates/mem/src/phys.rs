@@ -389,6 +389,7 @@ impl PhysMem {
         self.swap.stats()
     }
 
+    #[inline]
     fn check(&self, pa: PhysAddr, len: u64) -> Result<(), MemError> {
         let end = pa.raw().checked_add(len).ok_or(MemError::BadPhysAddr(pa))?;
         if end > self.capacity_frames * PAGE_SIZE {
@@ -445,6 +446,7 @@ impl PhysMem {
     /// # Errors
     ///
     /// Returns [`MemError::BadPhysAddr`] if out of range or unaligned.
+    #[inline]
     pub fn read_u64(&mut self, pa: PhysAddr) -> Result<u64, MemError> {
         if !pa.is_aligned(8) {
             return Err(MemError::BadPhysAddr(pa));
@@ -462,6 +464,7 @@ impl PhysMem {
     /// # Errors
     ///
     /// Returns [`MemError::BadPhysAddr`] if out of range or unaligned.
+    #[inline]
     pub fn write_u64(&mut self, pa: PhysAddr, value: u64) -> Result<(), MemError> {
         if !pa.is_aligned(8) {
             return Err(MemError::BadPhysAddr(pa));

@@ -230,22 +230,16 @@ impl Tlb {
         start..start + self.ways
     }
 
-    /// Looks up a translation for `vpn` under `asid`, probing the key of
-    /// every page size that has a resident entry (smallest first).
-    /// Returns the physical page base, flags, and the cached page size on
-    /// a hit.
-    ///
-    /// Global entries hit regardless of tag. Updates LRU and counters
-    /// (one hit or miss per call, however many sizes were probed).
-    pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> Option<(PhysAddr, PteFlags, PageSize)> {
-        self.tick += 1;
-        let tick = self.tick;
+    /// The slot caching `vpn`'s translation under `asid`: the last-hit
+    /// memo if it names this key, else a probe of the key of every page
+    /// size that has a resident entry (smallest first). Global entries
+    /// match regardless of tag. A found slot becomes the last hit;
+    /// nothing else changes.
+    #[inline]
+    fn find(&mut self, asid: Asid, vpn: Vpn) -> Option<usize> {
         if let Some((a, v, slot)) = self.last_hit {
             if a == asid && v == vpn {
-                let e = &mut self.entries[slot];
-                e.stamp = tick;
-                self.stats.hits += 1;
-                return Some((e.frame_base, e.flags, e.size));
+                return Some(slot);
             }
         }
         for (size_idx, size) in PROBE_SIZES.into_iter().enumerate() {
@@ -255,17 +249,48 @@ impl Tlb {
             let key = size_key(vpn, size);
             let range = self.set_range(key);
             let start = range.start;
-            for (way, e) in self.entries[range].iter_mut().enumerate() {
-                if e.valid && e.size == size && e.vpn == key && (e.global || e.asid == asid) {
-                    e.stamp = tick;
-                    self.stats.hits += 1;
-                    self.last_hit = Some((asid, vpn, start + way));
-                    return Some((e.frame_base, e.flags, e.size));
-                }
+            let found = self.entries[range].iter().position(|e| {
+                e.valid && e.size == size && e.vpn == key && (e.global || e.asid == asid)
+            });
+            if let Some(way) = found {
+                self.last_hit = Some((asid, vpn, start + way));
+                return Some(start + way);
             }
         }
-        self.stats.misses += 1;
         None
+    }
+
+    /// Looks up a translation for `vpn` under `asid`. Returns the
+    /// physical page base, flags, and the cached page size on a hit.
+    ///
+    /// Updates LRU and counters (one hit or miss per call, however many
+    /// sizes were probed).
+    #[inline]
+    pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> Option<(PhysAddr, PteFlags, PageSize)> {
+        self.tick += 1;
+        let Some(slot) = self.find(asid, vpn) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        let e = &mut self.entries[slot];
+        e.stamp = self.tick;
+        self.stats.hits += 1;
+        Some((e.frame_base, e.flags, e.size))
+    }
+
+    /// Accounts for `k` lookups of `vpn` under `asid` that all hit, with
+    /// at most one probe: `k` ticks, `k` hits, and the entry stamped
+    /// with the last tick, exactly as `k` calls of [`Tlb::lookup`] would
+    /// leave them. Returns `None`, changing nothing, when no entry
+    /// caches the key.
+    pub fn repeat_hit(&mut self, asid: Asid, vpn: Vpn, k: u64) -> Option<()> {
+        let slot = self.find(asid, vpn)?;
+        if k > 0 {
+            self.tick += k;
+            self.entries[slot].stamp = self.tick;
+            self.stats.hits += k;
+        }
+        Some(())
     }
 
     /// Inserts a translation for the page of `size` containing `vpn`

@@ -533,6 +533,11 @@ enum TlbOp {
     RelookupOtherAsid {
         shift: u16,
     },
+    /// `Tlb::repeat_hit` of the last looked-up `(asid, vpn)`: `k`
+    /// lookups that all hit, in one step.
+    RepeatHit {
+        k: u64,
+    },
     FlushNonGlobal,
     FlushAsid(Asid),
     FlushPage(Vpn),
@@ -553,7 +558,7 @@ fn tlb_vpn(rng: &mut SimRng) -> Vpn {
 
 fn tlb_op(rng: &mut SimRng) -> TlbOp {
     let asid = Asid(rng.gen_range(0..4) as u16);
-    match rng.gen_range(0..26) {
+    match rng.gen_range(0..29) {
         0..=7 => TlbOp::Insert {
             asid,
             vpn: tlb_vpn(rng),
@@ -579,6 +584,9 @@ fn tlb_op(rng: &mut SimRng) -> TlbOp {
         },
         24 => TlbOp::FlushNonGlobal,
         25 => TlbOp::FlushAsid(asid),
+        26..=27 => TlbOp::RepeatHit {
+            k: rng.gen_range(1..64),
+        },
         _ => TlbOp::FlushPage(tlb_vpn(rng)),
     }
 }
@@ -625,6 +633,14 @@ fn masked_tlb_matches_the_reference_tlb() {
                 TlbOp::Lookup { asid, vpn } => last = (asid, vpn),
                 TlbOp::Relookup => {}
                 TlbOp::RelookupOtherAsid { shift } => last.0 = Asid((last.0 .0 + shift) % 4),
+                TlbOp::RepeatHit { k } => {
+                    let (asid, vpn) = last;
+                    let hits = reference.clone().lookup(asid, vpn).is_some();
+                    assert_eq!(tlb.repeat_hit(asid, vpn, k).is_some(), hits, "{at}");
+                    for _ in 0..k * u64::from(hits) {
+                        reference.lookup(asid, vpn);
+                    }
+                }
                 TlbOp::FlushNonGlobal => {
                     tlb.flush_nonglobal();
                     reference.flush_nonglobal();

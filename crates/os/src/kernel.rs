@@ -2566,10 +2566,38 @@ impl ProcMem<'_> {
     /// # Errors
     ///
     /// Unresolvable faults.
+    #[inline]
     pub fn load_u64(&mut self, va: VirtAddr) -> OsResult<u64> {
         let v = self.access(Access::Read, |mmu, phys| mmu.read_u64(phys, va))?;
         self.trace_word(va, EventKind::MemRead);
         Ok(v)
+    }
+
+    /// Reads the `u64`s at `va`, `va + 8`, ... until one is nonzero or
+    /// `max` have been read; returns the count read and the last word.
+    /// Charges and traces exactly as that many [`Self::load_u64`] calls,
+    /// in one [`Mmu::read_until_nonzero`] run per page when the tracer
+    /// is off.
+    ///
+    /// # Errors
+    ///
+    /// Unresolvable faults.
+    pub fn load_until_nonzero(&mut self, va: VirtAddr, max: u64) -> OsResult<(u64, u64)> {
+        let traced = self.kernel.tracer.enabled();
+        let (mut read, mut word) = (0, 0);
+        while word == 0 && read < max {
+            let at = va.add(read * 8);
+            let (n, w) = if traced {
+                (1, self.load_u64(at)?)
+            } else {
+                self.access(Access::Read, |mmu, phys| {
+                    mmu.read_until_nonzero(phys, at, max - read)
+                })?
+            };
+            read += n;
+            word = w;
+        }
+        Ok((read, word))
     }
 
     /// Writes a `u64` at `va`, faulting pages in as needed.
@@ -2577,6 +2605,7 @@ impl ProcMem<'_> {
     /// # Errors
     ///
     /// Unresolvable faults.
+    #[inline]
     pub fn store_u64(&mut self, va: VirtAddr, value: u64) -> OsResult<()> {
         self.access(Access::Write, |mmu, phys| mmu.write_u64(phys, va, value))?;
         self.trace_word(va, EventKind::MemWrite);
@@ -2605,6 +2634,7 @@ impl ProcMem<'_> {
     /// fault is handled at the faulting address and the whole `op`
     /// retried. The pid is resolved again after every handled fault, so
     /// a retry never runs for a process that has gone away.
+    #[inline]
     fn access<T>(
         &mut self,
         access: Access,

@@ -71,6 +71,7 @@ impl Tracer {
     }
 
     /// True when events are being recorded.
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.0.is_some()
     }
@@ -134,6 +135,7 @@ impl Tracer {
     }
 
     /// Records a point event, bumping the kind's counter.
+    #[inline]
     pub fn instant(&self, ts: u64, core: u32, kind: EventKind, arg0: u64, arg1: u64) {
         if self.0.is_none() {
             return;
