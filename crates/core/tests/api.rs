@@ -788,6 +788,31 @@ fn exit_process_releases_locks_and_attachments() {
 }
 
 #[test]
+fn a_fault_plan_fails_an_nvm_segment_allocation_cleanly() {
+    use sjmp_os::{FaultPlan, FaultSite, OsError};
+    use spacejmp_core::MemTier;
+    let (mut sj, pid) = setup();
+    sj.kernel_mut().set_nvm_tier(16 << 20);
+    let allocated = sj.kernel_mut().phys_mut().allocated_frames();
+    sj.kernel_mut()
+        .set_fault_plan(Some(FaultPlan::new(0).fail_nth(FaultSite::ObjectAlloc, 1)));
+    let base = VirtAddr::new(SEG_BASE);
+    assert_eq!(
+        sj.seg_alloc_tier(pid, "nvm-seg", base, 1 << 20, Mode(0o600), MemTier::Nvm),
+        Err(SjError::Os(OsError::Mem(sjmp_mem::MemError::OutOfFrames)))
+    );
+    assert!(sj.seg_find("nvm-seg").is_err(), "no segment registered");
+    assert_eq!(
+        sj.kernel_mut().phys_mut().allocated_frames(),
+        allocated,
+        "no frame taken"
+    );
+    // The whole 16 MiB tier is still free: a segment can take all of it.
+    sj.seg_alloc_tier(pid, "nvm-seg", base, 16 << 20, Mode(0o600), MemTier::Nvm)
+        .unwrap();
+}
+
+#[test]
 fn nvm_segments_cost_more_to_access() {
     use spacejmp_core::MemTier;
     let (mut sj, pid) = setup();

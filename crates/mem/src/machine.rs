@@ -87,6 +87,7 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
+    #[inline]
     pub fn mmu_mut(&mut self, core: usize) -> &mut Mmu {
         &mut self.mmus[core]
     }

@@ -338,12 +338,18 @@ impl Mmu {
 
     /// Translates `va` for `access`, charging TLB and walk costs.
     ///
+    /// This body is the TLB-hit path, and every word access inlines it:
+    /// the lookup charge, one [`Tlb::lookup`], the permission check and
+    /// the hit event. Everything else is out of line: the walk, its
+    /// charges and events, and the insert; faults; and recording the
+    /// hit event.
+    ///
     /// # Errors
     ///
     /// * [`MemError::NoAddressSpace`] if CR3 was never loaded.
     /// * [`MemError::PageFault`] if no translation exists.
     /// * [`MemError::ProtectionFault`] if the mapping forbids `access`.
-    #[inline]
+    #[inline(always)]
     pub fn translate(
         &mut self,
         phys: &mut PhysMem,
@@ -356,22 +362,50 @@ impl Mmu {
             return self.translate_segbound(phys, root, va, access);
         }
         self.clock.advance(self.cost.tlb_lookup);
-        if let Some((page_base, flags, size)) = self.tlb.lookup(self.asid, va.vpn()) {
-            if !flags.permits(access) {
-                self.stats.faults += 1;
-                return Err(MemError::ProtectionFault { va, access });
-            }
-            self.tracer.instant(
-                self.clock.now(),
-                self.core_id,
-                EventKind::TlbHit,
-                u64::from(self.asid.0),
-                0,
-            );
-            return Ok(page_base.add(va.offset_in(size)));
+        let Some((page_base, flags, size)) = self.tlb.lookup(self.asid, va.vpn()) else {
+            return self.translate_miss(phys, root, va, access);
+        };
+        if !flags.permits(access) {
+            return Err(self.protection_fault(va, access));
         }
-        // TLB miss: walk the tables (through the host-side walk cache,
-        // which changes host time only — never the result).
+        if self.tracer.enabled() {
+            self.trace_hit();
+        }
+        Ok(page_base.add(va.offset_in(size)))
+    }
+
+    /// Records a TLB hit.
+    #[inline(never)]
+    fn trace_hit(&self) {
+        self.tracer.instant(
+            self.clock.now(),
+            self.core_id,
+            EventKind::TlbHit,
+            u64::from(self.asid.0),
+            0,
+        );
+    }
+
+    /// Counts and returns a protection fault.
+    #[cold]
+    #[inline(never)]
+    fn protection_fault(&mut self, va: VirtAddr, access: Access) -> MemError {
+        self.stats.faults += 1;
+        MemError::ProtectionFault { va, access }
+    }
+
+    /// The rest of [`Self::translate`] after a TLB miss: walk the tables
+    /// (through the host-side walk cache, which changes host time only,
+    /// never the result), charge the walk, map a failed walk to a fault,
+    /// and insert the translation.
+    #[inline(never)]
+    fn translate_miss(
+        &mut self,
+        phys: &mut PhysMem,
+        root: Pfn,
+        va: VirtAddr,
+        access: Access,
+    ) -> Result<PhysAddr, MemError> {
         self.stats.walks += 1;
         let asid = u64::from(self.asid.0);
         self.tracer
@@ -399,8 +433,7 @@ impl Mmu {
             .end(self.clock.now(), self.core_id, EventKind::PageWalk, asid);
         let (tr, _levels) = walked?;
         if !tr.flags.permits(access) {
-            self.stats.faults += 1;
-            return Err(MemError::ProtectionFault { va, access });
+            return Err(self.protection_fault(va, access));
         }
         let page_base = PhysAddr::new(tr.pa.raw() & !(tr.size.bytes() - 1));
         let global = tr.flags.contains(PteFlags::GLOBAL);

@@ -405,14 +405,27 @@ impl PhysMem {
         self.chunks.get(c)?.as_ref()?[i].as_ref()
     }
 
-    /// Frame `pfn`'s bytes, materializing a zero frame if needed.
+    /// Frame `pfn`'s bytes, materializing a zero frame if needed. Only
+    /// the lookup of a resident frame is inlined; materializing is
+    /// [`Self::materialize`].
     #[inline]
     fn frame(&mut self, pfn: u64) -> &mut FrameBox {
-        let slot = slot_mut(&mut self.chunks, pfn);
-        if slot.is_none() {
-            self.resident += 1;
+        if self.frame_ref(pfn).is_none() {
+            return self.materialize(pfn);
         }
-        slot.get_or_insert_with(zero_frame)
+        let (c, i) = chunk_slot(pfn);
+        match self.chunks[c].as_mut().map(|chunk| &mut chunk[i]) {
+            Some(Some(frame)) => frame,
+            _ => unreachable!("frame {pfn} is resident"),
+        }
+    }
+
+    /// Gives frame `pfn`, which has no bytes yet, a zero frame.
+    #[cold]
+    #[inline(never)]
+    fn materialize(&mut self, pfn: u64) -> &mut FrameBox {
+        self.resident += 1;
+        slot_mut(&mut self.chunks, pfn).insert(zero_frame())
     }
 
     /// Drops frame `pfn`'s bytes, so it reads as zero again, and returns

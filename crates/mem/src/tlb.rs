@@ -234,14 +234,19 @@ impl Tlb {
     /// memo if it names this key, else a probe of the key of every page
     /// size that has a resident entry (smallest first). Global entries
     /// match regardless of tag. A found slot becomes the last hit;
-    /// nothing else changes.
+    /// nothing else changes. Only the memo check is inlined into
+    /// callers; the probe is [`Self::probe`].
     #[inline]
     fn find(&mut self, asid: Asid, vpn: Vpn) -> Option<usize> {
-        if let Some((a, v, slot)) = self.last_hit {
-            if a == asid && v == vpn {
-                return Some(slot);
-            }
+        match self.last_hit {
+            Some((a, v, slot)) if a == asid && v == vpn => Some(slot),
+            _ => self.probe(asid, vpn),
         }
+    }
+
+    /// The set probe of [`Self::find`].
+    #[inline(never)]
+    fn probe(&mut self, asid: Asid, vpn: Vpn) -> Option<usize> {
         for (size_idx, size) in PROBE_SIZES.into_iter().enumerate() {
             if self.resident[size_idx] == 0 {
                 continue;

@@ -3,7 +3,9 @@
 //! model, the MMU (TLB + walker) always agrees with a direct walk, the
 //! no-VM backend's segment table always agrees with the tree, and the
 //! TLB's masked, size-skipping probe behaves exactly like the plain
-//! divide-and-probe-every-size TLB it replaced.
+//! divide-and-probe-every-size TLB it replaced, and a pinned transcript
+//! of every MMU word access keeps what a translation returns and
+//! charges fixed.
 //!
 //! Cases are generated from fixed seeds with [`SimRng`], so every run
 //! explores the same sequences and any failure replays exactly.
@@ -16,6 +18,7 @@ use sjmp_mem::{
     Access, Asid, Backend, MemError, Mmu, PageSize, Pfn, PhysAddr, PhysMem, Tlb, VirtAddr, Vpn,
 };
 use sjmp_sim::SimRng;
+use sjmp_trace::Tracer;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -687,5 +690,318 @@ fn masked_tlb_matches_the_reference_tlb() {
             tlb.stats().evictions > 0,
             "seed {seed}: the stream must evict"
         );
+    }
+}
+
+/// One word-path operation of [`word_path_ops`].
+#[derive(Debug, Clone, Copy)]
+enum WordOp {
+    Read {
+        page: u64,
+        word: u64,
+    },
+    Write {
+        page: u64,
+        word: u64,
+        value: u64,
+    },
+    ReadBytes {
+        page: u64,
+        off: u64,
+        len: usize,
+    },
+    WriteBytes {
+        page: u64,
+        off: u64,
+        len: usize,
+        byte: u8,
+    },
+    ReadUntilNonzero {
+        page: u64,
+        word: u64,
+        max: u64,
+    },
+    Touch {
+        page: u64,
+    },
+    /// `root` 0 runs under tag 0 or 1, root 1 under tag 0 or 2.
+    LoadCr3 {
+        root: usize,
+        tagged: bool,
+    },
+    Invlpg {
+        page: u64,
+    },
+    Flush,
+}
+
+/// Pages of the word-path machine: `0..WORD_PAGES` at [`word_va`], plus
+/// page [`SUPERPAGE`], one 2 MiB mapping.
+const WORD_PAGES: u64 = 14;
+const SUPERPAGE: u64 = WORD_PAGES;
+
+fn word_va(page: u64, offset: u64) -> VirtAddr {
+    if page == SUPERPAGE {
+        VirtAddr::new(0x40_0000 + offset)
+    } else {
+        VirtAddr::new(0x10_0000 + page * 4096 + offset)
+    }
+}
+
+/// One machine running the word-path transcript: two roots over the
+/// same virtual pages in an 8-entry 2-way TLB (4 sets, so pages 4 apart
+/// share a set) with tagging on. Under root 0, pages 3 and 7 are
+/// read-only and pages 12 and 13 unmapped; under root 1, every page but
+/// 13 is mapped writable, each to its own frame.
+fn word_machine(traced: bool) -> (PhysMem, Mmu, [Pfn; 2], Tracer) {
+    let mut phys = PhysMem::new(16 << 20);
+    let roots = [
+        paging::new_root(&mut phys).unwrap(),
+        paging::new_root(&mut phys).unwrap(),
+    ];
+    for (r, &root) in roots.iter().enumerate() {
+        for page in 0..WORD_PAGES {
+            if page == 13 || (r == 0 && page == 12) {
+                continue;
+            }
+            let mut flags = PteFlags::USER;
+            if r == 1 || (page != 3 && page != 7) {
+                flags |= PteFlags::WRITABLE;
+            }
+            let frame = phys.alloc_frame().unwrap();
+            paging::map(
+                &mut phys,
+                root,
+                word_va(page, 0),
+                frame.base(),
+                PageSize::Size4K,
+                flags,
+            )
+            .unwrap();
+        }
+    }
+    paging::map(
+        &mut phys,
+        roots[0],
+        word_va(SUPERPAGE, 0),
+        PhysAddr::new(0x80_0000),
+        PageSize::Size2M,
+        PteFlags::USER | PteFlags::WRITABLE,
+    )
+    .unwrap();
+    let mut mmu = Mmu::new(8, 2, CostModel::default(), CycleClock::new());
+    mmu.set_tagging(true);
+    let tracer = if traced {
+        Tracer::new(1 << 12)
+    } else {
+        Tracer::disabled()
+    };
+    mmu.set_tracer(tracer.clone(), 0);
+    (phys, mmu, roots, tracer)
+}
+
+/// A hand-placed prologue that reaches every case of the TLB-hit path,
+/// then `n` seeded ops.
+fn word_path_ops(seed: u64, n: usize) -> Vec<WordOp> {
+    use WordOp::*;
+    let read = |page, word| Read { page, word };
+    let write = |page, word, value| Write { page, word, value };
+    let cr3 = |root, tagged| LoadCr3 { root, tagged };
+    let mut ops = vec![
+        cr3(0, false),
+        // A miss walks and inserts; the insert clears the last-hit memo,
+        // so the next lookup of the page probes its set and sets the memo.
+        read(0, 0),
+        read(0, 1),
+        read(0, 2), // memo hit
+        read(1, 0),
+        write(0, 2, 9), // set-probe hit
+        // Read-only page 3: a protection fault on a memo hit, then on a
+        // set-probe hit.
+        read(3, 0),
+        read(3, 1),
+        write(3, 0, 1),
+        read(1, 0),
+        write(3, 1, 1),
+        read(12, 0), // page fault
+        // Pages 0, 4 and 8 share a set: page 0 is evicted.
+        Touch { page: 4 },
+        Touch { page: 8 },
+        read(0, 2),
+        read(SUPERPAGE, 300), // a 2 MiB walk
+        read(SUPERPAGE, 301),
+        read(SUPERPAGE, 302),
+        cr3(1, true),
+        read(12, 0),
+        cr3(0, true),
+        read(0, 2),
+    ];
+    let mut rng = SimRng::seed_from_u64(seed);
+    let page = |rng: &mut SimRng| rng.gen_range(0..WORD_PAGES + 1);
+    for _ in 0..n {
+        let op = match rng.gen_range(0..20) {
+            0..=5 => Read {
+                page: page(&mut rng),
+                word: rng.gen_range(0..512),
+            },
+            6..=9 => Write {
+                page: page(&mut rng),
+                word: rng.gen_range(0..512),
+                value: rng.gen_range(0..4),
+            },
+            10 => ReadBytes {
+                page: page(&mut rng),
+                off: rng.gen_range(0..4096),
+                len: rng.index(600),
+            },
+            11 => WriteBytes {
+                page: page(&mut rng),
+                off: rng.gen_range(0..4096),
+                len: rng.index(600),
+                byte: rng.gen_range(0..3) as u8,
+            },
+            12..=13 => ReadUntilNonzero {
+                page: page(&mut rng),
+                word: rng.gen_range(0..512),
+                max: rng.gen_range(0..40),
+            },
+            14 => Touch {
+                page: page(&mut rng),
+            },
+            15..=16 => LoadCr3 {
+                root: rng.index(2),
+                tagged: rng.gen_bool(0.5),
+            },
+            17..=18 => Invlpg {
+                page: page(&mut rng),
+            },
+            _ => Flush,
+        };
+        ops.push(op);
+    }
+    ops
+}
+
+/// Runs `op` and renders its result: the value read, or the error.
+fn run_word_op(phys: &mut PhysMem, mmu: &mut Mmu, roots: &[Pfn; 2], op: WordOp) -> String {
+    use WordOp::*;
+    match op {
+        Read { page, word } => format!("{:?}", mmu.read_u64(phys, word_va(page, word * 8))),
+        Write { page, word, value } => {
+            format!("{:?}", mmu.write_u64(phys, word_va(page, word * 8), value))
+        }
+        ReadBytes { page, off, len } => {
+            let mut buf = vec![0u8; len];
+            let r = mmu.read_bytes(phys, word_va(page, off), &mut buf);
+            let sum: u64 = buf.iter().map(|&b| u64::from(b)).sum();
+            format!("{r:?} sum {sum}")
+        }
+        WriteBytes {
+            page,
+            off,
+            len,
+            byte,
+        } => format!(
+            "{:?}",
+            mmu.write_bytes(phys, word_va(page, off), &vec![byte; len])
+        ),
+        ReadUntilNonzero { page, word, max } => format!(
+            "{:?}",
+            mmu.read_until_nonzero(phys, word_va(page, word * 8), max)
+        ),
+        Touch { page } => format!("{:?}", mmu.touch(phys, word_va(page, 0))),
+        LoadCr3 { root, tagged } => {
+            let asid = if tagged {
+                Asid(root as u16 + 1)
+            } else {
+                Asid(0)
+            };
+            mmu.load_cr3(roots[root], asid);
+            String::new()
+        }
+        Invlpg { page } => {
+            mmu.invlpg(word_va(page, 0));
+            String::new()
+        }
+        Flush => {
+            mmu.flush_tlb();
+            String::new()
+        }
+    }
+}
+
+/// FNV-1a, folding one transcript line into the digest.
+fn fold(digest: u64, line: &str) -> u64 {
+    line.bytes().chain([b'\n']).fold(digest, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Every word access the MMU offers, over memo hits, set-probe hits,
+/// LRU evictions, superpages, page faults, protection faults on memo
+/// and probe hits, tagged and untagged CR3 loads, `invlpg` and flushes.
+/// After every op the transcript records the result, the clock,
+/// `MmuStats` and `TlbStats`; its digest and final line are pinned, so
+/// any change to what a translation returns or charges fails here. A
+/// twin machine with a tracer installed must agree after every op.
+/// `--nocapture` prints the transcript, to diff two builds.
+#[test]
+fn word_path_transcript_is_pinned() {
+    let pinned: [(u64, u64, &str); 3] = [
+        (
+            1,
+            0xa190_548b_f417_ce5f,
+            "421 Invlpg { page: 11 } ->  | clock 32456 | cr3 40 tr 1116 walks 244 faults 49 | \
+             hits 872 misses 244 flushes 24 asid_flushes 18 evictions 69 insertions 203",
+        ),
+        (
+            2,
+            0xebd3_8d29_42e0_1b6f,
+            "421 Read { page: 11, word: 8 } -> Ok(0) | clock 33826 | cr3 38 tr 1156 walks 262 \
+             faults 43 | hits 894 misses 262 flushes 20 asid_flushes 19 evictions 67 insertions 221",
+        ),
+        (
+            3,
+            0x04ff_6493_2a5f_9b3c,
+            "421 Read { page: 10, word: 15 } -> Ok(0) | clock 32104 | cr3 47 tr 912 walks 238 \
+             faults 45 | hits 674 misses 238 flushes 19 asid_flushes 24 evictions 55 insertions 199",
+        ),
+    ];
+    for (seed, digest, last) in pinned {
+        let (mut phys, mut mmu, roots, _) = word_machine(false);
+        let (mut tphys, mut tmmu, troots, tracer) = word_machine(true);
+        let mut transcript = 0xcbf2_9ce4_8422_2325u64;
+        let mut line = String::new();
+        for (step, op) in word_path_ops(seed, 400).into_iter().enumerate() {
+            let result = run_word_op(&mut phys, &mut mmu, &roots, op);
+            let traced = run_word_op(&mut tphys, &mut tmmu, &troots, op);
+            let (s, t) = (mmu.stats(), mmu.tlb_stats());
+            line = format!(
+                "{step} {op:?} -> {result} | clock {} | cr3 {} tr {} walks {} faults {} | \
+                 hits {} misses {} flushes {} asid_flushes {} evictions {} insertions {}",
+                mmu.clock().now(),
+                s.cr3_loads,
+                s.translations,
+                s.walks,
+                s.faults,
+                t.hits,
+                t.misses,
+                t.flushes,
+                t.asid_flushes,
+                t.evictions,
+                t.insertions,
+            );
+            println!("seed {seed}: {line}");
+            transcript = fold(transcript, &line);
+            let at = format!("seed {seed} step {step} {op:?}");
+            assert_eq!(traced, result, "traced result, {at}");
+            assert_eq!(tmmu.clock().now(), mmu.clock().now(), "traced clock, {at}");
+            assert_eq!(tmmu.stats(), s, "traced MmuStats, {at}");
+            assert_eq!(tmmu.tlb_stats(), t, "traced TlbStats, {at}");
+        }
+        assert!(!tracer.events().is_empty(), "the twin traced");
+        assert!(mmu.tlb_stats().evictions > 0 && mmu.stats().faults > 0);
+        assert_eq!(line, last, "seed {seed}: final state");
+        assert_eq!(transcript, digest, "seed {seed}: transcript digest");
     }
 }

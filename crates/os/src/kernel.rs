@@ -927,6 +927,7 @@ impl Kernel {
     ///
     /// [`OsError::Mem`] if no NVM tier is configured or it is exhausted.
     pub fn alloc_object_nvm(&mut self, len: u64) -> OsResult<VmObjectId> {
+        self.fault_gate(FaultSite::ObjectAlloc)?;
         let id = VmObjectId(self.next_obj);
         self.next_obj += 1;
         let obj = VmObject::alloc_nvm(&mut self.phys, id, len)?;
@@ -2632,24 +2633,42 @@ impl ProcMem<'_> {
 
     /// Runs `op` on the core's MMU until it stops page-faulting: each
     /// fault is handled at the faulting address and the whole `op`
-    /// retried. The pid is resolved again after every handled fault, so
-    /// a retry never runs for a process that has gone away.
+    /// retried, out of line in [`Self::retry_after`].
     #[inline]
     fn access<T>(
         &mut self,
         access: Access,
         mut op: impl FnMut(&mut Mmu, &mut PhysMem) -> Result<T, MemError>,
     ) -> OsResult<T> {
+        let k = &mut *self.kernel;
+        match op(k.machine.mmu_mut(self.core), &mut k.phys) {
+            Ok(v) => Ok(v),
+            Err(e) => self.retry_after(e, access, op),
+        }
+    }
+
+    /// The fault-and-retry loop of [`Self::access`], entered with the
+    /// first attempt's error. The pid is resolved again after every
+    /// handled fault, so a retry never runs for a process that has gone
+    /// away.
+    #[inline(never)]
+    fn retry_after<T>(
+        &mut self,
+        mut err: MemError,
+        access: Access,
+        mut op: impl FnMut(&mut Mmu, &mut PhysMem) -> Result<T, MemError>,
+    ) -> OsResult<T> {
         loop {
+            let MemError::PageFault { va, .. } = err else {
+                return Err(err.into());
+            };
+            self.kernel
+                .handle_fault_on(CoreCtx::new(self.core), self.pid, va, access)?;
+            self.core = self.kernel.process(self.pid)?.core();
             let k = &mut *self.kernel;
             match op(k.machine.mmu_mut(self.core), &mut k.phys) {
                 Ok(v) => return Ok(v),
-                Err(MemError::PageFault { va, .. }) => {
-                    self.kernel
-                        .handle_fault_on(CoreCtx::new(self.core), self.pid, va, access)?;
-                    self.core = self.kernel.process(self.pid)?.core();
-                }
-                Err(e) => return Err(e.into()),
+                Err(e) => err = e,
             }
         }
     }
@@ -2659,9 +2678,18 @@ impl ProcMem<'_> {
     /// race across processes and would swamp the ring — and recording
     /// charges no modeled cycles, preserving the zero-cost-tracing
     /// invariant.
+    #[inline]
     fn trace_word(&self, va: VirtAddr, kind: EventKind) {
+        if self.kernel.tracer.enabled() {
+            self.record_word(va, kind);
+        }
+    }
+
+    /// The recording half of [`Self::trace_word`], out of line.
+    #[inline(never)]
+    fn record_word(&self, va: VirtAddr, kind: EventKind) {
         let k = &*self.kernel;
-        if !k.tracer.enabled() || va < GLOBAL_LO || va >= GLOBAL_HI {
+        if va < GLOBAL_LO || va >= GLOBAL_HI {
             return;
         }
         let ctx = CoreCtx::new(self.core);
