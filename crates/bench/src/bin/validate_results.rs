@@ -757,7 +757,7 @@ mod tests {
             "trajectory has no runs",
         ),
         (
-            |d| items(field_mut(d, "runs")).push(Json::parse(LEGACY_RUN).unwrap()),
+            |d| items(field_mut(d, "runs")).insert(1, Json::parse(LEGACY_RUN).unwrap()),
             "run 1: missing manifest",
         ),
     ];
