@@ -34,12 +34,24 @@ struct KernelMem<'a> {
 }
 
 impl<'a> KernelMem<'a> {
-    fn new(sj: &'a mut SpaceJmp, pid: Pid, base: VirtAddr, size: u64) -> SjResult<Self> {
-        Ok(KernelMem {
-            mem: sj.kernel_mut().proc_mem(pid)?,
-            base,
-            size,
-        })
+    /// Opens the heap at `base` for `access`, after a host-only check
+    /// that the current VAS maps it so. The allocator's [`MemAccess`]
+    /// cannot fail, so a store through a read-only mapping must be
+    /// refused here rather than fault inside it. The check and the
+    /// [`ProcMem`] come from one kernel lookup of the process.
+    fn new(
+        sj: &'a mut SpaceJmp,
+        pid: Pid,
+        base: VirtAddr,
+        size: u64,
+        access: Access,
+    ) -> SjResult<Self> {
+        let (mem, region) = sj.kernel_mut().proc_mem_at(pid, base)?;
+        match region {
+            None => Err(SjError::NotAttached),
+            Some(region) if !region.permits(access) => Err(SjError::PermissionDenied),
+            Some(_) => Ok(KernelMem { mem, base, size }),
+        }
     }
 }
 
@@ -104,8 +116,7 @@ impl VasHeap {
     /// * Allocation errors surfaced from the access path.
     pub fn format(sj: &mut SpaceJmp, pid: Pid, sid: SegId) -> SjResult<VasHeap> {
         let (base, size) = Self::segment_extent(sj, sid)?;
-        Self::check_mapped(sj, pid, base, Access::Write)?;
-        Mspace::format(KernelMem::new(sj, pid, base, size)?).map_err(alloc_err)?;
+        Mspace::format(KernelMem::new(sj, pid, base, size, Access::Write)?).map_err(alloc_err)?;
         Ok(VasHeap { sid, base, size })
     }
 
@@ -117,27 +128,13 @@ impl VasHeap {
     /// [`SjError::InvalidArgument`] if the segment holds no heap.
     pub fn open(sj: &mut SpaceJmp, pid: Pid, sid: SegId) -> SjResult<VasHeap> {
         let (base, size) = Self::segment_extent(sj, sid)?;
-        Self::check_mapped(sj, pid, base, Access::Read)?;
-        Mspace::attach(KernelMem::new(sj, pid, base, size)?).map_err(alloc_err)?;
+        Mspace::attach(KernelMem::new(sj, pid, base, size, Access::Read)?).map_err(alloc_err)?;
         Ok(VasHeap { sid, base, size })
     }
 
     fn segment_extent(sj: &SpaceJmp, sid: SegId) -> SjResult<(VirtAddr, u64)> {
         let seg = sj.segment(sid)?;
         Ok((seg.base(), seg.size()))
-    }
-
-    /// Host-only check, before any allocator word access, that the
-    /// current VAS maps the heap for `access`. The allocator's
-    /// [`MemAccess`] cannot fail, so a store through a read-only mapping
-    /// must be refused here rather than fault inside it.
-    fn check_mapped(sj: &SpaceJmp, pid: Pid, base: VirtAddr, access: Access) -> SjResult<()> {
-        let space = sj.kernel().process(pid)?.current_space();
-        match sj.kernel().vmspace(space)?.find_region(base) {
-            None => Err(SjError::NotAttached),
-            Some(region) if !region.permits(access) => Err(SjError::PermissionDenied),
-            Some(_) => Ok(()),
-        }
     }
 
     /// The segment hosting this heap.
@@ -156,8 +153,7 @@ impl VasHeap {
         pid: Pid,
         access: Access,
     ) -> SjResult<Mspace<KernelMem<'a>>> {
-        Self::check_mapped(sj, pid, self.base, access)?;
-        Mspace::attach(KernelMem::new(sj, pid, self.base, self.size)?).map_err(alloc_err)
+        Mspace::attach(KernelMem::new(sj, pid, self.base, self.size, access)?).map_err(alloc_err)
     }
 
     /// Allocates `size` bytes; returns a virtual address valid in any
@@ -407,9 +403,12 @@ mod tests {
             let (mut word_sj, word_pid, _) = heap_process(traced);
             let (mut run_live, mut word_live) = (Vec::new(), Vec::new());
             for (step, op) in random_ops(seed, 200).into_iter().enumerate() {
-                let run_mem = KernelMem::new(&mut run_sj, run_pid, heap.base, heap.size).unwrap();
+                let run_mem =
+                    KernelMem::new(&mut run_sj, run_pid, heap.base, heap.size, Access::Write)
+                        .unwrap();
                 let by_run = apply(run_mem, &mut run_live, op);
-                let word_mem = KernelMem::new(&mut word_sj, word_pid, heap.base, heap.size);
+                let word_mem =
+                    KernelMem::new(&mut word_sj, word_pid, heap.base, heap.size, Access::Write);
                 let by_word = apply(PerWord(word_mem.unwrap()), &mut word_live, op);
                 let at = format!("seed {seed}, step {step}, {op:?}");
                 assert_eq!(by_run, by_word, "{at}");
@@ -428,6 +427,20 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn unmapped_heap_and_unknown_process_are_typed_errors() {
+        let (mut sj, pid, heap) = heap_process(false);
+        let stranger = Pid(9999);
+        let gone = SjError::Os(OsError::NoSuchProcess);
+        assert_eq!(heap.malloc(&mut sj, stranger, 64), Err(gone.clone()));
+        sj.vas_switch_home(pid).unwrap();
+        // The home space does not map the heap; an unknown process is
+        // still reported as such first.
+        assert_eq!(heap.malloc(&mut sj, pid, 64), Err(SjError::NotAttached));
+        assert_eq!(heap.root(&mut sj, pid), Err(SjError::NotAttached));
+        assert_eq!(heap.root(&mut sj, stranger), Err(gone));
     }
 
     #[test]

@@ -164,9 +164,7 @@ impl SegDict {
                 let klen = m.load_u64(e.add(E_KLEN))?;
                 if klen as usize == key.len() {
                     let kptr = VirtAddr::new(m.load_u64(e.add(E_KEY))?);
-                    let mut kbuf = vec![0u8; klen as usize];
-                    m.load_bytes(kptr, &mut kbuf)?;
-                    if kbuf == key {
+                    if stored_key_equals(m, kptr, key)? {
                         return Ok(Some((prev, e)));
                     }
                 }
@@ -378,6 +376,26 @@ impl SegDict {
         }
         Ok(())
     }
+}
+
+/// Keys up to this long are compared through a stack buffer.
+const STACK_KEY_BYTES: usize = 64;
+
+/// Whether the `key.len()` bytes stored at `kptr` equal `key`: one
+/// `load_bytes` of the stored key, into a stack buffer for keys of at
+/// most [`STACK_KEY_BYTES`] and a heap buffer for longer ones.
+fn stored_key_equals(m: &mut ProcMem<'_>, kptr: VirtAddr, key: &[u8]) -> SjResult<bool> {
+    let mut stack = [0u8; STACK_KEY_BYTES];
+    let mut long = Vec::new();
+    let buf = match stack.get_mut(..key.len()) {
+        Some(buf) => buf,
+        None => {
+            long.resize(key.len(), 0);
+            &mut long[..]
+        }
+    };
+    m.load_bytes(kptr, buf)?;
+    Ok(buf == key)
 }
 
 /// Header fields holding table `t`'s (0 or 1) pointer and capacity.

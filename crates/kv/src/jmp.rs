@@ -18,7 +18,7 @@ use sjmp_os::{Mode, Pid};
 use spacejmp_core::{AttachMode, RetryPolicy, SjError, SjResult, SpaceJmp, VasHandle, VasHeap};
 
 use crate::dict::{DictStats, SegDict};
-use crate::resp::{Command, Reply};
+use crate::resp::{CommandRef, Reply};
 use crate::server::{COMMAND_OVERHEAD, STORE_SEGMENT_BYTES};
 
 /// Scratch heap size per client.
@@ -87,6 +87,43 @@ pub struct JmpClient {
     /// Backoff schedule for contended switches; every command retries
     /// with this before surfacing [`SjError::WouldBlock`].
     retry: RetryPolicy,
+    /// Host buffers for the command bytes, reused by every request.
+    wire: WireBuffers,
+}
+
+/// The host side of staging a command in the scratch heap: its encoded
+/// bytes and the copy read back. Both keep their capacity between
+/// requests, so a steady-state GET or SET allocates no host memory for
+/// them.
+#[derive(Debug, Default)]
+struct WireBuffers {
+    encoded: Vec<u8>,
+    copy: Vec<u8>,
+}
+
+impl WireBuffers {
+    /// Simulates the Redis command-parsing path: the encoded command is
+    /// staged in a scratch-heap object (Redis allocates heap objects even
+    /// for GETs), read back, the object freed, and the copy parsed. The
+    /// parsed command borrows from the copy.
+    fn stage(
+        &mut self,
+        sj: &mut SpaceJmp,
+        pid: Pid,
+        scratch: VasHeap,
+        cmd: CommandRef<'_>,
+    ) -> SjResult<CommandRef<'_>> {
+        self.encoded.clear();
+        cmd.encode_into(&mut self.encoded);
+        let len = self.encoded.len();
+        let buf = scratch.malloc(sj, pid, len as u64)?;
+        sj.kernel_mut().store_bytes(pid, buf, &self.encoded)?;
+        self.copy.clear();
+        self.copy.resize(len, 0);
+        sj.kernel_mut().load_bytes(pid, buf, &mut self.copy)?;
+        scratch.free(sj, pid, buf)?;
+        CommandRef::parse(&self.copy).map_err(|_| SjError::InvalidArgument("bad command"))
+    }
 }
 
 impl JmpClient {
@@ -242,6 +279,7 @@ impl JmpClient {
             dict,
             stats: DictStats::default(),
             retry,
+            wire: WireBuffers::default(),
         })
     }
 
@@ -260,19 +298,6 @@ impl JmpClient {
         self.vh_write
     }
 
-    /// Simulates the Redis command-parsing path: the encoded command is
-    /// staged in a scratch-heap object (Redis allocates heap objects even
-    /// for GETs), parsed, and the object freed.
-    fn parse_via_scratch(&self, sj: &mut SpaceJmp, cmd: &Command) -> SjResult<Command> {
-        let encoded = cmd.encode();
-        let buf = self.scratch.malloc(sj, self.pid, encoded.len() as u64)?;
-        sj.kernel_mut().store_bytes(self.pid, buf, &encoded)?;
-        let mut copy = vec![0u8; encoded.len()];
-        sj.kernel_mut().load_bytes(self.pid, buf, &mut copy)?;
-        self.scratch.free(sj, self.pid, buf)?;
-        Command::parse(&copy).map_err(|_| SjError::InvalidArgument("bad command"))
-    }
-
     /// Executes a GET by switching into the read-only VAS.
     ///
     /// # Errors
@@ -282,11 +307,13 @@ impl JmpClient {
         sj.vas_switch_retry(self.pid, self.vh_read, &self.retry)?;
         sj.kernel().clock().advance(COMMAND_OVERHEAD);
         let result = (|| {
-            let cmd = self.parse_via_scratch(sj, &Command::Get(key.to_vec()))?;
-            let Command::Get(k) = cmd else {
+            let cmd = self
+                .wire
+                .stage(sj, self.pid, self.scratch, CommandRef::Get(key))?;
+            let CommandRef::Get(k) = cmd else {
                 unreachable!("encoded a GET")
             };
-            self.dict.get(sj, self.pid, &k)
+            self.dict.get(sj, self.pid, k)
         })();
         sj.vas_switch_home(self.pid)?;
         result
@@ -301,12 +328,14 @@ impl JmpClient {
         sj.vas_switch_retry(self.pid, self.vh_write, &self.retry)?;
         sj.kernel().clock().advance(COMMAND_OVERHEAD);
         let result = (|| {
-            let cmd = self.parse_via_scratch(sj, &Command::Set(key.to_vec(), val.to_vec()))?;
-            let Command::Set(k, v) = cmd else {
+            let cmd = self
+                .wire
+                .stage(sj, self.pid, self.scratch, CommandRef::Set(key, val))?;
+            let CommandRef::Set(k, v) = cmd else {
                 unreachable!("encoded a SET")
             };
             // Exclusive lock held: resizing and rehashing permitted.
-            self.dict.set(sj, self.pid, &k, &v, true, &mut self.stats)
+            self.dict.set(sj, self.pid, k, v, true, &mut self.stats)
         })();
         sj.vas_switch_home(self.pid)?;
         result
@@ -387,19 +416,19 @@ impl JmpClient {
     ///
     /// As [`Self::get`]/[`Self::set`].
     pub fn handle_request(&mut self, sj: &mut SpaceJmp, raw: &[u8]) -> SjResult<Vec<u8>> {
-        let reply = match Command::parse(raw) {
-            Ok(Command::Get(k)) => Reply::Bulk(self.get(sj, &k)?),
-            Ok(Command::Set(k, v)) => {
-                self.set(sj, &k, &v)?;
+        let reply = match CommandRef::parse(raw) {
+            Ok(CommandRef::Get(k)) => Reply::Bulk(self.get(sj, k)?),
+            Ok(CommandRef::Set(k, v)) => {
+                self.set(sj, k, v)?;
                 Reply::Ok
             }
-            Ok(Command::Del(k)) => Reply::Int(self.del(sj, &k)? as i64),
-            Ok(Command::Incr(k)) => match self.incr(sj, &k) {
+            Ok(CommandRef::Del(k)) => Reply::Int(self.del(sj, k)? as i64),
+            Ok(CommandRef::Incr(k)) => match self.incr(sj, k) {
                 Ok(n) => Reply::Int(n),
                 Err(SjError::InvalidArgument(e)) => Reply::Error(e.to_string()),
                 Err(e) => return Err(e),
             },
-            Ok(Command::Append(k, v)) => Reply::Int(self.append(sj, &k, &v)? as i64),
+            Ok(CommandRef::Append(k, v)) => Reply::Int(self.append(sj, k, v)? as i64),
             Err(e) => Reply::Error(e.to_string()),
         };
         Ok(reply.encode())
@@ -409,6 +438,7 @@ impl JmpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resp::Command;
     use sjmp_mem::{KernelFlavor, MachineId};
     use sjmp_os::{Creds, Kernel};
 
@@ -514,6 +544,7 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
+    use crate::resp::Command;
     use sjmp_mem::{KernelFlavor, MachineId};
     use sjmp_os::{Creds, Kernel};
 

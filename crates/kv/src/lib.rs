@@ -46,6 +46,6 @@ pub use jmp::{JmpClient, JoinOpts};
 pub use overload::{
     rps_to_mean_gap, run_overload, run_overload_at, saturation_rps, OverloadConfig, OverloadResult,
 };
-pub use resp::{Command, Reply, RespError};
+pub use resp::{Command, CommandRef, Reply, RespError};
 pub use server::RedisServer;
 pub use shard::{RejectReason, ShardError, ShardHealth, ShardRouter, ShardedKv, MAX_SHARDS};

@@ -1658,6 +1658,34 @@ impl Kernel {
         })
     }
 
+    /// [`Self::proc_mem`] together with the region of `pid`'s current
+    /// space that maps `va` (`None` when none does), from one process
+    /// lookup: for a caller that checks a mapping's permission before it
+    /// accesses memory through it.
+    ///
+    /// # Errors
+    ///
+    /// [`OsError::NoSuchProcess`] for unknown pids, then
+    /// [`OsError::NoSuchSpace`] if the current space is gone.
+    pub fn proc_mem_at(
+        &mut self,
+        pid: Pid,
+        va: VirtAddr,
+    ) -> OsResult<(ProcMem<'_>, Option<Region>)> {
+        let process = self.process(pid)?;
+        let core = process.core();
+        let region = self
+            .vmspace(process.current_space())?
+            .find_region(va)
+            .cloned();
+        let mem = ProcMem {
+            kernel: self,
+            pid,
+            core,
+        };
+        Ok((mem, region))
+    }
+
     /// Reads a `u64` at `va` in `pid`'s current space, faulting pages in
     /// as needed — the convenience load path for workloads.
     ///
