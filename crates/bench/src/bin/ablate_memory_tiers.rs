@@ -11,12 +11,12 @@
 
 use sjmp_bench::Report;
 use sjmp_mem::{KernelFlavor, MachineId, VirtAddr};
-use sjmp_os::{Creds, Kernel, Mode};
-use spacejmp_core::{AttachMode, MemTier, SpaceJmp, VasHeap};
+use sjmp_os::{Backing, Creds, Kernel, Mode};
+use spacejmp_core::{AttachMode, SpaceJmp, VasHeap};
 
 /// One workload: a linked list built, walked, and updated in a segment on
 /// the given tier. Returns (build, walk, update) simulated microseconds.
-fn run(tier: MemTier, nodes: u64) -> (f64, f64, f64) {
+fn run(tier: Backing, nodes: u64) -> (f64, f64, f64) {
     let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::DragonFly, MachineId::M2));
     sj.kernel_mut().set_nvm_tier(1 << 30);
     let pid = sj
@@ -27,7 +27,7 @@ fn run(tier: MemTier, nodes: u64) -> (f64, f64, f64) {
     let base = VirtAddr::new(0x1000_0000_0000);
     let vid = sj.vas_create(pid, "tier-vas", Mode(0o600)).expect("vas");
     let sid = sj
-        .seg_alloc_tier(pid, "tier-seg", base, 8 << 20, Mode(0o600), tier)
+        .seg_alloc_with(pid, "tier-seg", base, 8 << 20, Mode(0o600), tier)
         .expect("seg");
     sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite)
         .expect("attach");
@@ -83,8 +83,8 @@ fn main() {
         "Memory-tier ablation: {nodes}-node linked list in a segment (us, M2)"
     ));
     report.header(&["tier", "build", "walk", "update"], &[6, 10, 10, 10]);
-    let (db, dw, du) = run(MemTier::Dram, nodes);
-    let (nb, nw, nu) = run(MemTier::Nvm, nodes);
+    let (db, dw, du) = run(Backing::Dram, nodes);
+    let (nb, nw, nu) = run(Backing::Nvm, nodes);
     report.row(
         &[
             "DRAM".to_string(),

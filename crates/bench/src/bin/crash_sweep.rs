@@ -98,13 +98,13 @@ fn staged_machine(
     }
     sj.vas_switch_home(pid).unwrap();
     assert_eq!(sj.vas_save(pid, vid).unwrap(), 1, "staging save");
-    let old_image = sj.save_segment(pid, sid).unwrap();
+    let old_image = sj.seg_contents(pid, sid).unwrap();
     sj.vas_switch(pid, vh).unwrap();
     for p in 0..pages {
         sj.kernel_mut().store_u64(pid, va(p), new(p)).unwrap();
     }
     sj.vas_switch_home(pid).unwrap();
-    let new_image = sj.save_segment(pid, sid).unwrap();
+    let new_image = sj.seg_contents(pid, sid).unwrap();
     (sj, pid, vid, old_image, new_image)
 }
 
@@ -122,7 +122,7 @@ fn recover_and_classify(
     let pid = spawn(&mut sj2, "r");
     sj2.vas_load(pid, name).unwrap();
     let sid = sj2.seg_find(&format!("{name}-s")).unwrap();
-    let recovered = sj2.save_segment(pid, sid).unwrap();
+    let recovered = sj2.seg_contents(pid, sid).unwrap();
     assert_clean(&mut sj2, what);
     if recovered == old_image {
         ("old", replays)

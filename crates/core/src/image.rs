@@ -127,8 +127,8 @@ pub struct SegmentImage {
     pub mode: u16,
     /// Whether switch-in takes the segment lock.
     pub lockable: bool,
-    /// Whether the segment was demand-paged/swappable (restored via
-    /// `seg_alloc_swappable` so it stays evictable).
+    /// Whether the segment was demand-paged/swappable (restored on
+    /// `Backing::Demand` so it stays evictable).
     pub swappable: bool,
     /// Sparse page list: `(page_index, contents)` for every page that
     /// held nonzero bytes at save time, ascending by index.

@@ -16,7 +16,12 @@
 //! * **The Figure 3 API** ([`spacejmp::SpaceJmp`]): `vas_create`,
 //!   `vas_find`, `vas_clone`, `vas_attach`, `vas_detach`, `vas_switch`,
 //!   `vas_ctl`, `seg_alloc`, `seg_find`, `seg_clone`, `seg_attach`,
-//!   `seg_detach`, `seg_ctl`.
+//!   `seg_detach`, `seg_ctl`. `seg_alloc` reserves DRAM;
+//!   `seg_alloc_with` takes any [`sjmp_os::Backing`] (superpage-aligned,
+//!   demand-paged and swappable, or NVM).
+//! * **Persistence across reboots**: `vas_save`/`vas_load` write a VAS
+//!   to the kernel's snapshot disk and rebuild it, pointers intact, on a
+//!   freshly booted machine.
 //! * **VAS-aware heap allocation** ([`heap`]): `malloc`/`free` backed by
 //!   per-segment allocator state, following the dlmalloc `mspace` design
 //!   of Section 4.1.
@@ -41,5 +46,5 @@ pub use error::{SjError, SjResult};
 pub use heap::VasHeap;
 pub use image::{Catalog, SegmentImage, VasImage};
 pub use segment::{AttachMode, SegId, Segment};
-pub use spacejmp::{MemTier, RetryPolicy, SegCtl, SjStats, SpaceJmp, VasCtl};
+pub use spacejmp::{RetryPolicy, SegCtl, SjStats, SpaceJmp, VasCtl};
 pub use vas::{Attachment, Vas, VasHandle, VasId};

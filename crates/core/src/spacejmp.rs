@@ -22,10 +22,10 @@ use std::collections::{HashMap, HashSet};
 
 use sjmp_mem::paging::{self, PteFlags};
 use sjmp_mem::KernelFlavor;
-use sjmp_mem::{Access, PageSize, VirtAddr, PAGE_SIZE};
+use sjmp_mem::{Access, VirtAddr, PAGE_SIZE};
 use sjmp_os::kernel::{GLOBAL_HI, GLOBAL_LO, PRIVATE_HI};
 use sjmp_os::{
-    Acl, CapKind, CapRights, Capability, CoreCtx, FaultOutcome, FaultSite, IdMap, Kernel,
+    Acl, Backing, CapKind, CapRights, Capability, CoreCtx, FaultOutcome, FaultSite, IdMap, Kernel,
     MapPolicy, Mode, ObjClass, OsError, Pid, Region, VmObjectId, VmspaceId,
 };
 use sjmp_trace::{EventKind, MetricsSnapshot, Tracer};
@@ -36,17 +36,6 @@ use crate::error::{SjError, SjResult};
 use crate::image::{Catalog, SegmentImage, VasImage};
 use crate::segment::{AttachMode, SegId, Segment};
 use crate::vas::{Attachment, Vas, VasHandle, VasId};
-
-/// Which physical tier backs a segment (Section 7 heterogeneous memory:
-/// "a co-packaged volatile performance tier, a persistent capacity
-/// tier").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemTier {
-    /// Volatile performance tier (default).
-    Dram,
-    /// Persistent capacity tier: larger, slower, asymmetric write cost.
-    Nvm,
-}
 
 /// Commands for [`SpaceJmp::vas_ctl`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -605,7 +594,7 @@ impl SpaceJmp {
     ///
     /// [`SjError::NameTaken`] if `name` is registered.
     pub fn vas_create(&mut self, pid: Pid, name: &str, mode: Mode) -> SjResult<VasId> {
-        self.kernel.charge_entry_on(self.ctx(pid));
+        self.kernel.charge_entry(self.ctx(pid));
         if self.vas_names.contains_key(name) {
             return Err(SjError::NameTaken(name.to_string()));
         }
@@ -643,7 +632,7 @@ impl SpaceJmp {
     pub fn vas_find(&mut self, name: &str) -> SjResult<VasId> {
         // No calling pid in the paper's signature: the lookup is billed to
         // the boot core.
-        self.kernel.charge_entry();
+        self.kernel.charge_entry(CoreCtx::BOOT);
         self.vas_names.get(name).copied().ok_or(SjError::NotFound)
     }
 
@@ -696,7 +685,7 @@ impl SpaceJmp {
     }
 
     fn vas_attach_inner(&mut self, pid: Pid, vid: VasId) -> SjResult<VasHandle> {
-        self.kernel.charge_entry_on(self.ctx(pid));
+        self.kernel.charge_entry(self.ctx(pid));
         let creds = self.kernel.process(pid)?.creds();
         {
             let v = self.vas(vid)?;
@@ -820,7 +809,7 @@ impl SpaceJmp {
     }
 
     fn vas_detach_inner(&mut self, pid: Pid, vh: VasHandle) -> SjResult<()> {
-        self.kernel.charge_entry_on(self.ctx(pid));
+        self.kernel.charge_entry(self.ctx(pid));
         let att = self.attachment(vh)?.clone();
         if att.pid != pid {
             return Err(SjError::BadHandle);
@@ -1170,7 +1159,7 @@ impl SpaceJmp {
     ///
     /// Permission failures; [`SjError::Busy`] destroying an attached VAS.
     pub fn vas_ctl(&mut self, pid: Pid, cmd: VasCtl, vid: VasId) -> SjResult<()> {
-        self.kernel.charge_entry_on(self.ctx(pid));
+        self.kernel.charge_entry(self.ctx(pid));
         let creds = self.kernel.process(pid)?.creds();
         {
             let v = self.vas(vid)?;
@@ -1220,7 +1209,7 @@ impl SpaceJmp {
     /// * [`SjError::PermissionDenied`] if `owner` does not own the VAS
     ///   (root excepted) or the kernel is not the Barrelfish flavor.
     pub fn revoke_attachment(&mut self, owner: Pid, vh: VasHandle) -> SjResult<()> {
-        self.kernel.charge_entry_on(self.ctx(owner));
+        self.kernel.charge_entry(self.ctx(owner));
         let att = self.attachment(vh)?.clone();
         let creds = self.kernel.process(owner)?.creds();
         {
@@ -1275,22 +1264,20 @@ impl SpaceJmp {
         Ok(new_vid)
     }
 
-    /// Serializes a segment to a self-describing byte image: name, fixed
-    /// base, size, mode, and raw contents. Together with
-    /// [`Self::restore_segment`] this implements the paper's final
-    /// future-work item — "the persistency of multiple virtual address
-    /// spaces (for example, across reboots)" (Section 7). Because all
-    /// pointers inside a segment are plain virtual addresses and the
-    /// segment's base is part of its identity, an image restored on a
-    /// fresh machine is immediately usable, pointers intact.
+    /// Reads a segment's contents: `size` bytes, page by page. Contiguous
+    /// segments read straight from their frames; demand-paged ones fill
+    /// zero pages with zeros and fetch evicted pages back through the
+    /// swap device without faulting them in. Persistence goes through
+    /// [`Self::vas_save`]/[`Self::vas_load`]; this is the reader that
+    /// compares what they restore.
     ///
     /// # Errors
     ///
     /// Permission failures; [`SjError::Busy`] while the lock is held.
-    pub fn save_segment(&mut self, pid: Pid, sid: SegId) -> SjResult<Vec<u8>> {
-        self.kernel.charge_entry_on(self.ctx(pid));
+    pub fn seg_contents(&mut self, pid: Pid, sid: SegId) -> SjResult<Vec<u8>> {
+        self.kernel.charge_entry(self.ctx(pid));
         let creds = self.kernel.process(pid)?.creds();
-        let (name, base, size, mode, object) = {
+        let (size, object) = {
             let seg = self.segment(sid)?;
             if !seg.acl().allows(creds, Access::Read) {
                 return Err(SjError::PermissionDenied);
@@ -1298,76 +1285,13 @@ impl SpaceJmp {
             if !seg.lock().is_free() {
                 return Err(SjError::Busy("segment lock held during save"));
             }
-            (
-                seg.name().to_string(),
-                seg.base(),
-                seg.size(),
-                seg.acl().mode(),
-                seg.object(),
-            )
+            (seg.size(), seg.object())
         };
-        let mut out = Vec::with_capacity(size as usize + 64);
-        out.extend_from_slice(b"SJMPSEG1");
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&base.raw().to_le_bytes());
-        out.extend_from_slice(&size.to_le_bytes());
-        out.extend_from_slice(&(mode.0 as u32).to_le_bytes());
-        let start = out.len();
-        out.resize(start + size as usize, 0);
-        // Page-by-page read handles every backing uniformly: contiguous
-        // segments read straight from their frames, demand-paged ones
-        // fill zero pages with zeros and fetch evicted pages back
-        // through the swap device without faulting them in.
-        for index in 0..size / PAGE_SIZE {
-            let at = start + (index * PAGE_SIZE) as usize;
-            self.kernel
-                .read_object_page(object, index, &mut out[at..at + PAGE_SIZE as usize])?;
+        let mut out = vec![0; size as usize];
+        for (index, page) in (0..).zip(out.chunks_exact_mut(PAGE_SIZE as usize)) {
+            self.kernel.read_object_page(object, index, page)?;
         }
         Ok(out)
-    }
-
-    /// Restores a segment image produced by [`Self::save_segment`] —
-    /// typically into a *different* [`SpaceJmp`] instance ("after a
-    /// reboot"). The segment reappears under its original name, at its
-    /// original base, with `pid`'s credentials owning it.
-    ///
-    /// # Errors
-    ///
-    /// [`SjError::InvalidArgument`] for corrupt images;
-    /// [`SjError::NameTaken`] if the name is already registered.
-    pub fn restore_segment(&mut self, pid: Pid, image: &[u8]) -> SjResult<SegId> {
-        let err = || SjError::InvalidArgument("corrupt segment image");
-        if image.len() < 12 || &image[..8] != b"SJMPSEG1" {
-            return Err(err());
-        }
-        let name_len = u32::from_le_bytes(image[8..12].try_into().expect("4 bytes")) as usize;
-        let rest = &image[12..];
-        if rest.len() < name_len + 20 {
-            return Err(err());
-        }
-        let name = std::str::from_utf8(&rest[..name_len])
-            .map_err(|_| err())?
-            .to_string();
-        let rest = &rest[name_len..];
-        let base =
-            VirtAddr::new_unchecked(u64::from_le_bytes(rest[..8].try_into().expect("8 bytes")));
-        let size = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
-        let mode = Mode(u32::from_le_bytes(rest[16..20].try_into().expect("4 bytes")) as u16);
-        let contents = &rest[20..];
-        if !base.is_canonical() || contents.len() as u64 != size {
-            return Err(err());
-        }
-        let sid = self.seg_alloc(pid, &name, base, size, mode)?;
-        let pa = {
-            let object = self.segment(sid)?.object();
-            self.kernel.vmobject(object)?.base()
-        };
-        self.kernel
-            .phys_mut()
-            .write_bytes(pa, contents)
-            .map_err(OsError::from)?;
-        Ok(sid)
     }
 
     /// `vas_save(vid)`: persists a VAS to the kernel's snapshot disk,
@@ -1390,7 +1314,7 @@ impl SpaceJmp {
     /// [`sjmp_os::OsError::Crashed`] when an injected block-IO crash
     /// fault aborts the commit mid-sequence.
     pub fn vas_save(&mut self, pid: Pid, vid: VasId) -> SjResult<u64> {
-        self.kernel.charge_entry_on(self.ctx(pid));
+        self.kernel.charge_entry(self.ctx(pid));
         let ctx = self.ctx(pid);
         let tracer = self.kernel.tracer().clone();
         tracer.begin(
@@ -1519,7 +1443,7 @@ impl SpaceJmp {
     /// [`SjError::NameTaken`] when the VAS or one of its segment names
     /// is already registered; allocation failures.
     pub fn vas_load(&mut self, pid: Pid, name: &str) -> SjResult<VasId> {
-        self.kernel.charge_entry_on(self.ctx(pid));
+        self.kernel.charge_entry(self.ctx(pid));
         let ctx = self.ctx(pid);
         let tracer = self.kernel.tracer().clone();
         tracer.begin(
@@ -1546,24 +1470,28 @@ impl SpaceJmp {
         let image = VasImage::decode(bytes)
             .ok_or(SjError::InvalidArgument("corrupt VAS image in catalog"))?;
         // Validate before creating anything, so a bad image leaves no
-        // VAS or segment behind.
-        let page_beyond_segment = image.segments.iter().any(|seg| {
+        // VAS or segment behind: each segment's name and geometry (a
+        // base outside the global range, non-canonical ones included,
+        // is a typed error) and its pages.
+        for seg in &image.segments {
+            self.seg_validate(&seg.name, VirtAddr::new_unchecked(seg.base), seg.size)?;
             let pages = seg.size.div_ceil(PAGE_SIZE);
-            seg.pages.iter().any(|(index, _)| *index >= pages)
-        });
-        if page_beyond_segment {
-            return Err(SjError::InvalidArgument(
-                "VAS image page beyond its segment",
-            ));
+            if seg.pages.iter().any(|(index, _)| *index >= pages) {
+                return Err(SjError::InvalidArgument(
+                    "VAS image page beyond its segment",
+                ));
+            }
         }
         let vid = self.vas_create(pid, name, Mode(image.mode))?;
         for seg in &image.segments {
             let base = VirtAddr::new(seg.base);
-            let sid = if seg.swappable {
-                self.seg_alloc_swappable(pid, &seg.name, base, seg.size, Mode(seg.mode))?
+            let backing = if seg.swappable {
+                Backing::Demand
             } else {
-                self.seg_alloc(pid, &seg.name, base, seg.size, Mode(seg.mode))?
+                Backing::Dram
             };
+            let sid =
+                self.seg_alloc_with(pid, &seg.name, base, seg.size, Mode(seg.mode), backing)?;
             if !seg.lockable {
                 self.segment_mut(sid)?.set_lockable(false);
             }
@@ -1600,120 +1528,68 @@ impl SpaceJmp {
         size: u64,
         mode: Mode,
     ) -> SjResult<SegId> {
-        self.seg_alloc_tier(pid, name, base, size, mode, MemTier::Dram)
+        self.seg_alloc_with(pid, name, base, size, mode, Backing::Dram)
     }
 
-    /// Like [`Self::seg_alloc`], choosing the backing memory tier. NVM
-    /// segments pair naturally with persistent VASes: the data they hold
-    /// survives in the capacity tier, at higher per-access cost.
+    /// [`Self::seg_alloc`] on a chosen [`Backing`], which decides the
+    /// rest of the segment:
     ///
-    /// # Errors
+    /// * [`Backing::Dram`] reserves and pins the frames now, as the paper
+    ///   does ("physical pages are reserved at the time a segment is
+    ///   created").
+    /// * [`Backing::Nvm`] does the same in the NVM capacity tier (Section
+    ///   7's heterogeneous memory). NVM segments pair naturally with
+    ///   persistent VASes: the data survives in the capacity tier, at
+    ///   higher per-access cost.
+    /// * [`Backing::Aligned`] reserves a naturally aligned range and maps
+    ///   the segment with superpages (2 MiB or 1 GiB) wherever it is
+    ///   attached. `base` and `size` must be aligned to the page size.
+    ///   Fewer, shallower leaves make attachment cheaper to construct and
+    ///   give each TLB entry more reach — the Section 6 mitigation for
+    ///   translation cost, as a segment property.
+    /// * [`Backing::Demand`] makes the segment demand-paged and
+    ///   **swappable**: no frames up front, pages materialize on first
+    ///   touch, and under memory pressure the kernel's clock reclaimer
+    ///   may evict them. This relaxes the paper's reservation rule and
+    ///   makes pinning a measurable trade-off: a pinned segment never
+    ///   swaps but fails allocation when memory is exhausted, a swappable
+    ///   one survives oversubscription at swap-in cost. The creator owns
+    ///   the backing object (quota accounting and OOM badness).
     ///
-    /// As [`Self::seg_alloc`]; additionally fails if the kernel has no
-    /// NVM tier configured.
-    pub fn seg_alloc_tier(
-        &mut self,
-        pid: Pid,
-        name: &str,
-        base: VirtAddr,
-        size: u64,
-        mode: Mode,
-        tier: MemTier,
-    ) -> SjResult<SegId> {
-        self.kernel.charge_entry_on(self.ctx(pid));
-        let size = self.seg_validate(name, base, size)?;
-        self.kernel.process(pid)?;
-        let object = match tier {
-            MemTier::Dram => self.kernel.alloc_object(size)?,
-            MemTier::Nvm => self.kernel.alloc_object_nvm(size)?,
-        };
-        // "Physical pages are reserved at the time a segment is created":
-        // the backing object outlives any process mapping it, so process
-        // teardown must never reclaim it.
-        self.kernel.vmobject_mut(object)?.set_pinned(true);
-        self.seg_register(pid, name, base, size, object, mode)
-    }
-
-    /// Like [`Self::seg_alloc`], but mapping the segment with superpages
-    /// (2 MiB or 1 GiB) wherever it is attached. The virtual base and the
-    /// size must be naturally aligned to `page_size`, and the backing
-    /// physical range is allocated aligned so every leaf can be a real
-    /// superpage entry. Fewer, shallower leaves make attachment cheaper
-    /// to construct and give each TLB entry `page_size` bytes of reach —
-    /// the Section 6 mitigation for translation cost, as a first-class
-    /// segment property.
+    /// Every segment outlives process teardown until `seg_ctl(Destroy)`,
+    /// and clones ([`Self::seg_clone`]) and persists ([`Self::vas_save`])
+    /// alike; evicted pages are read back through the swap device as
+    /// needed.
     ///
     /// # Errors
     ///
     /// As [`Self::seg_alloc`], plus [`OsError::Misaligned`] (wrapped in
-    /// [`SjError::Os`]) when `base` or `size` breaks the alignment rule.
-    pub fn seg_alloc_sized(
+    /// [`SjError::Os`]) when `base` or `size` breaks an aligned backing's
+    /// rule, and a kernel error for NVM when no NVM tier is configured.
+    pub fn seg_alloc_with(
         &mut self,
         pid: Pid,
         name: &str,
         base: VirtAddr,
         size: u64,
         mode: Mode,
-        page_size: PageSize,
+        backing: Backing,
     ) -> SjResult<SegId> {
-        self.kernel.charge_entry_on(self.ctx(pid));
+        self.kernel.charge_entry(self.ctx(pid));
         let size = self.seg_validate(name, base, size)?;
-        if page_size != PageSize::Size4K {
-            if !base.is_aligned(page_size.bytes()) {
+        let page_size = backing.page_size();
+        for requested in [base.raw(), size] {
+            if !requested.is_multiple_of(page_size.bytes()) {
                 return Err(SjError::Os(OsError::Misaligned {
-                    requested: base.raw(),
-                    page_size,
-                }));
-            }
-            if !size.is_multiple_of(page_size.bytes()) {
-                return Err(SjError::Os(OsError::Misaligned {
-                    requested: size,
+                    requested,
                     page_size,
                 }));
             }
         }
         self.kernel.process(pid)?;
-        let object = self.kernel.alloc_object_aligned(None, size, page_size)?;
-        self.kernel.vmobject_mut(object)?.set_pinned(true);
-        let sid = self.seg_register(pid, name, base, size, object, mode)?;
-        self.segment_mut(sid)?.set_page_size(page_size);
-        Ok(sid)
-    }
-
-    /// Like [`Self::seg_alloc`], but demand-paged and **swappable**: no
-    /// physical frames are reserved up front, pages materialize on first
-    /// touch, and under memory pressure the kernel's clock reclaimer may
-    /// evict them to the swap device. This deliberately relaxes the
-    /// paper's "physical pages are reserved at the time a segment is
-    /// created" rule, making pinning a measurable trade-off: a pinned
-    /// segment never swaps but aborts allocation when memory is
-    /// exhausted, a swappable one survives oversubscription at swap-in
-    /// cost. The backing object is owned by the creator (for quota
-    /// accounting and OOM badness) and marked *preserved*, so like any
-    /// segment it outlives process teardown until `seg_ctl(Destroy)`.
-    ///
-    /// Swappable segments clone ([`Self::seg_clone`] copies page states,
-    /// swap slots included), save, and persist ([`Self::vas_save`])
-    /// like any other segment; evicted pages are read back through the
-    /// swap device as needed.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::seg_alloc`].
-    pub fn seg_alloc_swappable(
-        &mut self,
-        pid: Pid,
-        name: &str,
-        base: VirtAddr,
-        size: u64,
-        mode: Mode,
-    ) -> SjResult<SegId> {
-        self.kernel.charge_entry_on(self.ctx(pid));
-        let size = self.seg_validate(name, base, size)?;
-        self.kernel.process(pid)?;
-        let object = self.kernel.alloc_object_demand(Some(pid), size)?;
-        self.kernel.vmobject_mut(object)?.set_preserved(true);
-        self.seg_register(pid, name, base, size, object, mode)
+        let owner = (backing == Backing::Demand).then_some(pid);
+        let object = self.kernel.alloc_object(owner, size, backing)?;
+        self.seg_register(pid, name, base, size, mode, object, backing)
     }
 
     /// Shared argument validation for segment allocation; returns the
@@ -1730,33 +1606,49 @@ impl SpaceJmp {
                 "segment base must be page aligned",
             ));
         }
-        let size = size.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        if base < GLOBAL_LO || base.add(size) > GLOBAL_HI {
+        // A size or end past the top of the address space saturates, so
+        // it is reported as out of range instead of overflowing.
+        let size = size
+            .checked_next_multiple_of(PAGE_SIZE)
+            .unwrap_or(u64::MAX - (PAGE_SIZE - 1));
+        let end = VirtAddr::new_unchecked(base.raw().saturating_add(size));
+        if base < GLOBAL_LO || end > GLOBAL_HI {
             return Err(SjError::AddressConflict(format!(
-                "segment [{base}, {}) outside the global range [{GLOBAL_LO}, {GLOBAL_HI})",
-                base.add(size)
+                "segment [{base}, {end}) outside the global range [{GLOBAL_LO}, {GLOBAL_HI})"
             )));
         }
         Ok(size)
     }
 
-    /// Registers a segment descriptor over an allocated backing object
-    /// and (Barrelfish) hands the creator its object capability.
+    /// Registers a segment descriptor over a freshly allocated backing
+    /// object and (Barrelfish) hands the creator its object capability.
+    /// The object outlives any process mapping it, so process teardown
+    /// never reclaims it: a demand object is preserved (it may still
+    /// swap), any other is pinned.
+    #[allow(clippy::too_many_arguments)]
     fn seg_register(
         &mut self,
         pid: Pid,
         name: &str,
         base: VirtAddr,
         size: u64,
-        object: VmObjectId,
         mode: Mode,
+        object: VmObjectId,
+        backing: Backing,
     ) -> SjResult<SegId> {
+        let o = self.kernel.vmobject_mut(object)?;
+        if backing == Backing::Demand {
+            o.set_preserved(true);
+        } else {
+            o.set_pinned(true);
+        }
         let creds = self.kernel.process(pid)?.creds();
         let sid = SegId(self.next_sid);
         self.next_sid += 1;
+        let acl = Acl::new(creds, mode);
         self.segments.insert(
             sid,
-            Segment::new(sid, name, base, size, object, Acl::new(creds, mode)),
+            Segment::new(sid, name, base, size, object, acl).with_backing(backing),
         );
         self.seg_names.insert(name.to_string(), sid);
         // Announce the segment's geometry so trace replays can map raw
@@ -1794,75 +1686,46 @@ impl SpaceJmp {
     /// [`SjError::NotFound`] if no segment has that name.
     pub fn seg_find(&mut self, name: &str) -> SjResult<SegId> {
         // As vas_find: no calling pid, billed to the boot core.
-        self.kernel.charge_entry();
+        self.kernel.charge_entry(CoreCtx::BOOT);
         self.seg_names.get(name).copied().ok_or(SjError::NotFound)
     }
 
     /// `seg_clone(sid) -> sid`: deep-copies a segment (contents and
-    /// metadata) so permissions can be changed independently.
+    /// metadata, backing included) so permissions can be changed
+    /// independently.
     ///
     /// # Errors
     ///
     /// Permission and allocation failures.
     pub fn seg_clone(&mut self, pid: Pid, sid: SegId, new_name: &str) -> SjResult<SegId> {
-        self.kernel.charge_entry_on(self.ctx(pid));
+        self.kernel.charge_entry(self.ctx(pid));
         let creds = self.kernel.process(pid)?.creds();
-        let (base, size, mode, src_obj) = {
+        let (base, size, mode, src_obj, backing) = {
             let s = self.segment(sid)?;
             if !s.acl().allows(creds, Access::Read) {
                 return Err(SjError::PermissionDenied);
             }
-            (s.base(), s.size(), s.acl().mode(), s.object())
+            (s.base(), s.size(), s.acl().mode(), s.object(), s.backing())
         };
         if self.seg_names.contains_key(new_name) {
             return Err(SjError::NameTaken(new_name.to_string()));
         }
-        let new_obj = if self.kernel.vmobject(src_obj)?.is_contiguous() {
-            let new_obj = self.kernel.alloc_object(size)?;
-            self.kernel.vmobject_mut(new_obj)?.set_pinned(true);
-            // Copy contents frame by frame.
-            let (src_pa, dst_pa) = {
-                let src = self.kernel.vmobject(src_obj)?.base();
-                let dst = self.kernel.vmobject(new_obj)?.base();
-                (src, dst)
-            };
-            let phys = self.kernel.phys_mut();
-            let mut buf = vec![0u8; PAGE_SIZE as usize];
-            for page in 0..size / PAGE_SIZE {
-                phys.read_bytes(src_pa.add(page * PAGE_SIZE), &mut buf)
-                    .map_err(OsError::from)?;
-                phys.write_bytes(dst_pa.add(page * PAGE_SIZE), &buf)
-                    .map_err(OsError::from)?;
-            }
-            new_obj
+        let object = if backing == Backing::Demand {
+            // Duplicate page by page, preserving each page's state — zero
+            // pages stay sparse, evicted pages are copied swap slot to
+            // swap slot — so the clone neither faults pages in nor
+            // disturbs memory pressure.
+            self.kernel.duplicate_paged_object(Some(pid), src_obj)?
         } else {
-            // Demand-paged (swappable) segment: duplicate page by page,
-            // preserving each page's state — zero pages stay sparse,
-            // evicted pages are copied swap-slot to swap-slot — so the
-            // clone neither faults pages in nor disturbs memory
-            // pressure. Flags mirror seg_alloc_swappable's backing.
-            let new_obj = self.kernel.duplicate_paged_object(src_obj)?;
-            let o = self.kernel.vmobject_mut(new_obj)?;
-            o.set_preserved(true);
-            o.set_swappable(true);
-            o.set_owner(Some(pid));
-            new_obj
+            let object = self.kernel.alloc_object(None, size, backing)?;
+            let mut page = vec![0; PAGE_SIZE as usize];
+            for index in 0..size / PAGE_SIZE {
+                self.kernel.read_object_page(src_obj, index, &mut page)?;
+                self.kernel.write_object_page(object, index, &page)?;
+            }
+            object
         };
-        let new_sid = SegId(self.next_sid);
-        self.next_sid += 1;
-        self.segments.insert(
-            new_sid,
-            Segment::new(
-                new_sid,
-                new_name,
-                base,
-                size,
-                new_obj,
-                Acl::new(creds, mode),
-            ),
-        );
-        self.seg_names.insert(new_name.to_string(), new_sid);
-        Ok(new_sid)
+        self.seg_register(pid, new_name, base, size, mode, object, backing)
     }
 
     /// `seg_attach(vid, sid)`: attaches a segment **globally** to a VAS so
@@ -1882,7 +1745,7 @@ impl SpaceJmp {
         sid: SegId,
         mode: AttachMode,
     ) -> SjResult<()> {
-        self.kernel.charge_entry_on(self.ctx(pid));
+        self.kernel.charge_entry(self.ctx(pid));
         let creds = self.kernel.process(pid)?.creds();
         let (base, size, object, page_size) = {
             let seg = self.segment(sid)?;
@@ -1982,7 +1845,7 @@ impl SpaceJmp {
         sid: SegId,
         mode: AttachMode,
     ) -> SjResult<()> {
-        self.kernel.charge_entry_on(self.ctx(pid));
+        self.kernel.charge_entry(self.ctx(pid));
         let att = self.attachment(vh)?.clone();
         if att.pid != pid {
             return Err(SjError::BadHandle);
@@ -2046,7 +1909,7 @@ impl SpaceJmp {
     /// Permission failures; [`SjError::Busy`] if the segment's lock is
     /// held by anyone switched into this VAS.
     pub fn seg_detach(&mut self, pid: Pid, vid: VasId, sid: SegId) -> SjResult<()> {
-        self.kernel.charge_entry_on(self.ctx(pid));
+        self.kernel.charge_entry(self.ctx(pid));
         let creds = self.kernel.process(pid)?.creds();
         {
             let v = self.vas(vid)?;
@@ -2103,7 +1966,7 @@ impl SpaceJmp {
     /// Permission failures; [`SjError::Busy`] destroying an attached or
     /// locked segment.
     pub fn seg_ctl(&mut self, pid: Pid, sid: SegId, cmd: SegCtl) -> SjResult<()> {
-        self.kernel.charge_entry_on(self.ctx(pid));
+        self.kernel.charge_entry(self.ctx(pid));
         let creds = self.kernel.process(pid)?.creds();
         {
             let s = self.segment(sid)?;

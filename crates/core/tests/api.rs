@@ -3,7 +3,7 @@
 //! sharing, persistence beyond process lifetime, and the heap runtime.
 
 use sjmp_mem::{KernelFlavor, MachineId, PageSize, VirtAddr};
-use sjmp_os::{Creds, Kernel, Mode, Pid};
+use sjmp_os::{Backing, Creds, Kernel, Mode, Pid};
 use spacejmp_core::{AttachMode, SegCtl, SjError, SpaceJmp, VasCtl, VasHeap};
 
 const SEG_BASE: u64 = 0x1000_0000_0000;
@@ -787,10 +787,11 @@ fn exit_process_releases_locks_and_attachments() {
     );
 }
 
-#[test]
-fn a_fault_plan_fails_an_nvm_segment_allocation_cleanly() {
+/// A fault plan that fails the segment's object allocation must leave
+/// nothing behind on `backing`: the typed error, no registered segment,
+/// no frame taken, and the same allocation succeeding afterwards.
+fn fault_plan_fails_segment_allocation_cleanly(backing: Backing) {
     use sjmp_os::{FaultPlan, FaultSite, OsError};
-    use spacejmp_core::MemTier;
     let (mut sj, pid) = setup();
     sj.kernel_mut().set_nvm_tier(16 << 20);
     let allocated = sj.kernel_mut().phys_mut().allocated_frames();
@@ -798,23 +799,123 @@ fn a_fault_plan_fails_an_nvm_segment_allocation_cleanly() {
         .set_fault_plan(Some(FaultPlan::new(0).fail_nth(FaultSite::ObjectAlloc, 1)));
     let base = VirtAddr::new(SEG_BASE);
     assert_eq!(
-        sj.seg_alloc_tier(pid, "nvm-seg", base, 1 << 20, Mode(0o600), MemTier::Nvm),
-        Err(SjError::Os(OsError::Mem(sjmp_mem::MemError::OutOfFrames)))
+        sj.seg_alloc_with(pid, "seg", base, 2 << 20, Mode(0o600), backing),
+        Err(SjError::Os(OsError::Mem(sjmp_mem::MemError::OutOfFrames))),
+        "{backing:?}"
     );
-    assert!(sj.seg_find("nvm-seg").is_err(), "no segment registered");
+    assert!(
+        sj.seg_find("seg").is_err(),
+        "{backing:?}: no segment registered"
+    );
     assert_eq!(
         sj.kernel_mut().phys_mut().allocated_frames(),
         allocated,
-        "no frame taken"
+        "{backing:?}: no frame taken"
     );
-    // The whole 16 MiB tier is still free: a segment can take all of it.
-    sj.seg_alloc_tier(pid, "nvm-seg", base, 16 << 20, Mode(0o600), MemTier::Nvm)
+    // Nothing is held back: a segment can still take 16 MiB, the whole
+    // NVM tier for an NVM backing.
+    let sid = sj
+        .seg_alloc_with(pid, "seg", base, 16 << 20, Mode(0o600), backing)
         .unwrap();
+    assert_eq!(sj.segment(sid).unwrap().backing(), backing);
+}
+
+#[test]
+fn a_fault_plan_fails_a_segment_allocation_cleanly_on_every_backing() {
+    for backing in [
+        Backing::Dram,
+        Backing::Aligned(PageSize::Size2M),
+        Backing::Demand,
+        Backing::Nvm,
+    ] {
+        fault_plan_fails_segment_allocation_cleanly(backing);
+    }
+}
+
+#[test]
+fn seg_clone_keeps_the_backing_and_announces_the_clone() {
+    use sjmp_trace::{EventKind, Phase, Tracer};
+    let (mut sj, pid) = setup();
+    sj.kernel_mut().set_nvm_tier(16 << 20);
+    let nvm_base = VirtAddr::new(SEG_BASE);
+    let huge_base = VirtAddr::new(SEG_BASE + (1 << 39));
+    let nvm = sj
+        .seg_alloc_with(pid, "nvm", nvm_base, 1 << 20, Mode(0o600), Backing::Nvm)
+        .unwrap();
+    let huge = Backing::Aligned(PageSize::Size2M);
+    let big = sj
+        .seg_alloc_with(pid, "huge", huge_base, 4 << 20, Mode(0o600), huge)
+        .unwrap();
+    let vid = sj.vas_create(pid, "v", Mode(0o600)).unwrap();
+    sj.seg_attach(pid, vid, nvm, AttachMode::ReadWrite).unwrap();
+    sj.seg_attach(pid, vid, big, AttachMode::ReadWrite).unwrap();
+    let vh = sj.vas_attach(pid, vid).unwrap();
+    sj.vas_switch(pid, vh).unwrap();
+    sj.kernel_mut()
+        .store_u64(pid, nvm_base.add(8), 0x4e56)
+        .unwrap();
+    sj.kernel_mut()
+        .store_u64(pid, huge_base.add((2 << 20) + 8), 0x2a)
+        .unwrap();
+    sj.vas_switch_home(pid).unwrap();
+
+    let tracer = Tracer::new(1 << 12);
+    sj.set_tracer(tracer.clone());
+    let nvm_copy = sj.seg_clone(pid, nvm, "nvm-copy").unwrap();
+    let huge_copy = sj.seg_clone(pid, big, "huge-copy").unwrap();
+
+    // An NVM clone stays NVM, frames included; a 2 MiB clone keeps its
+    // page size.
+    let copy = sj.segment(nvm_copy).unwrap();
+    assert_eq!(copy.backing(), Backing::Nvm);
+    let object = copy.object();
+    let pfn = sj.kernel().vmobject(object).unwrap().frame_of_page(0);
+    assert!(sj.kernel_mut().phys_mut().is_nvm(pfn.unwrap()));
+    assert_eq!(sj.segment(huge_copy).unwrap().page_size(), PageSize::Size2M);
+    assert_eq!(
+        sj.seg_contents(pid, nvm_copy).unwrap(),
+        sj.seg_contents(pid, nvm).unwrap()
+    );
+    assert_eq!(
+        sj.seg_contents(pid, huge_copy).unwrap(),
+        sj.seg_contents(pid, big).unwrap()
+    );
+
+    // Each clone announces its geometry, like any new segment.
+    let announced: Vec<(EventKind, u64, u64)> = tracer
+        .events()
+        .into_iter()
+        .filter(|e| e.phase == Phase::Instant)
+        .filter(|e| matches!(e.kind, EventKind::SegRegister | EventKind::SegExtent))
+        .map(|e| (e.kind, e.arg0, e.arg1))
+        .collect();
+    assert_eq!(
+        announced,
+        vec![
+            (EventKind::SegRegister, nvm_copy.0, nvm_base.raw()),
+            (EventKind::SegExtent, nvm_copy.0, 1 << 20),
+            (EventKind::SegRegister, huge_copy.0, huge_base.raw()),
+            (EventKind::SegExtent, huge_copy.0, 4 << 20),
+        ]
+    );
+    assert!(sj.check_invariants().is_empty());
+}
+
+#[test]
+fn a_segment_reaching_past_the_address_space_is_an_address_conflict() {
+    // Page rounding and the end address saturate instead of overflowing.
+    let (mut sj, pid) = setup();
+    for size in [u64::MAX, u64::MAX - SEG_BASE] {
+        assert!(matches!(
+            sj.seg_alloc(pid, "s", VirtAddr::new(SEG_BASE), size, Mode(0o600)),
+            Err(SjError::AddressConflict(_))
+        ));
+    }
+    assert!(sj.seg_find("s").is_err());
 }
 
 #[test]
 fn nvm_segments_cost_more_to_access() {
-    use spacejmp_core::MemTier;
     let (mut sj, pid) = setup();
     sj.kernel_mut().set_nvm_tier(16 << 20);
     let vid = sj.vas_create(pid, "tiered", Mode(0o600)).unwrap();
@@ -828,13 +929,13 @@ fn nvm_segments_cost_more_to_access() {
         )
         .unwrap();
     let nvm = sj
-        .seg_alloc_tier(
+        .seg_alloc_with(
             pid,
             "nvm-seg",
             VirtAddr::new(SEG_BASE + (1u64 << 39)),
             1 << 20,
             Mode(0o600),
-            MemTier::Nvm,
+            Backing::Nvm,
         )
         .unwrap();
     sj.seg_attach(pid, vid, dram, AttachMode::ReadWrite)
@@ -886,16 +987,15 @@ fn nvm_segments_cost_more_to_access() {
 
 #[test]
 fn nvm_requires_a_configured_tier() {
-    use spacejmp_core::MemTier;
     let (mut sj, pid) = setup();
     assert!(sj
-        .seg_alloc_tier(
+        .seg_alloc_with(
             pid,
             "no-tier",
             VirtAddr::new(SEG_BASE),
             4096,
             Mode(0o600),
-            MemTier::Nvm
+            Backing::Nvm
         )
         .is_err());
 }
@@ -972,9 +1072,9 @@ fn switch_upgrades_read_hold_to_write_when_sole_reader() {
 fn segment_image_survives_a_reboot() {
     // The paper's final §7 item: "the persistency of multiple virtual
     // address spaces (for example, across reboots)". Build a pointer-rich
-    // heap, save the segment, boot a brand-new machine, restore — the
-    // pointers still work because the base address travels with the
-    // image.
+    // heap, save its VAS, boot a brand-new machine on the same disk, load
+    // it — the pointers still work because the base address travels with
+    // the image.
     let (mut sj, pid) = setup();
     let va = VirtAddr::new(SEG_BASE);
     let vid = sj.vas_create(pid, "persist", Mode(0o660)).unwrap();
@@ -990,49 +1090,45 @@ fn segment_image_survives_a_reboot() {
 
     // Cannot save while someone is switched in (lock held).
     sj.vas_switch(pid, vh).unwrap();
-    assert!(matches!(sj.save_segment(pid, sid), Err(SjError::Busy(_))));
+    assert!(matches!(sj.vas_save(pid, vid), Err(SjError::Busy(_))));
+    assert!(matches!(sj.seg_contents(pid, sid), Err(SjError::Busy(_))));
     sj.vas_switch_home(pid).unwrap();
-    let image = sj.save_segment(pid, sid).unwrap();
+    sj.vas_save(pid, vid).unwrap();
+    let contents = sj.seg_contents(pid, sid).unwrap();
+    let mut disk = sj.kernel_mut().take_disk();
     drop(sj); // "power off"
+    disk.crash();
 
-    // New machine, new kernel, new process.
-    let (mut sj2, p2) = setup();
-    let restored = sj2.restore_segment(p2, &image).unwrap();
-    assert_eq!(sj2.seg_find("pseg").unwrap(), restored);
-    let vid2 = sj2.vas_create(p2, "persist2", Mode(0o660)).unwrap();
-    sj2.seg_attach(p2, vid2, restored, AttachMode::ReadWrite)
-        .unwrap();
+    // New machine, new kernel, new process, same disk.
+    let mut kernel = Kernel::new(KernelFlavor::DragonFly, MachineId::M2);
+    kernel.attach_disk(disk);
+    let mut sj2 = SpaceJmp::new(kernel);
+    let p2 = sj2.kernel_mut().spawn("p2", Creds::new(100, 100)).unwrap();
+    sj2.kernel_mut().activate(p2).unwrap();
+    let vid2 = sj2.vas_load(p2, "persist").unwrap();
+    let restored = sj2.seg_find("pseg").unwrap();
+    assert_eq!(sj2.segment(restored).unwrap().base(), va);
+    assert_eq!(sj2.seg_contents(p2, restored).unwrap(), contents);
     let vh2 = sj2.vas_attach(p2, vid2).unwrap();
     sj2.vas_switch(p2, vh2).unwrap();
     let heap2 = VasHeap::open(&mut sj2, p2, restored).unwrap();
     let root = heap2.root(&mut sj2, p2).unwrap();
     assert_eq!(root, node, "pointer value identical across the reboot");
     assert_eq!(sj2.kernel_mut().load_u64(p2, root).unwrap(), 0xbeef);
-
-    // Corrupt images are rejected.
-    assert!(sj2.restore_segment(p2, b"garbage").is_err());
-    assert!(sj2.restore_segment(p2, &image[..image.len() - 5]).is_err());
-    // A non-canonical base (after the 8-byte magic, the 4-byte name
-    // length and the name) is a typed error, not a panic.
-    let mut non_canonical = image.clone();
-    non_canonical[16..24].copy_from_slice(&0x0000_8000_0000_0000u64.to_le_bytes());
-    assert!(matches!(
-        sj2.restore_segment(p2, &non_canonical),
-        Err(SjError::InvalidArgument("corrupt segment image"))
-    ));
 }
 
 #[test]
 fn superpage_segments_map_with_huge_pages_end_to_end() {
-    // A 2 MiB-page segment allocated through seg_alloc_sized attaches and
+    // A segment on a 2 MiB-aligned backing attaches and
     // switches like any other segment, but reaches the TLB as superpage
     // entries: one walk covers the whole 2 MiB, and interior touches hit.
     let (mut sj, pid) = setup();
     let va = VirtAddr::new(SEG_BASE); // 2 MiB-aligned by construction
     let size = 4 << 20; // two 2 MiB pages
+    let huge = Backing::Aligned(PageSize::Size2M);
     let vid = sj.vas_create(pid, "huge", Mode(0o660)).unwrap();
     let sid = sj
-        .seg_alloc_sized(pid, "hseg", va, size, Mode(0o660), PageSize::Size2M)
+        .seg_alloc_with(pid, "hseg", va, size, Mode(0o660), huge)
         .unwrap();
     sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite).unwrap();
     let vh = sj.vas_attach(pid, vid).unwrap();
@@ -1059,7 +1155,7 @@ fn superpage_segments_map_with_huge_pages_end_to_end() {
     // Misaligned base or ragged size is rejected with the typed error.
     let skew = VirtAddr::new(SEG_BASE + 0x10_0000_0000 + 0x1000);
     let err = sj
-        .seg_alloc_sized(pid, "skew", skew, 2 << 20, Mode(0o660), PageSize::Size2M)
+        .seg_alloc_with(pid, "skew", skew, 2 << 20, Mode(0o660), huge)
         .unwrap_err();
     assert!(matches!(
         err,
@@ -1067,14 +1163,7 @@ fn superpage_segments_map_with_huge_pages_end_to_end() {
     ));
     let ragged = VirtAddr::new(SEG_BASE + 0x20_0000_0000);
     let err = sj
-        .seg_alloc_sized(
-            pid,
-            "rag",
-            ragged,
-            (2 << 20) + 0x1000,
-            Mode(0o660),
-            PageSize::Size2M,
-        )
+        .seg_alloc_with(pid, "rag", ragged, (2 << 20) + 0x1000, Mode(0o660), huge)
         .unwrap_err();
     assert!(matches!(
         err,

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use sjmp_os::{Kernel, OsError, OsResult, VmObjectId};
+use sjmp_os::{Backing, Kernel, OsError, OsResult, VmObjectId};
 
 /// The in-memory file system.
 #[derive(Debug, Default)]
@@ -32,7 +32,7 @@ impl MemFs {
         if let Some((old, _)) = self.files.remove(name) {
             kernel.free_object(old)?;
         }
-        let obj = kernel.alloc_object(data.len().max(1) as u64)?;
+        let obj = kernel.alloc_object(None, data.len().max(1) as u64, Backing::Dram)?;
         let pa = kernel.vmobject(obj)?.base();
         kernel.phys_mut().write_bytes(pa, data)?;
         kernel

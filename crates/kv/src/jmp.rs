@@ -14,12 +14,12 @@
 
 use sjmp_mem::VirtAddr;
 use sjmp_os::kernel::GLOBAL_LO;
-use sjmp_os::{Mode, Pid};
+use sjmp_os::{Backing, Mode, Pid};
 use spacejmp_core::{AttachMode, RetryPolicy, SjError, SjResult, SpaceJmp, VasHandle, VasHeap};
 
 use crate::dict::{DictStats, SegDict};
 use crate::resp::{CommandRef, Reply};
-use crate::server::{COMMAND_OVERHEAD, STORE_SEGMENT_BYTES};
+use crate::server::{COMMAND_OVERHEAD, INCR_OVERFLOW, STORE_SEGMENT_BYTES};
 
 /// Scratch heap size per client.
 const SCRATCH_BYTES: u64 = 64 << 10;
@@ -163,8 +163,9 @@ impl JmpClient {
 
     /// Like [`Self::join_with_tags`], optionally backing a **fresh**
     /// store with a swappable, demand-paged segment
-    /// ([`SpaceJmp::seg_alloc_swappable`]) instead of pinned frames: the
-    /// constrained-memory configuration. The store then survives DRAM
+    /// ([`SpaceJmp::seg_alloc_with`] on [`Backing::Demand`]) instead of
+    /// pinned frames: the constrained-memory configuration. The store
+    /// then survives DRAM
     /// oversubscription — cold store pages are evicted to swap and
     /// faulted back on access — at swap cycle cost. `swappable_store` is
     /// ignored when the store already exists; clients share whatever
@@ -217,17 +218,13 @@ impl JmpClient {
             Ok(sid) => (sid, false),
             Err(SjError::NotFound) => {
                 let name = format!("jmp-store-{store}");
-                let sid = if swappable_store {
-                    sj.seg_alloc_swappable(
-                        pid,
-                        &name,
-                        store_base,
-                        STORE_SEGMENT_BYTES,
-                        Mode(0o666),
-                    )?
+                let backing = if swappable_store {
+                    Backing::Demand
                 } else {
-                    sj.seg_alloc(pid, &name, store_base, STORE_SEGMENT_BYTES, Mode(0o666))?
+                    Backing::Dram
                 };
+                let size = STORE_SEGMENT_BYTES;
+                let sid = sj.seg_alloc_with(pid, &name, store_base, size, Mode(0o666), backing)?;
                 (sid, true)
             }
             Err(e) => return Err(e),
@@ -346,8 +343,9 @@ impl JmpClient {
     ///
     /// # Errors
     ///
-    /// [`SjError::InvalidArgument`] for non-integer values; lock errors
-    /// as in [`Self::set`].
+    /// [`SjError::InvalidArgument`] for non-integer values and for a
+    /// value of `i64::MAX`, which is left unchanged; lock errors as in
+    /// [`Self::set`].
     pub fn incr(&mut self, sj: &mut SpaceJmp, key: &[u8]) -> SjResult<i64> {
         sj.vas_switch_retry(self.pid, self.vh_write, &self.retry)?;
         sj.kernel().clock().advance(COMMAND_OVERHEAD);
@@ -359,7 +357,9 @@ impl JmpClient {
                     .and_then(|s| s.parse::<i64>().ok())
                     .ok_or(SjError::InvalidArgument("value is not an integer"))?,
             };
-            let next = current + 1;
+            let next = current
+                .checked_add(1)
+                .ok_or(SjError::InvalidArgument(INCR_OVERFLOW))?;
             self.dict.set(
                 sj,
                 self.pid,
@@ -565,6 +565,25 @@ mod more_tests {
             Err(SjError::InvalidArgument(_))
         ));
         c.set(&mut sj, b"s", b"1").unwrap(); // lock not stuck
+    }
+
+    #[test]
+    fn incr_overflow_is_an_error_reply_and_keeps_the_value() {
+        let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::DragonFly, MachineId::M1));
+        let pid = sj.kernel_mut().spawn("c", Creds::new(1, 1)).unwrap();
+        sj.kernel_mut().activate(pid).unwrap();
+        let mut c = JmpClient::join(&mut sj, pid, "io", 0).unwrap();
+        let max = i64::MAX.to_string();
+        let set = Command::Set(b"n".to_vec(), max.clone().into_bytes()).encode();
+        assert_eq!(c.handle_request(&mut sj, &set).unwrap(), b"+OK\r\n");
+        let incr = Command::Incr(b"n".to_vec()).encode();
+        let reply = c.handle_request(&mut sj, &incr).unwrap();
+        assert_eq!(
+            Reply::parse(&reply).unwrap(),
+            Reply::Error(INCR_OVERFLOW.to_string())
+        );
+        assert_eq!(c.get(&mut sj, b"n").unwrap(), Some(max.into_bytes()));
+        c.set(&mut sj, b"n", b"1").unwrap(); // lock not stuck
     }
 
     #[test]

@@ -23,6 +23,10 @@ pub const STORE_SEGMENT_BYTES: u64 = 8 << 20;
 /// execute the same server code directly.
 pub const COMMAND_OVERHEAD: u64 = 3000;
 
+/// The error INCR replies with when the stored value is `i64::MAX`
+/// (Redis's wording); the value is left as it was.
+pub(crate) const INCR_OVERFLOW: &str = "increment or decrement would overflow";
+
 /// A running server instance.
 #[derive(Debug)]
 pub struct RedisServer {
@@ -116,7 +120,9 @@ impl RedisServer {
                         None => return Ok(Reply::Error("value is not an integer".into())),
                     },
                 };
-                let next = current + 1;
+                let Some(next) = current.checked_add(1) else {
+                    return Ok(Reply::Error(INCR_OVERFLOW.into()));
+                };
                 self.dict.set(
                     sj,
                     pid,
@@ -211,6 +217,26 @@ mod tests {
             s.execute(&mut sj, &Command::Incr(b"x".to_vec())).unwrap(),
             Reply::Error(_)
         ));
+    }
+
+    #[test]
+    fn incr_overflow_is_an_error_reply_and_keeps_the_value() {
+        let (mut sj, mut s) = setup();
+        let max = i64::MAX.to_string();
+        let set = Command::Set(b"n".to_vec(), max.clone().into_bytes()).encode();
+        assert_eq!(s.handle_request(&mut sj, &set).unwrap(), b"+OK\r\n");
+        let incr = Command::Incr(b"n".to_vec()).encode();
+        let reply = s.handle_request(&mut sj, &incr).unwrap();
+        assert_eq!(
+            Reply::parse(&reply).unwrap(),
+            Reply::Error(INCR_OVERFLOW.to_string())
+        );
+        let get = Command::Get(b"n".to_vec()).encode();
+        let reply = s.handle_request(&mut sj, &get).unwrap();
+        assert_eq!(
+            Reply::parse(&reply).unwrap(),
+            Reply::Bulk(Some(max.into_bytes()))
+        );
     }
 
     #[test]

@@ -21,13 +21,12 @@
 //! # Core attribution
 //!
 //! Every syscall executes on an explicit hardware thread, named by a
-//! [`CoreCtx`]. The pid-taking entry points resolve the context from the
-//! process's pinned core ([`Kernel::ctx_of`]); the `*_on` variants take
-//! it explicitly. All modeled costs — kernel entry, page-table walks and
-//! construction, faults, swaps — accrue to the executing core's clock,
-//! and every trace event is stamped with that core. The reclaim scan is
-//! the one exception: it runs kswapd-style on the boot core
-//! ([`CoreCtx::BOOT`]) regardless of who triggered it.
+//! [`CoreCtx`] that the call resolves from the calling process's pinned
+//! core ([`Kernel::ctx_of`]). All modeled costs — kernel entry,
+//! page-table walks and construction, faults, swaps — accrue to the
+//! executing core's clock, and every trace event is stamped with that
+//! core. The reclaim scan is the one exception: it runs kswapd-style on
+//! the boot core ([`CoreCtx::BOOT`]) regardless of who triggered it.
 
 use sjmp_blk::{BlkError, BlkHooks, BlkStats, BlockDev, FlushFault, SnapshotStore, WriteFault};
 use sjmp_mem::backend::Backend;
@@ -46,7 +45,7 @@ use crate::acl::Creds;
 use crate::error::OsError;
 use crate::fault::{FaultOutcome, FaultPlan, FaultSite};
 use crate::process::{Pid, Process};
-use crate::vmobject::{PageSource, PageState, VmObject, VmObjectId};
+use crate::vmobject::{Backing, PageSource, PageState, VmObject, VmObjectId};
 use crate::vmspace::{MapPolicy, Region, Vmspace, VmspaceId};
 
 /// Lowest address of the process-private range (text, stack, heap).
@@ -577,22 +576,30 @@ impl Kernel {
         self.charge_map_sized(ctx, len, cached, sjmp_mem::PageSize::Size4K);
     }
 
-    /// Charges one kernel entry (syscall or capability invocation) on the
-    /// boot core. Prefer [`Self::charge_entry_on`] when the executing
-    /// core is known.
-    pub fn charge_entry(&mut self) {
-        self.charge_entry_on(CoreCtx::BOOT);
+    /// Charges one kernel entry (syscall or capability invocation) to
+    /// `ctx`'s core, inside a trace span stamped with that core. Calls
+    /// without a calling process pass [`CoreCtx::BOOT`].
+    pub fn charge_entry(&mut self, ctx: CoreCtx) {
+        self.stats.kernel_entries += 1;
+        let cycles = self.cost.kernel_entry(self.flavor);
+        self.span(ctx, EventKind::KernelEntry, 0, |k| k.charge(ctx, cycles));
     }
 
-    /// Charges one kernel entry to `ctx`'s core, stamping the trace span
-    /// with the executing core.
-    pub fn charge_entry_on(&mut self, ctx: CoreCtx) {
-        self.stats.kernel_entries += 1;
+    /// Runs `body` inside a `kind` trace span on `ctx`'s core. Spans
+    /// charge nothing, so tracing cannot change modeled costs.
+    fn span<T>(
+        &mut self,
+        ctx: CoreCtx,
+        kind: EventKind,
+        arg: u64,
+        body: impl FnOnce(&mut Self) -> T,
+    ) -> T {
         self.tracer
-            .begin(self.now_on(ctx), ctx.core as u32, EventKind::KernelEntry, 0);
-        self.charge(ctx, self.cost.kernel_entry(self.flavor));
+            .begin(self.now_on(ctx), ctx.core as u32, kind, arg);
+        let out = body(self);
         self.tracer
-            .end(self.now_on(ctx), ctx.core as u32, EventKind::KernelEntry, 0);
+            .end(self.now_on(ctx), ctx.core as u32, kind, arg);
+        out
     }
 
     /// Installs (or clears) the crash-fault plan consulted at every
@@ -752,7 +759,7 @@ impl Kernel {
                 PteFlags::USER | PteFlags::WRITABLE | PteFlags::NO_EXECUTE,
             ),
         ] {
-            let obj = self.alloc_object_owned(Some(pid), len)?;
+            let obj = self.alloc_object(Some(pid), len, Backing::Dram)?;
             if let Err(e) =
                 self.map_object(space, obj, base, 0, len, flags, MapPolicy::Eager, Some(ctx))
             {
@@ -835,81 +842,61 @@ impl Kernel {
 
     // ---- vm objects ------------------------------------------------------
 
-    /// Allocates an anonymous VM object of `len` bytes.
+    /// Allocates an anonymous VM object of `len` bytes on `backing`,
+    /// charged to `owner`'s memory quota (an NVM object has no owner).
     ///
-    /// # Errors
-    ///
-    /// Propagates physical allocation failure.
-    pub fn alloc_object(&mut self, len: u64) -> OsResult<VmObjectId> {
-        self.alloc_object_owned(None, len)
-    }
-
-    /// Allocates an anonymous VM object of `len` bytes, charged to
-    /// `owner`'s memory quota. This is the pressure-checked allocation
-    /// path: it consults the `FrameAlloc` fault site, enforces the
-    /// owner's quota, and reclaims toward the low watermark before
-    /// touching the frame allocator.
+    /// Every backing consults the `ObjectAlloc` fault site. The backings
+    /// that reserve DRAM at creation ([`Backing::Dram`] and
+    /// [`Backing::Aligned`]) then take the pressure-checked path: the
+    /// `FrameAlloc` fault site, the owner's quota, and reclaim toward the
+    /// low watermark, before the frame allocator is touched. A
+    /// [`Backing::Demand`] object is swappable and takes no frame yet.
     ///
     /// # Errors
     ///
     /// * [`OsError::QuotaExceeded`] if the owner is over quota even after
     ///   reclaiming its own pages.
     /// * [`OsError::OutOfMemory`] if reclaim cannot free enough frames.
-    pub fn alloc_object_owned(&mut self, owner: Option<Pid>, len: u64) -> OsResult<VmObjectId> {
-        self.fault_gate(FaultSite::ObjectAlloc)?;
-        let pages = len.div_ceil(PAGE_SIZE);
-        let space = owner.and_then(|p| self.process(p).ok().map(|pr| pr.current_space()));
-        self.ensure_frames(owner, space, pages, len)?;
-        let id = VmObjectId(self.next_obj);
-        self.next_obj += 1;
-        let mut obj = VmObject::alloc(&mut self.phys, id, len)?;
-        obj.set_owner(owner);
-        self.vmobjects.insert(id, obj);
-        Ok(id)
-    }
-
-    /// Allocates a contiguous VM object whose physical base is naturally
-    /// aligned to `page_size` — the backing huge-page mappings require.
-    /// Goes through the same pressure/quota gate as
-    /// [`Self::alloc_object_owned`] but never falls back to a paged
-    /// object (a fragmented free list cannot satisfy the alignment).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::alloc_object_owned`].
-    pub fn alloc_object_aligned(
+    /// * [`OsError::Mem`] for a zero length, an aligned range that does
+    ///   not fit, or a missing or exhausted NVM tier.
+    pub fn alloc_object(
         &mut self,
         owner: Option<Pid>,
         len: u64,
-        page_size: sjmp_mem::PageSize,
+        backing: Backing,
     ) -> OsResult<VmObjectId> {
         self.fault_gate(FaultSite::ObjectAlloc)?;
-        let pages = len.div_ceil(PAGE_SIZE);
-        let space = owner.and_then(|p| self.process(p).ok().map(|pr| pr.current_space()));
-        self.ensure_frames(owner, space, pages, len)?;
-        let id = VmObjectId(self.next_obj);
-        self.next_obj += 1;
-        let mut obj = VmObject::alloc_aligned(&mut self.phys, id, len, page_size.bytes())?;
-        obj.set_owner(owner);
-        self.vmobjects.insert(id, obj);
-        Ok(id)
+        if matches!(backing, Backing::Dram | Backing::Aligned(_)) {
+            let space = owner.and_then(|p| self.process(p).ok().map(|pr| pr.current_space()));
+            self.ensure_frames(owner, space, len.div_ceil(PAGE_SIZE), len)?;
+        }
+        self.insert_object(|phys, id| {
+            let mut obj = match backing {
+                Backing::Dram => VmObject::alloc(phys, id, len)?,
+                Backing::Aligned(page_size) => {
+                    VmObject::alloc_aligned(phys, id, len, page_size.bytes())?
+                }
+                Backing::Demand => {
+                    let mut obj = VmObject::alloc_demand(id, len)?;
+                    obj.set_swappable(true);
+                    obj
+                }
+                Backing::Nvm => return VmObject::alloc_nvm(phys, id, len),
+            };
+            obj.set_owner(owner);
+            Ok(obj)
+        })
     }
 
-    /// Allocates a demand-zero, swappable VM object: no frames until
-    /// pages are touched, and the reclaim scan may evict them. This is
-    /// the backing for swappable segments, which is how workloads
-    /// oversubscribe physical memory.
-    ///
-    /// # Errors
-    ///
-    /// `BadMapping` for a zero length.
-    pub fn alloc_object_demand(&mut self, owner: Option<Pid>, len: u64) -> OsResult<VmObjectId> {
-        self.fault_gate(FaultSite::ObjectAlloc)?;
+    /// Takes the next object id, builds the object under it with `build`
+    /// and registers it. A failed build still uses up the id.
+    fn insert_object(
+        &mut self,
+        build: impl FnOnce(&mut PhysMem, VmObjectId) -> Result<VmObject, MemError>,
+    ) -> OsResult<VmObjectId> {
         let id = VmObjectId(self.next_obj);
         self.next_obj += 1;
-        let mut obj = VmObject::alloc_demand(id, len)?;
-        obj.set_swappable(true);
-        obj.set_owner(owner);
+        let obj = build(&mut self.phys, id)?;
         self.vmobjects.insert(id, obj);
         Ok(id)
     }
@@ -919,20 +906,6 @@ impl Kernel {
     /// tier, a persistent capacity tier").
     pub fn set_nvm_tier(&mut self, nvm_bytes: u64) {
         self.phys.set_nvm_tier(nvm_bytes);
-    }
-
-    /// Allocates an anonymous VM object from the NVM tier.
-    ///
-    /// # Errors
-    ///
-    /// [`OsError::Mem`] if no NVM tier is configured or it is exhausted.
-    pub fn alloc_object_nvm(&mut self, len: u64) -> OsResult<VmObjectId> {
-        self.fault_gate(FaultSite::ObjectAlloc)?;
-        let id = VmObjectId(self.next_obj);
-        self.next_obj += 1;
-        let obj = VmObject::alloc_nvm(&mut self.phys, id, len)?;
-        self.vmobjects.insert(id, obj);
-        Ok(id)
     }
 
     /// Frees an unreferenced VM object.
@@ -1201,56 +1174,26 @@ impl Kernel {
         cached: bool,
     ) -> OsResult<VirtAddr> {
         let ctx = self.ctx_of(pid)?;
-        self.sys_mmap_on(ctx, pid, len, flags, cached)
-    }
-
-    /// [`Self::sys_mmap`] with an explicit executing core.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::sys_mmap`].
-    pub fn sys_mmap_on(
-        &mut self,
-        ctx: CoreCtx,
-        pid: Pid,
-        len: u64,
-        flags: PteFlags,
-        cached: bool,
-    ) -> OsResult<VirtAddr> {
-        self.tracer
-            .begin(self.now_on(ctx), ctx.core as u32, EventKind::Mmap, pid.0);
-        let result = self.sys_mmap_inner(ctx, pid, len, flags, cached);
-        self.tracer
-            .end(self.now_on(ctx), ctx.core as u32, EventKind::Mmap, pid.0);
-        result
-    }
-
-    fn sys_mmap_inner(
-        &mut self,
-        ctx: CoreCtx,
-        pid: Pid,
-        len: u64,
-        flags: PteFlags,
-        cached: bool,
-    ) -> OsResult<VirtAddr> {
-        self.charge_entry_on(ctx);
-        self.stats.mmaps += 1;
-        self.fault_gate(FaultSite::Mmap)?;
-        let space = self.process(pid)?.current_space();
-        let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        let va = self
-            .vmspace(space)?
-            .find_free(MMAP_BASE, PRIVATE_HI, len)
-            .ok_or(OsError::InvalidArgument("out of private address space"))?;
-        let obj = self.alloc_object_owned(Some(pid), len)?;
-        if let Err(e) = self.map_object(space, obj, va, 0, len, flags, MapPolicy::Eager, None) {
-            // map_object rolled its own state back; the fresh object has
-            // no other referents, so reclaim it too.
-            let _ = self.free_object(obj);
-            return Err(e);
-        }
-        self.charge_map(ctx, len, cached);
-        Ok(va)
+        self.span(ctx, EventKind::Mmap, pid.0, |k| {
+            k.charge_entry(ctx);
+            k.stats.mmaps += 1;
+            k.fault_gate(FaultSite::Mmap)?;
+            let space = k.process(pid)?.current_space();
+            let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+            let va = k
+                .vmspace(space)?
+                .find_free(MMAP_BASE, PRIVATE_HI, len)
+                .ok_or(OsError::InvalidArgument("out of private address space"))?;
+            let obj = k.alloc_object(Some(pid), len, Backing::Dram)?;
+            if let Err(e) = k.map_object(space, obj, va, 0, len, flags, MapPolicy::Eager, None) {
+                // map_object rolled its own state back; the fresh object
+                // has no other referents, so reclaim it too.
+                let _ = k.free_object(obj);
+                return Err(e);
+            }
+            k.charge_map(ctx, len, cached);
+            Ok(va)
+        })
     }
 
     /// Like [`Self::sys_mmap`], but mapping with superpages (2 MiB or
@@ -1271,88 +1214,73 @@ impl Kernel {
         page_size: sjmp_mem::PageSize,
     ) -> OsResult<VirtAddr> {
         let ctx = self.ctx_of(pid)?;
-        self.sys_mmap_sized_on(ctx, pid, len, flags, cached, page_size)
-    }
-
-    /// [`Self::sys_mmap_sized`] with an explicit executing core.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::sys_mmap_sized`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn sys_mmap_sized_on(
-        &mut self,
-        ctx: CoreCtx,
-        pid: Pid,
-        len: u64,
-        flags: PteFlags,
-        cached: bool,
-        page_size: sjmp_mem::PageSize,
-    ) -> OsResult<VirtAddr> {
-        self.charge_entry_on(ctx);
-        self.stats.mmaps += 1;
-        self.fault_gate(FaultSite::Mmap)?;
-        if len == 0 {
-            return Err(OsError::InvalidArgument(
-                "length must be a page-size multiple",
-            ));
-        }
-        if !len.is_multiple_of(page_size.bytes()) {
-            // Huge-page requests are rejected with a typed error so
-            // callers can tell an alignment violation from other malformed
-            // arguments and retry with base pages.
-            if page_size != sjmp_mem::PageSize::Size4K {
-                return Err(OsError::Misaligned {
-                    requested: len,
-                    page_size,
-                });
+        self.span(ctx, EventKind::Mmap, pid.0, |k| {
+            k.charge_entry(ctx);
+            k.stats.mmaps += 1;
+            k.fault_gate(FaultSite::Mmap)?;
+            if len == 0 {
+                return Err(OsError::InvalidArgument(
+                    "length must be a page-size multiple",
+                ));
             }
-            return Err(OsError::InvalidArgument(
-                "length must be a page-size multiple",
-            ));
-        }
-        let space = self.process(pid)?.current_space();
-        let va = self
-            .vmspace(space)?
-            .find_free(MMAP_BASE, PRIVATE_HI, len + page_size.bytes())
-            .ok_or(OsError::InvalidArgument("out of private address space"))?
-            .align_up(page_size.bytes());
-        // Superpage mappings need naturally aligned, physically contiguous
-        // backing; such objects are never candidates for the paged
-        // fallback or the reclaim scan.
-        let obj = self.alloc_object_aligned(Some(pid), len, page_size)?;
-        let pa = self.vmobject(obj)?.base();
-        {
-            let vs = self.vmspaces.get_mut(&space).ok_or(OsError::NoSuchSpace)?;
-            vs.insert_region(Region {
-                start: va,
-                len,
-                object: obj,
-                object_offset: 0,
-                flags,
-                policy: MapPolicy::Eager,
-            })?;
-        }
-        self.vmobject_mut(obj)?.add_ref();
-        let root = self.vmspace(space)?.root();
-        if let Err(e) = self
-            .backend
-            .map_region(&mut self.phys, root, va, pa, len, page_size, flags)
-        {
-            // Transactional rollback, as in map_object: clear the partial
-            // mapping and reclaim the region and the fresh object.
-            let _ = self.backend.unmap_region(&mut self.phys, root, va, len);
-            if let Some(vs) = self.vmspaces.get_mut(&space) {
-                vs.remove_region(va);
+            if !len.is_multiple_of(page_size.bytes()) {
+                // Huge-page requests are rejected with a typed error so
+                // callers can tell an alignment violation from other
+                // malformed arguments and retry with base pages.
+                if page_size != sjmp_mem::PageSize::Size4K {
+                    return Err(OsError::Misaligned {
+                        requested: len,
+                        page_size,
+                    });
+                }
+                return Err(OsError::InvalidArgument(
+                    "length must be a page-size multiple",
+                ));
             }
-            if let Some(o) = self.vmobjects.get_mut(&obj) {
-                o.drop_ref();
+            let space = k.process(pid)?.current_space();
+            let va = k
+                .vmspace(space)?
+                .find_free(MMAP_BASE, PRIVATE_HI, len + page_size.bytes())
+                .ok_or(OsError::InvalidArgument("out of private address space"))?
+                .align_up(page_size.bytes());
+            // Superpage mappings need naturally aligned, physically
+            // contiguous backing; such objects are never candidates for
+            // the paged fallback or the reclaim scan.
+            let obj = k.alloc_object(Some(pid), len, Backing::Aligned(page_size))?;
+            let pa = k.vmobject(obj)?.base();
+            {
+                let vs = k.vmspaces.get_mut(&space).ok_or(OsError::NoSuchSpace)?;
+                vs.insert_region(Region {
+                    start: va,
+                    len,
+                    object: obj,
+                    object_offset: 0,
+                    flags,
+                    policy: MapPolicy::Eager,
+                })?;
             }
-            let _ = self.free_object(obj);
-            return Err(e.into());
-        }
-        self.charge_map_sized(ctx, len, cached, page_size);
-        Ok(va)
+            k.vmobject_mut(obj)?.add_ref();
+            let root = k.vmspace(space)?.root();
+            if let Err(e) = k
+                .backend
+                .map_region(&mut k.phys, root, va, pa, len, page_size, flags)
+            {
+                // Transactional rollback, as in map_object: clear the
+                // partial mapping and reclaim the region and the fresh
+                // object.
+                let _ = k.backend.unmap_region(&mut k.phys, root, va, len);
+                if let Some(vs) = k.vmspaces.get_mut(&space) {
+                    vs.remove_region(va);
+                }
+                if let Some(o) = k.vmobjects.get_mut(&obj) {
+                    o.drop_ref();
+                }
+                let _ = k.free_object(obj);
+                return Err(e.into());
+            }
+            k.charge_map_sized(ctx, len, cached, page_size);
+            Ok(va)
+        })
     }
 
     /// Maps an *existing* object into the caller's current vmspace at a
@@ -1372,45 +1300,20 @@ impl Kernel {
         cached: bool,
     ) -> OsResult<VirtAddr> {
         let ctx = self.ctx_of(pid)?;
-        self.sys_mmap_object_on(ctx, pid, obj, obj_offset, len, flags, cached)
-    }
-
-    /// [`Self::sys_mmap_object`] with an explicit executing core.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::sys_mmap`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn sys_mmap_object_on(
-        &mut self,
-        ctx: CoreCtx,
-        pid: Pid,
-        obj: VmObjectId,
-        obj_offset: u64,
-        len: u64,
-        flags: PteFlags,
-        cached: bool,
-    ) -> OsResult<VirtAddr> {
-        self.charge_entry_on(ctx);
-        self.stats.mmaps += 1;
-        self.fault_gate(FaultSite::Mmap)?;
-        let space = self.process(pid)?.current_space();
-        let va = self
-            .vmspace(space)?
-            .find_free(MMAP_BASE, PRIVATE_HI, len)
-            .ok_or(OsError::InvalidArgument("out of private address space"))?;
-        self.map_object(
-            space,
-            obj,
-            va,
-            obj_offset,
-            len,
-            flags,
-            MapPolicy::Eager,
-            None,
-        )?;
-        self.charge_map(ctx, len, cached);
-        Ok(va)
+        self.span(ctx, EventKind::Mmap, pid.0, |k| {
+            k.charge_entry(ctx);
+            k.stats.mmaps += 1;
+            k.fault_gate(FaultSite::Mmap)?;
+            let space = k.process(pid)?.current_space();
+            let va = k
+                .vmspace(space)?
+                .find_free(MMAP_BASE, PRIVATE_HI, len)
+                .ok_or(OsError::InvalidArgument("out of private address space"))?;
+            let policy = MapPolicy::Eager;
+            k.map_object(space, obj, va, obj_offset, len, flags, policy, None)?;
+            k.charge_map(ctx, len, cached);
+            Ok(va)
+        })
     }
 
     /// `munmap`-style call on the caller's current vmspace.
@@ -1423,57 +1326,30 @@ impl Kernel {
     /// [`OsError::InvalidArgument`] if `va` does not start a mapping.
     pub fn sys_munmap(&mut self, pid: Pid, va: VirtAddr, cached: bool) -> OsResult<()> {
         let ctx = self.ctx_of(pid)?;
-        self.sys_munmap_on(ctx, pid, va, cached)
-    }
-
-    /// [`Self::sys_munmap`] with an explicit executing core.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::sys_munmap`].
-    pub fn sys_munmap_on(
-        &mut self,
-        ctx: CoreCtx,
-        pid: Pid,
-        va: VirtAddr,
-        cached: bool,
-    ) -> OsResult<()> {
-        self.tracer
-            .begin(self.now_on(ctx), ctx.core as u32, EventKind::Munmap, pid.0);
-        let result = self.sys_munmap_inner(ctx, pid, va, cached);
-        self.tracer
-            .end(self.now_on(ctx), ctx.core as u32, EventKind::Munmap, pid.0);
-        result
-    }
-
-    fn sys_munmap_inner(
-        &mut self,
-        ctx: CoreCtx,
-        pid: Pid,
-        va: VirtAddr,
-        cached: bool,
-    ) -> OsResult<()> {
-        self.charge_entry_on(ctx);
-        self.stats.munmaps += 1;
-        self.fault_gate(FaultSite::Munmap)?;
-        let space = self.process(pid)?.current_space();
-        let len = self
-            .vmspace(space)?
-            .find_region(va)
-            .filter(|r| r.start == va)
-            .map(|r| r.len)
-            .ok_or(OsError::InvalidArgument("no region starts here"))?;
-        self.unmap_object(space, va, Some(ctx))?;
-        if !cached {
-            self.charge(ctx, (len / PAGE_SIZE) * self.cost.page_putback);
-        }
-        Ok(())
+        self.span(ctx, EventKind::Munmap, pid.0, |k| {
+            k.charge_entry(ctx);
+            k.stats.munmaps += 1;
+            k.fault_gate(FaultSite::Munmap)?;
+            let space = k.process(pid)?.current_space();
+            let len = k
+                .vmspace(space)?
+                .find_region(va)
+                .filter(|r| r.start == va)
+                .map(|r| r.len)
+                .ok_or(OsError::InvalidArgument("no region starts here"))?;
+            k.unmap_object(space, va, Some(ctx))?;
+            if !cached {
+                k.charge(ctx, (len / PAGE_SIZE) * k.cost.page_putback);
+            }
+            Ok(())
+        })
     }
 
     // ---- faults ----------------------------------------------------------
 
-    /// Handles a page fault in `pid`'s current vmspace: consults the
-    /// region map and installs the missing translation (lazy policy).
+    /// Handles a page fault in `pid`'s current vmspace on the core `pid`
+    /// is pinned to: consults the region map and installs the missing
+    /// translation (lazy policy).
     ///
     /// For paged objects this is also the major-fault path: demand-zero
     /// pages get a fresh frame, swapped pages are read back from the swap
@@ -1482,54 +1358,31 @@ impl Kernel {
     ///
     /// # Errors
     ///
+    /// * [`OsError::NoSuchProcess`] for unknown pids.
     /// * [`OsError::Mem`] wrapping the original fault for true violations
     ///   (no region, or access not permitted).
     /// * [`OsError::QuotaExceeded`] if materializing the page would push
     ///   the object's owner past its quota.
     /// * [`OsError::OutOfMemory`] if reclaim cannot produce a frame.
     pub fn handle_fault(&mut self, pid: Pid, va: VirtAddr, access: Access) -> OsResult<()> {
-        let ctx = self.ctx_of(pid)?;
-        self.handle_fault_on(ctx, pid, va, access)
+        let process = self.process(pid)?;
+        let (ctx, space) = (CoreCtx::new(process.core()), process.current_space());
+        self.span(ctx, EventKind::PageFault, pid.0, |k| {
+            k.charge_entry(ctx);
+            k.stats.faults_handled += 1;
+            k.resolve_fault(ctx, pid, space, va, access)
+        })
     }
 
-    /// [`Self::handle_fault`] with an explicit executing core.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::handle_fault`].
-    pub fn handle_fault_on(
+    /// The body of [`Self::handle_fault`] after the kernel entry.
+    fn resolve_fault(
         &mut self,
         ctx: CoreCtx,
         pid: Pid,
+        space: VmspaceId,
         va: VirtAddr,
         access: Access,
     ) -> OsResult<()> {
-        self.tracer.begin(
-            self.now_on(ctx),
-            ctx.core as u32,
-            EventKind::PageFault,
-            pid.0,
-        );
-        let result = self.handle_fault_inner(ctx, pid, va, access);
-        self.tracer.end(
-            self.now_on(ctx),
-            ctx.core as u32,
-            EventKind::PageFault,
-            pid.0,
-        );
-        result
-    }
-
-    fn handle_fault_inner(
-        &mut self,
-        ctx: CoreCtx,
-        pid: Pid,
-        va: VirtAddr,
-        access: Access,
-    ) -> OsResult<()> {
-        self.charge_entry_on(ctx);
-        self.stats.faults_handled += 1;
-        let space = self.process(pid)?.current_space();
         let (obj_id, page_index, flags, root) = {
             let vs = self.vmspace(space)?;
             let region = vs
@@ -1570,19 +1423,8 @@ impl Kernel {
                     pid.0,
                     page_index,
                 );
-                self.tracer.begin(
-                    self.now_on(ctx),
-                    ctx.core as u32,
-                    EventKind::SwapIn,
-                    obj_id.0,
-                );
-                self.charge(ctx, self.cost.swap_in_page);
-                self.tracer.end(
-                    self.now_on(ctx),
-                    ctx.core as u32,
-                    EventKind::SwapIn,
-                    obj_id.0,
-                );
+                let cycles = self.cost.swap_in_page;
+                self.span(ctx, EventKind::SwapIn, obj_id.0, |k| k.charge(ctx, cycles));
             }
             pfn.base()
         };
@@ -1730,7 +1572,9 @@ impl Kernel {
 
     /// Switches `pid` to one of its attached vmspaces: kernel entry +
     /// bookkeeping + CR3 load, the Table 2 decomposition. The SpaceJMP
-    /// layer calls this after acquiring segment locks.
+    /// layer calls this after acquiring segment locks. The CR3 load (and
+    /// any TLB flush it implies) lands on the core `pid` is pinned to
+    /// only: switching on core A can neither warm nor flush core B's TLB.
     ///
     /// # Errors
     ///
@@ -1738,64 +1582,24 @@ impl Kernel {
     ///   space.
     pub fn switch_vmspace(&mut self, pid: Pid, space: VmspaceId) -> OsResult<()> {
         let ctx = self.ctx_of(pid)?;
-        self.switch_vmspace_on(ctx, pid, space)
-    }
-
-    /// [`Self::switch_vmspace`] with an explicit executing core. The CR3
-    /// load (and any TLB flush it implies) lands on `ctx`'s core only —
-    /// switching on core A can neither warm nor flush core B's TLB.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::switch_vmspace`].
-    pub fn switch_vmspace_on(&mut self, ctx: CoreCtx, pid: Pid, space: VmspaceId) -> OsResult<()> {
-        self.tracer.begin(
-            self.now_on(ctx),
-            ctx.core as u32,
-            EventKind::SwitchVmspace,
-            pid.0,
-        );
-        let result = self.switch_vmspace_inner(ctx, pid, space);
-        self.tracer.end(
-            self.now_on(ctx),
-            ctx.core as u32,
-            EventKind::SwitchVmspace,
-            pid.0,
-        );
-        result
-    }
-
-    fn switch_vmspace_inner(&mut self, ctx: CoreCtx, pid: Pid, space: VmspaceId) -> OsResult<()> {
-        self.charge_entry_on(ctx);
-        self.stats.space_switches += 1;
-        self.fault_gate(FaultSite::Switch)?;
-        {
-            let p = self.process(pid)?;
-            if !p.holds_space(space) {
+        self.span(ctx, EventKind::SwitchVmspace, pid.0, |k| {
+            k.charge_entry(ctx);
+            k.stats.space_switches += 1;
+            k.fault_gate(FaultSite::Switch)?;
+            if !k.process(pid)?.holds_space(space) {
                 return Err(OsError::PermissionDenied);
             }
-        }
-        let (root, asid) = {
-            let vs = self.vmspace(space)?;
-            (vs.root(), vs.asid())
-        };
-        let tagged = self.tagging && asid.is_tagged();
-        self.tracer.begin(
-            self.now_on(ctx),
-            ctx.core as u32,
-            EventKind::SwitchBook,
-            pid.0,
-        );
-        self.charge(ctx, self.cost.switch_bookkeeping(self.flavor, tagged));
-        self.tracer.end(
-            self.now_on(ctx),
-            ctx.core as u32,
-            EventKind::SwitchBook,
-            pid.0,
-        );
-        self.machine.mmu_mut(ctx.core).load_cr3(root, asid); // charges the CR3 cost
-        self.process_mut(pid)?.set_current_space(space);
-        Ok(())
+            let (root, asid) = {
+                let vs = k.vmspace(space)?;
+                (vs.root(), vs.asid())
+            };
+            let tagged = k.tagging && asid.is_tagged();
+            let cycles = k.cost.switch_bookkeeping(k.flavor, tagged);
+            k.span(ctx, EventKind::SwitchBook, pid.0, |k| k.charge(ctx, cycles));
+            k.machine.mmu_mut(ctx.core).load_cr3(root, asid); // charges the CR3 cost
+            k.process_mut(pid)?.set_current_space(space);
+            Ok(())
+        })
     }
 
     /// Flushes every core's TLB (global shootdown after shared-mapping
@@ -2227,7 +2031,7 @@ impl Kernel {
     /// Explicitly requests reclamation of up to `frames` frames (the
     /// retry valve for workloads that hit a quota or OOM error).
     pub fn sys_reclaim(&mut self, frames: u64) -> u64 {
-        self.charge_entry();
+        self.charge_entry(CoreCtx::BOOT);
         self.reclaim(frames)
     }
 
@@ -2236,7 +2040,7 @@ impl Kernel {
     /// with [`KernelSnapshot::delta_since`] to measure a phase;
     /// [`KernelSnapshot::to_metrics`] flattens one for export.
     pub fn sys_stats(&mut self) -> KernelSnapshot {
-        self.charge_entry();
+        self.charge_entry(CoreCtx::BOOT);
         self.stats_snapshot()
     }
 
@@ -2422,61 +2226,33 @@ impl Kernel {
     /// the frame, `Swapped` copies the swap image into a fresh slot —
     /// neither side is faulted in, so cloning a partially-evicted
     /// segment does not disturb memory pressure. The new object is
-    /// demand-paged, unowned, and unmapped; the caller sets
-    /// preserved/swappable/owner flags.
+    /// unmapped and, like a [`Backing::Demand`] object, swappable and
+    /// owned by `owner`.
     ///
     /// # Errors
     ///
     /// [`OsError::NoSuchObject`] for unknown ids; frame exhaustion
     /// while copying resident pages (already-copied pages are freed).
-    pub fn duplicate_paged_object(&mut self, src: VmObjectId) -> OsResult<VmObjectId> {
+    pub fn duplicate_paged_object(
+        &mut self,
+        owner: Option<Pid>,
+        src: VmObjectId,
+    ) -> OsResult<VmObjectId> {
         self.fault_gate(FaultSite::ObjectAlloc)?;
-        let (pages, len) = {
+        let (states, len): (Vec<PageState>, u64) = {
             let o = self.vmobject(src)?;
-            (o.pages(), o.len())
+            ((0..o.pages()).map(|i| o.page_state(i)).collect(), o.len())
         };
-        let id = VmObjectId(self.next_obj);
-        self.next_obj += 1;
-        let mut dst = VmObject::alloc_demand(id, len)?;
-        let mut buf = vec![0u8; PAGE_SIZE as usize];
-        for i in 0..pages {
-            match self.vmobject(src)?.page_state(i) {
-                PageState::Zero => {}
-                PageState::Resident { pfn, .. } => {
-                    let new = match self.phys.alloc_frame() {
-                        Ok(f) => f,
-                        Err(e) => {
-                            dst.free(&mut self.phys);
-                            return Err(e.into());
-                        }
-                    };
-                    self.phys.read_bytes(pfn.base(), &mut buf)?;
-                    self.phys.write_bytes(new.base(), &buf)?;
-                    dst.install_page_state(
-                        i,
-                        PageState::Resident {
-                            pfn: new,
-                            referenced: true,
-                        },
-                    );
-                }
-                PageState::Swapped { slot } => {
-                    let materialized = self.phys.read_swap_slot(slot, &mut buf);
-                    assert!(materialized, "swapped page names empty slot {slot}");
-                    // An all-zero image stays sparse in the new slot,
-                    // like the original zero-page eviction did.
-                    let image = if buf.iter().all(|&b| b == 0) {
-                        None
-                    } else {
-                        Some(buf.as_slice())
-                    };
-                    let new_slot = self.phys.store_swap_slot(image);
-                    dst.install_page_state(i, PageState::Swapped { slot: new_slot });
-                }
+        self.insert_object(|phys, id| {
+            let mut dst = VmObject::alloc_demand(id, len)?;
+            if let Err(e) = copy_page_states(phys, &states, &mut dst) {
+                dst.free(phys);
+                return Err(e);
             }
-        }
-        self.vmobjects.insert(id, dst);
-        Ok(id)
+            dst.set_swappable(true);
+            dst.set_owner(owner);
+            Ok(dst)
+        })
     }
 
     // ---- invariant audit -------------------------------------------------
@@ -2572,6 +2348,48 @@ impl Kernel {
         }
         problems
     }
+}
+
+/// Installs `states` into the fresh demand object `dst`, copying each
+/// resident frame into a new frame and each swapped page into a new
+/// swap slot (see [`Kernel::duplicate_paged_object`]).
+fn copy_page_states(
+    phys: &mut PhysMem,
+    states: &[PageState],
+    dst: &mut VmObject,
+) -> Result<(), MemError> {
+    let mut buf = vec![0u8; PAGE_SIZE as usize];
+    for (i, state) in (0u64..).zip(states) {
+        match *state {
+            PageState::Zero => {}
+            PageState::Resident { pfn, .. } => {
+                let new = phys.alloc_frame()?;
+                phys.read_bytes(pfn.base(), &mut buf)?;
+                phys.write_bytes(new.base(), &buf)?;
+                dst.install_page_state(
+                    i,
+                    PageState::Resident {
+                        pfn: new,
+                        referenced: true,
+                    },
+                );
+            }
+            PageState::Swapped { slot } => {
+                let materialized = phys.read_swap_slot(slot, &mut buf);
+                assert!(materialized, "swapped page names empty slot {slot}");
+                // An all-zero image stays sparse in the new slot, like
+                // the original zero-page eviction did.
+                let image = if buf.iter().all(|&b| b == 0) {
+                    None
+                } else {
+                    Some(buf.as_slice())
+                };
+                let new_slot = phys.store_swap_slot(image);
+                dst.install_page_state(i, PageState::Swapped { slot: new_slot });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// One process's memory, borrowed from the kernel by
@@ -2690,8 +2508,7 @@ impl ProcMem<'_> {
             let MemError::PageFault { va, .. } = err else {
                 return Err(err.into());
             };
-            self.kernel
-                .handle_fault_on(CoreCtx::new(self.core), self.pid, va, access)?;
+            self.kernel.handle_fault(self.pid, va, access)?;
             self.core = self.kernel.process(self.pid)?.core();
             let k = &mut *self.kernel;
             match op(k.machine.mmu_mut(self.core), &mut k.phys) {
@@ -2880,7 +2697,7 @@ mod tests {
         let pid = k.spawn("p", user()).unwrap();
         k.activate(pid).unwrap();
         let space = k.process(pid).unwrap().current_space();
-        let obj = k.alloc_object(8192).unwrap();
+        let obj = k.alloc_object(None, 8192, Backing::Dram).unwrap();
         let va = VirtAddr::new(0x2_0000_0000);
         k.map_object(
             space,
@@ -2906,7 +2723,7 @@ mod tests {
         let pid = k.spawn("p", user()).unwrap();
         k.activate(pid).unwrap();
         let space = k.process(pid).unwrap().current_space();
-        let obj = k.alloc_object(4096).unwrap();
+        let obj = k.alloc_object(None, 4096, Backing::Dram).unwrap();
         let va = VirtAddr::new(0x2_0000_0000);
         k.map_object(
             space,
@@ -2959,7 +2776,7 @@ mod tests {
     #[test]
     fn object_lifecycle_and_refs() {
         let mut k = kernel();
-        let obj = k.alloc_object(4096).unwrap();
+        let obj = k.alloc_object(None, 4096, Backing::Dram).unwrap();
         let space = k.create_vmspace().unwrap();
         k.map_object(
             space,
@@ -2981,7 +2798,7 @@ mod tests {
     #[test]
     fn mapping_beyond_object_rejected() {
         let mut k = kernel();
-        let obj = k.alloc_object(4096).unwrap();
+        let obj = k.alloc_object(None, 4096, Backing::Dram).unwrap();
         let space = k.create_vmspace().unwrap();
         assert!(matches!(
             k.map_object(
@@ -3026,10 +2843,10 @@ mod tests {
         let mut bsd = Kernel::new(KernelFlavor::DragonFly, MachineId::M2);
         let mut bf = Kernel::new(KernelFlavor::Barrelfish, MachineId::M2);
         let t0 = bsd.clock().now();
-        bsd.charge_entry();
+        bsd.charge_entry(CoreCtx::BOOT);
         assert_eq!(bsd.clock().since(t0), 357);
         let t1 = bf.clock().now();
-        bf.charge_entry();
+        bf.charge_entry(CoreCtx::BOOT);
         assert_eq!(bf.clock().since(t1), 130);
     }
 
@@ -3141,6 +2958,49 @@ mod tests {
         k.store_u64(pid, huge.add(0x8000), 2).unwrap();
         let (mmu, _) = k.core_mem(core);
         assert_eq!(mmu.stats().walks, 2, "rewalked after size-aware invlpg");
+    }
+
+    #[test]
+    fn every_mmap_call_is_one_mmap_span_on_the_callers_core() {
+        use sjmp_trace::Phase;
+        // Runs sys_mmap, sys_mmap_sized and sys_mmap_object for a process
+        // on core 1; returns the cycles charged and, per call, the phases
+        // and cores of the Mmap events it emitted.
+        let run = |tracer: Tracer| {
+            let mut k = kernel();
+            k.set_tracer(tracer.clone());
+            k.spawn("core0", user()).unwrap();
+            let pid = k.spawn("mapper", user()).unwrap();
+            k.activate(pid).unwrap();
+            let obj = k.alloc_object(None, 4 * PAGE_SIZE, Backing::Dram).unwrap();
+            let flags = PteFlags::USER | PteFlags::WRITABLE;
+            let size = sjmp_mem::PageSize::Size2M;
+            let t0 = k.total_cycles();
+            let mut spans = Vec::new();
+            for call in 0..3 {
+                let seen = tracer.events().len();
+                match call {
+                    0 => k.sys_mmap(pid, 4 * PAGE_SIZE, flags, false),
+                    1 => k.sys_mmap_sized(pid, 2 << 20, flags, false, size),
+                    _ => k.sys_mmap_object(pid, obj, 0, 4 * PAGE_SIZE, flags, false),
+                }
+                .unwrap();
+                let events = tracer.events()[seen..].to_vec();
+                let mmap = events.iter().filter(|e| e.kind == EventKind::Mmap);
+                spans.push(mmap.map(|e| (e.phase, e.core)).collect::<Vec<_>>());
+            }
+            (k.total_cycles() - t0, spans)
+        };
+        let (traced_cycles, spans) = run(Tracer::new(1 << 12));
+        for (call, span) in spans.iter().enumerate() {
+            assert_eq!(
+                span,
+                &[(Phase::Begin, 1), (Phase::End, 1)],
+                "mmap call {call}"
+            );
+        }
+        let (plain_cycles, _) = run(Tracer::disabled());
+        assert_eq!(traced_cycles, plain_cycles, "tracing charged cycles");
     }
 
     #[test]
@@ -3281,7 +3141,7 @@ mod tests {
         k.activate(pid).unwrap();
         let space = k.process(pid).unwrap().current_space();
         let obj = k
-            .alloc_object_demand(Some(pid), obj_pages * PAGE_SIZE)
+            .alloc_object(Some(pid), obj_pages * PAGE_SIZE, Backing::Demand)
             .unwrap();
         let va = VirtAddr::new(0x2_0000_0000);
         k.map_object(
@@ -3473,7 +3333,9 @@ mod tests {
         // object larger than quota can still be walked because its own
         // cold pages get evicted to stay under the limit.
         let space = k.process(pid).unwrap().current_space();
-        let obj = k.alloc_object_demand(Some(pid), 32 * PAGE_SIZE).unwrap();
+        let obj = k
+            .alloc_object(Some(pid), 32 * PAGE_SIZE, Backing::Demand)
+            .unwrap();
         let va = VirtAddr::new(0x3_0000_0000);
         k.map_object(
             space,
@@ -3583,7 +3445,7 @@ mod tests {
     #[test]
     fn audit_flags_refcount_drift() {
         let mut k = kernel();
-        let obj = k.alloc_object(4096).unwrap();
+        let obj = k.alloc_object(None, 4096, Backing::Dram).unwrap();
         let space = k.create_vmspace().unwrap();
         k.map_object(
             space,

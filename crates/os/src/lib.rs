@@ -7,9 +7,9 @@
 //! simulated hardware of [`sjmp_mem`], per-flavor kernel-entry costs, and
 //! a miniature capability system for the Barrelfish personality. The
 //! discrete-event primitives multi-actor experiments run on live in the
-//! `sjmp-sim` crate; syscalls here take a [`CoreCtx`] (directly via the
-//! `*_on` variants, or resolved from the process's pinned core) so every
-//! modeled cost lands on the executing hardware thread's clock.
+//! `sjmp-sim` crate; every syscall runs on a [`CoreCtx`] resolved from
+//! the calling process's pinned core, so every modeled cost lands on the
+//! executing hardware thread's clock.
 //!
 //! The SpaceJMP abstractions themselves (first-class VASes, lockable
 //! segments, the Figure 3 API) live in the `spacejmp-core` crate, layered
@@ -53,5 +53,5 @@ pub use kernel::{
 pub use process::{Pid, Process};
 pub use sjmp_mem::cost::CoreCtx;
 pub use sjmp_sim::IdMap;
-pub use vmobject::{PageSource, PageState, VmObject, VmObjectId};
+pub use vmobject::{Backing, PageSource, PageState, VmObject, VmObjectId};
 pub use vmspace::{MapPolicy, Region, Vmspace, VmspaceId};

@@ -21,9 +21,38 @@
 //! Sparse host materialization (see [`sjmp_mem::phys::PhysMem`]) keeps
 //! even terabyte-sized objects cheap.
 
-use sjmp_mem::{MemError, Pfn, PhysAddr, PhysMem, PAGE_SIZE};
+use sjmp_mem::{MemError, PageSize, Pfn, PhysAddr, PhysMem, PAGE_SIZE};
 
 use crate::process::Pid;
+
+/// The memory a new VM object is built on, chosen at
+/// [`Kernel::alloc_object`](crate::Kernel::alloc_object).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Backing {
+    /// DRAM reserved at creation: one contiguous range, or single frames
+    /// when no free range is long enough.
+    #[default]
+    Dram,
+    /// DRAM reserved at creation as one range naturally aligned to the
+    /// page size, as superpage mappings require. Never falls back to
+    /// single frames.
+    Aligned(PageSize),
+    /// Demand-zero and swappable: no frame until a page is touched, and
+    /// the reclaim scan may evict it.
+    Demand,
+    /// One contiguous range of the NVM capacity tier.
+    Nvm,
+}
+
+impl Backing {
+    /// The page size mappings of this backing use.
+    pub fn page_size(self) -> PageSize {
+        match self {
+            Backing::Aligned(page_size) => page_size,
+            _ => PageSize::Size4K,
+        }
+    }
+}
 
 /// Identifier of a VM object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -63,7 +92,7 @@ pub enum PageSource {
 }
 
 #[derive(Debug, Clone)]
-enum Backing {
+enum Frames {
     Contiguous { base: Pfn },
     Paged { states: Vec<PageState> },
 }
@@ -72,7 +101,7 @@ enum Backing {
 #[derive(Debug, Clone)]
 pub struct VmObject {
     id: VmObjectId,
-    backing: Backing,
+    backing: Frames,
     pages: u64,
     /// Number of vmspace regions currently referencing this object.
     refs: u64,
@@ -98,7 +127,7 @@ pub struct VmObject {
 }
 
 impl VmObject {
-    fn new(id: VmObjectId, backing: Backing, pages: u64) -> Self {
+    fn new(id: VmObjectId, backing: Frames, pages: u64) -> Self {
         VmObject {
             id,
             backing,
@@ -129,7 +158,7 @@ impl VmObject {
         }
         let pages = len.div_ceil(PAGE_SIZE);
         match phys.alloc_contiguous(pages) {
-            Ok(base) => Ok(VmObject::new(id, Backing::Contiguous { base }, pages)),
+            Ok(base) => Ok(VmObject::new(id, Frames::Contiguous { base }, pages)),
             Err(MemError::OutOfFrames) => {
                 let mut states = Vec::with_capacity(pages as usize);
                 for _ in 0..pages {
@@ -148,7 +177,7 @@ impl VmObject {
                         }
                     }
                 }
-                Ok(VmObject::new(id, Backing::Paged { states }, pages))
+                Ok(VmObject::new(id, Frames::Paged { states }, pages))
             }
             Err(e) => Err(e),
         }
@@ -176,7 +205,7 @@ impl VmObject {
         }
         let pages = len.div_ceil(PAGE_SIZE);
         let base = phys.alloc_contiguous_aligned(pages, align_bytes / PAGE_SIZE)?;
-        Ok(VmObject::new(id, Backing::Contiguous { base }, pages))
+        Ok(VmObject::new(id, Frames::Contiguous { base }, pages))
     }
 
     /// Creates a demand-zero paged object: no frames are allocated until
@@ -193,7 +222,7 @@ impl VmObject {
         let pages = len.div_ceil(PAGE_SIZE);
         Ok(VmObject::new(
             id,
-            Backing::Paged {
+            Frames::Paged {
                 states: vec![PageState::Zero; pages as usize],
             },
             pages,
@@ -211,7 +240,7 @@ impl VmObject {
         }
         let pages = len.div_ceil(PAGE_SIZE);
         let base = phys.alloc_contiguous_nvm(pages)?;
-        Ok(VmObject::new(id, Backing::Contiguous { base }, pages))
+        Ok(VmObject::new(id, Frames::Contiguous { base }, pages))
     }
 
     /// The object's id.
@@ -222,7 +251,7 @@ impl VmObject {
     /// Whether the object owns a flat physical range (`pa = base +
     /// offset` holds). Paged objects must be addressed per page.
     pub fn is_contiguous(&self) -> bool {
-        matches!(self.backing, Backing::Contiguous { .. })
+        matches!(self.backing, Frames::Contiguous { .. })
     }
 
     /// First physical address of the backing range.
@@ -232,8 +261,8 @@ impl VmObject {
     /// Panics on paged objects, which have no single base.
     pub fn base(&self) -> PhysAddr {
         match &self.backing {
-            Backing::Contiguous { base } => base.base(),
-            Backing::Paged { .. } => panic!("base() on demand-paged object"),
+            Frames::Contiguous { base } => base.base(),
+            Frames::Paged { .. } => panic!("base() on demand-paged object"),
         }
     }
 
@@ -265,8 +294,8 @@ impl VmObject {
             self.len()
         );
         match &self.backing {
-            Backing::Contiguous { base } => base.base().add(offset),
-            Backing::Paged { states } => match states[(offset / PAGE_SIZE) as usize] {
+            Frames::Contiguous { base } => base.base().add(offset),
+            Frames::Paged { states } => match states[(offset / PAGE_SIZE) as usize] {
                 PageState::Resident { pfn, .. } => pfn.base().add(offset % PAGE_SIZE),
                 _ => panic!("pa() of non-resident page at offset {offset}"),
             },
@@ -281,11 +310,11 @@ impl VmObject {
     pub fn page_state(&self, index: u64) -> PageState {
         assert!(index < self.pages, "page {index} beyond object");
         match &self.backing {
-            Backing::Contiguous { base } => PageState::Resident {
+            Frames::Contiguous { base } => PageState::Resident {
                 pfn: Pfn(base.0 + index),
                 referenced: true,
             },
-            Backing::Paged { states } => states[index as usize],
+            Frames::Paged { states } => states[index as usize],
         }
     }
 
@@ -300,8 +329,8 @@ impl VmObject {
     /// Number of pages currently backed by physical frames.
     pub fn resident_pages(&self) -> u64 {
         match &self.backing {
-            Backing::Contiguous { .. } => self.pages,
-            Backing::Paged { states } => states
+            Frames::Contiguous { .. } => self.pages,
+            Frames::Paged { states } => states
                 .iter()
                 .filter(|s| matches!(s, PageState::Resident { .. }))
                 .count() as u64,
@@ -311,8 +340,8 @@ impl VmObject {
     /// Number of pages currently saved to swap.
     pub fn swapped_pages(&self) -> u64 {
         match &self.backing {
-            Backing::Contiguous { .. } => 0,
-            Backing::Paged { states } => states
+            Frames::Contiguous { .. } => 0,
+            Frames::Paged { states } => states
                 .iter()
                 .filter(|s| matches!(s, PageState::Swapped { .. }))
                 .count() as u64,
@@ -322,8 +351,8 @@ impl VmObject {
     /// Converts a contiguous object to per-page tracking so its pages can
     /// be evicted individually. No-op on already-paged objects.
     pub fn make_paged(&mut self) {
-        if let Backing::Contiguous { base } = self.backing {
-            self.backing = Backing::Paged {
+        if let Frames::Contiguous { base } = self.backing {
+            self.backing = Frames::Paged {
                 states: (0..self.pages)
                     .map(|i| PageState::Resident {
                         pfn: Pfn(base.0 + i),
@@ -345,8 +374,8 @@ impl VmObject {
     pub(crate) fn install_page_state(&mut self, index: u64, state: PageState) {
         assert!(index < self.pages, "page {index} beyond object");
         match &mut self.backing {
-            Backing::Contiguous { .. } => panic!("install_page_state on contiguous object"),
-            Backing::Paged { states } => states[index as usize] = state,
+            Frames::Contiguous { .. } => panic!("install_page_state on contiguous object"),
+            Frames::Paged { states } => states[index as usize] = state,
         }
     }
 
@@ -355,7 +384,7 @@ impl VmObject {
     /// survives this pass). Returns `false` for unreferenced, non-resident
     /// or contiguous pages.
     pub fn take_reference(&mut self, index: u64) -> bool {
-        if let Backing::Paged { states } = &mut self.backing {
+        if let Frames::Paged { states } = &mut self.backing {
             if let PageState::Resident { referenced, .. } = &mut states[index as usize] {
                 if *referenced {
                     *referenced = false;
@@ -370,7 +399,7 @@ impl VmObject {
     /// Returns `None` if the page is not resident or the object is still
     /// contiguous (call [`Self::make_paged`] first).
     pub fn evict_page(&mut self, index: u64, phys: &mut PhysMem) -> Option<u64> {
-        if let Backing::Paged { states } = &mut self.backing {
+        if let Frames::Paged { states } = &mut self.backing {
             if let PageState::Resident { pfn, .. } = states[index as usize] {
                 let slot = phys.swap_out(pfn);
                 states[index as usize] = PageState::Swapped { slot };
@@ -395,8 +424,8 @@ impl VmObject {
     ) -> Result<(Pfn, PageSource), MemError> {
         assert!(index < self.pages, "page {index} beyond object");
         match &mut self.backing {
-            Backing::Contiguous { base } => Ok((Pfn(base.0 + index), PageSource::AlreadyResident)),
-            Backing::Paged { states } => match states[index as usize] {
+            Frames::Contiguous { base } => Ok((Pfn(base.0 + index), PageSource::AlreadyResident)),
+            Frames::Paged { states } => match states[index as usize] {
                 PageState::Resident { pfn, .. } => {
                     states[index as usize] = PageState::Resident {
                         pfn,
@@ -502,12 +531,12 @@ impl VmObject {
     /// unreferenced.
     pub fn free(self, phys: &mut PhysMem) {
         match self.backing {
-            Backing::Contiguous { base } => {
+            Frames::Contiguous { base } => {
                 for i in 0..self.pages {
                     phys.free_frame(Pfn(base.0 + i));
                 }
             }
-            Backing::Paged { states } => {
+            Frames::Paged { states } => {
                 for s in states {
                     match s {
                         PageState::Resident { pfn, .. } => phys.free_frame(pfn),

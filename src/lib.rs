@@ -90,9 +90,9 @@ pub use spacejmp_core as core;
 /// The common imports for SpaceJMP programs.
 pub mod prelude {
     pub use sjmp_mem::{Asid, CoreCtx, KernelFlavor, Machine, MachineId, PteFlags, VirtAddr};
-    pub use sjmp_os::{Creds, Kernel, Mode, Pid};
+    pub use sjmp_os::{Backing, Creds, Kernel, Mode, Pid};
     pub use spacejmp_core::{
-        AttachMode, MemTier, RetryPolicy, SegCtl, SegId, SjError, SjResult, SpaceJmp, VasCtl,
-        VasHandle, VasHeap, VasId,
+        AttachMode, RetryPolicy, SegCtl, SegId, SjError, SjResult, SpaceJmp, VasCtl, VasHandle,
+        VasHeap, VasId,
     };
 }

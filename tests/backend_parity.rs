@@ -84,12 +84,13 @@ fn swap_path(backend: Backend) -> SwapRun {
     sj.kernel_mut().activate(pid).unwrap();
     let vid = sj.vas_create(pid, "swap-v", Mode(0o600)).unwrap();
     let sid = sj
-        .seg_alloc_swappable(
+        .seg_alloc_with(
             pid,
             "swap-s",
             VirtAddr::new(BASE),
             PAGES * PAGE_SIZE,
             Mode(0o600),
+            Backing::Demand,
         )
         .unwrap();
     sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite).unwrap();

@@ -67,12 +67,13 @@ fn build_vas(
     let vid = sj.vas_create(pid, name, Mode(0o660)).unwrap();
     let seg_name = format!("{name}-s");
     let sid = if swappable {
-        sj.seg_alloc_swappable(
+        sj.seg_alloc_with(
             pid,
             &seg_name,
             VirtAddr::new(SEG_BASE),
             pages * PAGE_SIZE,
             Mode(0o660),
+            Backing::Demand,
         )
         .unwrap()
     } else {
@@ -138,7 +139,7 @@ fn vas_save_load_round_trips_across_restart() {
     const PAGES: u64 = 8;
     let (vid, sid) = build_vas(&mut sj, pid, "durable", PAGES, false, |p| 0xBEEF_0000 + p);
     sj.seg_ctl(pid, sid, SegCtl::SetLockable(false)).unwrap();
-    let image_before = sj.save_segment(pid, sid).unwrap();
+    let image_before = sj.seg_contents(pid, sid).unwrap();
 
     let generation = sj.vas_save(pid, vid).unwrap();
     assert_eq!(generation, 1, "first commit is generation 1");
@@ -155,7 +156,7 @@ fn vas_save_load_round_trips_across_restart() {
     // The restored segment is byte-identical, keeps its name, mode, and
     // lockability.
     let sid2 = sj2.seg_find("durable-s").unwrap();
-    assert_eq!(sj2.save_segment(pid2, sid2).unwrap(), image_before);
+    assert_eq!(sj2.seg_contents(pid2, sid2).unwrap(), image_before);
     let seg = sj2.segment(sid2).unwrap();
     assert_eq!(seg.acl().mode(), Mode(0o660));
     assert!(!seg.lockable(), "lockability survives the round trip");
@@ -169,21 +170,23 @@ fn loading_a_never_saved_name_is_not_found() {
     assert_eq!(sj.vas_load(pid, "ghost"), Err(SjError::NotFound));
 }
 
-#[test]
-fn loading_an_image_with_a_page_beyond_its_segment_creates_nothing() {
+/// Commits a one-segment VAS image built from `base` and `pages` under
+/// the name "bad" and checks that loading it is a typed error that
+/// creates neither the VAS nor its segment.
+fn loading_a_bad_image_creates_nothing(base: u64, pages: Vec<(u64, Vec<u8>)>, want: SjError) {
     let mut sj = boot();
     let pid = spawn(&mut sj, "p");
     let image = VasImage {
         mode: 0o660,
         segments: vec![SegmentImage {
             name: "bad-s".into(),
-            base: SEG_BASE,
+            base,
             size: 1 << 20,
             writable: true,
             mode: 0o660,
             lockable: true,
             swappable: false,
-            pages: vec![(1 << 30, vec![0xAB; PAGE_SIZE as usize])],
+            pages,
         }],
     };
     let mut catalog = Catalog::new();
@@ -191,13 +194,30 @@ fn loading_an_image_with_a_page_beyond_its_segment_creates_nothing() {
     sj.kernel_mut()
         .disk_commit(CoreCtx::new(0), &catalog.encode())
         .unwrap();
-    assert!(matches!(
-        sj.vas_load(pid, "bad"),
-        Err(SjError::InvalidArgument(_))
-    ));
+    let got = sj.vas_load(pid, "bad").unwrap_err();
+    assert_eq!(
+        std::mem::discriminant(&got),
+        std::mem::discriminant(&want),
+        "{got:?}"
+    );
     assert_eq!(sj.vas_find("bad"), Err(SjError::NotFound));
     assert_eq!(sj.seg_find("bad-s"), Err(SjError::NotFound));
     assert_clean(&mut sj);
+}
+
+#[test]
+fn loading_an_image_with_a_page_beyond_its_segment_creates_nothing() {
+    let pages = vec![(1 << 30, vec![0xAB; PAGE_SIZE as usize])];
+    loading_a_bad_image_creates_nothing(SEG_BASE, pages, SjError::InvalidArgument(""));
+}
+
+#[test]
+fn loading_an_image_with_a_non_canonical_base_creates_nothing() {
+    // A base past the canonical lower half would panic as a `VirtAddr`;
+    // it must be refused as out of the global range first.
+    let base = 0x0000_8000_0000_0000;
+    let want = SjError::AddressConflict(String::new());
+    loading_a_bad_image_creates_nothing(base, Vec::new(), want);
 }
 
 #[test]
@@ -246,8 +266,8 @@ fn swappable_segment_with_evicted_pages_survives_restart() {
     let swapped_before = sj.kernel_mut().sys_stats().phys.swap_slots_used;
     assert!(swapped_before > 0);
 
-    // save_segment on a swappable segment (previously refused).
-    let image = sj.save_segment(pid, sid).unwrap();
+    // seg_contents on a swappable segment (previously refused).
+    let image = sj.seg_contents(pid, sid).unwrap();
     assert_eq!(
         sj.kernel_mut().sys_stats().phys.swap_slots_used,
         swapped_before,
@@ -421,9 +441,9 @@ fn seeded_torn_and_dropped_faults_never_corrupt_recovery() {
         let pid = spawn(&mut sj, "w");
         let (vid, sid) = build_vas(&mut sj, pid, "tz", PAGES, false, old);
         assert_eq!(sj.vas_save(pid, vid).unwrap(), 1);
-        let old_image = sj.save_segment(pid, sid).unwrap();
+        let old_image = sj.seg_contents(pid, sid).unwrap();
         rewrite_vas(&mut sj, pid, vid, PAGES, new);
-        let new_image = sj.save_segment(pid, sid).unwrap();
+        let new_image = sj.seg_contents(pid, sid).unwrap();
 
         sj.kernel_mut().set_fault_plan(Some(
             FaultPlan::new(seed)
@@ -449,7 +469,7 @@ fn seeded_torn_and_dropped_faults_never_corrupt_recovery() {
         // Byte-level check: the recovered segment matches one of the
         // two pre-crash images exactly.
         let sid2 = sj2.seg_find("tz-s").unwrap();
-        let recovered = sj2.save_segment(pid2, sid2).unwrap();
+        let recovered = sj2.seg_contents(pid2, sid2).unwrap();
         assert!(
             recovered == old_image || recovered == new_image,
             "seed {seed}: recovered image matches neither snapshot"

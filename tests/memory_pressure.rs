@@ -2,9 +2,10 @@
 //! the OOM killer must let oversubscribed workloads run to completion
 //! with clean typed errors — never corruption, leaks, or wedged locks.
 //!
-//! Everything here drives the public core API (`seg_alloc_swappable`,
-//! `vas_*`, `oom_kill`) and audits with `SpaceJmp::check_invariants`
-//! after every disturbance, mirroring the crash-fault suite.
+//! Everything here drives the public core API (`seg_alloc_with` on
+//! `Backing::Demand`, `vas_*`, `oom_kill`) and audits with
+//! `SpaceJmp::check_invariants` after every disturbance, mirroring the
+//! crash-fault suite.
 
 use std::collections::HashMap;
 
@@ -52,12 +53,13 @@ fn swappable_vas(
         .vas_create(pid, &format!("{name}-v"), Mode(0o600))
         .unwrap();
     let sid = sj
-        .seg_alloc_swappable(
+        .seg_alloc_with(
             pid,
             &format!("{name}-s"),
             VirtAddr::new(base),
             pages * PAGE_SIZE,
             Mode(0o600),
+            Backing::Demand,
         )
         .unwrap();
     sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite).unwrap();
@@ -225,12 +227,13 @@ fn oom_victim_in_shared_vas_releases_its_lock() {
     sj.vas_switch(hog, vh_hog).unwrap();
     const FAT_BASE: u64 = 0x1800_0000_0000;
     let fat = sj
-        .seg_alloc_swappable(
+        .seg_alloc_with(
             hog,
             "fat",
             VirtAddr::new(FAT_BASE),
             64 * PAGE_SIZE,
             Mode(0o600),
+            Backing::Demand,
         )
         .unwrap();
     sj.seg_attach(hog, vid, fat, AttachMode::ReadWrite).unwrap();

@@ -104,12 +104,13 @@ fn typed_and_exported_deltas_agree() {
 
     let vid = sj.vas_create(pid, "phase-v", Mode(0o600)).unwrap();
     let sid = sj
-        .seg_alloc_swappable(
+        .seg_alloc_with(
             pid,
             "phase-s",
             VirtAddr::new(BASE),
             PAGES * PAGE_SIZE,
             Mode(0o600),
+            Backing::Demand,
         )
         .unwrap();
     sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite).unwrap();

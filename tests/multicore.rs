@@ -177,7 +177,7 @@ fn traced_batch(one_view: bool) -> (Vec<u64>, Vec<u64>, String, KernelSnapshot, 
     sj.kernel_mut().activate(pid).expect("activate");
     let vid = sj.vas_create(pid, "w1-v", Mode(0o660)).expect("vas");
     let sid = sj
-        .seg_alloc_swappable(pid, "w1-s", va, 16 * page, Mode(0o660))
+        .seg_alloc_with(pid, "w1-s", va, 16 * page, Mode(0o660), Backing::Demand)
         .expect("seg");
     sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite)
         .expect("seg attach");
