@@ -21,7 +21,8 @@
 //! the decoders never size an allocation from one, so a huge count
 //! runs out of input and fails instead of exhausting memory.
 
-use sjmp_mem::PAGE_SIZE;
+use sjmp_mem::{PageSize, PAGE_SIZE};
+use sjmp_os::Backing;
 
 /// Magic prefix of an encoded [`Catalog`].
 pub const CATALOG_MAGIC: &[u8; 8] = b"SJMPCAT1";
@@ -127,9 +128,9 @@ pub struct SegmentImage {
     pub mode: u16,
     /// Whether switch-in takes the segment lock.
     pub lockable: bool,
-    /// Whether the segment was demand-paged/swappable (restored on
-    /// `Backing::Demand` so it stays evictable).
-    pub swappable: bool,
+    /// The segment's backing: its memory tier, page size and
+    /// swappability are restored with it.
+    pub backing: Backing,
     /// Sparse page list: `(page_index, contents)` for every page that
     /// held nonzero bytes at save time, ascending by index.
     pub pages: Vec<(u64, Vec<u8>)>,
@@ -159,7 +160,7 @@ impl VasImage {
             out.push(u8::from(seg.writable));
             out.extend_from_slice(&u32::from(seg.mode).to_le_bytes());
             out.push(u8::from(seg.lockable));
-            out.push(u8::from(seg.swappable));
+            out.push(backing_tag(seg.backing));
             out.extend_from_slice(&(seg.pages.len() as u64).to_le_bytes());
             for (index, data) in &seg.pages {
                 debug_assert_eq!(data.len() as u64, PAGE_SIZE, "pages serialize whole");
@@ -186,7 +187,7 @@ impl VasImage {
             let writable = r.byte()? != 0;
             let seg_mode = u16::try_from(r.u32()?).ok()?;
             let lockable = r.byte()? != 0;
-            let swappable = r.byte()? != 0;
+            let backing = tag_backing(r.byte()?)?;
             let page_count = r.u64()?;
             let mut pages = Vec::new();
             for _ in 0..page_count {
@@ -201,12 +202,38 @@ impl VasImage {
                 writable,
                 mode: seg_mode,
                 lockable,
-                swappable,
+                backing,
                 pages,
             });
         }
         Some(VasImage { mode, segments })
     }
+}
+
+/// A segment backing's tag byte. DRAM and demand take the 0 and 1 of
+/// the swappable flag the byte held before.
+fn backing_tag(backing: Backing) -> u8 {
+    match backing {
+        Backing::Dram => 0,
+        Backing::Demand => 1,
+        Backing::Nvm => 2,
+        Backing::Aligned(PageSize::Size2M) => 3,
+        Backing::Aligned(PageSize::Size1G) => 4,
+        Backing::Aligned(PageSize::Size4K) => 5,
+    }
+}
+
+/// The backing a tag byte names; `None` for an unknown tag.
+fn tag_backing(tag: u8) -> Option<Backing> {
+    Some(match tag {
+        0 => Backing::Dram,
+        1 => Backing::Demand,
+        2 => Backing::Nvm,
+        3 => Backing::Aligned(PageSize::Size2M),
+        4 => Backing::Aligned(PageSize::Size1G),
+        5 => Backing::Aligned(PageSize::Size4K),
+        _ => return None,
+    })
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -265,7 +292,7 @@ mod tests {
                 writable: true,
                 mode: 0o640,
                 lockable: false,
-                swappable: true,
+                backing: Backing::Demand,
                 pages: vec![(1, vec![0xAB; PAGE_SIZE as usize])],
             }],
         }
@@ -276,6 +303,35 @@ mod tests {
         let img = image();
         let decoded = VasImage::decode(&img.encode()).expect("valid image");
         assert_eq!(decoded, img);
+    }
+
+    #[test]
+    fn every_backing_round_trips_and_unknown_tags_are_corrupt() {
+        let backings = [
+            Backing::Dram,
+            Backing::Demand,
+            Backing::Nvm,
+            Backing::Aligned(PageSize::Size2M),
+            Backing::Aligned(PageSize::Size1G),
+            Backing::Aligned(PageSize::Size4K),
+        ];
+        let with = |backing| {
+            let mut img = image();
+            img.segments[0].backing = backing;
+            img
+        };
+        // The tag byte follows the name, base, size, writable flag, mode
+        // and lockable flag of the first segment.
+        let tag_at = 16 + 4 + "s0".len() + 8 + 8 + 1 + 4 + 1;
+        for (tag, backing) in (0u8..).zip(backings) {
+            let img = with(backing);
+            let bytes = img.encode();
+            assert_eq!(bytes[tag_at], tag, "{backing:?}");
+            assert_eq!(VasImage::decode(&bytes), Some(img), "{backing:?}");
+        }
+        let mut bytes = with(Backing::Dram).encode();
+        bytes[tag_at] = 6;
+        assert_eq!(VasImage::decode(&bytes), None, "an unknown tag");
     }
 
     #[test]

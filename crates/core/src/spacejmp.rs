@@ -25,8 +25,8 @@ use sjmp_mem::KernelFlavor;
 use sjmp_mem::{Access, VirtAddr, PAGE_SIZE};
 use sjmp_os::kernel::{GLOBAL_HI, GLOBAL_LO, PRIVATE_HI};
 use sjmp_os::{
-    Acl, Backing, CapKind, CapRights, Capability, CoreCtx, FaultOutcome, FaultSite, IdMap, Kernel,
-    MapPolicy, Mode, ObjClass, OsError, Pid, Region, VmObjectId, VmspaceId,
+    Acl, Backing, CapKind, CapRights, Capability, CoreCtx, Creds, FaultOutcome, FaultSite, IdMap,
+    Kernel, MapPolicy, Mode, ObjClass, OsError, Pid, Region, VmObjectId, VmspaceId,
 };
 use sjmp_trace::{EventKind, MetricsSnapshot, Tracer};
 
@@ -1377,7 +1377,7 @@ impl SpaceJmp {
         sid: SegId,
         attach_mode: AttachMode,
     ) -> SjResult<SegmentImage> {
-        let (name, base, size, mode, lockable, object) = {
+        let (name, base, size, mode, lockable, object, backing) = {
             let s = self.segment(sid)?;
             (
                 s.name().to_string(),
@@ -1386,9 +1386,9 @@ impl SpaceJmp {
                 s.acl().mode(),
                 s.lockable(),
                 s.object(),
+                s.backing(),
             )
         };
-        let swappable = self.kernel.vmobject(object)?.swappable();
         let mut pages = Vec::new();
         let mut buf = vec![0u8; PAGE_SIZE as usize];
         for index in 0..size / PAGE_SIZE {
@@ -1422,7 +1422,7 @@ impl SpaceJmp {
             writable: attach_mode == AttachMode::ReadWrite,
             mode: mode.0,
             lockable,
-            swappable,
+            backing,
             pages,
         })
     }
@@ -1432,7 +1432,7 @@ impl SpaceJmp {
     /// machine whose kernel was handed the surviving [`sjmp_blk::BlockDev`]
     /// via [`Kernel::attach_disk`]. The VAS, its segments (at their
     /// original bases, with their original names, modes, lockability,
-    /// and swappability), and all saved page contents reappear; because
+    /// and backings), and all saved page contents reappear; because
     /// segment bases are part of their identity, pointers stored inside
     /// the segments are valid immediately. Returns the new [`VasId`].
     ///
@@ -1472,9 +1472,16 @@ impl SpaceJmp {
         // Validate before creating anything, so a bad image leaves no
         // VAS or segment behind: each segment's name and geometry (a
         // base outside the global range, non-canonical ones included,
-        // is a typed error) and its pages.
+        // is a typed error), its alignment to its backing's page size,
+        // and its pages.
         for seg in &image.segments {
             self.seg_validate(&seg.name, VirtAddr::new_unchecked(seg.base), seg.size)?;
+            let page_size = seg.backing.page_size().bytes();
+            if !seg.base.is_multiple_of(page_size) || !seg.size.is_multiple_of(page_size) {
+                return Err(SjError::InvalidArgument(
+                    "VAS image segment misaligned for its backing",
+                ));
+            }
             let pages = seg.size.div_ceil(PAGE_SIZE);
             if seg.pages.iter().any(|(index, _)| *index >= pages) {
                 return Err(SjError::InvalidArgument(
@@ -1485,13 +1492,8 @@ impl SpaceJmp {
         let vid = self.vas_create(pid, name, Mode(image.mode))?;
         for seg in &image.segments {
             let base = VirtAddr::new(seg.base);
-            let backing = if seg.swappable {
-                Backing::Demand
-            } else {
-                Backing::Dram
-            };
             let sid =
-                self.seg_alloc_with(pid, &seg.name, base, seg.size, Mode(seg.mode), backing)?;
+                self.seg_alloc_with(pid, &seg.name, base, seg.size, Mode(seg.mode), seg.backing)?;
             if !seg.lockable {
                 self.segment_mut(sid)?.set_lockable(false);
             }
@@ -1624,7 +1626,9 @@ impl SpaceJmp {
     /// object and (Barrelfish) hands the creator its object capability.
     /// The object outlives any process mapping it, so process teardown
     /// never reclaims it: a demand object is preserved (it may still
-    /// swap), any other is pinned.
+    /// swap), any other is pinned. The capability insert, which fails on
+    /// a full cspace, comes first; a failure frees the object, so the
+    /// call leaves no segment, name or object behind.
     #[allow(clippy::too_many_arguments)]
     fn seg_register(
         &mut self,
@@ -1636,15 +1640,16 @@ impl SpaceJmp {
         object: VmObjectId,
         backing: Backing,
     ) -> SjResult<SegId> {
+        let sid = SegId(self.next_sid);
+        let granted = self.seg_grant(pid, sid);
+        let creds = self.or_free(object, granted)?;
+        self.next_sid += 1;
         let o = self.kernel.vmobject_mut(object)?;
         if backing == Backing::Demand {
             o.set_preserved(true);
         } else {
             o.set_pinned(true);
         }
-        let creds = self.kernel.process(pid)?.creds();
-        let sid = SegId(self.next_sid);
-        self.next_sid += 1;
         let acl = Acl::new(creds, mode);
         self.segments.insert(
             sid,
@@ -1662,7 +1667,15 @@ impl SpaceJmp {
             tracer.instant(ts, core, EventKind::SegRegister, sid.0, base.raw());
             tracer.instant(ts, core, EventKind::SegExtent, sid.0, size);
         }
-        if self.kernel.flavor() == KernelFlavor::Barrelfish {
+        Ok(sid)
+    }
+
+    /// The fallible half of [`Self::seg_register`]: the creator's
+    /// credentials and, on Barrelfish, its capability for segment `sid`.
+    fn seg_grant(&mut self, pid: Pid, sid: SegId) -> SjResult<Creds> {
+        let flavor = self.kernel.flavor();
+        let process = self.kernel.process_mut(pid)?;
+        if flavor == KernelFlavor::Barrelfish {
             let cap = Capability::new(
                 CapKind::Object {
                     class: ObjClass::Segment,
@@ -1670,13 +1683,20 @@ impl SpaceJmp {
                 },
                 CapRights::ALL,
             );
-            self.kernel
-                .process_mut(pid)?
-                .cspace_mut()
-                .insert(cap)
-                .map_err(OsError::from)?;
+            process.cspace_mut().insert(cap).map_err(OsError::from)?;
         }
-        Ok(sid)
+        Ok(process.creds())
+    }
+
+    /// Passes `result` on, freeing the fresh, unmapped `object` first
+    /// when it is an error.
+    fn or_free<T>(&mut self, object: VmObjectId, result: SjResult<T>) -> SjResult<T> {
+        if result.is_err() {
+            self.kernel
+                .free_object(object)
+                .expect("a fresh object is mapped nowhere");
+        }
+        result
     }
 
     /// `seg_find(name) -> sid`.
@@ -1719,10 +1739,11 @@ impl SpaceJmp {
         } else {
             let object = self.kernel.alloc_object(None, size, backing)?;
             let mut page = vec![0; PAGE_SIZE as usize];
-            for index in 0..size / PAGE_SIZE {
+            let copied = (0..size / PAGE_SIZE).try_for_each(|index| {
                 self.kernel.read_object_page(src_obj, index, &mut page)?;
-                self.kernel.write_object_page(object, index, &page)?;
-            }
+                self.kernel.write_object_page(object, index, &page)
+            });
+            self.or_free(object, copied.map_err(SjError::from))?;
             object
         };
         self.seg_register(pid, new_name, base, size, mode, object, backing)

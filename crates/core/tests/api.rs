@@ -1170,3 +1170,65 @@ fn superpage_segments_map_with_huge_pages_end_to_end() {
         SjError::Os(sjmp_os::OsError::Misaligned { .. })
     ));
 }
+
+/// Fills `pid`'s cspace and returns the slot of one filler capability,
+/// so a test can make room again.
+fn fill_cspace(sj: &mut SpaceJmp, pid: Pid) -> sjmp_os::CapSlot {
+    use sjmp_os::{CapKind, CapRights, Capability, ObjClass};
+    let cspace = sj.kernel_mut().process_mut(pid).unwrap().cspace_mut();
+    let filler = || {
+        let kind = CapKind::Object {
+            class: ObjClass::Segment,
+            id: u64::MAX,
+        };
+        Capability::new(kind, CapRights::ALL)
+    };
+    let first = cspace.insert(filler()).unwrap();
+    while cspace.insert(filler()).is_ok() {}
+    first
+}
+
+#[test]
+fn a_full_cspace_fails_segment_allocation_and_cloning_cleanly() {
+    use sjmp_os::{CapError, OsError};
+    let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::Barrelfish, MachineId::M2));
+    let pid = sj.kernel_mut().spawn("p", Creds::new(100, 100)).unwrap();
+    sj.kernel_mut().activate(pid).unwrap();
+    let base = VirtAddr::new(SEG_BASE);
+    let src = sj
+        .seg_alloc(pid, "src", base, 1 << 20, Mode(0o600))
+        .unwrap();
+    let room = fill_cspace(&mut sj, pid);
+    let allocated = sj.kernel_mut().phys_mut().allocated_frames();
+    let full = Err(SjError::Os(OsError::Cap(CapError::NoSlots)));
+    for backing in [Backing::Dram, Backing::Demand] {
+        assert_eq!(
+            sj.seg_alloc_with(pid, "seg", base, 1 << 20, Mode(0o600), backing),
+            full,
+            "{backing:?}"
+        );
+    }
+    assert_eq!(sj.seg_clone(pid, src, "copy"), full);
+    for name in ["seg", "copy"] {
+        assert_eq!(sj.seg_find(name), Err(SjError::NotFound), "{name}");
+    }
+    assert_eq!(
+        sj.kernel_mut().phys_mut().allocated_frames(),
+        allocated,
+        "no frame taken"
+    );
+    let problems = sj.check_invariants();
+    assert!(problems.is_empty(), "{problems:?}");
+
+    // With one slot free again, the same allocation succeeds.
+    sj.kernel_mut()
+        .process_mut(pid)
+        .unwrap()
+        .cspace_mut()
+        .delete(room);
+    let sid = sj
+        .seg_alloc(pid, "seg", base, 1 << 20, Mode(0o600))
+        .unwrap();
+    assert_eq!(sj.seg_find("seg"), Ok(sid));
+    assert!(sj.check_invariants().is_empty());
+}

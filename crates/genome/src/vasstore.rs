@@ -157,14 +157,20 @@ impl RecStore {
         let mut m = sj.kernel_mut().proc_mem(pid)?;
         m.store_bytes(qname_ptr, r.qname.as_bytes())?;
         m.store_bytes(blob_ptr, &blob)?;
-        m.store_u64(rec.add(R_FLAGS), r.flag as u64 | ((r.mapq as u64) << 16))?;
-        m.store_u64(rec.add(R_TID), r.tid as i64 as u64)?;
-        m.store_u64(rec.add(R_POS), r.pos as i64 as u64)?;
-        m.store_u64(rec.add(R_QNAME), qname_ptr.raw())?;
-        m.store_u64(rec.add(R_QLEN), r.qname.len() as u64)?;
-        m.store_u64(rec.add(R_BLOB), blob_ptr.raw())?;
-        m.store_u64(rec.add(R_SLEN), r.seq.len() as u64)?;
-        m.store_u64(rec.add(R_CLEN), r.cigar.len() as u64)?;
+        // The fixed part's eight words, `R_FLAGS` to `R_CLEN`, in one run.
+        m.store_words(
+            rec.add(R_FLAGS),
+            &[
+                r.flag as u64 | ((r.mapq as u64) << 16),
+                r.tid as i64 as u64,
+                r.pos as i64 as u64,
+                qname_ptr.raw(),
+                r.qname.len() as u64,
+                blob_ptr.raw(),
+                r.seq.len() as u64,
+                r.cigar.len() as u64,
+            ],
+        )?;
         let entries = self.entries_ptr(&mut m)?;
         m.store_u64(entries.add(count * 8), rec.raw())?;
         m.store_u64(self.header.add(H_COUNT), count + 1)?;
@@ -250,19 +256,23 @@ impl RecStore {
     pub fn qname_sort(&self, sj: &mut SpaceJmp, pid: Pid) -> SjResult<OpWork> {
         let mut m = sj.kernel_mut().proc_mem(pid)?;
         let (count, entries) = self.table(&mut m)?;
-        let mut keyed: Vec<(Vec<u8>, u64)> = Vec::with_capacity(count as usize);
+        // Every name in one buffer; each record keeps its name's offset
+        // and length there.
+        let mut names = Vec::new();
+        let mut keyed: Vec<(usize, usize, u64)> = Vec::with_capacity(count as usize);
         for i in 0..count {
             let rec = VirtAddr::new(m.load_u64(entries.add(i * 8))?);
             let qptr = VirtAddr::new(m.load_u64(rec.add(R_QNAME))?);
             let qlen = m.load_u64(rec.add(R_QLEN))? as usize;
-            let mut name = vec![0u8; qlen];
-            m.load_bytes(qptr, &mut name)?;
-            keyed.push((name, rec.raw()));
+            let start = names.len();
+            names.resize(start + qlen, 0);
+            m.load_bytes(qptr, &mut names[start..])?;
+            keyed.push((start, qlen, rec.raw()));
         }
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        keyed.sort_by_key(|&(start, len, _)| &names[start..start + len]);
         let comparisons = nlogn(count);
-        for (i, (_, rec)) in keyed.iter().enumerate() {
-            m.store_u64(entries.add(i as u64 * 8), *rec)?;
+        for (i, &(_, _, rec)) in keyed.iter().enumerate() {
+            m.store_u64(entries.add(i as u64 * 8), rec)?;
         }
         Ok(OpWork {
             records: count,

@@ -593,12 +593,13 @@ impl Mmu {
     ///
     /// Simulated state ends exactly as after that many
     /// [`Self::read_u64`] calls. The first word takes the normal path,
-    /// which may hit, miss, walk or fault. Every later word would hit
-    /// the TLB entry the first one used, so they are charged in one
-    /// step: one [`Tlb::repeat_hit`] for their lookups, and their
-    /// translations and `tlb_lookup` plus data cycles each. With a
-    /// tracer, or without a TLB (the segment map), every word goes
-    /// through [`Self::read_u64`], so events keep their timestamps.
+    /// which may hit, miss, walk or fault, and
+    /// [`PhysMem::read_until_nonzero`] scans the frame once. Every later
+    /// word would hit the TLB entry the first one used, so they are
+    /// charged in one step, the run rule [`Self::write_words`] shares:
+    /// one [`Tlb::repeat_hit`] for their lookups, and their translations
+    /// and `tlb_lookup` plus data cycles each. Without a TLB (the
+    /// segment map) every word goes through [`Self::read_u64`].
     ///
     /// # Errors
     ///
@@ -612,7 +613,7 @@ impl Mmu {
         // At least one word while `max` allows, so a misaligned `va`
         // fails exactly as `read_u64` does.
         let limit = max.min((PAGE_SIZE - va.page_offset()).div_ceil(8));
-        if limit < 2 || self.tracer.enabled() || self.backend.is_seg_map() {
+        if limit < 2 || self.backend.is_seg_map() {
             let (mut read, mut word) = (0, 0);
             while word == 0 && read < limit {
                 word = self.read_u64(phys, va.add(read * 8))?;
@@ -623,25 +624,72 @@ impl Mmu {
         let pa = self.translate(phys, va, Access::Read)?;
         let data = self.data_cycles(phys, pa, false);
         self.clock.advance(data);
-        let mut word = phys.read_u64(pa)?;
-        let mut read = 1;
-        while word == 0 && read < limit {
-            word = phys.read_u64(pa.add(read * 8))?;
-            read += 1;
+        let (read, word) = phys.read_until_nonzero(pa, limit)?;
+        self.charge_run(phys, va, Access::Read, read - 1, data)?;
+        Ok((read, word))
+    }
+
+    /// Writes `words` to the consecutive `u64`s from `va`.
+    ///
+    /// Simulated state ends exactly as after one [`Self::write_u64`]
+    /// per word. A run on one 4 KiB page translates its first word the
+    /// normal way, writes every word through [`PhysMem::write_words`],
+    /// and charges the later words by the run rule of
+    /// [`Self::read_until_nonzero`]. A run that crosses a page, or one
+    /// without a TLB (the segment map), goes word by word.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::write_u64`] at the first word that fails; the words
+    /// before it are written.
+    pub fn write_words(
+        &mut self,
+        phys: &mut PhysMem,
+        va: VirtAddr,
+        words: &[u64],
+    ) -> Result<(), MemError> {
+        let in_page = words.len() as u64 * 8 <= PAGE_SIZE - va.page_offset();
+        if words.len() < 2 || !in_page || self.backend.is_seg_map() {
+            for (i, &word) in (0u64..).zip(words) {
+                self.write_u64(phys, va.add(i * 8), word)?;
+            }
+            return Ok(());
         }
-        let rest = read - 1;
-        if self.tlb.repeat_hit(self.asid, va.vpn(), rest).is_some() {
+        let pa = self.translate(phys, va, Access::Write)?;
+        let data = self.data_cycles(phys, pa, true);
+        self.clock.advance(data);
+        phys.write_words(pa, words)?;
+        self.charge_run(phys, va, Access::Write, words.len() as u64 - 1, data)
+    }
+
+    /// The run rule: charges the `rest` accesses that follow a run's
+    /// first word at `va`, on the same page, as `rest` more translations
+    /// and `data` cycles each would charge them. Each would hit the TLB
+    /// entry the first word used, so they take one [`Tlb::repeat_hit`],
+    /// `rest` translations, and `tlb_lookup` plus `data` cycles each.
+    /// With a tracer each hit is translated in turn instead, so its
+    /// event carries its own time.
+    fn charge_run(
+        &mut self,
+        phys: &mut PhysMem,
+        va: VirtAddr,
+        access: Access,
+        rest: u64,
+        data: u64,
+    ) -> Result<(), MemError> {
+        if !self.tracer.enabled() && self.tlb.repeat_hit(self.asid, va.vpn(), rest).is_some() {
             self.stats.translations += rest;
             self.clock
                 .advance(rest.wrapping_mul(self.cost.tlb_lookup + data));
-        } else {
-            // The first word's translation left its entry in the TLB,
-            // so this cannot happen; charge word by word all the same.
-            for i in 1..read {
-                self.read_u64(phys, va.add(i * 8))?;
-            }
+            return Ok(());
         }
-        Ok((read, word))
+        // Untraced, the first word's translation left its entry in the
+        // TLB, so only a tracer comes here.
+        for i in 1..=rest {
+            self.translate(phys, va.add(i * 8), access)?;
+            self.clock.advance(data);
+        }
+        Ok(())
     }
 
     /// Writes a naturally-aligned `u64` through the current address space.
@@ -1325,6 +1373,115 @@ mod tests {
     fn read_until_nonzero_matches_per_word_reads_on_the_segment_map() {
         check_runs_match_per_word(true, false);
         check_runs_match_per_word(true, true);
+    }
+
+    /// The words one `write_u64` at a time: what `write_words` must
+    /// equal.
+    fn per_word_writes(t: &mut Twin, va: u64, words: &[u64]) -> Result<(), MemError> {
+        (0u64..).zip(words).try_for_each(|(i, &word)| {
+            t.mmu
+                .write_u64(&mut t.phys, VirtAddr::new(va + i * 8), word)
+        })
+    }
+
+    /// Both twins' frames hold the same bytes (the tables and the
+    /// mapped pages all sit in the first 64 frames).
+    fn assert_same_bytes(a: &mut Twin, b: &mut Twin, what: &str) {
+        let mut frames = [
+            vec![0; 64 * PAGE_SIZE as usize],
+            vec![0; 64 * PAGE_SIZE as usize],
+        ];
+        for (t, buf) in [a, b].into_iter().zip(&mut frames) {
+            t.phys.read_bytes(PhysAddr::new(0), buf).unwrap();
+        }
+        assert!(frames[0] == frames[1], "bytes, {what}");
+    }
+
+    /// `write_words` on one twin, `write_u64` per word on the other, as
+    /// `check_runs_match_per_word` does for reads.
+    fn check_writes_match_per_word(seg_map: bool, traced: bool) {
+        let [mut a, mut b] = twins(seg_map, traced);
+        let words: Vec<u64> = (1..=64).map(|w| w * 0x101).collect();
+        let fault = |va| {
+            Err(MemError::PageFault {
+                va: VirtAddr::new(va),
+                access: Access::Write,
+            })
+        };
+        let cases = [
+            (0x5000, 8, Ok(())),        // a TLB miss
+            (0x5040, 64, Ok(())),       // a hit
+            (0x5fe0, 4, Ok(())),        // ending at the page end
+            (0x5ff0, 4, Ok(())),        // crossing into the next page
+            (0xcff8, 3, fault(0xd000)), // faulting on the second page
+            (0x7000, 1, Ok(())),
+            (0x7000, 0, Ok(())),
+            (0x40_0000, 3, fault(0x40_0000)),
+        ];
+        for (va, n, want) in cases {
+            let what = format!("{n} words at {va:#x}");
+            let got = a
+                .mmu
+                .write_words(&mut a.phys, VirtAddr::new(va), &words[..n]);
+            assert_eq!(got, want, "{what}");
+            assert_eq!(got, per_word_writes(&mut b, va, &words[..n]), "{what}");
+            assert_twins_agree(&a, &b, &what);
+            assert_same_bytes(&mut a, &mut b, &what);
+        }
+        let misaligned = a
+            .mmu
+            .write_words(&mut a.phys, VirtAddr::new(0x1004), &words[..4]);
+        assert!(matches!(misaligned, Err(MemError::BadPhysAddr(_))));
+        assert_eq!(misaligned, per_word_writes(&mut b, 0x1004, &words[..4]));
+        assert_twins_agree(&a, &b, "a misaligned run");
+        for round in 0..3 {
+            for page in (1..=TWIN_PAGES).rev() {
+                let va = page * PAGE_SIZE + round * 64;
+                let what = format!("page {page}, round {round}");
+                let got = a
+                    .mmu
+                    .write_words(&mut a.phys, VirtAddr::new(va), &words[..3]);
+                assert_eq!(got, per_word_writes(&mut b, va, &words[..3]), "{what}");
+                assert_twins_agree(&a, &b, &what);
+            }
+        }
+        assert_same_bytes(&mut a, &mut b, "after the rounds");
+        if !seg_map {
+            assert!(a.mmu.tlb_stats().evictions > 0, "the sets overflowed");
+        }
+    }
+
+    #[test]
+    fn write_words_matches_per_word_writes() {
+        check_writes_match_per_word(false, false);
+    }
+
+    #[test]
+    fn write_words_matches_per_word_writes_traced() {
+        check_writes_match_per_word(false, true);
+    }
+
+    #[test]
+    fn write_words_matches_per_word_writes_on_the_segment_map() {
+        check_writes_match_per_word(true, false);
+        check_writes_match_per_word(true, true);
+    }
+
+    #[test]
+    fn write_words_charges_one_probe_for_the_run() {
+        let [mut a, _] = twins(false, false);
+        let c = CostModel::default();
+        let va = VirtAddr::new(0x1000);
+        a.mmu.write_u64(&mut a.phys, va, 1).unwrap();
+        let (t0, tlb0) = (a.mmu.clock().now(), a.mmu.tlb_stats());
+        a.mmu.write_words(&mut a.phys, va, &[2; 17]).unwrap();
+        assert_eq!(a.mmu.clock().since(t0), 17 * (c.tlb_lookup + c.cache_hit));
+        let tlb = a.mmu.tlb_stats().delta_since(&tlb0);
+        assert_eq!((tlb.hits, tlb.misses), (17, 0));
+        assert_eq!(
+            a.mmu.read_until_nonzero(&mut a.phys, va.add(128), 1),
+            Ok((1, 2))
+        );
     }
 
     #[test]

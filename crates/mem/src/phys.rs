@@ -36,6 +36,28 @@ fn zero_frame() -> FrameBox {
         .unwrap()
 }
 
+/// Scans `bytes`, whole little-endian words, for the first nonzero one:
+/// how many words a word-by-word scan reads, and the last. Four words
+/// are ORed per step, so runs of zeros cost one test per block.
+#[inline]
+fn first_nonzero(bytes: &[u8]) -> (u64, u64) {
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("an 8-byte word"));
+    let blocks = bytes.chunks_exact(32);
+    let zero_blocks = blocks
+        .take_while(|block| block.chunks_exact(8).fold(0, |or, w| or | word(w)) == 0)
+        .count();
+    let skipped = zero_blocks * 4;
+    let found = bytes[skipped * 8..]
+        .chunks_exact(8)
+        .map(word)
+        .enumerate()
+        .find(|&(_, w)| w != 0);
+    match found {
+        Some((i, w)) => ((skipped + i + 1) as u64, w),
+        None => ((bytes.len() / 8) as u64, 0),
+    }
+}
+
 /// Frames per chunk of the frame table: one chunk spans 2 MiB.
 const CHUNK_FRAMES: u64 = 512;
 
@@ -489,6 +511,61 @@ impl PhysMem {
         Ok(())
     }
 
+    /// Reads the `u64`s at `pa`, `pa + 8`, ... until one is nonzero,
+    /// `max` have been read, or the frame ends. Returns how many words
+    /// were read and the last one (`(0, 0)` when `max` is 0), with the
+    /// result, error and materialized frames of that many
+    /// [`Self::read_u64`] calls, from one frame lookup.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::read_u64`] for the first word.
+    #[inline]
+    pub fn read_until_nonzero(&mut self, pa: PhysAddr, max: u64) -> Result<(u64, u64), MemError> {
+        if max == 0 {
+            return Ok((0, 0));
+        }
+        if !pa.is_aligned(8) {
+            return Err(MemError::BadPhysAddr(pa));
+        }
+        self.check(pa, 8)?;
+        let off = pa.frame_offset() as usize;
+        let words = max.min((PAGE_SIZE - off as u64) / 8) as usize;
+        let frame = self.frame(pa.pfn().0);
+        Ok(first_nonzero(&frame[off..off + words * 8]))
+    }
+
+    /// Writes `words` to consecutive `u64`s from `pa`, with the result,
+    /// error and materialized frames of one [`Self::write_u64`] per
+    /// word, from one frame lookup per frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::write_u64`] at the first word that fails; the words
+    /// before it are written.
+    #[inline]
+    pub fn write_words(&mut self, pa: PhysAddr, words: &[u64]) -> Result<(), MemError> {
+        if words.is_empty() {
+            return Ok(());
+        }
+        if !pa.is_aligned(8) {
+            return Err(MemError::BadPhysAddr(pa));
+        }
+        let (mut at, mut rest) = (pa, words);
+        while !rest.is_empty() {
+            self.check(at, 8)?;
+            let off = at.frame_offset() as usize;
+            let n = rest.len().min((PAGE_SIZE as usize - off) / 8);
+            let frame = self.frame(at.pfn().0);
+            for (dst, w) in frame[off..off + n * 8].chunks_exact_mut(8).zip(&rest[..n]) {
+                dst.copy_from_slice(&w.to_le_bytes());
+            }
+            at = at.add(n as u64 * 8);
+            rest = &rest[n..];
+        }
+        Ok(())
+    }
+
     /// Reads `buf.len()` bytes starting at `pa`, crossing frames as needed.
     ///
     /// # Errors
@@ -736,6 +813,96 @@ mod tests {
             .unwrap();
         assert_eq!(pm.read_u64(f.base().add(8)).unwrap(), 0x0123_4567_89ab_cdef);
         assert!(pm.read_u64(f.base().add(4)).is_err(), "unaligned u64");
+    }
+
+    /// Two 4-frame machines with the same words written in frame 1,
+    /// frames 2 and 3 never touched.
+    fn word_twins() -> [PhysMem; 2] {
+        std::array::from_fn(|_| {
+            let mut pm = PhysMem::new(4 * PAGE_SIZE);
+            for (off, v) in [(0x080, 7), (0x0a8, 3), (0xff8, 9)] {
+                pm.write_u64(PhysAddr::new(PAGE_SIZE + off), v).unwrap();
+            }
+            pm
+        })
+    }
+
+    fn assert_same_frames(a: &mut PhysMem, b: &mut PhysMem, what: &str) {
+        assert_eq!(a.resident_frames(), b.resident_frames(), "{what}");
+        let (mut x, mut y) = (
+            vec![0; 4 * PAGE_SIZE as usize],
+            vec![0; 4 * PAGE_SIZE as usize],
+        );
+        a.read_bytes(PhysAddr::new(0), &mut x).unwrap();
+        b.read_bytes(PhysAddr::new(0), &mut y).unwrap();
+        assert!(x == y, "bytes, {what}");
+    }
+
+    #[test]
+    fn read_until_nonzero_matches_per_word_reads() {
+        let [mut a, mut b] = word_twins();
+        let base = PAGE_SIZE;
+        let cases = [
+            (base, 100, Ok((17, 7))),              // past one all-zero block
+            (base + 0x88, 40, Ok((5, 3))),         // found inside a block
+            (base + 0x88, 3, Ok((3, 0))),          // stopped by max
+            (base + 0xf00, 100, Ok((32, 9))),      // the frame's last word
+            (2 * base + 0x800, 600, Ok((256, 0))), // an unmaterialized frame
+            (base, 0, Ok((0, 0))),
+            (
+                base + 4,
+                4,
+                Err(MemError::BadPhysAddr(PhysAddr::new(base + 4))),
+            ),
+            (
+                4 * base,
+                4,
+                Err(MemError::BadPhysAddr(PhysAddr::new(4 * base))),
+            ),
+        ];
+        for (pa, max, want) in cases {
+            let what = format!("run at {pa:#x}, max {max}");
+            let got = a.read_until_nonzero(PhysAddr::new(pa), max);
+            let limit = max.min((PAGE_SIZE - pa % PAGE_SIZE).div_ceil(8));
+            let per_word = (|| {
+                let (mut read, mut word) = (0, 0);
+                while word == 0 && read < limit {
+                    word = b.read_u64(PhysAddr::new(pa + read * 8))?;
+                    read += 1;
+                }
+                Ok((read, word))
+            })();
+            assert_eq!(got, want, "{what}");
+            assert_eq!(got, per_word, "{what}");
+            assert_same_frames(&mut a, &mut b, &what);
+        }
+    }
+
+    #[test]
+    fn write_words_matches_per_word_writes() {
+        let [mut a, mut b] = word_twins();
+        let base = PAGE_SIZE;
+        let words: Vec<u64> = (1..=40).collect();
+        let bad = |pa| Err(MemError::BadPhysAddr(PhysAddr::new(pa)));
+        let cases = [
+            (base + 0x100, 12, Ok(())),     // inside a resident frame
+            (2 * base + 0xf00, 32, Ok(())), // ending at the frame's end
+            (base + 0xfc0, 40, Ok(())),     // across two frames
+            (base, 0, Ok(())),
+            (base + 4, 4, bad(base + 4)),      // misaligned
+            (4 * base - 16, 4, bad(4 * base)), // running past capacity
+            (8 * base, 4, bad(8 * base)),
+        ];
+        for (pa, n, want) in cases {
+            let what = format!("run at {pa:#x}, {n} words");
+            let got = a.write_words(PhysAddr::new(pa), &words[..n]);
+            let per_word = (0u64..)
+                .zip(&words[..n])
+                .try_for_each(|(i, &w)| b.write_u64(PhysAddr::new(pa + i * 8), w));
+            assert_eq!(got, want, "{what}");
+            assert_eq!(got, per_word, "{what}");
+            assert_same_frames(&mut a, &mut b, &what);
+        }
     }
 
     #[test]

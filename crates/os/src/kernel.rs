@@ -2423,24 +2423,21 @@ impl ProcMem<'_> {
     /// Reads the `u64`s at `va`, `va + 8`, ... until one is nonzero or
     /// `max` have been read; returns the count read and the last word.
     /// Charges and traces exactly as that many [`Self::load_u64`] calls,
-    /// in one [`Mmu::read_until_nonzero`] run per page when the tracer
-    /// is off.
+    /// in one [`Mmu::read_until_nonzero`] run per page (per word under a
+    /// tracer).
     ///
     /// # Errors
     ///
     /// Unresolvable faults.
     pub fn load_until_nonzero(&mut self, va: VirtAddr, max: u64) -> OsResult<(u64, u64)> {
-        let traced = self.kernel.tracer.enabled();
         let (mut read, mut word) = (0, 0);
         while word == 0 && read < max {
             let at = va.add(read * 8);
-            let (n, w) = if traced {
-                (1, self.load_u64(at)?)
-            } else {
-                self.access(Access::Read, |mmu, phys| {
-                    mmu.read_until_nonzero(phys, at, max - read)
-                })?
-            };
+            let len = self.run_len(at, max - read);
+            let (n, w) = self.access(Access::Read, |mmu, phys| {
+                mmu.read_until_nonzero(phys, at, len)
+            })?;
+            self.trace_word(at, EventKind::MemRead);
             read += n;
             word = w;
         }
@@ -2457,6 +2454,38 @@ impl ProcMem<'_> {
         self.access(Access::Write, |mmu, phys| mmu.write_u64(phys, va, value))?;
         self.trace_word(va, EventKind::MemWrite);
         Ok(())
+    }
+
+    /// Writes `words` to the consecutive `u64`s from `va`. Charges and
+    /// traces exactly as one [`Self::store_u64`] per word, in one
+    /// [`Mmu::write_words`] run per page (per word under a tracer).
+    ///
+    /// # Errors
+    ///
+    /// Unresolvable faults; the words before the failing one are
+    /// written.
+    pub fn store_words(&mut self, va: VirtAddr, words: &[u64]) -> OsResult<()> {
+        let mut done = 0;
+        while done < words.len() {
+            let at = va.add(done as u64 * 8);
+            let len = self.run_len(at, (words.len() - done) as u64) as usize;
+            let run = &words[done..done + len];
+            self.access(Access::Write, |mmu, phys| mmu.write_words(phys, at, run))?;
+            self.trace_word(at, EventKind::MemWrite);
+            done += run.len();
+        }
+        Ok(())
+    }
+
+    /// How many of the `max` words from `va` one MMU run takes: up to
+    /// the end of `va`'s page, so a fault can only come at the run's
+    /// first word and the retry repeats nothing. Under a tracer a run is
+    /// one word, so each word's event follows its own MMU events.
+    fn run_len(&self, va: VirtAddr, max: u64) -> u64 {
+        if self.kernel.tracer.enabled() {
+            return max.min(1);
+        }
+        max.min((PAGE_SIZE - va.page_offset()).div_ceil(8))
     }
 
     /// Reads `buf.len()` bytes at `va`, faulting pages in as needed.
@@ -3220,6 +3249,84 @@ mod tests {
             "every page's first touch faults, inside the view's life"
         );
         assert_eq!(batch, run_batch(false));
+    }
+
+    /// Stores 600 words across three demand pages of a shared-range
+    /// mapping, first-touching two of them midway: as one
+    /// `store_words` run, or one `store_u64` per word. Returns what the
+    /// twins must agree on: the bytes, the clocks, the MMU, TLB and
+    /// kernel counters, and the trace.
+    fn run_word_stores(
+        as_run: bool,
+        traced: bool,
+    ) -> (Vec<u8>, BatchOutcome, Vec<sjmp_trace::Event>) {
+        let mut k = kernel();
+        let tracer = if traced {
+            Tracer::new(1 << 14)
+        } else {
+            Tracer::disabled()
+        };
+        k.set_tracer(tracer.clone());
+        let pid = k.spawn("p", user()).unwrap();
+        k.activate(pid).unwrap();
+        let space = k.process(pid).unwrap().current_space();
+        let obj = k
+            .alloc_object(Some(pid), 4 * PAGE_SIZE, Backing::Demand)
+            .unwrap();
+        let flags = PteFlags::USER | PteFlags::WRITABLE;
+        let va = GLOBAL_LO;
+        k.map_object(
+            space,
+            obj,
+            va,
+            0,
+            4 * PAGE_SIZE,
+            flags,
+            MapPolicy::Lazy,
+            None,
+        )
+        .unwrap();
+        let start = va.add(PAGE_SIZE - 40);
+        let words: Vec<u64> = (1..=600).collect();
+        let mut m = k.proc_mem(pid).unwrap();
+        m.store_u64(start, 5).unwrap();
+        if as_run {
+            m.store_words(start, &words).unwrap();
+        } else {
+            for (i, &w) in (0u64..).zip(&words) {
+                m.store_u64(start.add(i * 8), w).unwrap();
+            }
+        }
+        let mut bytes = vec![0; 4 * PAGE_SIZE as usize];
+        m.load_bytes(va, &mut bytes).unwrap();
+        let mmus = k
+            .machine()
+            .mmus()
+            .iter()
+            .map(|m| (m.stats(), m.tlb_stats()))
+            .collect();
+        let outcome = (
+            Vec::new(),
+            Vec::new(),
+            k.clocks().snapshot(),
+            mmus,
+            k.stats(),
+        );
+        (bytes, outcome, tracer.events())
+    }
+
+    #[test]
+    fn store_words_matches_per_word_stores() {
+        for traced in [false, true] {
+            let run = run_word_stores(true, traced);
+            // The stores' three pages, then the read-back's fourth.
+            assert_eq!(run.1 .4.faults_handled, 4);
+            let word = |i: usize| u64::from_le_bytes(run.0[i..i + 8].try_into().unwrap());
+            assert_eq!(word(PAGE_SIZE as usize - 40), 1);
+            assert_eq!(word(PAGE_SIZE as usize - 40 + 599 * 8), 600);
+            assert_eq!(traced, !run.2.is_empty(), "traced {traced}");
+            assert!(run == run_word_stores(false, traced), "traced {traced}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use spacejmp::analyze::lint_kernel;
 use spacejmp::core::{Catalog, SegmentImage, VasImage};
 use spacejmp::kv::JmpClient;
-use spacejmp::mem::PAGE_SIZE;
+use spacejmp::mem::{PageSize, PAGE_SIZE};
 use spacejmp::os::{FaultPlan, FaultSite, OsError};
 use spacejmp::prelude::*;
 
@@ -164,6 +164,62 @@ fn vas_save_load_round_trips_across_restart() {
 }
 
 #[test]
+fn nvm_and_superpage_segments_keep_their_backing_across_restart() {
+    const NVM_BYTES: u64 = 16 << 20;
+    let mut sj = boot();
+    sj.kernel_mut().set_nvm_tier(NVM_BYTES);
+    let pid = spawn(&mut sj, "saver");
+    let huge = Backing::Aligned(PageSize::Size2M);
+    let segs = [
+        ("tiers-nvm", SEG_BASE, Backing::Nvm),
+        ("tiers-huge", SEG_BASE + (1 << 30), huge),
+    ];
+    let vid = sj.vas_create(pid, "tiers", Mode(0o660)).unwrap();
+    for (name, base, backing) in segs {
+        let base = VirtAddr::new(base);
+        let sid = sj
+            .seg_alloc_with(pid, name, base, 4 << 20, Mode(0o660), backing)
+            .unwrap();
+        sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite).unwrap();
+    }
+    let vh = sj.vas_attach(pid, vid).unwrap();
+    sj.vas_switch(pid, vh).unwrap();
+    for (i, (_, base, _)) in (0u64..).zip(segs) {
+        let at = VirtAddr::new(base + (2 << 20) + 8);
+        sj.kernel_mut().store_u64(pid, at, 0x7e_0000 + i).unwrap();
+    }
+    sj.vas_switch_home(pid).unwrap();
+    sj.vas_save(pid, vid).unwrap();
+
+    let mut dev = sj.kernel_mut().take_disk();
+    dev.crash();
+    let mut kernel = Kernel::new(KernelFlavor::DragonFly, MachineId::M1);
+    kernel.set_nvm_tier(NVM_BYTES);
+    kernel.attach_disk(dev);
+    let mut sj2 = SpaceJmp::new(kernel);
+    let pid2 = spawn(&mut sj2, "loader");
+    let vid2 = sj2.vas_load(pid2, "tiers").unwrap();
+    for (name, _, backing) in segs {
+        let sid = sj2.seg_find(name).unwrap();
+        let seg = sj2.segment(sid).unwrap();
+        assert_eq!(seg.backing(), backing, "{name}");
+        assert_eq!(seg.page_size(), backing.page_size(), "{name}");
+    }
+    let nvm = sj2.seg_find("tiers-nvm").unwrap();
+    let object = sj2.segment(nvm).unwrap().object();
+    let pfn = sj2.kernel().vmobject(object).unwrap().frame_of_page(0);
+    assert!(sj2.kernel_mut().phys_mut().is_nvm(pfn.unwrap()), "NVM tier");
+    let vh2 = sj2.vas_attach(pid2, vid2).unwrap();
+    sj2.vas_switch(pid2, vh2).unwrap();
+    for (i, (_, base, _)) in (0u64..).zip(segs) {
+        let at = VirtAddr::new(base + (2 << 20) + 8);
+        assert_eq!(sj2.kernel_mut().load_u64(pid2, at).unwrap(), 0x7e_0000 + i);
+    }
+    sj2.vas_switch_home(pid2).unwrap();
+    assert_clean(&mut sj2);
+}
+
+#[test]
 fn loading_a_never_saved_name_is_not_found() {
     let mut sj = boot();
     let pid = spawn(&mut sj, "p");
@@ -185,7 +241,7 @@ fn loading_a_bad_image_creates_nothing(base: u64, pages: Vec<(u64, Vec<u8>)>, wa
             writable: true,
             mode: 0o660,
             lockable: true,
-            swappable: false,
+            backing: Backing::Dram,
             pages,
         }],
     };
