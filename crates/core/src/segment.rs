@@ -17,6 +17,7 @@ use sjmp_os::{Acl, Backing, Pid, VmObjectId};
 /// Segment identifier (the `sid` of the Figure 3 API).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SegId(pub u64);
+sjmp_os::table_id!(SegId);
 
 /// How a segment is mapped within a particular VAS, which decides the
 /// lock mode taken on switch-in.

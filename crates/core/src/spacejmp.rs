@@ -25,7 +25,7 @@ use sjmp_mem::KernelFlavor;
 use sjmp_mem::{Access, VirtAddr, PAGE_SIZE};
 use sjmp_os::kernel::{GLOBAL_HI, GLOBAL_LO, PRIVATE_HI};
 use sjmp_os::{
-    Acl, Backing, CapKind, CapRights, Capability, CoreCtx, Creds, FaultOutcome, FaultSite, IdMap,
+    Acl, Backing, CapKind, CapRights, Capability, CoreCtx, Creds, FaultOutcome, FaultSite, IdTable,
     Kernel, MapPolicy, Mode, ObjClass, OsError, Pid, Region, VmObjectId, VmspaceId,
 };
 use sjmp_trace::{EventKind, MetricsSnapshot, Tracer};
@@ -143,20 +143,20 @@ impl Default for RetryPolicy {
 /// ```
 pub struct SpaceJmp {
     kernel: Kernel,
-    vases: IdMap<VasId, Vas>,
-    segments: IdMap<SegId, Segment>,
-    attachments: IdMap<VasHandle, Attachment>,
+    vases: IdTable<VasId, Vas>,
+    segments: IdTable<SegId, Segment>,
+    attachments: IdTable<VasHandle, Attachment>,
     vas_names: HashMap<String, VasId>,
     seg_names: HashMap<String, SegId>,
     /// The VAS each process is currently switched into (absent = its
     /// original, spawn-time address space).
-    current: IdMap<Pid, VasHandle>,
+    current: IdTable<Pid, VasHandle>,
     /// Processes blocked on a contended switch and the attachment they
     /// want — the nodes of the waits-for graph. A process stays
     /// registered while its switch keeps failing (including between
     /// [`SpaceJmp::vas_switch_retry`] calls that gave up) and is removed
     /// when a switch succeeds, deadlock is declared, or it dies.
-    waiters: IdMap<Pid, VasHandle>,
+    waiters: IdTable<Pid, VasHandle>,
     /// The lock set of the switch in progress, kept between switches so
     /// a switch allocates nothing.
     lock_buf: Vec<(SegId, AttachMode)>,
@@ -181,13 +181,13 @@ impl SpaceJmp {
     pub fn new(kernel: Kernel) -> Self {
         SpaceJmp {
             kernel,
-            vases: IdMap::default(),
-            segments: IdMap::default(),
-            attachments: IdMap::default(),
+            vases: IdTable::default(),
+            segments: IdTable::default(),
+            attachments: IdTable::default(),
             vas_names: HashMap::new(),
             seg_names: HashMap::new(),
-            current: IdMap::default(),
-            waiters: IdMap::default(),
+            current: IdTable::default(),
+            waiters: IdTable::default(),
             lock_buf: Vec::new(),
             next_vid: 1,
             next_sid: 1,
@@ -268,10 +268,7 @@ impl SpaceJmp {
                 tracer.instant(ts, 0, EventKind::SegAttach, sid.0, vid.0);
             }
         }
-        let mut entered: Vec<(Pid, VasHandle)> =
-            self.current.iter().map(|(p, vh)| (*p, *vh)).collect();
-        entered.sort_unstable();
-        for (pid, vh) in entered {
+        for (pid, &vh) in self.current.iter() {
             if let Ok(att) = self.attachment(vh) {
                 tracer.instant(ts, 0, EventKind::VasEnter, pid.0, att.vid.0);
             }
@@ -329,27 +326,21 @@ impl SpaceJmp {
         self.current.get(&pid).copied()
     }
 
-    /// Every registered segment id, sorted. Offline audits
-    /// (`sjmp-analyze`'s kernel linter) walk these; sorting keeps their
-    /// findings deterministic.
+    /// Every registered segment id, ascending. Offline audits
+    /// (`sjmp-analyze`'s kernel linter) walk these; the fixed order keeps
+    /// their findings deterministic.
     pub fn segment_ids(&self) -> Vec<SegId> {
-        let mut ids: Vec<SegId> = self.segments.keys().copied().collect();
-        ids.sort();
-        ids
+        self.segments.keys().collect()
     }
 
-    /// Every registered VAS id, sorted (see [`Self::segment_ids`]).
+    /// Every registered VAS id, ascending (see [`Self::segment_ids`]).
     pub fn vas_ids(&self) -> Vec<VasId> {
-        let mut ids: Vec<VasId> = self.vases.keys().copied().collect();
-        ids.sort();
-        ids
+        self.vases.keys().collect()
     }
 
-    /// Every live attachment handle, sorted (see [`Self::segment_ids`]).
+    /// Every live attachment handle, ascending (see [`Self::segment_ids`]).
     pub fn attachment_handles(&self) -> Vec<VasHandle> {
-        let mut hs: Vec<VasHandle> = self.attachments.keys().copied().collect();
-        hs.sort();
-        hs
+        self.attachments.keys().collect()
     }
 
     /// Terminates a process SpaceJMP-cleanly: switches it home (releasing
@@ -368,7 +359,7 @@ impl SpaceJmp {
             .attachments
             .iter()
             .filter(|(_, a)| a.pid == pid)
-            .map(|(h, _)| *h)
+            .map(|(h, _)| h)
             .collect();
         for vh in handles {
             self.vas_detach(pid, vh)?;
@@ -415,7 +406,7 @@ impl SpaceJmp {
             .attachments
             .iter()
             .filter(|(_, a)| a.pid == pid)
-            .map(|(h, _)| *h)
+            .map(|(h, _)| h)
             .collect();
         for vh in handles {
             let att = self.attachments.remove(&vh).expect("collected above");
@@ -519,10 +510,10 @@ impl SpaceJmp {
         }
 
         // Attachment bookkeeping must be mutually consistent.
-        let mut attach_counts: IdMap<SegId, u64> = IdMap::default();
+        let mut attach_counts: IdTable<SegId, u64> = IdTable::default();
         for v in self.vases.values() {
             for (sid, _) in v.segments() {
-                *attach_counts.entry(*sid).or_insert(0) += 1;
+                *attach_counts.get_or_insert_with(*sid, || 0) += 1;
             }
             for pid in v.attached_pids() {
                 let vh = v.handle_of(pid).expect("attached_pids yields mapped keys");
@@ -539,7 +530,7 @@ impl SpaceJmp {
                 }
             }
         }
-        for (vh, a) in &self.attachments {
+        for (vh, a) in self.attachments.iter() {
             if self.kernel.process(a.pid).is_err() {
                 problems.push(format!(
                     "attachment {vh:?} belongs to dead process {:?}",
@@ -553,7 +544,7 @@ impl SpaceJmp {
                 ));
             }
             for (sid, _) in &a.local_segments {
-                *attach_counts.entry(*sid).or_insert(0) += 1;
+                *attach_counts.get_or_insert_with(*sid, || 0) += 1;
             }
         }
         for seg in self.segments.values() {
@@ -573,7 +564,7 @@ impl SpaceJmp {
         for (pid, vh) in self.current.iter().chain(self.waiters.iter()) {
             match self.attachments.get(vh) {
                 None => problems.push(format!("{pid:?} tracks missing attachment {vh:?}")),
-                Some(a) if a.pid != *pid => {
+                Some(a) if a.pid != pid => {
                     problems.push(format!(
                         "{pid:?} tracks attachment {vh:?} owned by {:?}",
                         a.pid
@@ -1176,28 +1167,36 @@ impl SpaceJmp {
                 if self.vas(vid)?.attach_count() > 0 {
                     return Err(SjError::Busy("VAS still attached"));
                 }
-                let v = self.vases.remove(&vid).expect("checked above");
-                self.vas_names.remove(v.name());
-                for (sid, _) in v.segments() {
-                    let object = self.segments.get_mut(sid).map(|seg| {
-                        seg.drop_attach();
-                        seg.object()
-                    });
-                    // The template tree is about to be freed; a swappable
-                    // segment's eviction hook must not walk it afterwards.
-                    if let Some(object) = object {
-                        self.kernel
-                            .unregister_external_mapping(object, v.template_root());
-                    }
-                }
-                let backend = self.kernel.backend().clone();
-                backend.free_tables(self.kernel.phys_mut(), v.template_root(), &[]);
-                // Freed table frames may be recycled under a new root;
-                // stale host-side walks must not survive that.
-                self.kernel.flush_host_walk_caches();
+                self.vas_destroy(vid);
             }
         }
         Ok(())
+    }
+
+    /// Unregisters a VAS no process has attached: its name, its segments'
+    /// attachments to it, and its template tree.
+    fn vas_destroy(&mut self, vid: VasId) {
+        let Some(v) = self.vases.remove(&vid) else {
+            return;
+        };
+        self.vas_names.remove(v.name());
+        for (sid, _) in v.segments() {
+            let object = self.segments.get_mut(sid).map(|seg| {
+                seg.drop_attach();
+                seg.object()
+            });
+            // The template tree is about to be freed; a swappable
+            // segment's eviction hook must not walk it afterwards.
+            if let Some(object) = object {
+                self.kernel
+                    .unregister_external_mapping(object, v.template_root());
+            }
+        }
+        let backend = self.kernel.backend().clone();
+        backend.free_tables(self.kernel.phys_mut(), v.template_root(), &[]);
+        // Freed table frames may be recycled under a new root;
+        // stale host-side walks must not survive that.
+        self.kernel.flush_host_walk_caches();
     }
 
     /// Revokes a process's attachment capability (Barrelfish flavor):
@@ -1441,7 +1440,8 @@ impl SpaceJmp {
     /// [`SjError::NotFound`] when no saved VAS has that name;
     /// [`SjError::InvalidArgument`] for corrupt catalog bytes;
     /// [`SjError::NameTaken`] when the VAS or one of its segment names
-    /// is already registered; allocation failures.
+    /// is already registered; allocation failures. A load that fails
+    /// leaves no VAS or segment registered, so it can be retried.
     pub fn vas_load(&mut self, pid: Pid, name: &str) -> SjResult<VasId> {
         self.kernel.charge_entry(self.ctx(pid));
         let ctx = self.ctx(pid);
@@ -1490,10 +1490,34 @@ impl SpaceJmp {
             }
         }
         let vid = self.vas_create(pid, name, Mode(image.mode))?;
+        let mut created = Vec::with_capacity(image.segments.len());
+        if let Err(e) = self.vas_load_segments(pid, vid, &image, &mut created) {
+            // All or nothing: a retry must not find half a VAS registered.
+            // Nothing else has seen the new VAS, so destroying it detaches
+            // every segment this call created, and they can go too.
+            self.vas_destroy(vid);
+            for sid in created {
+                let _ = self.seg_destroy(sid);
+            }
+            return Err(e);
+        }
+        Ok(vid)
+    }
+
+    /// Creates, fills and attaches to `vid` each segment of `image`,
+    /// recording each id in `created` as soon as it exists.
+    fn vas_load_segments(
+        &mut self,
+        pid: Pid,
+        vid: VasId,
+        image: &VasImage,
+        created: &mut Vec<SegId>,
+    ) -> SjResult<()> {
         for seg in &image.segments {
             let base = VirtAddr::new(seg.base);
             let sid =
                 self.seg_alloc_with(pid, &seg.name, base, seg.size, Mode(seg.mode), seg.backing)?;
+            created.push(sid);
             if !seg.lockable {
                 self.segment_mut(sid)?.set_lockable(false);
             }
@@ -1508,7 +1532,7 @@ impl SpaceJmp {
             };
             self.seg_attach(pid, vid, sid, mode)?;
         }
-        Ok(vid)
+        Ok(())
     }
 
     // ---- Segment API -------------------------------------------------------
@@ -2009,11 +2033,18 @@ impl SpaceJmp {
                         return Err(SjError::Busy("segment lock held"));
                     }
                 }
-                let s = self.segments.remove(&sid).expect("checked above");
-                self.seg_names.remove(s.name());
-                self.kernel.free_object(s.object())?;
+                self.seg_destroy(sid)?;
             }
         }
+        Ok(())
+    }
+
+    /// Unregisters a segment no VAS or attachment maps and frees its
+    /// backing object.
+    fn seg_destroy(&mut self, sid: SegId) -> SjResult<()> {
+        let s = self.segments.remove(&sid).ok_or(SjError::NotFound)?;
+        self.seg_names.remove(s.name());
+        self.kernel.free_object(s.object())?;
         Ok(())
     }
 

@@ -13,17 +13,19 @@
 //! segments. Switching loads that vmspace's root into CR3.
 
 use sjmp_mem::Pfn;
-use sjmp_os::{Acl, IdMap, Pid, VmspaceId};
+use sjmp_os::{Acl, IdTable, Pid, VmspaceId};
 
 use crate::segment::{AttachMode, SegId};
 
 /// VAS identifier (the `vid` of the Figure 3 API).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VasId(pub u64);
+sjmp_os::table_id!(VasId);
 
 /// Handle to one process's attachment of a VAS (the `vh` of Figure 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VasHandle(pub u64);
+sjmp_os::table_id!(VasHandle);
 
 /// One process's attachment state for a VAS.
 #[derive(Debug, Clone)]
@@ -54,7 +56,7 @@ pub struct Vas {
     template_root: Pfn,
     segments: Vec<(SegId, AttachMode)>,
     /// pid -> attachment handle (a process attaches a VAS at most once).
-    attached: IdMap<Pid, VasHandle>,
+    attached: IdTable<Pid, VasHandle>,
     /// Whether a TLB tag was requested via `vas_ctl`.
     tag_requested: bool,
 }
@@ -68,7 +70,7 @@ impl Vas {
             acl,
             template_root,
             segments: Vec::new(),
-            attached: IdMap::default(),
+            attached: IdTable::default(),
             tag_requested: false,
         }
     }
@@ -126,7 +128,7 @@ impl Vas {
 
     /// Processes currently attached.
     pub fn attached_pids(&self) -> impl Iterator<Item = Pid> + '_ {
-        self.attached.keys().copied()
+        self.attached.keys()
     }
 
     /// Number of attached processes.

@@ -38,7 +38,7 @@ use sjmp_mem::mmu::MmuStats;
 use sjmp_mem::paging::{self, PteFlags};
 use sjmp_mem::tlb::TlbStats;
 use sjmp_mem::{Access, Asid, MemError, Mmu, Pfn, PhysMem, VirtAddr, PAGE_SIZE};
-use sjmp_sim::IdMap;
+use sjmp_sim::IdTable;
 use sjmp_trace::{EventKind, MetricsSnapshot, Tracer};
 
 use crate::acl::Creds;
@@ -226,9 +226,9 @@ pub struct Kernel {
     /// The hardware threads: one MMU (private TLB + CR3 + stats) and one
     /// cycle clock per core.
     machine: Machine,
-    processes: IdMap<Pid, Process>,
-    vmobjects: IdMap<VmObjectId, VmObject>,
-    vmspaces: IdMap<VmspaceId, Vmspace>,
+    processes: IdTable<Pid, Process>,
+    vmobjects: IdTable<VmObjectId, VmObject>,
+    vmspaces: IdTable<VmspaceId, Vmspace>,
     next_pid: u64,
     next_obj: u64,
     next_space: u64,
@@ -238,7 +238,7 @@ pub struct Kernel {
     stats: KernelStats,
     fault: Option<FaultPlan>,
     /// Per-process memory quotas in resident frames.
-    quotas: IdMap<Pid, u64>,
+    quotas: IdTable<Pid, u64>,
     /// Global low watermark: allocations reclaim until at least this many
     /// frames are free. `None` disables pressure handling entirely.
     low_watermark: Option<u64>,
@@ -248,7 +248,7 @@ pub struct Kernel {
     /// own (the SpaceJMP layer's VAS templates). Eviction must clear the
     /// leaf PTEs there too; clearing the template leaf once covers every
     /// vmspace that links the shared subtree.
-    external_maps: IdMap<VmObjectId, Vec<(Pfn, VirtAddr)>>,
+    external_maps: IdTable<VmObjectId, Vec<(Pfn, VirtAddr)>>,
     /// Structured event tracer (disabled by default; never advances
     /// the clock, so tracing cannot perturb modeled costs).
     tracer: Tracer,
@@ -286,9 +286,9 @@ impl Kernel {
             phys,
             backend: Backend::four_level(),
             machine,
-            processes: IdMap::default(),
-            vmobjects: IdMap::default(),
-            vmspaces: IdMap::default(),
+            processes: IdTable::default(),
+            vmobjects: IdTable::default(),
+            vmspaces: IdTable::default(),
             next_pid: 1,
             next_obj: 1,
             next_space: 1,
@@ -297,10 +297,10 @@ impl Kernel {
             tagging: false,
             stats: KernelStats::default(),
             fault: None,
-            quotas: IdMap::default(),
+            quotas: IdTable::default(),
             low_watermark: None,
             reclaim_cursor: (0, 0),
-            external_maps: IdMap::default(),
+            external_maps: IdTable::default(),
             tracer: Tracer::disabled(),
             disk: SnapshotStore::new(BlockDev::new(DISK_BLOCK_SIZE)),
         }
@@ -514,26 +514,20 @@ impl Kernel {
         self.vmobjects.get_mut(&id).ok_or(OsError::NoSuchObject)
     }
 
-    /// Every live process id, sorted. Offline audits (`sjmp-analyze`)
-    /// walk these; sorting keeps their findings deterministic.
+    /// Every live process id, ascending. Offline audits (`sjmp-analyze`)
+    /// walk these; the fixed order keeps their findings deterministic.
     pub fn process_ids(&self) -> Vec<Pid> {
-        let mut ids: Vec<Pid> = self.processes.keys().copied().collect();
-        ids.sort();
-        ids
+        self.processes.keys().collect()
     }
 
-    /// Every live vmspace id, sorted (see [`Self::process_ids`]).
+    /// Every live vmspace id, ascending (see [`Self::process_ids`]).
     pub fn vmspace_ids(&self) -> Vec<VmspaceId> {
-        let mut ids: Vec<VmspaceId> = self.vmspaces.keys().copied().collect();
-        ids.sort();
-        ids
+        self.vmspaces.keys().collect()
     }
 
-    /// Every live VM object id, sorted (see [`Self::process_ids`]).
+    /// Every live VM object id, ascending (see [`Self::process_ids`]).
     pub fn vmobject_ids(&self) -> Vec<VmObjectId> {
-        let mut ids: Vec<VmObjectId> = self.vmobjects.keys().copied().collect();
-        ids.sort();
-        ids
+        self.vmobjects.keys().collect()
     }
 
     /// Current time on the clock of `ctx`'s core.
@@ -1704,7 +1698,7 @@ impl Kernel {
     /// there; because attached vmspaces link the template's subtrees,
     /// clearing the template leaf once covers all of them.
     pub fn register_external_mapping(&mut self, obj: VmObjectId, root: Pfn, base: VirtAddr) {
-        let maps = self.external_maps.entry(obj).or_default();
+        let maps = self.external_maps.get_or_insert_with(obj, Vec::new);
         if !maps.contains(&(root, base)) {
             maps.push((root, base));
         }
@@ -1780,13 +1774,12 @@ impl Kernel {
 
     fn reclaim_inner(&mut self, target_frames: u64) -> u64 {
         self.stats.reclaim_passes += 1;
-        let mut candidates: Vec<(VmObjectId, u64)> = self
+        let candidates: Vec<(VmObjectId, u64)> = self
             .vmobjects
             .iter()
             .filter(|(_, o)| o.swappable() && !o.pinned())
-            .map(|(id, o)| (*id, o.pages()))
+            .map(|(id, o)| (id, o.pages()))
             .collect();
-        candidates.sort_unstable();
         let total_pages: u64 = candidates.iter().map(|(_, p)| *p).sum();
         if total_pages == 0 {
             return 0;
@@ -1863,13 +1856,12 @@ impl Kernel {
     /// owns, ignoring reference bits — the self-reclaim a quota breach
     /// attempts before giving up.
     pub fn reclaim_owned(&mut self, pid: Pid, target: u64) -> u64 {
-        let mut ids: Vec<VmObjectId> = self
+        let ids: Vec<VmObjectId> = self
             .vmobjects
             .iter()
             .filter(|(_, o)| o.owner() == Some(pid) && o.swappable() && !o.pinned())
-            .map(|(id, _)| *id)
+            .map(|(id, _)| id)
             .collect();
-        ids.sort_unstable();
         let mut freed = 0u64;
         let mut cleared = false;
         'outer: for id in ids {
@@ -2022,7 +2014,7 @@ impl Kernel {
         self.processes
             .keys()
             .filter(|p| !protect.contains(p))
-            .map(|p| (self.resident_frames_of(*p), p.0))
+            .map(|p| (self.resident_frames_of(p), p.0))
             .filter(|(badness, _)| *badness > 0)
             .max()
             .map(|(_, pid)| Pid(pid))
@@ -2272,10 +2264,10 @@ impl Kernel {
     pub fn check_invariants(&mut self, external_roots: &[Pfn]) -> Vec<String> {
         let mut problems = Vec::new();
 
-        let mut region_refs: IdMap<VmObjectId, u64> = IdMap::default();
+        let mut region_refs: IdTable<VmObjectId, u64> = IdTable::default();
         for vs in self.vmspaces.values() {
             for r in vs.regions() {
-                *region_refs.entry(r.object).or_insert(0) += 1;
+                *region_refs.get_or_insert_with(r.object, || 0) += 1;
                 if !self.vmobjects.contains_key(&r.object) {
                     problems.push(format!(
                         "space {:?} maps object {:?} which does not exist",
@@ -2285,8 +2277,8 @@ impl Kernel {
                 }
             }
         }
-        for (id, obj) in &self.vmobjects {
-            let mapped = region_refs.get(id).copied().unwrap_or(0);
+        for (id, obj) in self.vmobjects.iter() {
+            let mapped = region_refs.get(&id).copied().unwrap_or(0);
             if obj.refs() != mapped {
                 problems.push(format!(
                     "object {id:?} refcount {} but {mapped} region(s) map it",
@@ -2300,7 +2292,7 @@ impl Kernel {
             }
         }
 
-        for (pid, p) in &self.processes {
+        for (pid, p) in self.processes.iter() {
             for s in p.spaces() {
                 if !self.vmspaces.contains_key(s) {
                     problems.push(format!("process {pid:?} holds destroyed space {s:?}"));

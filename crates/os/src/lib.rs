@@ -52,6 +52,6 @@ pub use kernel::{
 };
 pub use process::{Pid, Process};
 pub use sjmp_mem::cost::CoreCtx;
-pub use sjmp_sim::IdMap;
+pub use sjmp_sim::{table_id, IdTable};
 pub use vmobject::{Backing, PageSource, PageState, VmObject, VmObjectId};
 pub use vmspace::{MapPolicy, Region, Vmspace, VmspaceId};

@@ -15,6 +15,7 @@ use crate::vmspace::VmspaceId;
 /// Process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pid(pub u64);
+sjmp_sim::table_id!(Pid);
 
 /// A simulated process.
 #[derive(Debug)]

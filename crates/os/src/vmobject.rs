@@ -57,6 +57,7 @@ impl Backing {
 /// Identifier of a VM object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmObjectId(pub u64);
+sjmp_sim::table_id!(VmObjectId);
 
 /// Where one page of a paged object currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -22,6 +22,7 @@ use crate::vmobject::VmObjectId;
 /// Identifier of a vmspace instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmspaceId(pub u64);
+sjmp_sim::table_id!(VmspaceId);
 
 /// When page-table entries for a region are constructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,12 +1,14 @@
-//! A fixed, fast hasher for maps keyed by ids the simulator mints.
+//! A fixed, fast hasher for maps keyed by integers the simulator makes.
 //!
-//! Process ids, object ids, VAS handles and page-table roots are small
-//! integers handed out by the simulator itself, so the map keyed by them
-//! needs no protection against adversarial keys. SipHash, the `HashMap`
-//! default, is built for that protection and shows up in host profiles at
-//! one lookup per simulated access. [`IdHasher`] is one multiply and one
-//! shift per `u64` word, and it is fixed: a map's iteration order no
-//! longer depends on a per-process random seed.
+//! Tables keyed by a minted id (pids, object ids, VAS handles) are
+//! [`crate::IdTable`]s, which hash nothing. `IdMap` is only for integer
+//! keys that are not minted ids and are too sparse to index: today the
+//! MMU's host walk cache, keyed by (page-table root frame, 2 MiB range).
+//! Such keys need no protection against adversarial input. SipHash, the
+//! `HashMap` default, is built for that protection and shows up in host
+//! profiles at one lookup per simulated access. [`IdHasher`] is one
+//! multiply and one shift per `u64` word, and it is fixed: a map's
+//! iteration order does not depend on a per-process random seed.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -38,7 +40,7 @@ impl Hasher for IdHasher {
     }
 }
 
-/// A `HashMap` keyed by simulator-minted ids, hashed with [`IdHasher`].
+/// A `HashMap` keyed by integer words, hashed with [`IdHasher`].
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]

@@ -27,8 +27,11 @@
 //! * **Randomness** — [`SimRng`] is the workspace's seeded PRNG;
 //!   workloads, fault plans, and arrival processes all draw from it so
 //!   any run can be replayed exactly.
-//! * **Id maps** — [`IdMap`] is the `HashMap` every crate uses for tables
-//!   keyed by simulator-minted integer ids, with the fixed [`IdHasher`].
+//! * **Id tables** — [`IdTable`] is the table every crate uses for
+//!   values keyed by simulator-minted integer ids: the id is the slot
+//!   index, so lookups hash nothing and iteration runs in id order.
+//!   [`IdMap`], a `HashMap` with the fixed [`IdHasher`], is left for
+//!   integer keys that are not minted ids (the MMU's host walk cache).
 //!
 //! The crate is dependency-free and sits below `sjmp-mem`: the MMU, the
 //! kernel, and the workloads all charge cycles to clocks defined here.
@@ -38,6 +41,7 @@ pub mod cores;
 pub mod engine;
 pub mod event;
 pub mod idmap;
+pub mod idtable;
 pub mod openloop;
 pub mod rng;
 pub mod rwlock;
@@ -47,6 +51,7 @@ pub use cores::Cores;
 pub use engine::{ClosedLoop, Sim};
 pub use event::EventQueue;
 pub use idmap::{IdHasher, IdMap};
+pub use idtable::{IdTable, TableId};
 pub use openloop::{Arrival, OpenLoop, ReqId};
 pub use rng::SimRng;
 pub use rwlock::{ActorId, LockMode, SimRwLock};

@@ -47,20 +47,23 @@ impl SimRng {
         result
     }
 
-    /// A uniform value in `[0, bound)` (Lemire-style, debiased by
-    /// widening multiply; `bound` must be nonzero).
+    /// A uniform value in `[0, bound)` (Lemire's nearly divisionless
+    /// method; `bound` must be nonzero).
     pub fn bounded(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0, "bounded(0)");
         // Widening multiply maps the 64-bit output into [0, bound);
-        // rejection removes the modulo bias.
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (bound as u128);
-            if (m as u64) >= threshold {
-                return (m >> 64) as u64;
+        // rejecting low halves under `2^64 mod bound` removes the modulo
+        // bias. That threshold is below `bound`, so a low half at or
+        // above `bound` is accepted without computing it: the division
+        // runs only on the rare draw that might be rejected.
+        let mut m = u128::from(self.next_u64()) * u128::from(bound);
+        if (m as u64) < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while (m as u64) < threshold {
+                m = u128::from(self.next_u64()) * u128::from(bound);
             }
         }
+        (m >> 64) as u64
     }
 
     /// A uniform value in the half-open range `lo..hi` (`lo < hi`).
@@ -165,6 +168,46 @@ mod tests {
         assert!(rng.gen_bool(1.0));
         assert!(!rng.gen_ratio(0, 10));
         assert!(rng.gen_ratio(10, 10));
+    }
+
+    #[test]
+    fn bounded_matches_the_division_formula() {
+        // The threshold computed up front on every draw, as `bounded`
+        // did before it skipped the division.
+        fn reference(rng: &mut SimRng, bound: u64) -> u64 {
+            let threshold = bound.wrapping_neg() % bound;
+            loop {
+                let m = u128::from(rng.next_u64()) * u128::from(bound);
+                if (m as u64) >= threshold {
+                    return (m >> 64) as u64;
+                }
+            }
+        }
+        let bounds = [
+            1,
+            3,
+            4,
+            20,
+            1 << 15,
+            10_000_000_000,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        for seed in 0..64 {
+            for &bound in &bounds {
+                let mut fast = SimRng::seed_from_u64(seed);
+                let mut slow = fast.clone();
+                for _ in 0..256 {
+                    assert_eq!(
+                        fast.bounded(bound),
+                        reference(&mut slow, bound),
+                        "seed {seed} bound {bound}"
+                    );
+                }
+                // Same number of raw draws consumed, rejections included.
+                assert_eq!(fast.s, slow.s, "seed {seed} bound {bound}");
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! system (frame accounting, refcounts, lock/attachment bookkeeping)
 //! after every disturbance.
 
+use spacejmp::analyze::lint_kernel;
 use spacejmp::gups::{run_jmp_shared_on, GupsConfig};
 use spacejmp::kv::JmpClient;
+use spacejmp::mem::PAGE_SIZE;
 use spacejmp::os::{FaultPlan, FaultSite, OsError};
 use spacejmp::prelude::*;
 use spacejmp::sim::SimRng;
@@ -210,6 +212,71 @@ fn double_exit_reports_no_such_process() {
         sj.exit_process(p1),
         Err(SjError::Os(OsError::NoSuchProcess))
     );
+    assert_clean(&mut sj);
+}
+
+#[test]
+fn process_churn_keeps_ids_audit_and_lint_in_step() {
+    // Pids are never reused, so after many spawns and exits the kernel's
+    // tables are mostly empty slots; every id list must still name
+    // exactly the live processes, in ascending order.
+    let mut sj = boot();
+    let owner = spawn(&mut sj, "owner");
+    let vid = sj.vas_create(owner, "churn-v", Mode(0o666)).unwrap();
+    let sid = sj
+        .seg_alloc(
+            owner,
+            "churn-s",
+            VirtAddr::new(SEG_BASE),
+            4 * PAGE_SIZE,
+            Mode(0o666),
+        )
+        .unwrap();
+    sj.seg_attach(owner, vid, sid, AttachMode::ReadWrite)
+        .unwrap();
+    let mut rng = SimRng::seed_from_u64(25);
+    let mut live = vec![owner];
+    let mut attached: Vec<(Pid, VasHandle)> = Vec::new();
+    for step in 0..600 {
+        if live.len() < 3 || (live.len() < 12 && rng.gen_bool(0.5)) {
+            let pid = spawn(&mut sj, "churn");
+            live.push(pid);
+            if rng.gen_bool(0.5) {
+                let vh = sj.vas_attach(pid, vid).unwrap();
+                attached.push((pid, vh));
+                if rng.gen_bool(0.5) && sj.segment(sid).unwrap().lock().is_free() {
+                    // Leave it switched in: the exit below must release
+                    // the segment lock.
+                    sj.vas_switch(pid, vh).unwrap();
+                    sj.kernel_mut()
+                        .store_u64(pid, VirtAddr::new(SEG_BASE), pid.0)
+                        .unwrap();
+                    if !rng.gen_bool(0.25) {
+                        sj.vas_switch_home(pid).unwrap();
+                    }
+                }
+            }
+        } else {
+            let pid = live.remove(1 + rng.index(live.len() - 1));
+            if rng.gen_bool(0.25) {
+                sj.reap_process(pid).unwrap();
+            } else {
+                sj.exit_process(pid).unwrap();
+            }
+            attached.retain(|&(p, _)| p != pid);
+        }
+        assert_eq!(sj.kernel().process_ids(), live, "step {step}");
+        let pids: Vec<Pid> = sj.vas(vid).unwrap().attached_pids().collect();
+        let handles: Vec<VasHandle> = attached.iter().map(|&(_, vh)| vh).collect();
+        assert_eq!(pids, attached.iter().map(|&(p, _)| p).collect::<Vec<_>>());
+        assert_eq!(sj.attachment_handles(), handles, "step {step}");
+        if step % 25 == 0 {
+            assert_clean(&mut sj);
+            let findings = lint_kernel(&mut sj);
+            assert!(findings.is_empty(), "step {step}: {findings:?}");
+        }
+    }
+    assert!(live.len() < 20 && sj.kernel().process_ids().last() > Some(&Pid(300)));
     assert_clean(&mut sj);
 }
 

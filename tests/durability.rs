@@ -220,6 +220,42 @@ fn nvm_and_superpage_segments_keep_their_backing_across_restart() {
 }
 
 #[test]
+fn a_load_that_fails_midway_leaves_nothing_behind() {
+    // The DRAM segment `d` loads first; the NVM segment after it cannot,
+    // on a machine with no NVM tier.
+    const NVM_BYTES: u64 = 16 << 20;
+    let mut sj = boot();
+    sj.kernel_mut().set_nvm_tier(NVM_BYTES);
+    let pid = spawn(&mut sj, "saver");
+    let vid = sj.vas_create(pid, "tiers", Mode(0o660)).unwrap();
+    for (name, base, backing) in [
+        ("d", SEG_BASE, Backing::Dram),
+        ("n", SEG_BASE + (1 << 30), Backing::Nvm),
+    ] {
+        let base = VirtAddr::new(base);
+        let sid = sj
+            .seg_alloc_with(pid, name, base, 4 * PAGE_SIZE, Mode(0o660), backing)
+            .unwrap();
+        sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite).unwrap();
+    }
+    sj.vas_save(pid, vid).unwrap();
+
+    let (mut sj2, _) = restart(sj);
+    let pid2 = spawn(&mut sj2, "loader");
+    assert_clean(&mut sj2);
+    let first = sj2.vas_load(pid2, "tiers").unwrap_err();
+    assert_clean(&mut sj2);
+    assert_eq!(sj2.vas_find("tiers"), Err(SjError::NotFound));
+    assert_eq!(sj2.seg_find("d"), Err(SjError::NotFound));
+    assert_eq!(sj2.seg_find("n"), Err(SjError::NotFound));
+    let retry = sj2.vas_load(pid2, "tiers").unwrap_err();
+    assert_eq!(retry, first, "a retry fails the same way, not NameTaken");
+    assert_clean(&mut sj2);
+    assert_eq!(sj2.vas_find("tiers"), Err(SjError::NotFound));
+    assert_eq!(sj2.seg_find("d"), Err(SjError::NotFound));
+}
+
+#[test]
 fn loading_a_never_saved_name_is_not_found() {
     let mut sj = boot();
     let pid = spawn(&mut sj, "p");
