@@ -8,9 +8,10 @@
 //! timed (CR3 write cost excluded), as in the figure.
 //!
 //! A fourth series runs the same loop on the no-VM base+bound backend:
-//! address-space switches load a segment table instead of a page-table
-//! root, so there is nothing to flush and nothing to walk — the
-//! software-managed lower bound the paging series are measured against.
+//! an address-space switch only writes the root register and each
+//! access is one bounds check, so there is nothing to flush and nothing
+//! to walk — the software-managed lower bound the paging series are
+//! measured against.
 
 use sjmp_bench::{quick_mode, Report};
 use sjmp_mem::cost::{CostModel, CycleClock, MachineId, MachineProfile};
@@ -36,17 +37,16 @@ fn run(series: Series, pages: u64, iters: u64) -> f64 {
     let root = paging::new_root(&mut phys).expect("root");
     let base = VirtAddr::new(0x1000_0000);
     let frames = phys.alloc_contiguous(pages).expect("frames");
-    backend
-        .map_region(
-            &mut phys,
-            root,
-            base,
-            frames.base(),
-            pages * 4096,
-            sjmp_mem::PageSize::Size4K,
-            PteFlags::USER | PteFlags::WRITABLE,
-        )
-        .expect("map");
+    paging::map_region(
+        &mut phys,
+        root,
+        base,
+        frames.base(),
+        pages * 4096,
+        sjmp_mem::PageSize::Size4K,
+        PteFlags::USER | PteFlags::WRITABLE,
+    )
+    .expect("map");
 
     let clock = CycleClock::new();
     let mut mmu = Mmu::new(

@@ -581,9 +581,15 @@ impl SpaceJmp {
 
     /// `vas_create(name, perms) -> vid`.
     ///
+    /// On Barrelfish the creator receives an object capability from the
+    /// user-level SpaceJMP service. That insert, which fails on a full
+    /// cspace, comes before the VAS and its name are registered, and a
+    /// failure frees the new root, so the call leaves nothing behind.
+    ///
     /// # Errors
     ///
-    /// [`SjError::NameTaken`] if `name` is registered.
+    /// [`SjError::NameTaken`] if `name` is registered; a full cspace;
+    /// frame exhaustion.
     pub fn vas_create(&mut self, pid: Pid, name: &str, mode: Mode) -> SjResult<VasId> {
         self.kernel.charge_entry(self.ctx(pid));
         if self.vas_names.contains_key(name) {
@@ -592,13 +598,7 @@ impl SpaceJmp {
         let creds = self.kernel.process(pid)?.creds();
         let root = paging::new_root(self.kernel.phys_mut()).map_err(OsError::from)?;
         let vid = VasId(self.next_vid);
-        self.next_vid += 1;
-        self.vases
-            .insert(vid, Vas::new(vid, name, Acl::new(creds, mode), root));
-        self.vas_names.insert(name.to_string(), vid);
         if self.kernel.flavor() == KernelFlavor::Barrelfish {
-            // Barrelfish: the creator receives an object capability from
-            // the user-level SpaceJMP service.
             let cap = Capability::new(
                 CapKind::Object {
                     class: ObjClass::Vas,
@@ -606,12 +606,19 @@ impl SpaceJmp {
                 },
                 CapRights::ALL,
             );
-            self.kernel
-                .process_mut(pid)?
-                .cspace_mut()
-                .insert(cap)
-                .map_err(OsError::from)?;
+            let inserted = self
+                .kernel
+                .process_mut(pid)
+                .and_then(|p| p.cspace_mut().insert(cap).map_err(OsError::from));
+            if let Err(e) = inserted {
+                paging::free_tables(self.kernel.phys_mut(), root, &[]);
+                return Err(e.into());
+            }
         }
+        self.next_vid += 1;
+        self.vases
+            .insert(vid, Vas::new(vid, name, Acl::new(creds, mode), root));
+        self.vas_names.insert(name.to_string(), vid);
         Ok(vid)
     }
 
@@ -632,7 +639,8 @@ impl SpaceJmp {
     ///
     /// # Errors
     ///
-    /// Name collisions and permission failures.
+    /// Name collisions and permission failures. A clone that fails
+    /// leaves no VAS behind.
     pub fn vas_clone(&mut self, pid: Pid, vid: VasId, new_name: &str) -> SjResult<VasId> {
         let (segs, src_acl) = {
             let v = self.vas(vid)?;
@@ -642,11 +650,36 @@ impl SpaceJmp {
         if !src_acl.allows(creds, Access::Read) {
             return Err(SjError::PermissionDenied);
         }
-        let new_vid = self.vas_create(pid, new_name, src_acl.mode())?;
-        for (sid, mode) in segs {
-            self.seg_attach(pid, new_vid, sid, mode)?;
+        self.vas_build(pid, new_name, src_acl.mode(), |sj, new_vid, _| {
+            for (sid, mode) in segs {
+                sj.seg_attach(pid, new_vid, sid, mode)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Creates VAS `name`, then runs `fill` on it, which records each
+    /// segment it creates in its last argument as soon as it exists. All
+    /// or nothing: if `fill` fails, the VAS and those segments are
+    /// destroyed, so a retry finds neither registered. Nothing else has
+    /// seen the new VAS, so destroying it detaches every segment.
+    fn vas_build(
+        &mut self,
+        pid: Pid,
+        name: &str,
+        mode: Mode,
+        fill: impl FnOnce(&mut Self, VasId, &mut Vec<SegId>) -> SjResult<()>,
+    ) -> SjResult<VasId> {
+        let vid = self.vas_create(pid, name, mode)?;
+        let mut created = Vec::new();
+        if let Err(e) = fill(self, vid, &mut created) {
+            self.vas_destroy(vid);
+            for sid in created {
+                let _ = self.seg_destroy(sid);
+            }
+            return Err(e);
         }
-        Ok(new_vid)
+        Ok(vid)
     }
 
     /// `vas_attach(vid) -> vh`: instantiates a process-private vmspace for
@@ -1192,8 +1225,7 @@ impl SpaceJmp {
                     .unregister_external_mapping(object, v.template_root());
             }
         }
-        let backend = self.kernel.backend().clone();
-        backend.free_tables(self.kernel.phys_mut(), v.template_root(), &[]);
+        paging::free_tables(self.kernel.phys_mut(), v.template_root(), &[]);
         // Freed table frames may be recycled under a new root;
         // stale host-side walks must not survive that.
         self.kernel.flush_host_walk_caches();
@@ -1238,7 +1270,8 @@ impl SpaceJmp {
     /// # Errors
     ///
     /// Name collisions (`new_name` itself and `new_name/<segment>` names
-    /// must be free), permission failures, allocation failures.
+    /// must be free), permission failures, allocation failures. A
+    /// snapshot that fails leaves no VAS or segment copy behind.
     pub fn vas_snapshot(&mut self, pid: Pid, vid: VasId, new_name: &str) -> SjResult<VasId> {
         let (segs, mode) = {
             let v = self.vas(vid)?;
@@ -1254,13 +1287,15 @@ impl SpaceJmp {
                 return Err(SjError::Busy("segment lock held during snapshot"));
             }
         }
-        let new_vid = self.vas_create(pid, new_name, mode)?;
-        for (sid, seg_mode) in segs {
-            let seg_name = self.segment(sid)?.name().to_string();
-            let copy = self.seg_clone(pid, sid, &format!("{new_name}/{seg_name}"))?;
-            self.seg_attach(pid, new_vid, copy, seg_mode)?;
-        }
-        Ok(new_vid)
+        self.vas_build(pid, new_name, mode, |sj, new_vid, created| {
+            for (sid, seg_mode) in segs {
+                let seg_name = sj.segment(sid)?.name().to_string();
+                let copy = sj.seg_clone(pid, sid, &format!("{new_name}/{seg_name}"))?;
+                created.push(copy);
+                sj.seg_attach(pid, new_vid, copy, seg_mode)?;
+            }
+            Ok(())
+        })
     }
 
     /// Reads a segment's contents: `size` bytes, page by page. Contiguous
@@ -1489,19 +1524,9 @@ impl SpaceJmp {
                 ));
             }
         }
-        let vid = self.vas_create(pid, name, Mode(image.mode))?;
-        let mut created = Vec::with_capacity(image.segments.len());
-        if let Err(e) = self.vas_load_segments(pid, vid, &image, &mut created) {
-            // All or nothing: a retry must not find half a VAS registered.
-            // Nothing else has seen the new VAS, so destroying it detaches
-            // every segment this call created, and they can go too.
-            self.vas_destroy(vid);
-            for sid in created {
-                let _ = self.seg_destroy(sid);
-            }
-            return Err(e);
-        }
-        Ok(vid)
+        self.vas_build(pid, name, Mode(image.mode), |sj, vid, created| {
+            sj.vas_load_segments(pid, vid, &image, created)
+        })
     }
 
     /// Creates, fills and attaches to `vid` each segment of `image`,
@@ -1822,18 +1847,16 @@ impl SpaceJmp {
         let flags = attach_flags(mode);
         if self.kernel.vmobject(object)?.is_contiguous() {
             let pa = self.kernel.vmobject(object)?.base();
-            let backend = self.kernel.backend().clone();
-            backend
-                .map_region(
-                    self.kernel.phys_mut(),
-                    template_root,
-                    base,
-                    pa,
-                    size,
-                    page_size,
-                    flags,
-                )
-                .map_err(OsError::from)?;
+            paging::map_region(
+                self.kernel.phys_mut(),
+                template_root,
+                base,
+                pa,
+                size,
+                page_size,
+                flags,
+            )
+            .map_err(OsError::from)?;
         } else {
             // Demand-paged (swappable) segment: there is nothing to map
             // yet — leaves are installed by the major-fault path as pages
@@ -1973,9 +1996,7 @@ impl SpaceJmp {
             (s.base(), s.size(), s.object())
         };
         let template_root = self.vas(vid)?.template_root();
-        let backend = self.kernel.backend().clone();
-        backend
-            .unmap_region(self.kernel.phys_mut(), template_root, base, size)
+        paging::unmap_region(self.kernel.phys_mut(), template_root, base, size)
             .map_err(OsError::from)?;
         self.kernel
             .unregister_external_mapping(object, template_root);
@@ -2111,10 +2132,8 @@ impl SpaceJmp {
             )
         };
         let root = self.kernel.vmspace(space)?.root();
-        let backend = self.kernel.backend().clone();
         for slot in slots {
-            backend
-                .link_subtree(self.kernel.phys_mut(), root, template_root, slot)
+            paging::link_subtree(self.kernel.phys_mut(), root, template_root, slot)
                 .map_err(OsError::from)?;
             self.kernel.vmspace_mut(space)?.mark_shared_slot(slot);
             let splice = self.kernel.cost().table_splice;

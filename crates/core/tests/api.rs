@@ -1232,3 +1232,98 @@ fn a_full_cspace_fails_segment_allocation_and_cloning_cleanly() {
     assert_eq!(sj.seg_find("seg"), Ok(sid));
     assert!(sj.check_invariants().is_empty());
 }
+
+#[test]
+fn a_full_cspace_fails_vas_creation_cleanly() {
+    use sjmp_os::{CapError, OsError};
+    let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::Barrelfish, MachineId::M2));
+    let pid = sj.kernel_mut().spawn("p", Creds::new(100, 100)).unwrap();
+    sj.kernel_mut().activate(pid).unwrap();
+    for i in 0..64 {
+        sj.vas_create(pid, &format!("v{i}"), Mode(0o600)).unwrap();
+    }
+    let free = sj.kernel_mut().phys_mut().free_frames();
+    let full = Err(SjError::Os(OsError::Cap(CapError::NoSlots)));
+    assert_eq!(sj.vas_create(pid, "v64", Mode(0o600)), full);
+    assert_eq!(sj.vas_find("v64"), Err(SjError::NotFound));
+    assert_eq!(
+        sj.kernel_mut().phys_mut().free_frames(),
+        free,
+        "the new root is freed"
+    );
+    // The name was never taken, so a retry fails the same way.
+    assert_eq!(sj.vas_create(pid, "v64", Mode(0o600)), full);
+    let problems = sj.check_invariants();
+    assert!(problems.is_empty(), "{problems:?}");
+}
+
+#[test]
+fn a_snapshot_that_runs_out_of_memory_leaves_nothing() {
+    use sjmp_mem::cost::{CostModel, MachineProfile};
+    use sjmp_os::OsError;
+    let profile = MachineProfile {
+        mem_bytes: 900 * 4096,
+        ..MachineProfile::default()
+    };
+    let kernel = Kernel::with_profile(KernelFlavor::DragonFly, profile, CostModel::default());
+    let mut sj = SpaceJmp::new(kernel);
+    let pid = sj.kernel_mut().spawn("p", Creds::new(100, 100)).unwrap();
+    let vid = sj.vas_create(pid, "orig", Mode(0o600)).unwrap();
+    for (i, name) in ["a", "b"].into_iter().enumerate() {
+        let base = VirtAddr::new(SEG_BASE + (i as u64) * (1 << 30));
+        let sid = sj
+            .seg_alloc(pid, name, base, 256 * 4096, Mode(0o600))
+            .unwrap();
+        sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite).unwrap();
+    }
+    let free = sj.kernel_mut().phys_mut().free_frames();
+    // The retry must fail the same way, not with NameTaken.
+    for attempt in 0..2 {
+        let snap = sj.vas_snapshot(pid, vid, "snap");
+        assert!(
+            matches!(snap, Err(SjError::Os(OsError::OutOfMemory { .. }))),
+            "attempt {attempt}: {snap:?}"
+        );
+        assert_eq!(sj.vas_find("snap"), Err(SjError::NotFound));
+        assert_eq!(sj.seg_find("snap/a"), Err(SjError::NotFound));
+        assert_eq!(sj.kernel_mut().phys_mut().free_frames(), free);
+        let problems = sj.check_invariants();
+        assert!(problems.is_empty(), "{problems:?}");
+    }
+}
+
+#[test]
+fn a_clone_whose_second_attach_fails_leaves_nothing() {
+    // The cloner may read the VAS and use segment `a`, but segment `b`
+    // is its owner's alone: the clone's second attach is refused.
+    let (mut sj, owner) = setup();
+    let cloner = sj.kernel_mut().spawn("c", Creds::new(200, 200)).unwrap();
+    let vid = sj.vas_create(owner, "orig", Mode(0o666)).unwrap();
+    let mut sids = Vec::new();
+    for (i, (name, mode)) in [("a", 0o666), ("b", 0o600)].into_iter().enumerate() {
+        let base = VirtAddr::new(SEG_BASE + (i as u64) * (1 << 39));
+        let sid = sj
+            .seg_alloc(owner, name, base, 1 << 20, Mode(mode))
+            .unwrap();
+        sj.seg_attach(owner, vid, sid, AttachMode::ReadWrite)
+            .unwrap();
+        sids.push(sid);
+    }
+    let free = sj.kernel_mut().phys_mut().free_frames();
+    assert_eq!(
+        sj.vas_clone(cloner, vid, "copy"),
+        Err(SjError::PermissionDenied)
+    );
+    assert_eq!(sj.vas_find("copy"), Err(SjError::NotFound));
+    assert_eq!(sj.kernel_mut().phys_mut().free_frames(), free);
+    for sid in sids {
+        assert_eq!(sj.segment(sid).unwrap().attach_count(), 1, "{sid:?}");
+    }
+    assert_eq!(
+        sj.vas_clone(cloner, vid, "copy"),
+        Err(SjError::PermissionDenied),
+        "not NameTaken"
+    );
+    let problems = sj.check_invariants();
+    assert!(problems.is_empty(), "{problems:?}");
+}

@@ -13,9 +13,9 @@
 //!   mapping, unmapping, walking, and subtree sharing.
 //! * [`tlb`] — a set-associative TLB with 12-bit ASID tags, where tag zero
 //!   is reserved to always flush (the paper's convention).
-//! * [`backend`] — how translation reads the tables ([`backend::Backend`]):
-//!   the four-level walk, or the no-VM base+bound shadow of the tree.
-//! * [`segmap`] — the no-VM backend's shadow segment table.
+//! * [`backend`] — how the MMU charges translation ([`backend::Backend`]):
+//!   a TLB and the four-level walk, or the no-VM base+bound check over
+//!   the same tree.
 //! * [`mmu`] — CR3, translation, and data access with cycle accounting.
 //! * [`cost`] — machine profiles (Table 1) and event costs (Table 2,
 //!   Figure 1 anchors), plus the shared [`cost::CycleClock`].
@@ -54,7 +54,6 @@ pub mod machine;
 pub mod mmu;
 pub mod paging;
 pub mod phys;
-pub mod segmap;
 pub mod tlb;
 
 pub use addr::{PageSize, Pfn, PhysAddr, VirtAddr, Vpn, PAGE_SIZE};
@@ -67,5 +66,4 @@ pub use machine::Machine;
 pub use mmu::Mmu;
 pub use paging::PteFlags;
 pub use phys::PhysMem;
-pub use segmap::SegMap;
 pub use tlb::{Asid, Tlb, TlbStats};

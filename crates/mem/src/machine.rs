@@ -117,11 +117,11 @@ impl Machine {
         }
     }
 
-    /// Installs `backend` on every core's MMU. Call before any address
-    /// space is populated so all cores translate through the same model.
-    pub fn set_backend(&mut self, backend: &Backend) {
+    /// Installs `backend` on every core's MMU, so all cores charge
+    /// translation by the same rule.
+    pub fn set_backend(&mut self, backend: Backend) {
         for mmu in &mut self.mmus {
-            mmu.set_backend(backend.clone());
+            mmu.set_backend(backend);
         }
     }
 

@@ -36,9 +36,8 @@ pub const HOST_WALK_CACHE_ENV: &str = "SJMP_HOST_WALK_CACHE";
 enum FlatEntry {
     /// The walk ends above this key's range with a single mapping: a
     /// superpage leaf (which spans the whole 2 MiB range, or more).
-    /// For non-paging backends (the no-VM segment map) this memoizes one
-    /// size-aligned mapping; `va_base` guards hits so an entry never
-    /// answers for addresses outside the mapping it was built from.
+    /// `va_base` guards hits so an entry never answers for addresses
+    /// outside the mapping it was built from.
     Terminal {
         gen: u64,
         va_base: u64,
@@ -144,17 +143,11 @@ impl Mmu {
         }
     }
 
-    /// Installs a translation backend. Call before any mappings exist:
-    /// backends that keep shadow state (the no-VM segment table) only
-    /// see operations routed through them.
+    /// Installs a translation backend: how later translations are
+    /// charged. Both backends resolve through the same tree, so this may
+    /// be called at any time.
     pub fn set_backend(&mut self, backend: Backend) {
-        self.host_cache.clear();
         self.backend = backend;
-    }
-
-    /// The translation backend in effect.
-    pub fn backend(&self) -> &Backend {
-        &self.backend
     }
 
     /// Enables or disables the host-side walk cache. Disabling clears
@@ -442,7 +435,10 @@ impl Mmu {
         Ok(page_base.add(va.offset_in(tr.size)))
     }
 
-    /// The no-VM fast path: one base+bound check, no TLB, no walk.
+    /// The no-VM path: one charged base+bound check, no TLB and no
+    /// charged walk. The bound is the tree itself: `va` resolves
+    /// through it on the host, uncharged, so the physical address,
+    /// flags and faults are exactly the paged backend's.
     fn translate_segbound(
         &mut self,
         phys: &mut PhysMem,
@@ -466,9 +462,9 @@ impl Mmu {
         Ok(tr.pa)
     }
 
-    /// Resolves `va` through the backend, memoizing at paging-structure
-    /// granularity in the host-side cache: superpage (and no-VM) walks
-    /// as coverage-checked terminals, 4 KiB walks as a generation-
+    /// Resolves `va` through the tree, memoizing at paging-structure
+    /// granularity in the host-side cache: superpage walks as
+    /// coverage-checked terminals, 4 KiB walks as a generation-
     /// stamped snapshot of the whole leaf table. Failed walks are never
     /// cached, and a snapshot's absent entries fault exactly like the
     /// live table's, so the fault-then-map-then-retry path needs no
@@ -519,7 +515,7 @@ impl Mmu {
                 _ => {}
             }
         }
-        let walked = self.backend.translate(phys, root, va);
+        let walked = paging::walk(phys, root, va);
         if self.host_cache_enabled {
             if let Ok((tr, levels)) = &walked {
                 // The walk only *read* tables, so the generation it ran
@@ -1179,16 +1175,15 @@ mod tests {
         mmu.set_backend(Backend::seg_map());
         let mut map = |va: u64, flags: PteFlags| {
             let frame = phys.alloc_frame().unwrap();
-            mmu.backend()
-                .map(
-                    &mut phys,
-                    root,
-                    VirtAddr::new(va),
-                    frame.base(),
-                    PageSize::Size4K,
-                    flags,
-                )
-                .unwrap();
+            paging::map(
+                &mut phys,
+                root,
+                VirtAddr::new(va),
+                frame.base(),
+                PageSize::Size4K,
+                flags,
+            )
+            .unwrap();
             frame.base()
         };
         let pa = map(0x1000, PteFlags::USER | PteFlags::WRITABLE);
@@ -1229,6 +1224,28 @@ mod tests {
                 access: Access::Write,
             })
         );
+
+        // A 2 MiB mapping translates linearly across its whole extent,
+        // still one bounds check per access and no walk.
+        let big = phys.alloc_contiguous_aligned(512, 512).unwrap();
+        paging::map(
+            &mut phys,
+            root,
+            VirtAddr::new(0x20_0000),
+            big.base(),
+            PageSize::Size2M,
+            PteFlags::USER,
+        )
+        .unwrap();
+        for off in [0, 0xabcd, (1 << 21) - 8] {
+            let t = mmu.clock().now();
+            assert_eq!(
+                mmu.translate(&mut phys, VirtAddr::new(0x20_0000 + off), Access::Read),
+                Ok(big.base().add(off))
+            );
+            assert_eq!(mmu.clock().since(t), c.segbound_check);
+        }
+        assert_eq!(mmu.stats().walks, 0);
     }
 
     #[test]
@@ -1273,9 +1290,7 @@ mod tests {
                 let frame = phys.alloc_frame().unwrap();
                 let flags = PteFlags::USER | PteFlags::WRITABLE;
                 let va = VirtAddr::new(page * PAGE_SIZE);
-                mmu.backend()
-                    .map(&mut phys, root, va, frame.base(), PageSize::Size4K, flags)
-                    .unwrap();
+                paging::map(&mut phys, root, va, frame.base(), PageSize::Size4K, flags).unwrap();
             }
             let tracer = if traced {
                 Tracer::new(1 << 16)

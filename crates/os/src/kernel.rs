@@ -219,10 +219,6 @@ pub struct Kernel {
     flavor: KernelFlavor,
     cost: CostModel,
     phys: PhysMem,
-    /// The translation backend every address-space mutation goes through.
-    /// The kernel's copy is authoritative; each core's MMU holds a clone
-    /// (see [`Kernel::set_backend`]).
-    backend: Backend,
     /// The hardware threads: one MMU (private TLB + CR3 + stats) and one
     /// cycle clock per core.
     machine: Machine,
@@ -284,7 +280,6 @@ impl Kernel {
             flavor,
             cost,
             phys,
-            backend: Backend::four_level(),
             machine,
             processes: IdTable::default(),
             vmobjects: IdTable::default(),
@@ -406,19 +401,11 @@ impl Kernel {
         self.machine.set_tagging(enabled);
     }
 
-    /// The translation backend in use.
-    pub fn backend(&self) -> &Backend {
-        &self.backend
-    }
-
-    /// Installs a translation backend on the kernel and every core's MMU.
-    ///
-    /// Call right after boot, before any vmspace is created: backends
-    /// observe mappings as they are made, so mappings performed under a
-    /// previous backend are invisible to the new one.
+    /// Installs a translation backend on every core's MMU: how its
+    /// translations are charged. Mappings live in the page tables under
+    /// either backend, so this may be called at any time.
     pub fn set_backend(&mut self, backend: Backend) {
-        self.machine.set_backend(&backend);
-        self.backend = backend;
+        self.machine.set_backend(backend);
     }
 
     /// Enables or disables the host-side flattened walk cache on every
@@ -429,7 +416,7 @@ impl Kernel {
     }
 
     /// Drops every core's host-side walk-cache entries. Callers that
-    /// free page tables directly through the backend (rather than via
+    /// free page tables directly through `paging` (rather than via
     /// [`Kernel::destroy_vmspace`]) must invoke this alongside the free.
     pub fn flush_host_walk_caches(&mut self) {
         self.machine.flush_host_walk_caches();
@@ -950,8 +937,7 @@ impl Kernel {
             }
         }
         self.free_asid(space.asid());
-        self.backend
-            .free_tables(&mut self.phys, space.root(), space.shared_slots());
+        paging::free_tables(&mut self.phys, space.root(), space.shared_slots());
         // The freed frames may be recycled into a new space's tables;
         // drop any host-side walks memoized under this root.
         self.machine.flush_host_walk_caches();
@@ -1014,7 +1000,7 @@ impl Kernel {
             let attempt = match contiguous_pa {
                 Some(pa) if mid_map_fault => {
                     let half = ((len / 2 / PAGE_SIZE).max(1) * PAGE_SIZE).min(len);
-                    let _ = self.backend.map_region(
+                    let _ = paging::map_region(
                         &mut self.phys,
                         root,
                         va,
@@ -1025,7 +1011,7 @@ impl Kernel {
                     );
                     Err(MemError::OutOfFrames)
                 }
-                Some(pa) => self.backend.map_region(
+                Some(pa) => paging::map_region(
                     &mut self.phys,
                     root,
                     va,
@@ -1052,7 +1038,7 @@ impl Kernel {
                     // mapped (holes are skipped), remove the region, and
                     // drop the object reference, so a failed map leaves
                     // no trace.
-                    let _ = self.backend.unmap_region(&mut self.phys, root, va, len);
+                    let _ = paging::unmap_region(&mut self.phys, root, va, len);
                     if let Some(vs) = self.vmspaces.get_mut(&space) {
                         vs.remove_region(va);
                     }
@@ -1098,7 +1084,7 @@ impl Kernel {
             else {
                 continue;
             };
-            let s = self.backend.map(
+            let s = paging::map(
                 &mut self.phys,
                 root,
                 va.add(i * PAGE_SIZE),
@@ -1138,7 +1124,7 @@ impl Kernel {
         if let Some(o) = self.vmobjects.get_mut(&obj) {
             o.drop_ref();
         }
-        let stats = self.backend.unmap_region(&mut self.phys, root, va, len)?;
+        let stats = paging::unmap_region(&mut self.phys, root, va, len)?;
         if let Some(ctx) = charge {
             self.charge(ctx, stats.ptes_cleared * self.cost.pte_clear);
         }
@@ -1255,14 +1241,11 @@ impl Kernel {
             }
             k.vmobject_mut(obj)?.add_ref();
             let root = k.vmspace(space)?.root();
-            if let Err(e) = k
-                .backend
-                .map_region(&mut k.phys, root, va, pa, len, page_size, flags)
-            {
+            if let Err(e) = paging::map_region(&mut k.phys, root, va, pa, len, page_size, flags) {
                 // Transactional rollback, as in map_object: clear the
                 // partial mapping and reclaim the region and the fresh
                 // object.
-                let _ = k.backend.unmap_region(&mut k.phys, root, va, len);
+                let _ = paging::unmap_region(&mut k.phys, root, va, len);
                 if let Some(vs) = k.vmspaces.get_mut(&space) {
                     vs.remove_region(va);
                 }
@@ -1423,7 +1406,7 @@ impl Kernel {
             pfn.base()
         };
         let page_va = va.align_down(PAGE_SIZE);
-        let stats = self.backend.map(
+        let stats = paging::map(
             &mut self.phys,
             root,
             page_va,
@@ -1742,7 +1725,7 @@ impl Kernel {
             }
         }
         for (root, va) in targets {
-            let _ = self.backend.clear_leaf(&mut self.phys, root, va);
+            let _ = paging::clear_leaf(&mut self.phys, root, va);
         }
     }
 

@@ -134,7 +134,7 @@ fn swap_path(backend: Backend) -> SwapRun {
     }
 }
 
-/// The no-VM shadow follows the tree through eviction (`clear_leaf`)
+/// No-VM translation follows the tree through eviction (`clear_leaf`)
 /// and fault-back: both backends load the same values and count the
 /// same evictions and major faults.
 #[test]
