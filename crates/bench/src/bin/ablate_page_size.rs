@@ -18,7 +18,7 @@
 
 use sjmp_bench::{human_bytes, pow2_ticks, quick_mode, Report};
 use sjmp_mem::{Backend, KernelFlavor, MachineId, PageSize, PteFlags, PAGE_SIZE};
-use sjmp_os::{Creds, Kernel, Pid};
+use sjmp_os::{Creds, Kernel, MmapSource, Pid};
 
 const FLAGS: PteFlags = PteFlags::USER.union(PteFlags::WRITABLE);
 
@@ -30,13 +30,9 @@ fn measure(size: u64, page: PageSize) -> Option<f64> {
     let pid = kernel.spawn("ablate", Creds::new(1, 1)).expect("spawn");
     let profile = kernel.profile().clone();
     let t0 = kernel.clock().now();
-    match page {
-        PageSize::Size4K => kernel.sys_mmap(pid, size, FLAGS, false).map(|_| ()),
-        _ => kernel
-            .sys_mmap_sized(pid, size, FLAGS, false, page)
-            .map(|_| ()),
-    }
-    .expect("mmap");
+    kernel
+        .sys_mmap(pid, MmapSource::New(page), size, FLAGS, false)
+        .expect("mmap");
     Some(profile.cycles_to_secs(kernel.clock().since(t0)) * 1e3)
 }
 
@@ -61,7 +57,7 @@ fn touch_sweep(size: u64, page: PageSize, no_vm: bool) -> TouchRow {
         .expect("spawn");
     kernel.activate(pid).expect("activate");
     let va = kernel
-        .sys_mmap_sized(pid, size, FLAGS, false, page)
+        .sys_mmap(pid, MmapSource::New(page), size, FLAGS, false)
         .expect("mmap");
     let core = kernel.process(pid).expect("process").core();
     kernel.core_mem(core).0.reset_stats();

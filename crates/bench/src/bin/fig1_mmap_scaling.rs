@@ -7,8 +7,8 @@
 //! shorter sweep). Times are simulated milliseconds on machine M2.
 
 use sjmp_bench::{human_bytes, pow2_ticks, quick_mode, Report};
-use sjmp_mem::{KernelFlavor, MachineId, PteFlags};
-use sjmp_os::{Creds, Kernel};
+use sjmp_mem::{KernelFlavor, MachineId, PageSize, PteFlags};
+use sjmp_os::{Creds, Kernel, MmapSource};
 
 fn measure(size: u64, cached: bool) -> (f64, f64) {
     let mut kernel = Kernel::new(KernelFlavor::DragonFly, MachineId::M2);
@@ -16,7 +16,9 @@ fn measure(size: u64, cached: bool) -> (f64, f64) {
     let profile = kernel.profile().clone();
     let flags = PteFlags::USER | PteFlags::WRITABLE;
     let t0 = kernel.clock().now();
-    let va = kernel.sys_mmap(pid, size, flags, cached).expect("mmap");
+    let va = kernel
+        .sys_mmap(pid, MmapSource::New(PageSize::Size4K), size, flags, cached)
+        .expect("mmap");
     let map_ms = profile.cycles_to_secs(kernel.clock().since(t0)) * 1e3;
     let t1 = kernel.clock().now();
     kernel.sys_munmap(pid, va, cached).expect("munmap");

@@ -22,7 +22,7 @@ use std::collections::{HashMap, HashSet};
 
 use sjmp_mem::paging::{self, PteFlags};
 use sjmp_mem::KernelFlavor;
-use sjmp_mem::{Access, VirtAddr, PAGE_SIZE};
+use sjmp_mem::{Access, PageSize, VirtAddr, PAGE_SIZE};
 use sjmp_os::kernel::{GLOBAL_HI, GLOBAL_LO, PRIVATE_HI};
 use sjmp_os::{
     Acl, Backing, CapKind, CapRights, Capability, CoreCtx, Creds, FaultOutcome, FaultSite, IdTable,
@@ -1951,6 +1951,7 @@ impl SpaceJmp {
                 size,
                 flags,
                 MapPolicy::Eager,
+                PageSize::Size4K,
                 None,
             )
             .map_err(|e| match e {
@@ -2106,6 +2107,7 @@ impl SpaceJmp {
                 r.len,
                 r.flags,
                 MapPolicy::Eager,
+                PageSize::Size4K,
                 None,
             )?;
         }

@@ -22,7 +22,7 @@
 //! simulated MMU.
 
 use sjmp_mem::cost::MachineId;
-use sjmp_mem::{KernelFlavor, PteFlags, VirtAddr};
+use sjmp_mem::{KernelFlavor, PageSize, PteFlags, VirtAddr};
 use sjmp_os::{Creds, Kernel, MapPolicy, Mode, Pid, VmObjectId};
 use spacejmp_core::{AttachMode, SjResult, SpaceJmp, VasHeap, VasId};
 
@@ -392,6 +392,7 @@ fn mmap_op<T>(
         size,
         flags,
         MapPolicy::Eager,
+        PageSize::Size4K,
         Some(ctx),
     )?;
     let heap = {

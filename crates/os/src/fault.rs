@@ -45,7 +45,7 @@ pub enum FaultSite {
     /// Eager page-table construction inside `map_object`: the mid-`mmap`
     /// failure, after some pages of the region are already mapped.
     MapRegion,
-    /// `sys_mmap` / `sys_mmap_sized` entry.
+    /// `sys_mmap` entry, from any source.
     Mmap,
     /// `sys_munmap` entry.
     Munmap,

@@ -5,9 +5,11 @@
 //! core) and implements the classical OS surface SpaceJMP builds on and
 //! is compared against:
 //!
-//! * `mmap`/`munmap` with **eager page-table construction** — the legacy
-//!   path whose cost Figure 1 measures and which the MAP design of the
-//!   GUPS experiment (Section 5.2) uses to re-window memory;
+//! * one `mmap` ([`Kernel::sys_mmap`]) and `munmap` with **eager
+//!   page-table construction** — the legacy path whose cost Figure 1
+//!   measures, its superpage alternative (Section 6), and the remap the
+//!   MAP design of the GUPS experiment (Section 5.2) uses to re-window
+//!   memory;
 //! * demand faulting for lazily-populated regions;
 //! * vmspace creation/destruction and **vmspace switching** with the
 //!   Table 2 cost structure (kernel entry + bookkeeping + CR3 load);
@@ -37,7 +39,7 @@ use sjmp_mem::machine::Machine;
 use sjmp_mem::mmu::MmuStats;
 use sjmp_mem::paging::{self, PteFlags};
 use sjmp_mem::tlb::TlbStats;
-use sjmp_mem::{Access, Asid, MemError, Mmu, Pfn, PhysMem, VirtAddr, PAGE_SIZE};
+use sjmp_mem::{Access, Asid, MemError, Mmu, PageSize, Pfn, PhysMem, VirtAddr, PAGE_SIZE};
 use sjmp_sim::IdTable;
 use sjmp_trace::{EventKind, MetricsSnapshot, Tracer};
 
@@ -73,6 +75,20 @@ pub const MMAP_BASE: VirtAddr = VirtAddr::new_unchecked(0x0001_0000_0000);
 
 /// Result alias for kernel operations.
 pub type OsResult<T> = Result<T, OsError>;
+
+/// Where the memory of a [`Kernel::sys_mmap`] comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MmapSource {
+    /// Fresh memory owned by the caller, mapped with pages of this size.
+    New(PageSize),
+    /// `obj`'s bytes from `offset` on, mapped with 4 KiB pages.
+    Object {
+        /// The existing object to map.
+        obj: VmObjectId,
+        /// Byte offset into `obj` of the mapping's first page.
+        offset: u64,
+    },
+}
 
 /// Frames a single pressure-triggered reclaim pass tries to free: enough
 /// to amortize the scan without purging the whole machine.
@@ -532,18 +548,12 @@ impl Kernel {
     /// bytes: the plain series of Figure 1, or the cheaper `cached` rate
     /// when the pages are already hot in the page cache. Superpages
     /// write proportionally fewer entries.
-    fn charge_map_sized(
-        &mut self,
-        ctx: CoreCtx,
-        len: u64,
-        cached: bool,
-        page_size: sjmp_mem::PageSize,
-    ) {
+    fn charge_map(&mut self, ctx: CoreCtx, len: u64, cached: bool, page_size: PageSize) {
         let pages = len / page_size.bytes();
         let levels_below = match page_size {
-            sjmp_mem::PageSize::Size4K => pages / 512 + pages / (512 * 512) + 2,
-            sjmp_mem::PageSize::Size2M => pages / 512 + 2,
-            sjmp_mem::PageSize::Size1G => 2,
+            PageSize::Size4K => pages / 512 + pages / (512 * 512) + 2,
+            PageSize::Size2M => pages / 512 + 2,
+            PageSize::Size1G => 2,
         };
         let per_pte = if cached {
             self.cost.pte_write_cached
@@ -551,10 +561,6 @@ impl Kernel {
             self.cost.pte_construct(len)
         };
         self.charge(ctx, pages * per_pte + levels_below * self.cost.table_alloc);
-    }
-
-    fn charge_map(&mut self, ctx: CoreCtx, len: u64, cached: bool) {
-        self.charge_map_sized(ctx, len, cached, sjmp_mem::PageSize::Size4K);
     }
 
     /// Charges one kernel entry (syscall or capability invocation) to
@@ -741,9 +747,17 @@ impl Kernel {
             ),
         ] {
             let obj = self.alloc_object(Some(pid), len, Backing::Dram)?;
-            if let Err(e) =
-                self.map_object(space, obj, base, 0, len, flags, MapPolicy::Eager, Some(ctx))
-            {
+            if let Err(e) = self.map_object(
+                space,
+                obj,
+                base,
+                0,
+                len,
+                flags,
+                MapPolicy::Eager,
+                PageSize::Size4K,
+                Some(ctx),
+            ) {
                 // map_object rolled back its own region and reference;
                 // the object now has no mappings left — free it.
                 let _ = self.free_object(obj);
@@ -946,15 +960,22 @@ impl Kernel {
 
     /// Maps `len` bytes of `obj` starting at `obj_offset` into `space` at
     /// `va`. With [`MapPolicy::Eager`] the page tables are constructed
-    /// immediately; `charge` names the core billed for construction
-    /// cycles (setup code passes `None`, measured paths the executing
-    /// core).
+    /// immediately with `page_size` leaves (a paged object's resident
+    /// pages, and lazy mappings, are mapped at 4 KiB); `charge` names the
+    /// core billed for construction cycles (setup code passes `None`,
+    /// measured paths the executing core).
+    ///
+    /// Every eager mapping, `sys_mmap` included, is built here, so this is
+    /// the one rollback: when construction fails, the page tables, the
+    /// region and the object reference all go, and a failed map leaves no
+    /// trace.
     ///
     /// # Errors
     ///
-    /// * Overlap/alignment errors from the region map.
+    /// * Overlap/alignment errors from the region map or the page tables.
     /// * [`OsError::NoSuchObject`] / [`OsError::NoSuchSpace`].
-    /// * [`OsError::InvalidArgument`] if the range exceeds the object.
+    /// * [`OsError::InvalidArgument`] if the range is empty or exceeds the
+    ///   object.
     #[allow(clippy::too_many_arguments)]
     pub fn map_object(
         &mut self,
@@ -965,12 +986,13 @@ impl Kernel {
         len: u64,
         flags: PteFlags,
         policy: MapPolicy,
+        page_size: PageSize,
         charge: Option<CoreCtx>,
     ) -> OsResult<()> {
         let contiguous_pa = {
             let o = self.vmobject(obj)?;
-            if obj_offset + len > o.len() {
-                return Err(OsError::InvalidArgument("mapping exceeds object size"));
+            if len == 0 || obj_offset + len > o.len() {
+                return Err(OsError::InvalidArgument("empty or beyond the object"));
             }
             if o.is_contiguous() {
                 Some(o.pa(obj_offset))
@@ -994,34 +1016,28 @@ impl Kernel {
             let root = self.vmspace(space)?.root();
             // An injected mid-map fault mimics frame exhaustion partway
             // through eager construction: the first half of the region
-            // gets mapped, then the call must fail — without leaking the
-            // half-built mapping.
+            // (whole pages, at least one) gets mapped, then the call
+            // fails.
             let mid_map_fault = self.fault_mid_map();
-            let attempt = match contiguous_pa {
-                Some(pa) if mid_map_fault => {
-                    let half = ((len / 2 / PAGE_SIZE).max(1) * PAGE_SIZE).min(len);
-                    let _ = paging::map_region(
-                        &mut self.phys,
-                        root,
-                        va,
-                        pa,
-                        half,
-                        sjmp_mem::PageSize::Size4K,
-                        flags,
-                    );
-                    Err(MemError::OutOfFrames)
-                }
-                Some(pa) => paging::map_region(
-                    &mut self.phys,
-                    root,
-                    va,
-                    pa,
-                    len,
-                    sjmp_mem::PageSize::Size4K,
-                    flags,
-                ),
-                None => self.map_paged_eager(root, obj, va, obj_offset, len, flags, mid_map_fault),
+            let map_len = if mid_map_fault {
+                let ps = page_size.bytes();
+                ((len / 2 / ps).max(1) * ps).min(len)
+            } else {
+                len
             };
+            let attempt = match contiguous_pa {
+                Some(pa) => {
+                    paging::map_region(&mut self.phys, root, va, pa, map_len, page_size, flags)
+                }
+                None => self.map_paged_eager(root, obj, va, obj_offset, map_len, flags),
+            }
+            .and_then(|stats| {
+                if mid_map_fault {
+                    Err(MemError::OutOfFrames)
+                } else {
+                    Ok(stats)
+                }
+            });
             match attempt {
                 Ok(stats) => {
                     if let Some(ctx) = charge {
@@ -1036,8 +1052,7 @@ impl Kernel {
                 Err(e) => {
                     // Transactional rollback: clear whatever portion got
                     // mapped (holes are skipped), remove the region, and
-                    // drop the object reference, so a failed map leaves
-                    // no trace.
+                    // drop the object reference.
                     let _ = paging::unmap_region(&mut self.phys, root, va, len);
                     if let Some(vs) = self.vmspaces.get_mut(&space) {
                         vs.remove_region(va);
@@ -1052,11 +1067,9 @@ impl Kernel {
         Ok(())
     }
 
-    /// Eagerly maps the *resident* pages of a paged object; non-resident
-    /// pages (demand-zero or swapped) are left to the fault path. With
-    /// `mid_map_fault` set, maps half the range and then reports frame
-    /// exhaustion (the injected partial-progress failure).
-    #[allow(clippy::too_many_arguments)]
+    /// Eagerly maps the *resident* pages among the first `len` bytes of a
+    /// paged object's range; non-resident pages (demand-zero or swapped)
+    /// are left to the fault path.
     fn map_paged_eager(
         &mut self,
         root: Pfn,
@@ -1065,16 +1078,9 @@ impl Kernel {
         obj_offset: u64,
         len: u64,
         flags: PteFlags,
-        mid_map_fault: bool,
     ) -> Result<paging::MapStats, MemError> {
-        let pages = len.div_ceil(PAGE_SIZE);
-        let limit = if mid_map_fault {
-            (pages / 2).max(1).min(pages)
-        } else {
-            pages
-        };
         let mut total = paging::MapStats::default();
-        for i in 0..limit {
+        for i in 0..len.div_ceil(PAGE_SIZE) {
             let index = obj_offset / PAGE_SIZE + i;
             let Some(pfn) = self
                 .vmobjects
@@ -1089,14 +1095,11 @@ impl Kernel {
                 root,
                 va.add(i * PAGE_SIZE),
                 pfn.base(),
-                sjmp_mem::PageSize::Size4K,
+                PageSize::Size4K,
                 flags,
             )?;
             total.ptes_written += s.ptes_written;
             total.tables_allocated += s.tables_allocated;
-        }
-        if mid_map_fault {
-            return Err(MemError::OutOfFrames);
         }
         Ok(total)
     }
@@ -1135,20 +1138,37 @@ impl Kernel {
 
     // ---- legacy mmap/munmap (the Figure 1 path) --------------------------
 
-    /// `mmap`-style call: allocates backing memory and eagerly constructs
-    /// page tables in the caller's *current* vmspace.
+    /// `mmap`-style call: eagerly maps `len` bytes from `source` into the
+    /// caller's *current* vmspace, at an address the kernel picks in the
+    /// private mmap arena, and returns that address.
     ///
-    /// `cached` models mapping pages that are already hot in the page
-    /// cache (Figure 1's cheaper `cached` series, charged at the
-    /// cached per-PTE rate); uncached mappings pay the full
-    /// construction cost per page.
+    /// * [`MmapSource::New`] allocates fresh memory owned by the caller:
+    ///   DRAM at 4 KiB pages (the Figure 1 path), or naturally aligned
+    ///   contiguous memory mapped with 2 MiB or 1 GiB superpages (the
+    ///   Section 6 alternative: "large pages have been touted as a way to
+    ///   mitigate TLB flushing cost").
+    /// * [`MmapSource::Object`] maps part of an existing object at 4 KiB
+    ///   pages: the remap the GUPS MAP design uses to re-window a large
+    ///   physical table.
+    ///
+    /// A superpage length must be a multiple of the page size; any other
+    /// length rounds up to whole 4 KiB pages. `cached` models mapping
+    /// pages that are already hot in the page cache (Figure 1's cheaper
+    /// `cached` series, charged at the cached per-PTE rate); uncached
+    /// mappings pay the full construction cost per page.
     ///
     /// # Errors
     ///
-    /// Address-space exhaustion or physical memory exhaustion.
+    /// * [`OsError::InvalidArgument`] for a zero length, or when the
+    ///   private address space has no room.
+    /// * [`OsError::Misaligned`] for a superpage length that is not a
+    ///   multiple of the page size.
+    /// * Physical memory exhaustion, and the errors of
+    ///   [`Self::map_object`].
     pub fn sys_mmap(
         &mut self,
         pid: Pid,
+        source: MmapSource,
         len: u64,
         flags: PteFlags,
         cached: bool,
@@ -1158,137 +1178,59 @@ impl Kernel {
             k.charge_entry(ctx);
             k.stats.mmaps += 1;
             k.fault_gate(FaultSite::Mmap)?;
-            let space = k.process(pid)?.current_space();
-            let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-            let va = k
-                .vmspace(space)?
-                .find_free(MMAP_BASE, PRIVATE_HI, len)
-                .ok_or(OsError::InvalidArgument("out of private address space"))?;
-            let obj = k.alloc_object(Some(pid), len, Backing::Dram)?;
-            if let Err(e) = k.map_object(space, obj, va, 0, len, flags, MapPolicy::Eager, None) {
-                // map_object rolled its own state back; the fresh object
-                // has no other referents, so reclaim it too.
-                let _ = k.free_object(obj);
-                return Err(e);
-            }
-            k.charge_map(ctx, len, cached);
-            Ok(va)
-        })
-    }
-
-    /// Like [`Self::sys_mmap`], but mapping with superpages (2 MiB or
-    /// 1 GiB), the mitigation for page-table construction cost that the
-    /// paper's Section 6 discusses ("large pages have been touted as a
-    /// way to mitigate TLB flushing cost"). The length must be a multiple
-    /// of the page size.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::sys_mmap`], plus alignment errors.
-    pub fn sys_mmap_sized(
-        &mut self,
-        pid: Pid,
-        len: u64,
-        flags: PteFlags,
-        cached: bool,
-        page_size: sjmp_mem::PageSize,
-    ) -> OsResult<VirtAddr> {
-        let ctx = self.ctx_of(pid)?;
-        self.span(ctx, EventKind::Mmap, pid.0, |k| {
-            k.charge_entry(ctx);
-            k.stats.mmaps += 1;
-            k.fault_gate(FaultSite::Mmap)?;
+            let page_size = match source {
+                MmapSource::New(page_size) => page_size,
+                MmapSource::Object { .. } => PageSize::Size4K,
+            };
+            let superpage = page_size != PageSize::Size4K;
             if len == 0 {
-                return Err(OsError::InvalidArgument(
-                    "length must be a page-size multiple",
-                ));
+                return Err(OsError::InvalidArgument("zero-length mmap"));
             }
-            if !len.is_multiple_of(page_size.bytes()) {
-                // Huge-page requests are rejected with a typed error so
-                // callers can tell an alignment violation from other
-                // malformed arguments and retry with base pages.
-                if page_size != sjmp_mem::PageSize::Size4K {
-                    return Err(OsError::Misaligned {
-                        requested: len,
-                        page_size,
-                    });
-                }
-                return Err(OsError::InvalidArgument(
-                    "length must be a page-size multiple",
-                ));
+            if superpage && !len.is_multiple_of(page_size.bytes()) {
+                return Err(OsError::Misaligned {
+                    requested: len,
+                    page_size,
+                });
             }
+            let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
             let space = k.process(pid)?.current_space();
+            // A superpage mapping reserves one page more, so that its
+            // start can be aligned up to the page size.
+            let reserve = if superpage {
+                len + page_size.bytes()
+            } else {
+                len
+            };
             let va = k
                 .vmspace(space)?
-                .find_free(MMAP_BASE, PRIVATE_HI, len + page_size.bytes())
+                .find_free(MMAP_BASE, PRIVATE_HI, reserve)
                 .ok_or(OsError::InvalidArgument("out of private address space"))?
                 .align_up(page_size.bytes());
-            // Superpage mappings need naturally aligned, physically
-            // contiguous backing; such objects are never candidates for
-            // the paged fallback or the reclaim scan.
-            let obj = k.alloc_object(Some(pid), len, Backing::Aligned(page_size))?;
-            let pa = k.vmobject(obj)?.base();
-            {
-                let vs = k.vmspaces.get_mut(&space).ok_or(OsError::NoSuchSpace)?;
-                vs.insert_region(Region {
-                    start: va,
-                    len,
-                    object: obj,
-                    object_offset: 0,
-                    flags,
-                    policy: MapPolicy::Eager,
-                })?;
-            }
-            k.vmobject_mut(obj)?.add_ref();
-            let root = k.vmspace(space)?.root();
-            if let Err(e) = paging::map_region(&mut k.phys, root, va, pa, len, page_size, flags) {
-                // Transactional rollback, as in map_object: clear the
-                // partial mapping and reclaim the region and the fresh
-                // object.
-                let _ = paging::unmap_region(&mut k.phys, root, va, len);
-                if let Some(vs) = k.vmspaces.get_mut(&space) {
-                    vs.remove_region(va);
+            let (obj, offset) = match source {
+                MmapSource::New(_) => {
+                    // Superpages need naturally aligned, physically
+                    // contiguous backing.
+                    let backing = if superpage {
+                        Backing::Aligned(page_size)
+                    } else {
+                        Backing::Dram
+                    };
+                    (k.alloc_object(Some(pid), len, backing)?, 0)
                 }
-                if let Some(o) = k.vmobjects.get_mut(&obj) {
-                    o.drop_ref();
-                }
-                let _ = k.free_object(obj);
-                return Err(e.into());
-            }
-            k.charge_map_sized(ctx, len, cached, page_size);
-            Ok(va)
-        })
-    }
-
-    /// Maps an *existing* object into the caller's current vmspace at a
-    /// kernel-chosen address — the remap path the GUPS MAP design uses to
-    /// re-window a large physical table.
-    ///
-    /// # Errors
-    ///
-    /// As in [`Self::sys_mmap`].
-    pub fn sys_mmap_object(
-        &mut self,
-        pid: Pid,
-        obj: VmObjectId,
-        obj_offset: u64,
-        len: u64,
-        flags: PteFlags,
-        cached: bool,
-    ) -> OsResult<VirtAddr> {
-        let ctx = self.ctx_of(pid)?;
-        self.span(ctx, EventKind::Mmap, pid.0, |k| {
-            k.charge_entry(ctx);
-            k.stats.mmaps += 1;
-            k.fault_gate(FaultSite::Mmap)?;
-            let space = k.process(pid)?.current_space();
-            let va = k
-                .vmspace(space)?
-                .find_free(MMAP_BASE, PRIVATE_HI, len)
-                .ok_or(OsError::InvalidArgument("out of private address space"))?;
+                MmapSource::Object { obj, offset } => (obj, offset),
+            };
             let policy = MapPolicy::Eager;
-            k.map_object(space, obj, va, obj_offset, len, flags, policy, None)?;
-            k.charge_map(ctx, len, cached);
+            if let Err(e) =
+                k.map_object(space, obj, va, offset, len, flags, policy, page_size, None)
+            {
+                // map_object rolled its own state back; a fresh object
+                // has no other referents, so reclaim it too.
+                if let MmapSource::New(_) = source {
+                    let _ = k.free_object(obj);
+                }
+                return Err(e);
+            }
+            k.charge_map(ctx, len, cached, page_size);
             Ok(va)
         })
     }
@@ -1406,14 +1348,7 @@ impl Kernel {
             pfn.base()
         };
         let page_va = va.align_down(PAGE_SIZE);
-        let stats = paging::map(
-            &mut self.phys,
-            root,
-            page_va,
-            pa,
-            sjmp_mem::PageSize::Size4K,
-            flags,
-        )?;
+        let stats = paging::map(&mut self.phys, root, page_va, pa, PageSize::Size4K, flags)?;
         self.charge(
             ctx,
             stats.ptes_written * self.cost.pte_write
@@ -1806,17 +1741,7 @@ impl Kernel {
                 self.clear_page_mappings(id, page);
                 cleared = true;
             } else if obj.frame_of_page(page).is_some() {
-                self.clear_page_mappings(id, page);
-                self.record_eviction(obj.owner(), id);
-                obj.evict_page(page, &mut self.phys);
-                self.stats.evictions += 1;
-                self.charge(CoreCtx::BOOT, self.cost.swap_out_page);
-                self.tracer.end(
-                    self.now_on(CoreCtx::BOOT),
-                    CoreCtx::BOOT.core as u32,
-                    EventKind::SwapOut,
-                    id.0,
-                );
+                self.evict(id, &mut obj, page);
                 freed += 1;
                 cleared = true;
             }
@@ -1862,17 +1787,7 @@ impl Kernel {
                 };
                 obj.make_paged();
                 if obj.frame_of_page(page).is_some() {
-                    self.clear_page_mappings(id, page);
-                    self.record_eviction(obj.owner(), id);
-                    obj.evict_page(page, &mut self.phys);
-                    self.stats.evictions += 1;
-                    self.charge(CoreCtx::BOOT, self.cost.swap_out_page);
-                    self.tracer.end(
-                        self.now_on(CoreCtx::BOOT),
-                        CoreCtx::BOOT.core as u32,
-                        EventKind::SwapOut,
-                        id.0,
-                    );
+                    self.evict(id, &mut obj, page);
                     freed += 1;
                     cleared = true;
                 }
@@ -1883,6 +1798,24 @@ impl Kernel {
             self.flush_all_tlbs();
         }
         freed
+    }
+
+    /// Evicts resident page `page` of `obj` (taken out of the object
+    /// table as `id` by the caller) to swap, on the boot core: its
+    /// translations go, the frame is freed and the swap write is charged
+    /// inside a [`EventKind::SwapOut`] span.
+    fn evict(&mut self, id: VmObjectId, obj: &mut VmObject, page: u64) {
+        self.clear_page_mappings(id, page);
+        self.record_eviction(obj.owner(), id);
+        obj.evict_page(page, &mut self.phys);
+        self.stats.evictions += 1;
+        self.charge(CoreCtx::BOOT, self.cost.swap_out_page);
+        self.tracer.end(
+            self.now_on(CoreCtx::BOOT),
+            CoreCtx::BOOT.core as u32,
+            EventKind::SwapOut,
+            id.0,
+        );
     }
 
     /// Per-victim eviction telemetry: an [`EventKind::Evict`] instant
@@ -2628,6 +2561,9 @@ mod tests {
         Creds::new(100, 100)
     }
 
+    const BASE_PAGES: MmapSource = MmapSource::New(PageSize::Size4K);
+    const HUGE_2M: MmapSource = MmapSource::New(PageSize::Size2M);
+
     #[test]
     fn spawn_creates_private_segments() {
         let mut k = kernel();
@@ -2655,7 +2591,13 @@ mod tests {
         let pid = k.spawn("p", user()).unwrap();
         k.activate(pid).unwrap();
         let va = k
-            .sys_mmap(pid, 64 * 1024, PteFlags::USER | PteFlags::WRITABLE, false)
+            .sys_mmap(
+                pid,
+                BASE_PAGES,
+                64 * 1024,
+                PteFlags::USER | PteFlags::WRITABLE,
+                false,
+            )
             .unwrap();
         assert!(va >= MMAP_BASE);
         k.store_u64(pid, va.add(4096), 7).unwrap();
@@ -2674,11 +2616,13 @@ mod tests {
         let mut k = kernel();
         let pid = k.spawn("p", user()).unwrap();
         let t0 = k.clock().now();
-        let a = k.sys_mmap(pid, 1 << 20, PteFlags::WRITABLE, false).unwrap();
+        let a = k
+            .sys_mmap(pid, BASE_PAGES, 1 << 20, PteFlags::WRITABLE, false)
+            .unwrap();
         let small = k.clock().since(t0);
         let t1 = k.clock().now();
         let b = k
-            .sys_mmap(pid, 16 << 20, PteFlags::WRITABLE, false)
+            .sys_mmap(pid, BASE_PAGES, 16 << 20, PteFlags::WRITABLE, false)
             .unwrap();
         let large = k.clock().since(t1);
         assert!(
@@ -2686,7 +2630,8 @@ mod tests {
             "16x size should cost >10x ({small} vs {large})"
         );
         let t2 = k.clock().now();
-        k.sys_mmap(pid, 16 << 20, PteFlags::WRITABLE, true).unwrap();
+        k.sys_mmap(pid, BASE_PAGES, 16 << 20, PteFlags::WRITABLE, true)
+            .unwrap();
         let cached = k.clock().since(t2);
         assert!(
             cached < large / 2,
@@ -2711,6 +2656,7 @@ mod tests {
             8192,
             PteFlags::USER | PteFlags::WRITABLE,
             MapPolicy::Lazy,
+            PageSize::Size4K,
             None,
         )
         .unwrap();
@@ -2737,6 +2683,7 @@ mod tests {
             4096,
             PteFlags::USER,
             MapPolicy::Lazy,
+            PageSize::Size4K,
             None,
         )
         .unwrap();
@@ -2790,6 +2737,7 @@ mod tests {
             4096,
             PteFlags::USER,
             MapPolicy::Lazy,
+            PageSize::Size4K,
             None,
         )
         .unwrap();
@@ -2804,19 +2752,23 @@ mod tests {
         let mut k = kernel();
         let obj = k.alloc_object(None, 4096, Backing::Dram).unwrap();
         let space = k.create_vmspace().unwrap();
-        assert!(matches!(
-            k.map_object(
-                space,
-                obj,
-                VirtAddr::new(0),
-                0,
-                8192,
-                PteFlags::USER,
-                MapPolicy::Lazy,
-                None
-            ),
-            Err(OsError::InvalidArgument(_))
-        ));
+        // Past the end, and empty at the very end of the object.
+        for (offset, len) in [(0, 8192), (4096, 0)] {
+            assert!(matches!(
+                k.map_object(
+                    space,
+                    obj,
+                    VirtAddr::new(0),
+                    offset,
+                    len,
+                    PteFlags::USER,
+                    MapPolicy::Lazy,
+                    PageSize::Size4K,
+                    None
+                ),
+                Err(OsError::InvalidArgument(_))
+            ));
+        }
     }
 
     #[test]
@@ -2861,12 +2813,10 @@ mod tests {
         k.activate(pid).unwrap();
         let flags = PteFlags::USER | PteFlags::WRITABLE;
         let t0 = k.clock().now();
-        let small = k.sys_mmap(pid, 32 << 20, flags, false).unwrap();
+        let small = k.sys_mmap(pid, BASE_PAGES, 32 << 20, flags, false).unwrap();
         let cost_4k = k.clock().since(t0);
         let t1 = k.clock().now();
-        let huge = k
-            .sys_mmap_sized(pid, 32 << 20, flags, false, sjmp_mem::PageSize::Size2M)
-            .unwrap();
+        let huge = k.sys_mmap(pid, HUGE_2M, 32 << 20, flags, false).unwrap();
         let cost_2m = k.clock().since(t1);
         assert!(
             cost_2m * 20 < cost_4k,
@@ -2883,24 +2833,17 @@ mod tests {
         );
         // Misaligned huge-page length rejected with the typed error.
         assert_eq!(
-            k.sys_mmap_sized(
-                pid,
-                (2 << 20) + 4096,
-                flags,
-                false,
-                sjmp_mem::PageSize::Size2M
-            ),
+            k.sys_mmap(pid, HUGE_2M, (2 << 20) + 4096, flags, false),
             Err(OsError::Misaligned {
                 requested: (2 << 20) + 4096,
-                page_size: sjmp_mem::PageSize::Size2M,
+                page_size: PageSize::Size2M,
             })
         );
-        // A 4 KiB request with a ragged length stays a plain argument
-        // error — base pages have no alignment story to tell.
-        assert!(matches!(
-            k.sys_mmap_sized(pid, 100, flags, false, sjmp_mem::PageSize::Size4K),
-            Err(OsError::InvalidArgument(_))
-        ));
+        // A ragged 4 KiB length rounds up to whole pages.
+        let ragged = k.sys_mmap(pid, BASE_PAGES, 100, flags, false).unwrap();
+        let space = k.process(pid).unwrap().current_space();
+        let region = k.vmspace(space).unwrap().find_region(ragged).unwrap();
+        assert_eq!(region.len, PAGE_SIZE);
     }
 
     #[test]
@@ -2912,10 +2855,10 @@ mod tests {
         let pid = k.spawn("p", user()).unwrap();
         k.activate(pid).unwrap();
         let flags = PteFlags::USER | PteFlags::WRITABLE;
-        let small = k.sys_mmap(pid, 2 * PAGE_SIZE, flags, false).unwrap();
-        let huge = k
-            .sys_mmap_sized(pid, 4 << 20, flags, false, sjmp_mem::PageSize::Size2M)
+        let small = k
+            .sys_mmap(pid, BASE_PAGES, 2 * PAGE_SIZE, flags, false)
             .unwrap();
+        let huge = k.sys_mmap(pid, HUGE_2M, 4 << 20, flags, false).unwrap();
         // Touch both 4K pages and both 2M pages (interior offsets).
         k.store_u64(pid, small, 1).unwrap();
         k.store_u64(pid, small.add(PAGE_SIZE), 2).unwrap();
@@ -2946,9 +2889,7 @@ mod tests {
         let pid = k.spawn("p", user()).unwrap();
         k.activate(pid).unwrap();
         let flags = PteFlags::USER | PteFlags::WRITABLE;
-        let huge = k
-            .sys_mmap_sized(pid, 2 << 20, flags, false, sjmp_mem::PageSize::Size2M)
-            .unwrap();
+        let huge = k.sys_mmap(pid, HUGE_2M, 2 << 20, flags, false).unwrap();
         k.store_u64(pid, huge.add(0x8000), 1).unwrap();
         let core = k.process(pid).unwrap().core();
         // invlpg on an *interior* 4K page of the superpage must drop the
@@ -2967,9 +2908,9 @@ mod tests {
     #[test]
     fn every_mmap_call_is_one_mmap_span_on_the_callers_core() {
         use sjmp_trace::Phase;
-        // Runs sys_mmap, sys_mmap_sized and sys_mmap_object for a process
-        // on core 1; returns the cycles charged and, per call, the phases
-        // and cores of the Mmap events it emitted.
+        // Runs sys_mmap from each source for a process on core 1; returns
+        // the cycles charged and, per call, the phases and cores of the
+        // Mmap events it emitted.
         let run = |tracer: Tracer| {
             let mut k = kernel();
             k.set_tracer(tracer.clone());
@@ -2978,17 +2919,15 @@ mod tests {
             k.activate(pid).unwrap();
             let obj = k.alloc_object(None, 4 * PAGE_SIZE, Backing::Dram).unwrap();
             let flags = PteFlags::USER | PteFlags::WRITABLE;
-            let size = sjmp_mem::PageSize::Size2M;
             let t0 = k.total_cycles();
             let mut spans = Vec::new();
-            for call in 0..3 {
+            for (source, len) in [
+                (BASE_PAGES, 4 * PAGE_SIZE),
+                (HUGE_2M, 2 << 20),
+                (MmapSource::Object { obj, offset: 0 }, 4 * PAGE_SIZE),
+            ] {
                 let seen = tracer.events().len();
-                match call {
-                    0 => k.sys_mmap(pid, 4 * PAGE_SIZE, flags, false),
-                    1 => k.sys_mmap_sized(pid, 2 << 20, flags, false, size),
-                    _ => k.sys_mmap_object(pid, obj, 0, 4 * PAGE_SIZE, flags, false),
-                }
-                .unwrap();
+                k.sys_mmap(pid, source, len, flags, false).unwrap();
                 let events = tracer.events()[seen..].to_vec();
                 let mmap = events.iter().filter(|e| e.kind == EventKind::Mmap);
                 spans.push(mmap.map(|e| (e.phase, e.core)).collect::<Vec<_>>());
@@ -3022,8 +2961,14 @@ mod tests {
         let before = k.phys_mut().allocated_frames();
         let pid = k.spawn("p", user()).unwrap();
         k.activate(pid).unwrap();
-        k.sys_mmap(pid, 1 << 20, PteFlags::USER | PteFlags::WRITABLE, false)
-            .unwrap();
+        k.sys_mmap(
+            pid,
+            BASE_PAGES,
+            1 << 20,
+            PteFlags::USER | PteFlags::WRITABLE,
+            false,
+        )
+        .unwrap();
         k.exit(pid).unwrap();
         assert_eq!(
             k.phys_mut().allocated_frames(),
@@ -3055,7 +3000,13 @@ mod tests {
         let pid = k.spawn("victim", user()).unwrap();
         k.activate(pid).unwrap();
         let va = k
-            .sys_mmap(pid, 256 * 1024, PteFlags::USER | PteFlags::WRITABLE, false)
+            .sys_mmap(
+                pid,
+                BASE_PAGES,
+                256 * 1024,
+                PteFlags::USER | PteFlags::WRITABLE,
+                false,
+            )
             .unwrap();
         k.store_u64(pid, va, 1).unwrap();
         let second = k.create_vmspace().unwrap();
@@ -3083,7 +3034,13 @@ mod tests {
         k.set_fault_plan(Some(
             crate::fault::FaultPlan::new(1).fail_nth(FaultSite::MapRegion, 1),
         ));
-        let err = k.sys_mmap(pid, 4 << 20, PteFlags::USER | PteFlags::WRITABLE, false);
+        let err = k.sys_mmap(
+            pid,
+            BASE_PAGES,
+            4 << 20,
+            PteFlags::USER | PteFlags::WRITABLE,
+            false,
+        );
         assert_eq!(err, Err(OsError::Mem(MemError::OutOfFrames)));
         k.set_fault_plan(None);
         assert_eq!(
@@ -3094,10 +3051,83 @@ mod tests {
         assert!(k.check_invariants(&[]).is_empty());
         // The address space is unchanged: the same mmap now succeeds.
         let va = k
-            .sys_mmap(pid, 4 << 20, PteFlags::USER | PteFlags::WRITABLE, false)
+            .sys_mmap(
+                pid,
+                BASE_PAGES,
+                4 << 20,
+                PteFlags::USER | PteFlags::WRITABLE,
+                false,
+            )
             .unwrap();
         k.store_u64(pid, va.add((4 << 20) - 8), 9).unwrap();
         assert_eq!(k.stats().mmaps, mmaps_before + 2);
+    }
+
+    /// Regions of `pid`'s current space, every live object's reference
+    /// count, and the free frames: what a failed mmap must leave as is.
+    fn mmap_state(k: &mut Kernel, pid: Pid) -> (usize, Vec<(VmObjectId, u64)>, u64) {
+        let space = k.process(pid).unwrap().current_space();
+        let regions = k.vmspace(space).unwrap().region_count();
+        let refs = k
+            .vmobject_ids()
+            .into_iter()
+            .map(|id| (id, k.vmobject(id).unwrap().refs()))
+            .collect();
+        (regions, refs, k.phys_mut().free_frames())
+    }
+
+    #[test]
+    fn mid_map_fault_fails_superpage_mmaps_cleanly() {
+        for page_size in [PageSize::Size2M, PageSize::Size1G] {
+            let mut k = kernel();
+            let pid = k.spawn("p", user()).unwrap();
+            k.activate(pid).unwrap();
+            let before = mmap_state(&mut k, pid);
+            k.set_fault_plan(Some(
+                crate::fault::FaultPlan::new(1).fail_nth(FaultSite::MapRegion, 1),
+            ));
+            let len = 2 * page_size.bytes();
+            let err = k.sys_mmap(pid, MmapSource::New(page_size), len, PteFlags::USER, false);
+            assert_eq!(
+                err,
+                Err(OsError::Mem(MemError::OutOfFrames)),
+                "{page_size:?}"
+            );
+            k.set_fault_plan(None);
+            assert_eq!(mmap_state(&mut k, pid), before, "{page_size:?}");
+            assert!(k.check_invariants(&[]).is_empty(), "{page_size:?}");
+        }
+    }
+
+    #[test]
+    fn zero_length_mmap_is_invalid_from_every_source() {
+        let mut k = kernel();
+        let pid = k.spawn("p", user()).unwrap();
+        k.activate(pid).unwrap();
+        let obj = k.alloc_object(None, 4 * PAGE_SIZE, Backing::Dram).unwrap();
+        let before = mmap_state(&mut k, pid);
+        for source in [
+            BASE_PAGES,
+            HUGE_2M,
+            MmapSource::New(PageSize::Size1G),
+            MmapSource::Object { obj, offset: 0 },
+            MmapSource::Object {
+                obj,
+                offset: 4 * PAGE_SIZE,
+            },
+        ] {
+            assert!(
+                matches!(
+                    k.sys_mmap(pid, source, 0, PteFlags::USER, false),
+                    Err(OsError::InvalidArgument(_))
+                ),
+                "{source:?}"
+            );
+        }
+        assert_eq!(mmap_state(&mut k, pid), before);
+        // No object id was used up: the next object takes the next id.
+        let next = k.alloc_object(None, PAGE_SIZE, Backing::Dram).unwrap();
+        assert_eq!(next.0, obj.0 + 1);
     }
 
     #[test]
@@ -3109,7 +3139,13 @@ mod tests {
             crate::fault::FaultPlan::new(1).crash_nth(FaultSite::Mmap, 1),
         ));
         assert_eq!(
-            k.sys_mmap(pid, 4096, PteFlags::USER | PteFlags::WRITABLE, false),
+            k.sys_mmap(
+                pid,
+                BASE_PAGES,
+                4096,
+                PteFlags::USER | PteFlags::WRITABLE,
+                false
+            ),
             Err(OsError::Crashed)
         );
         // No cleanup happened: the process is still registered.
@@ -3156,6 +3192,7 @@ mod tests {
             obj_pages * PAGE_SIZE,
             PteFlags::USER | PteFlags::WRITABLE,
             MapPolicy::Lazy,
+            PageSize::Size4K,
             None,
         )
         .unwrap();
@@ -3258,6 +3295,7 @@ mod tests {
             4 * PAGE_SIZE,
             flags,
             MapPolicy::Lazy,
+            PageSize::Size4K,
             None,
         )
         .unwrap();
@@ -3383,6 +3421,7 @@ mod tests {
         // 9th frame must be a clean typed denial.
         let err = k.sys_mmap(
             pid,
+            BASE_PAGES,
             16 * PAGE_SIZE,
             PteFlags::USER | PteFlags::WRITABLE,
             false,
@@ -3404,6 +3443,7 @@ mod tests {
         // Within quota still works.
         k.sys_mmap(
             pid,
+            BASE_PAGES,
             4 * PAGE_SIZE,
             PteFlags::USER | PteFlags::WRITABLE,
             false,
@@ -3427,6 +3467,7 @@ mod tests {
             32 * PAGE_SIZE,
             PteFlags::USER | PteFlags::WRITABLE,
             MapPolicy::Lazy,
+            PageSize::Size4K,
             None,
         )
         .unwrap();
@@ -3456,7 +3497,13 @@ mod tests {
         // The injected transient exhaustion is absorbed: the mmap still
         // succeeds, but a reclaim pass ran.
         let got = k
-            .sys_mmap(pid, PAGE_SIZE, PteFlags::USER | PteFlags::WRITABLE, false)
+            .sys_mmap(
+                pid,
+                BASE_PAGES,
+                PAGE_SIZE,
+                PteFlags::USER | PteFlags::WRITABLE,
+                false,
+            )
             .unwrap();
         let _ = got;
         assert!(
@@ -3475,6 +3522,7 @@ mod tests {
         k.activate(big).unwrap();
         k.sys_mmap(
             big,
+            BASE_PAGES,
             64 * PAGE_SIZE,
             PteFlags::USER | PteFlags::WRITABLE,
             false,
@@ -3537,6 +3585,7 @@ mod tests {
             4096,
             PteFlags::USER,
             MapPolicy::Lazy,
+            PageSize::Size4K,
             None,
         )
         .unwrap();

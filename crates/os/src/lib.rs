@@ -19,15 +19,16 @@
 //! # Examples
 //!
 //! ```
-//! use sjmp_mem::{KernelFlavor, MachineId, PteFlags};
+//! use sjmp_mem::{KernelFlavor, MachineId, PageSize, PteFlags};
 //! use sjmp_os::acl::Creds;
-//! use sjmp_os::kernel::Kernel;
+//! use sjmp_os::kernel::{Kernel, MmapSource};
 //!
 //! # fn main() -> Result<(), sjmp_os::error::OsError> {
 //! let mut kernel = Kernel::new(KernelFlavor::DragonFly, MachineId::M2);
 //! let pid = kernel.spawn("worker", Creds::new(1000, 1000))?;
 //! kernel.activate(pid)?;
-//! let va = kernel.sys_mmap(pid, 1 << 20, PteFlags::USER | PteFlags::WRITABLE, false)?;
+//! let flags = PteFlags::USER | PteFlags::WRITABLE;
+//! let va = kernel.sys_mmap(pid, MmapSource::New(PageSize::Size4K), 1 << 20, flags, false)?;
 //! kernel.store_u64(pid, va, 42)?;
 //! assert_eq!(kernel.load_u64(pid, va)?, 42);
 //! # Ok(()) }
@@ -47,8 +48,8 @@ pub use caps::{CSpace, CapKind, CapRights, CapSlot, Capability, ObjClass};
 pub use error::{CapError, OsError};
 pub use fault::{FaultOutcome, FaultPlan, FaultSite, FaultStats};
 pub use kernel::{
-    Kernel, KernelSnapshot, KernelStats, OsResult, PhysStats, PressureLevel, ProcMem, GLOBAL_HI,
-    GLOBAL_LO, PRIVATE_HI, PRIVATE_LO,
+    Kernel, KernelSnapshot, KernelStats, MmapSource, OsResult, PhysStats, PressureLevel, ProcMem,
+    GLOBAL_HI, GLOBAL_LO, PRIVATE_HI, PRIVATE_LO,
 };
 pub use process::{Pid, Process};
 pub use sjmp_mem::cost::CoreCtx;

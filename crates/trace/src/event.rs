@@ -45,7 +45,7 @@ pub enum EventKind {
     SwitchVmspace,
     /// Switch bookkeeping portion of a switch; span. `arg0` = pid.
     SwitchBook,
-    /// `sys_mmap`/`sys_mmap_sized`; span. `arg0` = pid, `arg1` = bytes.
+    /// `sys_mmap`; span. `arg0` = pid.
     Mmap,
     /// `sys_munmap`; span. `arg0` = pid.
     Munmap,

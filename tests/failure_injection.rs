@@ -3,7 +3,8 @@
 
 use spacejmp::kv::{DictStats, SegDict};
 use spacejmp::mem::cost::{CostModel, MachineProfile};
-use spacejmp::os::OsError;
+use spacejmp::mem::PageSize;
+use spacejmp::os::{MmapSource, OsError};
 use spacejmp::prelude::*;
 
 const SEG_BASE: u64 = 0x1000_0000_0000;
@@ -228,7 +229,10 @@ fn out_of_address_space_for_private_mmaps() {
     let pid = sj.kernel_mut().spawn("p", Creds::new(1, 1)).unwrap();
     // The private arena is ~16 TiB; asking for more in one mapping fails
     // with a clean error rather than wrapping.
-    let err = sj.kernel_mut().sys_mmap(pid, 1 << 45, PteFlags::USER, true);
+    let new = MmapSource::New(PageSize::Size4K);
+    let err = sj
+        .kernel_mut()
+        .sys_mmap(pid, new, 1 << 45, PteFlags::USER, true);
     assert!(
         matches!(err, Err(OsError::InvalidArgument(_)) | Err(OsError::Mem(_))),
         "{err:?}"
