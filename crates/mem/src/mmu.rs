@@ -106,6 +106,8 @@ pub struct Mmu {
     cost: CostModel,
     clock: CycleClock,
     stats: MmuStats,
+    /// Emits on its own: the MMU sits below the kernel, so its events
+    /// carry this MMU's clock and `core_id`, not the kernel's helpers.
     tracer: Tracer,
     core_id: u32,
     backend: Backend,

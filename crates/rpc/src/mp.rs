@@ -57,6 +57,8 @@ pub struct MpCluster {
     clocks: CoreClocks,
     master: CoreCtx,
     stats: MpStats,
+    /// Emits on its own: message passing runs on its own clocks, beside
+    /// the kernel rather than inside it.
     tracer: Tracer,
     /// Marshalling cost per message (serializing the update batch).
     pub marshal_per_msg: u64,

@@ -98,6 +98,8 @@ pub struct UrpcChannel {
     producer: CoreCtx,
     consumer: CoreCtx,
     stats: ChannelStats,
+    /// Emits on its own: the channel runs on its own clocks, beside the
+    /// kernel rather than inside it.
     tracer: Tracer,
 }
 
