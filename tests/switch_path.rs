@@ -140,8 +140,8 @@ SjStats { switches: 1, attaches: 5, lock_acquisitions: 1, lock_contentions: 0, l
 27033 c0 Begin VasSwitch 1 0
 27073 c0 Instant LockAcquire 1 1
 27073 c0 Begin SwitchVmspace 1 0
-27073 c0 Begin KernelEntry 0 0
-27430 c0 End KernelEntry 0 0
+27073 c0 Begin KernelEntry 1 0
+27430 c0 End KernelEntry 1 0
 27430 c0 Begin SwitchBook 1 0
 28070 c0 End SwitchBook 1 0
 28070 c0 Begin Cr3Load 0 0
@@ -159,8 +159,8 @@ SjStats { switches: 2, attaches: 5, lock_acquisitions: 2, lock_contentions: 0, l
 28200 c0 Begin VasSwitch 1 0
 28240 c0 Instant LockAcquire 1 1
 28240 c0 Begin SwitchVmspace 1 0
-28240 c0 Begin KernelEntry 0 0
-28597 c0 End KernelEntry 0 0
+28240 c0 Begin KernelEntry 1 0
+28597 c0 End KernelEntry 1 0
 28597 c0 Begin SwitchBook 1 0
 29237 c0 End SwitchBook 1 0
 29237 c0 Begin Cr3Load 0 0
@@ -179,8 +179,8 @@ SjStats { switches: 3, attaches: 5, lock_acquisitions: 4, lock_contentions: 0, l
 29407 c0 Instant LockAcquire 2 1
 29447 c0 Instant LockAcquire 4 1
 29447 c0 Begin SwitchVmspace 1 0
-29447 c0 Begin KernelEntry 0 0
-29804 c0 End KernelEntry 0 0
+29447 c0 Begin KernelEntry 1 0
+29804 c0 End KernelEntry 1 0
 29804 c0 Begin SwitchBook 1 0
 30444 c0 End SwitchBook 1 0
 30444 c0 Begin Cr3Load 0 0
@@ -199,8 +199,8 @@ SjStats { switches: 4, attaches: 5, lock_acquisitions: 5, lock_contentions: 0, l
 19107 c1 Begin VasSwitch 2 0
 19147 c1 Instant LockAcquire 1 2
 19147 c1 Begin SwitchVmspace 2 0
-19147 c1 Begin KernelEntry 0 0
-19504 c1 End KernelEntry 0 0
+19147 c1 Begin KernelEntry 2 0
+19504 c1 End KernelEntry 2 0
 19504 c1 Begin SwitchBook 2 0
 20144 c1 End SwitchBook 2 0
 20144 c1 Begin Cr3Load 0 0
@@ -229,8 +229,8 @@ SjStats { switches: 5, attaches: 5, lock_acquisitions: 5, lock_contentions: 1, l
 30654 c0 Instant LockRelease 2 1
 30654 c0 Instant LockRelease 4 1
 30654 c0 Begin SwitchVmspace 1 0
-30654 c0 Begin KernelEntry 0 0
-31011 c0 End KernelEntry 0 0
+30654 c0 Begin KernelEntry 1 0
+31011 c0 End KernelEntry 1 0
 31011 c0 Begin SwitchBook 1 0
 31651 c0 End SwitchBook 1 0
 31651 c0 Begin Cr3Load 0 0
@@ -249,8 +249,8 @@ seg-lock draws 2
 31781 c0 Instant LockSkip 4 1
 31821 c0 Instant LockAcquire 2 1
 31821 c0 Begin SwitchVmspace 1 0
-31821 c0 Begin KernelEntry 0 0
-32178 c0 End KernelEntry 0 0
+31821 c0 Begin KernelEntry 1 0
+32178 c0 End KernelEntry 1 0
 32178 c0 Begin SwitchBook 1 0
 32818 c0 End SwitchBook 1 0
 32818 c0 Begin Cr3Load 0 0
@@ -268,8 +268,8 @@ SjStats { switches: 7, attaches: 5, lock_acquisitions: 6, lock_contentions: 1, l
 seg-lock draws 2
 32948 c0 Instant LockRelease 2 1
 32948 c0 Begin SwitchVmspace 1 0
-32948 c0 Begin KernelEntry 0 0
-33305 c0 End KernelEntry 0 0
+32948 c0 Begin KernelEntry 1 0
+33305 c0 End KernelEntry 1 0
 33305 c0 Begin SwitchBook 1 0
 33945 c0 End SwitchBook 1 0
 33945 c0 Begin Cr3Load 0 0
