@@ -104,6 +104,7 @@ impl Tracer {
     }
 
     /// Opens a span of `kind` on `core` at cycle `ts`.
+    #[inline]
     pub fn begin(&self, ts: u64, core: u32, kind: EventKind, arg0: u64) {
         if self.0.is_none() {
             return;
@@ -120,6 +121,7 @@ impl Tracer {
 
     /// Closes the most recent open span of `kind` on `core`, recording
     /// its duration into the kind's cycle histogram.
+    #[inline]
     pub fn end(&self, ts: u64, core: u32, kind: EventKind, arg0: u64) {
         if self.0.is_none() {
             return;
