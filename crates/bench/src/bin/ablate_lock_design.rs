@@ -46,7 +46,7 @@ fn main() {
             let t = run_jmp(&cfg).expect("run");
             cells.push(format!("{:.0}K", t.rps / 1e3));
         }
-        report.row(&cells, &[8, 18, 12, 14]);
+        report.row(&cells);
     }
     report.note("\nwriters always serialize on the exclusive segment lock, but the");
     report.note("decline with client count is a property of the lock's handoff cost —");

@@ -85,33 +85,24 @@ fn main() {
     report.header(&["tier", "build", "walk", "update"], &[6, 10, 10, 10]);
     let (db, dw, du) = run(Backing::Dram, nodes);
     let (nb, nw, nu) = run(Backing::Nvm, nodes);
-    report.row(
-        &[
-            "DRAM".to_string(),
-            format!("{db:.1}"),
-            format!("{dw:.1}"),
-            format!("{du:.1}"),
-        ],
-        &[6, 10, 10, 10],
-    );
-    report.row(
-        &[
-            "NVM".to_string(),
-            format!("{nb:.1}"),
-            format!("{nw:.1}"),
-            format!("{nu:.1}"),
-        ],
-        &[6, 10, 10, 10],
-    );
-    report.row(
-        &[
-            "ratio".to_string(),
-            format!("{:.2}", nb / db),
-            format!("{:.2}", nw / dw),
-            format!("{:.2}", nu / du),
-        ],
-        &[6, 10, 10, 10],
-    );
+    report.row(&[
+        "DRAM".to_string(),
+        format!("{db:.1}"),
+        format!("{dw:.1}"),
+        format!("{du:.1}"),
+    ]);
+    report.row(&[
+        "NVM".to_string(),
+        format!("{nb:.1}"),
+        format!("{nw:.1}"),
+        format!("{nu:.1}"),
+    ]);
+    report.row(&[
+        "ratio".to_string(),
+        format!("{:.2}", nb / db),
+        format!("{:.2}", nw / dw),
+        format!("{:.2}", nu / du),
+    ]);
     report.note("\nwrite-heavy phases feel NVM's write asymmetry hardest; placement");
     report.note("is a per-segment decision — exactly the control SpaceJMP gives");
     report.finish();

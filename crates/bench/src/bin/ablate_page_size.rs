@@ -102,21 +102,17 @@ fn main() {
     );
     for size in pow2_ticks(21, hi, 2) {
         let fmt = |v: Option<f64>| v.map(|ms| format!("{ms:.4}")).unwrap_or_else(|| "-".into());
-        report.row(
-            &[
-                human_bytes(size),
-                fmt(measure(size, PageSize::Size4K)),
-                fmt(measure(size, PageSize::Size2M)),
-                fmt(measure(size, PageSize::Size1G)),
-            ],
-            &[8, 12, 12, 12],
-        );
+        report.row(&[
+            human_bytes(size),
+            fmt(measure(size, PageSize::Size4K)),
+            fmt(measure(size, PageSize::Size2M)),
+            fmt(measure(size, PageSize::Size1G)),
+        ]);
     }
 
     // Access side: one touch per 4 KiB base page over a region that
     // dwarfs 4 KiB TLB reach, per backend and page size.
     let sweep = if quick { 32 << 20 } else { 1 << 30 };
-    let widths = [8, 10, 8, 12, 10, 14];
     report.heading(&format!(
         "Touch sweep over {} mapped per backend/page size (M2)",
         human_bytes(sweep)
@@ -130,7 +126,7 @@ fn main() {
             "tlb reach",
             "cycles/touch",
         ],
-        &widths,
+        &[8, 10, 8, 12, 10, 14],
     );
     let mut rows = vec![
         touch_sweep(sweep, PageSize::Size4K, false),
@@ -141,17 +137,14 @@ fn main() {
     }
     rows.push(touch_sweep(sweep, PageSize::Size4K, true));
     for r in rows {
-        report.row(
-            &[
-                r.backend.to_string(),
-                r.page,
-                r.walks.to_string(),
-                r.tlb_misses.to_string(),
-                human_bytes(r.reach),
-                format!("{:.2}", r.cycles_per_touch),
-            ],
-            &widths,
-        );
+        report.row(&[
+            r.backend.to_string(),
+            r.page,
+            r.walks.to_string(),
+            r.tlb_misses.to_string(),
+            human_bytes(r.reach),
+            format!("{:.2}", r.cycles_per_touch),
+        ]);
     }
 
     report.note("\nsuperpages cut construction cost by the entry-count ratio and widen");

@@ -177,20 +177,17 @@ fn report(out: &mut Report, name: &str, module: &Module) {
     } else {
         100.0 * interproc_checks as f64 / naive_checks as f64
     };
-    out.row(
-        &[
-            name.to_string(),
-            mem_ops.to_string(),
-            naive_checks.to_string(),
-            analyzed_checks.to_string(),
-            interproc_checks.to_string(),
-            format!("{ratio:.0}%"),
-            naive_cyc.to_string(),
-            analyzed_cyc.to_string(),
-            interproc_cyc.to_string(),
-        ],
-        WIDTHS,
-    );
+    out.row(&[
+        name.to_string(),
+        mem_ops.to_string(),
+        naive_checks.to_string(),
+        analyzed_checks.to_string(),
+        interproc_checks.to_string(),
+        format!("{ratio:.0}%"),
+        naive_cyc.to_string(),
+        analyzed_cyc.to_string(),
+        interproc_cyc.to_string(),
+    ]);
 }
 
 const WIDTHS: &[usize] = &[14, 8, 12, 14, 16, 8, 12, 14, 14];

@@ -138,8 +138,7 @@ fn recover_and_classify(
 /// first n the save survives (n exceeded the commit's write count).
 fn sweep_writes(report: &mut Report, tracer: &Tracer, pages: u64) -> (u32, u32, u32) {
     report.heading("Crash at every block write during a superseding vas_save");
-    let widths = [14, 9, 8];
-    report.header(&["crash-at-write", "recovered", "replays"], &widths);
+    report.header(&["crash-at-write", "recovered", "replays"], &[14, 9, 8]);
     let old = |p: u64| 0x01D_0000 + p;
     let new = |p: u64| 0x4E4_0000 + p;
     let (mut saw_old, mut saw_new) = (0u32, 0u32);
@@ -170,10 +169,7 @@ fn sweep_writes(report: &mut Report, tracer: &Tracer, pages: u64) -> (u32, u32, 
                 saw_new += 1;
             }
             points += 1;
-            report.row(
-                &[n.to_string(), outcome.to_string(), replays.to_string()],
-                &widths,
-            );
+            report.row(&[n.to_string(), outcome.to_string(), replays.to_string()]);
         } else {
             // n exceeded the commit's write count: sweep is exhaustive.
             report.note(&format!(
@@ -193,10 +189,9 @@ fn sweep_writes(report: &mut Report, tracer: &Tracer, pages: u64) -> (u32, u32, 
 /// barriers 2 and 3.
 fn sweep_flushes(report: &mut Report, tracer: &Tracer, pages: u64) -> u32 {
     report.heading("Crash at each flush barrier");
-    let widths = [14, 12, 9, 8];
     report.header(
         &["crash-at-flush", "barrier", "recovered", "replays"],
-        &widths,
+        &[14, 12, 9, 8],
     );
     let old = |p: u64| 0xAAA_0000 + p;
     let new = |p: u64| 0xBBB_0000 + p;
@@ -218,15 +213,12 @@ fn sweep_flushes(report: &mut Report, tracer: &Tracer, pages: u64) -> u32 {
         let want = if n <= 2 { "old" } else { "new" };
         assert_eq!(outcome, want, "flush {n}: journal-durability edge moved");
         assert_eq!(replays, u64::from(n == 3), "flush {n} replay count");
-        report.row(
-            &[
-                n.to_string(),
-                names[(n - 1) as usize].to_string(),
-                outcome.to_string(),
-                replays.to_string(),
-            ],
-            &widths,
-        );
+        report.row(&[
+            n.to_string(),
+            names[(n - 1) as usize].to_string(),
+            outcome.to_string(),
+            replays.to_string(),
+        ]);
     }
     3
 }
@@ -236,10 +228,9 @@ fn sweep_flushes(report: &mut Report, tracer: &Tracer, pages: u64) -> u32 {
 /// the two images.
 fn sweep_seeded(report: &mut Report, tracer: &Tracer, pages: u64, seeds: u64) -> u32 {
     report.heading("Seeded torn writes (p=0.25) + dropped flush barriers (p=0.5)");
-    let widths = [6, 9, 6, 9, 8];
     report.header(
         &["seed", "recovered", "torn", "dropped", "replays"],
-        &widths,
+        &[6, 9, 6, 9, 8],
     );
     let old = |p: u64| 0x50_0000 + p;
     let new = |p: u64| 0x51_0000 + p;
@@ -263,16 +254,13 @@ fn sweep_seeded(report: &mut Report, tracer: &Tracer, pages: u64, seeds: u64) ->
         if outcome == "new" {
             saw_new += 1;
         }
-        report.row(
-            &[
-                seed.to_string(),
-                outcome.to_string(),
-                torn.to_string(),
-                dropped.to_string(),
-                replays.to_string(),
-            ],
-            &widths,
-        );
+        report.row(&[
+            seed.to_string(),
+            outcome.to_string(),
+            torn.to_string(),
+            dropped.to_string(),
+            replays.to_string(),
+        ]);
     }
     assert!(saw_new > 0, "some fault-free-enough run must commit");
     seeds as u32

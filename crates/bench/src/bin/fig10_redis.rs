@@ -50,16 +50,13 @@ fn fig10a(report: &mut Report, quick: bool, tracer: &Tracer) {
         let tags = run_jmp(&cfg(n, 0, true, quick, tracer)).expect("tags");
         let redis = run_classic(&cfg(n, 0, false, quick, tracer), 1).expect("redis");
         let redis6 = run_classic(&cfg(n, 0, false, quick, tracer), 6).expect("redis6");
-        report.row(
-            &[
-                n.to_string(),
-                kfmt(jmp.rps),
-                kfmt(tags.rps),
-                kfmt(redis.rps),
-                kfmt(redis6.rps),
-            ],
-            &[8, 10, 14, 10, 10],
-        );
+        report.row(&[
+            n.to_string(),
+            kfmt(jmp.rps),
+            kfmt(tags.rps),
+            kfmt(redis.rps),
+            kfmt(redis6.rps),
+        ]);
     }
 }
 
@@ -74,10 +71,7 @@ fn fig10b(report: &mut Report, quick: bool, tracer: &Tracer) {
     for &n in clients {
         let jmp = run_jmp(&cfg(n, 100, false, quick, tracer)).expect("jmp");
         let redis = run_classic(&cfg(n, 100, false, quick, tracer), 1).expect("redis");
-        report.row(
-            &[n.to_string(), kfmt(jmp.rps), kfmt(redis.rps)],
-            &[8, 10, 10],
-        );
+        report.row(&[n.to_string(), kfmt(jmp.rps), kfmt(redis.rps)]);
     }
 }
 
@@ -92,10 +86,7 @@ fn fig10c(report: &mut Report, quick: bool, tracer: &Tracer) {
     for &pct in steps {
         let jmp = run_jmp(&cfg(24, pct, false, quick, tracer)).expect("jmp");
         let redis = run_classic(&cfg(24, pct, false, quick, tracer), 1).expect("redis");
-        report.row(
-            &[pct.to_string(), kfmt(jmp.rps), kfmt(redis.rps)],
-            &[8, 10, 10],
-        );
+        report.row(&[pct.to_string(), kfmt(jmp.rps), kfmt(redis.rps)]);
     }
 }
 

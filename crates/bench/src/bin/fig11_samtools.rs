@@ -35,29 +35,23 @@ fn main() {
         ("index", bam.index, sam.index, jmp.index),
     ];
     for (name, b, s, j) in rows {
-        report.row(
-            &[
-                name.to_string(),
-                "1.00".to_string(),
-                format!("{:.2}", s / b),
-                format!("{:.2}", j / b),
-            ],
-            &[16, 8, 8, 10],
-        );
+        report.row(&[
+            name.to_string(),
+            "1.00".to_string(),
+            format!("{:.2}", s / b),
+            format!("{:.2}", j / b),
+        ]);
     }
 
     report.heading("absolute simulated seconds");
     report.header(&["op", "BAM", "SAM", "SpaceJMP"], &[16, 10, 10, 10]);
     for (name, b, s, j) in rows {
-        report.row(
-            &[
-                name.to_string(),
-                format!("{b:.4}"),
-                format!("{s:.4}"),
-                format!("{j:.4}"),
-            ],
-            &[16, 10, 10, 10],
-        );
+        report.row(&[
+            name.to_string(),
+            format!("{b:.4}"),
+            format!("{s:.4}"),
+            format!("{j:.4}"),
+        ]);
     }
     report.note("\npaper: keeping data in memory with SpaceJMP yields significant");
     report.note("speedup over both serialized formats for every operation");

@@ -31,15 +31,12 @@ fn main() {
         ("coordinate sort", mmap.coordinate_sort, jmp.coordinate_sort),
         ("index", mmap.index, jmp.index),
     ] {
-        report.row(
-            &[
-                name.to_string(),
-                format!("{m:.4}"),
-                format!("{j:.4}"),
-                format!("{:.2}", m / j),
-            ],
-            &[16, 10, 12, 8],
-        );
+        report.row(&[
+            name.to_string(),
+            format!("{m:.4}"),
+            format!("{j:.4}"),
+            format!("{:.2}", m / j),
+        ]);
     }
     report.note("\npaper ratios (mmap/SpaceJMP): flagstat 1.49, qname 1.02,");
     report.note("coordinate 1.09, index 0.99 — comparable overall, with the fixed");

@@ -37,16 +37,13 @@ fn main() {
     for size in pow2_ticks(15, hi, 2) {
         let (map, unmap) = measure(size, false);
         let (map_c, unmap_c) = measure(size, true);
-        report.row(
-            &[
-                human_bytes(size),
-                format!("{map:.4}"),
-                format!("{unmap:.4}"),
-                format!("{map_c:.4}"),
-                format!("{unmap_c:.4}"),
-            ],
-            &[10, 12, 12, 12, 12],
-        );
+        report.row(&[
+            human_bytes(size),
+            format!("{map:.4}"),
+            format!("{unmap:.4}"),
+            format!("{map_c:.4}"),
+            format!("{unmap_c:.4}"),
+        ]);
     }
     report.note("\npaper anchors: 1 GiB ~ 5 ms; 64 GiB ~ 2000 ms (uncached map)");
     report.finish();

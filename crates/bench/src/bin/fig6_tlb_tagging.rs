@@ -84,7 +84,6 @@ fn run(series: Series, pages: u64, iters: u64) -> f64 {
 
 fn main() {
     let iters = if quick_mode() { 2_000 } else { 20_000 };
-    let widths = [8, 16, 16, 12, 12];
     let mut report = Report::new("fig6_tlb_tagging");
     report.heading("Figure 6: page-touch latency vs working set (M3, cycles)");
     report.header(
@@ -95,23 +94,20 @@ fn main() {
             "no switch",
             "no-vm",
         ],
-        &widths,
+        &[8, 16, 16, 12, 12],
     );
     for pages in [64u64, 128, 256, 512, 768, 1024, 1536, 2048] {
         let off = run(Series::SwitchTagOff, pages, iters);
         let on = run(Series::SwitchTagOn, pages, iters);
         let none = run(Series::NoSwitch, pages, iters);
         let novm = run(Series::SwitchNoVm, pages, iters);
-        report.row(
-            &[
-                pages.to_string(),
-                format!("{off:.1}"),
-                format!("{on:.1}"),
-                format!("{none:.1}"),
-                format!("{novm:.1}"),
-            ],
-            &widths,
-        );
+        report.row(&[
+            pages.to_string(),
+            format!("{off:.1}"),
+            format!("{on:.1}"),
+            format!("{none:.1}"),
+            format!("{novm:.1}"),
+        ]);
     }
     report.note("\npaper: tag-off flat and high; tag-on tracks no-switch until the");
     report.note("working set exceeds TLB capacity (M3: 1024 entries), then all converge.");

@@ -83,15 +83,12 @@ fn main() {
         let l = urpc_round_trip(Placement::IntraSocket, size, &tracer);
         let x = urpc_round_trip(Placement::CrossSocket, size, &tracer);
         let s = spacejmp_round_trip(size, &tracer);
-        report.row(
-            &[
-                human_bytes(size as u64),
-                l.to_string(),
-                x.to_string(),
-                s.to_string(),
-            ],
-            &[8, 10, 10, 10],
-        );
+        report.row(&[
+            human_bytes(size as u64),
+            l.to_string(),
+            x.to_string(),
+            s.to_string(),
+        ]);
     }
     report.note("\npaper: SpaceJMP beaten only by intra-socket URPC for small");
     report.note("messages; across sockets the interconnect dominates the switch cost");

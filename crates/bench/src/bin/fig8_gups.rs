@@ -40,15 +40,12 @@ fn main() {
             let jmp = run(Design::Jmp, &cfg).expect("jmp");
             let mp = run(Design::Mp, &cfg).expect("mp");
             let map = run(Design::Map, &cfg).expect("map");
-            report.row(
-                &[
-                    w.to_string(),
-                    format!("{:.1}", jmp.mups),
-                    format!("{:.1}", mp.mups),
-                    format!("{:.1}", map.mups),
-                ],
-                &[8, 10, 10, 10],
-            );
+            report.row(&[
+                w.to_string(),
+                format!("{:.1}", jmp.mups),
+                format!("{:.1}", mp.mups),
+                format!("{:.1}", map.mups),
+            ]);
         }
     }
     // Lower bound: the same JMP sweep on the no-VM base+bound backend.
@@ -76,16 +73,13 @@ fn main() {
             },
         )
         .expect("no-vm jmp");
-        report.row(
-            &[
-                w.to_string(),
-                format!("{:.1}", jmp.mups),
-                format!("{:.1}", novm.mups),
-                jmp.tlb_misses.to_string(),
-                novm.tlb_misses.to_string(),
-            ],
-            &[8, 10, 10, 12, 13],
-        );
+        report.row(&[
+            w.to_string(),
+            format!("{:.1}", jmp.mups),
+            format!("{:.1}", novm.mups),
+            jmp.tlb_misses.to_string(),
+            novm.tlb_misses.to_string(),
+        ]);
     }
 
     report.note("\npaper: all equal at 1 window; MAP collapses immediately;");

@@ -33,14 +33,11 @@ fn main() {
                 ..GupsConfig::default()
             };
             let r = run_jmp(&cfg).expect("run");
-            report.row(
-                &[
-                    w.to_string(),
-                    format!("{:.1}", r.switch_rate / 1e3),
-                    format!("{:.1}", r.tlb_miss_rate / 1e3),
-                ],
-                &[8, 14, 12],
-            );
+            report.row(&[
+                w.to_string(),
+                format!("{:.1}", r.switch_rate / 1e3),
+                format!("{:.1}", r.tlb_miss_rate / 1e3),
+            ]);
         }
     }
     report.note("\npaper: switch rate climbs with window count then levels off;");

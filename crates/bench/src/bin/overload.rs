@@ -73,22 +73,19 @@ fn us(machine: MachineId, cycles: u64) -> f64 {
 }
 
 fn sweep_row(report: &mut Report, machine: MachineId, label: &str, r: &OverloadResult) {
-    report.row(
-        &[
-            label.to_string(),
-            format!("{:.0}", r.offered_rps),
-            format!("{:.0}", r.goodput_rps),
-            format!("{:.1}", r.shed_rate * 100.0),
-            format!("{:.0}", us(machine, r.p50)),
-            format!("{:.0}", us(machine, r.p99)),
-            // The exact bracket around the true p999: the log2-bucket
-            // lower edge and the conservative upper bound the gates use.
-            format!("{:.0}", us(machine, r.p999_bounds.0)),
-            format!("{:.0}", us(machine, r.p999_bounds.1)),
-            r.max_queue.to_string(),
-        ],
-        &SWEEP_W,
-    );
+    report.row(&[
+        label.to_string(),
+        format!("{:.0}", r.offered_rps),
+        format!("{:.0}", r.goodput_rps),
+        format!("{:.1}", r.shed_rate * 100.0),
+        format!("{:.0}", us(machine, r.p50)),
+        format!("{:.0}", us(machine, r.p99)),
+        // The exact bracket around the true p999: the log2-bucket
+        // lower edge and the conservative upper bound the gates use.
+        format!("{:.0}", us(machine, r.p999_bounds.0)),
+        format!("{:.0}", us(machine, r.p999_bounds.1)),
+        r.max_queue.to_string(),
+    ]);
 }
 
 /// Goodput at saturation and at 2x, for the retention gate.
@@ -200,16 +197,13 @@ fn degraded_section(report: &mut Report, quick: bool, tracer: &Tracer) -> Result
     cfg.degraded_shards = 2;
     let degraded = run_overload(&cfg).map_err(|e| format!("degraded: {e:?}"))?;
     for (label, r) in [("healthy", &healthy), ("degraded", &degraded)] {
-        report.row(
-            &[
-                label.to_string(),
-                r.offered.to_string(),
-                format!("{:.0}", r.goodput_rps),
-                r.degraded_rejects.to_string(),
-                r.completed.to_string(),
-            ],
-            &[10, 9, 11, 9, 10],
-        );
+        report.row(&[
+            label.to_string(),
+            r.offered.to_string(),
+            format!("{:.0}", r.goodput_rps),
+            r.degraded_rejects.to_string(),
+            r.completed.to_string(),
+        ]);
     }
     if degraded.degraded_rejects == 0 {
         return Err("degraded shards rejected no SETs".into());
@@ -266,19 +260,16 @@ fn exemplar_section(report: &mut Report, quick: bool, tracer: &Tracer) -> Result
                 ex.latency()
             ));
         }
-        report.row(
-            &[
-                (rank + 1).to_string(),
-                ex.id.to_string(),
-                format!("{:.1}", us(machine, ex.latency())),
-                format!("{:.1}", us(machine, ex.phases.backoff)),
-                format!("{:.1}", us(machine, ex.phases.queue)),
-                format!("{:.1}", us(machine, ex.phases.switch)),
-                format!("{:.1}", us(machine, ex.phases.service)),
-                ex.retries.to_string(),
-            ],
-            &w,
-        );
+        report.row(&[
+            (rank + 1).to_string(),
+            ex.id.to_string(),
+            format!("{:.1}", us(machine, ex.latency())),
+            format!("{:.1}", us(machine, ex.phases.backoff)),
+            format!("{:.1}", us(machine, ex.phases.queue)),
+            format!("{:.1}", us(machine, ex.phases.switch)),
+            format!("{:.1}", us(machine, ex.phases.service)),
+            ex.retries.to_string(),
+        ]);
     }
     // The full span trees, machine-readable, for forensic replay.
     for ex in &r.exemplars {

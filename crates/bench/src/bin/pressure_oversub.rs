@@ -39,7 +39,6 @@ fn gups(report: &mut Report, quick: bool, tracer: &Tracer) {
         ..GupsConfig::default()
     };
     let data_pages = cfg.windows as u64 * cfg.window_bytes / PAGE_SIZE;
-    let widths = [10, 8, 10, 10, 8, 10, 6];
     report.header(
         &[
             "dram/data",
@@ -50,7 +49,7 @@ fn gups(report: &mut Report, quick: bool, tracer: &Tracer) {
             "swap-slots",
             "oom",
         ],
-        &widths,
+        &[10, 8, 10, 10, 8, 10, 6],
     );
     for (label, num, den) in [("1.00x", 1, 1), ("0.75x", 3, 4), ("0.50x", 1, 2)] {
         let mem_frames = data_pages * num / den + GUPS_SLACK_FRAMES;
@@ -61,18 +60,15 @@ fn gups(report: &mut Report, quick: bool, tracer: &Tracer) {
             (cfg.epochs * cfg.updates_per_set) as u64,
             "constrained run dropped updates"
         );
-        report.row(
-            &[
-                label.to_string(),
-                format!("{:.2}", r.mups),
-                p.evictions.to_string(),
-                p.major_faults.to_string(),
-                p.reclaim_passes.to_string(),
-                p.swap_slots_used.to_string(),
-                p.oom_kills.to_string(),
-            ],
-            &widths,
-        );
+        report.row(&[
+            label.to_string(),
+            format!("{:.2}", r.mups),
+            p.evictions.to_string(),
+            p.major_faults.to_string(),
+            p.reclaim_passes.to_string(),
+            p.swap_slots_used.to_string(),
+            p.oom_kills.to_string(),
+        ]);
     }
     report.note("\npinned segments (the paper's §4.1 rule) cannot even allocate below");
     report.note("1.00x; demand segments trade MUPS for completion via the swap device");
@@ -138,7 +134,6 @@ fn redis(report: &mut Report, quick: bool, tracer: &Tracer) {
         problems.join("\n")
     );
 
-    let widths = [10, 10, 10, 10, 10];
     report.header(
         &[
             "SET rps",
@@ -147,18 +142,15 @@ fn redis(report: &mut Report, quick: bool, tracer: &Tracer) {
             "swap-slots",
             "denials",
         ],
-        &widths,
+        &[10, 10, 10, 10, 10],
     );
-    report.row(
-        &[
-            format!("{:.0}K", f64::from(sets) * freq / set_cycles as f64 / 1e3),
-            stats.kernel.evictions.to_string(),
-            stats.kernel.major_faults.to_string(),
-            stats.phys.swap_slots_used.to_string(),
-            stats.kernel.quota_denials.to_string(),
-        ],
-        &widths,
-    );
+    report.row(&[
+        format!("{:.0}K", f64::from(sets) * freq / set_cycles as f64 / 1e3),
+        stats.kernel.evictions.to_string(),
+        stats.kernel.major_faults.to_string(),
+        stats.phys.swap_slots_used.to_string(),
+        stats.kernel.quota_denials.to_string(),
+    ]);
     report.note(&format!(
         "\nall {sets} SETs completed and sampled GETs verified; audit clean"
     ));

@@ -58,37 +58,28 @@ fn main() {
     );
     for m in MachineId::ALL {
         let p = MachineProfile::of(m);
-        report.row(
-            &[
-                p.name.to_string(),
-                human_bytes(p.mem_bytes),
-                p.total_cores().to_string(),
-                format!("{:.2}", p.freq_hz as f64 / 1e9),
-                p.tlb_entries.to_string(),
-            ],
-            &[6, 10, 6, 10, 6],
-        );
+        report.row(&[
+            p.name.to_string(),
+            human_bytes(p.mem_bytes),
+            p.total_cores().to_string(),
+            format!("{:.2}", p.freq_hz as f64 / 1e9),
+            p.tlb_entries.to_string(),
+        ]);
     }
 
     report.heading("Table 2: context-switch breakdown on M2 (cycles; tagged in parentheses)");
     let c = CostModel::default();
     report.header(&["operation", "DragonFly BSD", "Barrelfish"], &[12, 16, 14]);
-    report.row(
-        &[
-            "CR3 load".to_string(),
-            format!("{} ({})", c.cr3_load(false), c.cr3_load(true)),
-            format!("{} ({})", c.cr3_load(false), c.cr3_load(true)),
-        ],
-        &[12, 16, 14],
-    );
-    report.row(
-        &[
-            "system call".to_string(),
-            c.kernel_entry(KernelFlavor::DragonFly).to_string(),
-            c.kernel_entry(KernelFlavor::Barrelfish).to_string(),
-        ],
-        &[12, 16, 14],
-    );
+    report.row(&[
+        "CR3 load".to_string(),
+        format!("{} ({})", c.cr3_load(false), c.cr3_load(true)),
+        format!("{} ({})", c.cr3_load(false), c.cr3_load(true)),
+    ]);
+    report.row(&[
+        "system call".to_string(),
+        c.kernel_entry(KernelFlavor::DragonFly).to_string(),
+        c.kernel_entry(KernelFlavor::Barrelfish).to_string(),
+    ]);
     // Each configuration gets a fresh tracer so its trace holds exactly
     // one switch; the shared env tracer only gates whether they trace.
     let configs = [
@@ -108,14 +99,11 @@ fn main() {
         measured.push(measured_switch(flavor, tagged, &t));
         traces.push((label, t));
     }
-    report.row(
-        &[
-            "vas_switch".to_string(),
-            format!("{} ({})", measured[0], measured[1]),
-            format!("{} ({})", measured[2], measured[3]),
-        ],
-        &[12, 16, 14],
-    );
+    report.row(&[
+        "vas_switch".to_string(),
+        format!("{} ({})", measured[0], measured[1]),
+        format!("{} ({})", measured[2], measured[3]),
+    ]);
     report.note("\npaper: vas_switch 1127 (807) DragonFly, 664 (462) Barrelfish");
 
     if tracer.enabled() {
@@ -128,16 +116,13 @@ fn main() {
             let entry = span_sum(t, "kernel_entry");
             let book = span_sum(t, "switch_book");
             let cr3 = span_sum(t, "cr3_load");
-            report.row(
-                &[
-                    label.to_string(),
-                    entry.to_string(),
-                    book.to_string(),
-                    cr3.to_string(),
-                    (entry + book + cr3).to_string(),
-                ],
-                &[16, 12, 12, 10, 8],
-            );
+            report.row(&[
+                label.to_string(),
+                entry.to_string(),
+                book.to_string(),
+                cr3.to_string(),
+                (entry + book + cr3).to_string(),
+            ]);
             assert_eq!(
                 entry + book + cr3,
                 cycles,

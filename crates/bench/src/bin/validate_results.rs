@@ -1,8 +1,15 @@
 //! CI gate for the machine-readable outputs in `results/` and the
-//! host-speed trajectory.
+//! host-speed trajectory, and the one list of runs that produce them.
 //!
-//! Usage: `validate_results --all | <bench-name>...`. Exits nonzero with
-//! a message naming the file and the first rule it breaks.
+//! Usage: `validate_results --regen | --all | <bench-name>...`. Exits
+//! nonzero with a message naming the file and the first rule it breaks.
+//!
+//! [`RUNS`] declares every committed result once: the bench binary and
+//! whether it runs traced. `--regen` rebuilds the bins, reruns each entry
+//! from the repository root (stdout to `results/<bin>.txt`; the bin
+//! writes `results/<bin>.json` and, traced, its side files), then checks
+//! as `--all` does. CI regenerates this way and requires `git status
+//! --porcelain -- results/` to print nothing.
 //!
 //! Every bench report has one shape: `bench`, `notes`, and non-empty
 //! `sections`, each with a `title`, a non-empty `columns` array of
@@ -20,14 +27,13 @@
 //! in `results/`, side files where they exist (tracing is opt-in per
 //! run), and the `BENCH_selfperf.json` trajectory
 //! ([`sjmp_bench::trajectory::check`]: every entry a `sjmp_perf` run
-//! under a manifest naming its commit); then it pairs reports with the
-//! binaries in `crates/bench/src/bin/`: a report without a producer, or
-//! a bench without a committed report, fails the gate.
+//! under a manifest naming its commit); then it pairs reports, [`RUNS`]
+//! and the binaries in `crates/bench/src/bin/` ([`check_stale`]).
 
 use std::path::Path;
-use std::process::ExitCode;
+use std::process::{Command, ExitCode, Stdio};
 
-use sjmp_bench::trajectory;
+use sjmp_bench::{trajectory, TRACE_ENV};
 use sjmp_trace::Json;
 
 use Rule::*;
@@ -60,6 +66,31 @@ const SWEEP_COLUMNS: &[&str] = &[
     "shed%",
     "p999lo",
     "p999us",
+];
+
+/// Every committed result and the run that produces it: the bench
+/// binary, run from the repository root with no arguments (every result
+/// is the full-size run), and whether it runs with `SJMP_TRACE=1`, which
+/// also writes the committed trace and metrics side files.
+const RUNS: [(&str, bool); 17] = [
+    ("fig1_mmap_scaling", false),
+    // Table 2 is rebuilt from the trace's spans.
+    ("tab2_switch_breakdown", true),
+    ("fig6_tlb_tagging", false),
+    ("fig7_rpc_latency", false),
+    ("fig8_gups", false),
+    ("fig9_gups_rates", false),
+    ("fig10_redis", false),
+    ("fig11_samtools", false),
+    ("fig12_samtools_mmap", false),
+    ("ablate_safety_checks", false),
+    ("ablate_page_size", false),
+    ("ablate_lock_design", false),
+    ("ablate_memory_tiers", false),
+    ("pressure_oversub", false),
+    ("crash_sweep", false),
+    ("warm_restart", false),
+    ("overload", false),
 ];
 
 /// The expectation table: what each bench's committed report promises.
@@ -415,33 +446,79 @@ fn all_report_names(root: &Path) -> Result<Vec<String>, String> {
     Ok(names)
 }
 
-/// Stale-results detection, both directions: a committed report whose
-/// producing binary no longer exists can never be regenerated, and a
-/// bench binary with no committed report means `results/` was not
-/// regenerated after the bench landed.
-fn check_stale(root: &Path, report_names: &[String]) -> Result<(), String> {
-    let mut bins = stems(root, BIN_DIR, ".rs")?;
-    bins.retain(|b| !TOOL_BINS.contains(&b.as_str()));
-    for name in report_names {
-        if name != ANALYZE_REPORT && !bins.contains(name) {
+/// Stale-results detection over the reports in `results/`, the [`RUNS`]
+/// entries and the binaries in [`BIN_DIR`]: a report no entry produces
+/// can never be regenerated, an entry whose bin is gone cannot run, a
+/// bin that is neither an entry nor a tool produces nothing committed,
+/// and an entry with no report was never regenerated.
+fn check_stale(reports: &[String], runs: &[&str], bins: &[String]) -> Result<(), String> {
+    for name in reports.iter().filter(|n| *n != ANALYZE_REPORT) {
+        if !runs.contains(&name.as_str()) {
             return Err(format!(
-                "results/{name}.json is stale: no bench binary {BIN_DIR}/{name}.rs produces it"
+                "results/{name}.json is stale: no RUNS entry produces it"
             ));
         }
     }
-    for bin in &bins {
-        if !report_names.contains(bin) {
+    for run in runs {
+        if !bins.iter().any(|b| b == run) {
+            return Err(format!("RUNS entry {run} has no bin {BIN_DIR}/{run}.rs"));
+        }
+        if !reports.iter().any(|r| r == run) {
             return Err(format!(
-                "{BIN_DIR}/{bin}.rs has no committed report: run it to produce results/{bin}.json"
+                "RUNS entry {run} has no committed report: run validate_results --regen"
+            ));
+        }
+    }
+    for bin in bins {
+        if !runs.contains(&bin.as_str()) && !TOOL_BINS.contains(&bin.as_str()) {
+            return Err(format!(
+                "{BIN_DIR}/{bin}.rs is neither a RUNS entry nor a tool"
             ));
         }
     }
     Ok(())
 }
 
-/// Runs the gate over `args` (`--all` or bench names) from `root`.
+/// Rebuilds the bench binaries, so no stale one can answer, then reruns
+/// every [`RUNS`] entry from `root`, writing its stdout to
+/// `results/<bin>.txt`. Stops at the first run that fails.
+fn regen(root: &Path) -> Result<(), String> {
+    let release = (!cfg!(debug_assertions)).then_some("--release");
+    let build = ["build", "-p", "sjmp-bench", "--bins"]
+        .into_iter()
+        .chain(release);
+    let status = Command::new("cargo").args(build).current_dir(root).status();
+    if !status.as_ref().is_ok_and(|s| s.success()) {
+        return Err(format!("cargo build -p sjmp-bench --bins: {status:?}"));
+    }
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let dir = exe.parent().ok_or("current_exe has no directory")?;
+    for (bin, traced) in RUNS {
+        let mut cmd = Command::new(dir.join(bin));
+        cmd.current_dir(root).env_remove(TRACE_ENV);
+        if traced {
+            cmd.env(TRACE_ENV, "1");
+        }
+        let out = cmd.stderr(Stdio::inherit()).output();
+        let out = out.map_err(|e| format!("{bin}: {e}"))?;
+        if !out.status.success() {
+            return Err(format!("{bin} failed: {}", out.status));
+        }
+        let text = format!("results/{bin}.txt");
+        std::fs::write(root.join(&text), &out.stdout).map_err(|e| format!("{text}: {e}"))?;
+        println!("ran {bin}: {text}");
+    }
+    Ok(())
+}
+
+/// Runs the gate over `args` (`--regen`, `--all` or bench names) from
+/// `root`.
 fn run(root: &Path, args: &[String]) -> Result<(), String> {
-    let sweep = args.iter().any(|a| a == "--all");
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    if has("--regen") {
+        regen(root)?;
+    }
+    let sweep = has("--regen") || has("--all");
     let names = if sweep {
         all_report_names(root)?
     } else {
@@ -457,8 +534,12 @@ fn run(root: &Path, args: &[String]) -> Result<(), String> {
     // Pairing needs the bin dir, so it runs only in a sweep from a
     // checkout (a bare results/ copy has nothing to pair against).
     if sweep && root.join(BIN_DIR).is_dir() {
-        check_stale(root, &names)?;
-        println!("ok: results/ and {BIN_DIR}/ pair 1:1 (no stale reports)");
+        check_stale(
+            &names,
+            &RUNS.map(|(bin, _)| bin),
+            &stems(root, BIN_DIR, ".rs")?,
+        )?;
+        println!("ok: results/, RUNS and {BIN_DIR}/ pair 1:1 (no stale reports)");
     }
     Ok(())
 }
@@ -466,7 +547,7 @@ fn run(root: &Path, args: &[String]) -> Result<(), String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: validate_results --all | <bench-name>...");
+        eprintln!("usage: validate_results --regen | --all | <bench-name>...");
         return ExitCode::FAILURE;
     }
     match run(Path::new("."), &args) {
@@ -681,6 +762,50 @@ mod tests {
             let err = verdict(bench, &doc).expect_err(rule);
             let report = format!("results/{bench}.json: ");
             assert!(err.starts_with(&report) && err.contains(rule), "{err}");
+        }
+    }
+
+    /// The stale gate's inputs: report names, [`RUNS`] bins, bin stems.
+    type Pairing = (Vec<String>, Vec<&'static str>, Vec<String>);
+
+    type PairingEdit = fn(&mut Pairing);
+
+    /// One mutation of the committed pairing per stale-gate rule, and the
+    /// rule the failure must name.
+    const STALE_MUTATIONS: &[(PairingEdit, &str)] = &[
+        (
+            |(reports, _, _)| reports.push("fig13_retired".into()),
+            "results/fig13_retired.json is stale: no RUNS entry produces it",
+        ),
+        (
+            |(_, runs, _)| runs.push("fig13_unbuilt"),
+            "RUNS entry fig13_unbuilt has no bin",
+        ),
+        (
+            |(_, _, bins)| bins.push("fig13_undeclared".into()),
+            "fig13_undeclared.rs is neither a RUNS entry nor a tool",
+        ),
+        (
+            |(reports, _, _)| reports.retain(|r| r != "fig8_gups"),
+            "RUNS entry fig8_gups has no committed report",
+        ),
+    ];
+
+    #[test]
+    fn each_stale_rule_fails_its_mutation() {
+        let root = root();
+        let committed: Pairing = (
+            all_report_names(&root).unwrap(),
+            RUNS.map(|(bin, _)| bin).to_vec(),
+            stems(&root, BIN_DIR, ".rs").unwrap(),
+        );
+        let verdict = |(reports, runs, bins): &Pairing| check_stale(reports, runs, bins);
+        assert_eq!(verdict(&committed), Ok(()));
+        for (mutate, rule) in STALE_MUTATIONS {
+            let mut pairing = committed.clone();
+            mutate(&mut pairing);
+            let err = verdict(&pairing).expect_err(rule);
+            assert!(err.contains(rule), "{err}");
         }
     }
 

@@ -144,7 +144,6 @@ fn main() {
     let mut report = Report::new("warm_restart");
 
     report.heading("RedisJMP warm restart: vas_save / power-cycle / vas_load (M1 profile)");
-    let widths = [6, 12, 12, 12, 12, 9, 12];
     report.header(
         &[
             "keys",
@@ -155,44 +154,37 @@ fn main() {
             "rejoin",
             "serve-all",
         ],
-        &widths,
+        &[6, 12, 12, 12, 12, 9, 12],
     );
     let ticks: &[u32] = if quick { &[64, 256] } else { &[64, 256, 1024] };
     let mut runs = Vec::new();
     for &keys in ticks {
         let r = run(keys, &tracer);
-        report.row(
-            &[
-                r.keys.to_string(),
-                r.populate.to_string(),
-                r.save.to_string(),
-                r.recovery.to_string(),
-                r.load.to_string(),
-                r.rejoin.to_string(),
-                r.serve.to_string(),
-            ],
-            &widths,
-        );
+        report.row(&[
+            r.keys.to_string(),
+            r.populate.to_string(),
+            r.save.to_string(),
+            r.recovery.to_string(),
+            r.load.to_string(),
+            r.rejoin.to_string(),
+            r.serve.to_string(),
+        ]);
         runs.push(r);
     }
 
     report.heading("Time to a servable store: cold rebuild vs warm restart");
-    let widths = [6, 14, 14, 10, 9];
     report.header(
         &["keys", "cold-rebuild", "warm-restart", "warm-ms", "speedup"],
-        &widths,
+        &[6, 14, 14, 10, 9],
     );
     for r in &runs {
-        report.row(
-            &[
-                r.keys.to_string(),
-                r.cold_ready().to_string(),
-                r.warm_ready().to_string(),
-                format!("{:.3}", r.warm_ready() as f64 / freq * 1e3),
-                format!("{:.1}x", r.cold_ready() as f64 / r.warm_ready() as f64),
-            ],
-            &widths,
-        );
+        report.row(&[
+            r.keys.to_string(),
+            r.cold_ready().to_string(),
+            r.warm_ready().to_string(),
+            format!("{:.3}", r.warm_ready() as f64 / freq * 1e3),
+            format!("{:.1}x", r.cold_ready() as f64 / r.warm_ready() as f64),
+        ]);
     }
 
     report.note("\nevery warm GET returned the exact value written before the crash;");

@@ -1,21 +1,11 @@
 //! # sjmp-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation:
+//! One binary per table/figure of the paper's evaluation and per
+//! ablation. `validate_results`'s `RUNS` table declares how each one
+//! produces its committed result, and `validate_results --regen` reruns
+//! them all. Run one with `cargo run -p sjmp-bench --bin <target>
+//! [--quick]`.
 //!
-//! | target | regenerates |
-//! |---|---|
-//! | `fig1_mmap_scaling` | Figure 1: mmap/munmap cost vs region size |
-//! | `tab2_switch_breakdown` | Tables 1-2: machines, switch decomposition |
-//! | `fig6_tlb_tagging` | Figure 6: TLB tagging vs working-set size |
-//! | `fig7_rpc_latency` | Figure 7: URPC vs SpaceJMP latency |
-//! | `fig8_gups` | Figure 8: GUPS MUPS vs #address spaces |
-//! | `fig9_gups_rates` | Figure 9: switch and TLB-miss rates |
-//! | `fig10_redis` | Figure 10 a/b/c: Redis vs RedisJMP throughput |
-//! | `fig11_samtools` | Figure 11: BAM/SAM vs SpaceJMP |
-//! | `fig12_samtools_mmap` | Figure 12: mmap vs SpaceJMP |
-//! | `ablate_safety_checks` | Section 4.3 ablation: naive vs analyzed checks |
-//!
-//! Run any of them with `cargo run -p sjmp-bench --bin <target> [--quick]`.
 //! Every binary prints a plain-text table whose rows correspond to the
 //! paper's plotted series **and** serializes the same rows to
 //! `results/<bin>.json` via [`Report`]; `EXPERIMENTS.md` records
@@ -63,7 +53,7 @@ pub fn row<D: Display>(cells: &[D], widths: &[usize]) {
 /// let mut report = sjmp_bench::Report::new("fig0_example");
 /// report.heading("Figure 0: example");
 /// report.header(&["n", "cycles"], &[6, 10]);
-/// report.row(&["1", "1127"], &[6, 10]);
+/// report.row(&["1", "1127"]);
 /// report.note("paper: 1127");
 /// report.finish();
 /// ```
@@ -74,10 +64,11 @@ pub struct Report {
     notes: Vec<String>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Section {
     title: String,
     columns: Vec<String>,
+    widths: Vec<usize>,
     rows: Vec<Vec<Json>>,
 }
 
@@ -97,24 +88,26 @@ impl Report {
         heading(title);
         self.sections.push(Section {
             title: title.to_string(),
-            columns: Vec::new(),
-            rows: Vec::new(),
+            ..Section::default()
         });
     }
 
-    /// Prints the column-header row and records the column names.
+    /// Prints the column-header row with these column widths, and records
+    /// the column names and the widths for the section's rows.
     pub fn header<D: Display>(&mut self, cells: &[D], widths: &[usize]) {
         row(cells, widths);
-        let cols: Vec<String> = cells.iter().map(ToString::to_string).collect();
-        self.current().columns = cols;
+        let section = self.current();
+        section.columns = cells.iter().map(ToString::to_string).collect();
+        section.widths = widths.to_vec();
     }
 
-    /// Prints a data row and records it (cells that parse as integers or
-    /// floats are stored as JSON numbers).
-    pub fn row<D: Display>(&mut self, cells: &[D], widths: &[usize]) {
-        row(cells, widths);
-        let vals: Vec<Json> = cells.iter().map(|c| cell_json(&c.to_string())).collect();
-        self.current().rows.push(vals);
+    /// Prints a data row in the header's widths and records it (cells
+    /// that parse as integers or floats are stored as JSON numbers).
+    pub fn row<D: Display>(&mut self, cells: &[D]) {
+        let section = self.current();
+        row(cells, &section.widths);
+        let vals = cells.iter().map(|c| cell_json(&c.to_string())).collect();
+        section.rows.push(vals);
     }
 
     /// Prints a free-form note line and records it.
@@ -125,11 +118,7 @@ impl Report {
 
     fn current(&mut self) -> &mut Section {
         if self.sections.is_empty() {
-            self.sections.push(Section {
-                title: String::new(),
-                columns: Vec::new(),
-                rows: Vec::new(),
-            });
+            self.sections.push(Section::default());
         }
         self.sections.last_mut().expect("pushed above")
     }
@@ -292,8 +281,8 @@ mod tests {
         let mut r = Report::new("unit_test");
         r.heading("first");
         r.header(&["a", "b"], &[4, 4]);
-        r.row(&["1", "2.5"], &[4, 4]);
-        r.row(&["x", "3"], &[4, 4]);
+        r.row(&["1", "2.5"]);
+        r.row(&["x", "3"]);
         r.note("a note");
         // Inspect the JSON without touching the filesystem.
         let s = &r.sections[0];

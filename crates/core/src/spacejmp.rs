@@ -1130,13 +1130,15 @@ impl SpaceJmp {
         Ok(())
     }
 
-    /// Unregisters a VAS no process has attached: its name, its segments'
-    /// attachments to it, and its template tree.
+    /// Unregisters a VAS no process has attached: its name, its
+    /// capabilities, its segments' attachments to it, and its template
+    /// tree.
     fn vas_destroy(&mut self, vid: VasId) {
         let Some(v) = self.vases.remove(&vid) else {
             return;
         };
         self.vas_names.remove(v.name());
+        self.delete_caps(ObjClass::Vas, vid.0);
         for (sid, _) in v.segments() {
             let object = self.segments.get_mut(sid).map(|seg| {
                 seg.drop_attach();
@@ -1941,13 +1943,24 @@ impl SpaceJmp {
         Ok(())
     }
 
-    /// Unregisters a segment no VAS or attachment maps and frees its
-    /// backing object.
+    /// Unregisters a segment no VAS or attachment maps, deletes its
+    /// capabilities and frees its backing object.
     fn seg_destroy(&mut self, sid: SegId) -> SjResult<()> {
         let s = self.segments.remove(&sid).ok_or(SjError::NotFound)?;
         self.seg_names.remove(s.name());
+        self.delete_caps(ObjClass::Segment, sid.0);
         self.kernel.free_object(s.object())?;
         Ok(())
+    }
+
+    /// Deletes every live process's capability for the destroyed object
+    /// `id` of `class` (only Barrelfish hands them out), uncharged.
+    fn delete_caps(&mut self, class: ObjClass, id: u64) {
+        for pid in self.kernel.process_ids() {
+            if let Ok(process) = self.kernel.process_mut(pid) {
+                process.cspace_mut().delete_object(class, id);
+            }
+        }
     }
 
     // ---- helpers ----------------------------------------------------------

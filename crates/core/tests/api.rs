@@ -1257,6 +1257,51 @@ fn a_full_cspace_fails_vas_creation_cleanly() {
     assert!(problems.is_empty(), "{problems:?}");
 }
 
+fn barrelfish() -> (SpaceJmp, Pid) {
+    let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::Barrelfish, MachineId::M2));
+    let pid = sj.kernel_mut().spawn("p", Creds::new(100, 100)).unwrap();
+    sj.kernel_mut().activate(pid).unwrap();
+    (sj, pid)
+}
+
+fn live_caps(sj: &SpaceJmp, pid: Pid) -> usize {
+    sj.kernel().process(pid).unwrap().cspace().live_count()
+}
+
+#[test]
+fn destroying_a_vas_frees_its_capability_slot() {
+    let (mut sj, pid) = barrelfish();
+    let held = live_caps(&sj, pid);
+    // Twice the 64-slot cspace: every create finds a slot again.
+    for i in 0..128 {
+        let vid = sj.vas_create(pid, "v", Mode(0o600));
+        let vid = vid.unwrap_or_else(|e| panic!("create {i}: {e:?}"));
+        assert_eq!(live_caps(&sj, pid), held + 1, "create {i}");
+        sj.vas_ctl(pid, VasCtl::Destroy, vid).unwrap();
+        assert_eq!(live_caps(&sj, pid), held, "destroy {i}");
+    }
+    assert_eq!(sj.vas_find("v"), Err(SjError::NotFound));
+    let problems = sj.check_invariants();
+    assert!(problems.is_empty(), "{problems:?}");
+}
+
+#[test]
+fn destroying_a_segment_frees_its_capability_slot() {
+    let (mut sj, pid) = barrelfish();
+    let held = live_caps(&sj, pid);
+    let base = VirtAddr::new(SEG_BASE);
+    for i in 0..128 {
+        let sid = sj.seg_alloc(pid, "s", base, 1 << 20, Mode(0o600));
+        let sid = sid.unwrap_or_else(|e| panic!("alloc {i}: {e:?}"));
+        assert_eq!(live_caps(&sj, pid), held + 1, "alloc {i}");
+        sj.seg_ctl(pid, sid, SegCtl::Destroy).unwrap();
+        assert_eq!(live_caps(&sj, pid), held, "destroy {i}");
+    }
+    assert_eq!(sj.seg_find("s"), Err(SjError::NotFound));
+    let problems = sj.check_invariants();
+    assert!(problems.is_empty(), "{problems:?}");
+}
+
 #[test]
 fn a_snapshot_that_runs_out_of_memory_leaves_nothing() {
     use sjmp_mem::cost::{CostModel, MachineProfile};

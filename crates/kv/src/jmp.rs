@@ -19,7 +19,7 @@ use spacejmp_core::{AttachMode, RetryPolicy, SjError, SjResult, SpaceJmp, VasHan
 
 use crate::dict::{DictStats, SegDict};
 use crate::resp::{CommandRef, Reply};
-use crate::server::{COMMAND_OVERHEAD, INCR_OVERFLOW, STORE_SEGMENT_BYTES};
+use crate::server::{self, COMMAND_OVERHEAD, STORE_SEGMENT_BYTES};
 
 /// Scratch heap size per client.
 const SCRATCH_BYTES: u64 = 64 << 10;
@@ -349,27 +349,8 @@ impl JmpClient {
     pub fn incr(&mut self, sj: &mut SpaceJmp, key: &[u8]) -> SjResult<i64> {
         sj.vas_switch_retry(self.pid, self.vh_write, &self.retry)?;
         sj.kernel().clock().advance(COMMAND_OVERHEAD);
-        let result = (|| {
-            let current = match self.dict.get(sj, self.pid, key)? {
-                None => 0,
-                Some(bytes) => std::str::from_utf8(&bytes)
-                    .ok()
-                    .and_then(|s| s.parse::<i64>().ok())
-                    .ok_or(SjError::InvalidArgument("value is not an integer"))?,
-            };
-            let next = current
-                .checked_add(1)
-                .ok_or(SjError::InvalidArgument(INCR_OVERFLOW))?;
-            self.dict.set(
-                sj,
-                self.pid,
-                key,
-                next.to_string().as_bytes(),
-                true,
-                &mut self.stats,
-            )?;
-            Ok(next)
-        })();
+        let result = server::incr(&mut self.dict, sj, self.pid, key, &mut self.stats)
+            .and_then(|next| next.map_err(SjError::InvalidArgument));
         sj.vas_switch_home(self.pid)?;
         result
     }
@@ -383,14 +364,7 @@ impl JmpClient {
     pub fn append(&mut self, sj: &mut SpaceJmp, key: &[u8], val: &[u8]) -> SjResult<usize> {
         sj.vas_switch_retry(self.pid, self.vh_write, &self.retry)?;
         sj.kernel().clock().advance(COMMAND_OVERHEAD);
-        let result = (|| {
-            let mut cur = self.dict.get(sj, self.pid, key)?.unwrap_or_default();
-            cur.extend_from_slice(val);
-            let len = cur.len();
-            self.dict
-                .set(sj, self.pid, key, &cur, true, &mut self.stats)?;
-            Ok(len)
-        })();
+        let result = server::append(&mut self.dict, sj, self.pid, key, val, &mut self.stats);
         sj.vas_switch_home(self.pid)?;
         result
     }
@@ -545,6 +519,7 @@ mod tests {
 mod more_tests {
     use super::*;
     use crate::resp::Command;
+    use crate::server::INCR_OVERFLOW;
     use sjmp_mem::{KernelFlavor, MachineId};
     use sjmp_os::{Creds, Kernel};
 

@@ -27,6 +27,50 @@ pub const COMMAND_OVERHEAD: u64 = 3000;
 /// (Redis's wording); the value is left as it was.
 pub(crate) const INCR_OVERFLOW: &str = "increment or decrement would overflow";
 
+/// INCR on `dict` as `pid`, for [`RedisServer::execute`] and
+/// [`JmpClient::incr`](crate::JmpClient::incr) alike: parses the value as
+/// an integer (absent is 0), adds one and stores it back. `Ok(Err(..))`
+/// holds the error reply's text, and then the value is left as it was.
+pub(crate) fn incr(
+    dict: &mut SegDict,
+    sj: &mut SpaceJmp,
+    pid: Pid,
+    key: &[u8],
+    stats: &mut DictStats,
+) -> SjResult<Result<i64, &'static str>> {
+    let current = match dict.get(sj, pid, key)? {
+        None => 0,
+        Some(bytes) => match std::str::from_utf8(&bytes)
+            .ok()
+            .and_then(|s| s.parse::<i64>().ok())
+        {
+            Some(n) => n,
+            None => return Ok(Err("value is not an integer")),
+        },
+    };
+    let Some(next) = current.checked_add(1) else {
+        return Ok(Err(INCR_OVERFLOW));
+    };
+    dict.set(sj, pid, key, next.to_string().as_bytes(), true, stats)?;
+    Ok(Ok(next))
+}
+
+/// APPEND on `dict` as `pid`, shared the same way: appends `val` to the
+/// value (absent is empty) and returns the new length.
+pub(crate) fn append(
+    dict: &mut SegDict,
+    sj: &mut SpaceJmp,
+    pid: Pid,
+    key: &[u8],
+    val: &[u8],
+    stats: &mut DictStats,
+) -> SjResult<usize> {
+    let mut cur = dict.get(sj, pid, key)?.unwrap_or_default();
+    cur.extend_from_slice(val);
+    dict.set(sj, pid, key, &cur, true, stats)?;
+    Ok(cur.len())
+}
+
 /// A running server instance.
 #[derive(Debug)]
 pub struct RedisServer {
@@ -109,36 +153,12 @@ impl RedisServer {
                 let existed = self.dict.del(sj, pid, k, true, &mut self.stats)?;
                 Reply::Int(existed as i64)
             }
-            Command::Incr(k) => {
-                let current = match self.dict.get(sj, pid, k)? {
-                    None => 0,
-                    Some(bytes) => match std::str::from_utf8(&bytes)
-                        .ok()
-                        .and_then(|s| s.parse::<i64>().ok())
-                    {
-                        Some(n) => n,
-                        None => return Ok(Reply::Error("value is not an integer".into())),
-                    },
-                };
-                let Some(next) = current.checked_add(1) else {
-                    return Ok(Reply::Error(INCR_OVERFLOW.into()));
-                };
-                self.dict.set(
-                    sj,
-                    pid,
-                    k,
-                    next.to_string().as_bytes(),
-                    true,
-                    &mut self.stats,
-                )?;
-                Reply::Int(next)
-            }
+            Command::Incr(k) => match incr(&mut self.dict, sj, pid, k, &mut self.stats)? {
+                Ok(next) => Reply::Int(next),
+                Err(e) => Reply::Error(e.into()),
+            },
             Command::Append(k, v) => {
-                let mut cur = self.dict.get(sj, pid, k)?.unwrap_or_default();
-                cur.extend_from_slice(v);
-                let len = cur.len() as i64;
-                self.dict.set(sj, pid, k, &cur, true, &mut self.stats)?;
-                Reply::Int(len)
+                Reply::Int(append(&mut self.dict, sj, pid, k, v, &mut self.stats)? as i64)
             }
         })
     }

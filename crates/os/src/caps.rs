@@ -277,6 +277,17 @@ impl CSpace {
         }
     }
 
+    /// Deletes every capability naming object `id` of `class`, as when
+    /// the object is destroyed. Uncharged, like [`Self::delete`].
+    pub fn delete_object(&mut self, class: ObjClass, id: u64) {
+        let named = Some(CapKind::Object { class, id });
+        for slot in &mut self.slots {
+            if slot.map(|c| c.kind) == named {
+                *slot = None;
+            }
+        }
+    }
+
     /// Number of live capabilities.
     pub fn live_count(&self) -> usize {
         self.slots.iter().flatten().filter(|c| c.is_live()).count()
@@ -304,6 +315,26 @@ mod tests {
         assert!(cs.lookup(slot).is_ok());
         cs.delete(slot);
         assert_eq!(cs.lookup(slot).unwrap_err(), CapError::EmptySlot);
+    }
+
+    #[test]
+    fn deleting_an_object_frees_every_slot_naming_it() {
+        let object = |id| {
+            let kind = CapKind::Object {
+                class: ObjClass::Vas,
+                id,
+            };
+            Capability::new(kind, CapRights::ALL)
+        };
+        let mut cs = CSpace::new(4);
+        let doomed = cs.insert(object(1)).unwrap();
+        let copy = cs.mint(doomed, CapRights::READ).unwrap();
+        let other = cs.insert(object(2)).unwrap();
+        cs.delete_object(ObjClass::Vas, 1);
+        assert_eq!(cs.lookup(doomed).unwrap_err(), CapError::EmptySlot);
+        assert_eq!(cs.lookup(copy).unwrap_err(), CapError::EmptySlot);
+        assert!(cs.lookup(other).is_ok());
+        assert_eq!(cs.live_count(), 1);
     }
 
     #[test]
