@@ -29,7 +29,7 @@ use std::process::ExitCode;
 
 use sjmp_bench::{export_trace, quick_mode, trace_from_env, Report};
 use sjmp_kv::{
-    measure_costs_on, run_overload, run_overload_at, saturation_rps, OverloadConfig, OverloadResult,
+    measure_costs, run_overload, run_overload_at, saturation_rps, OverloadConfig, OverloadResult,
 };
 use sjmp_mem::cost::{MachineId, MachineProfile};
 use sjmp_sim::Arrival;
@@ -103,7 +103,7 @@ fn poisson_sweep(
 ) -> Result<Retention, String> {
     let cfg = base_cfg(machine, quick, tracer);
     let costs =
-        measure_costs_on(machine, false, tracer.clone()).map_err(|e| format!("costs: {e:?}"))?;
+        measure_costs(machine, false, tracer.clone()).map_err(|e| format!("costs: {e:?}"))?;
     let sat = saturation_rps(&costs, machine, SET_PCT, SHARDS);
     let profile = MachineProfile::of(machine);
     report.heading(&format!(
@@ -156,7 +156,7 @@ fn bursty_section(report: &mut Report, quick: bool, tracer: &Tracer) -> Result<(
         off_cycles: 798_000,
     };
     let costs =
-        measure_costs_on(machine, false, tracer.clone()).map_err(|e| format!("costs: {e:?}"))?;
+        measure_costs(machine, false, tracer.clone()).map_err(|e| format!("costs: {e:?}"))?;
     let sat = saturation_rps(&costs, machine, SET_PCT, SHARDS);
     report.heading(&format!(
         "Bursty arrivals: {machine:?} (on/off 100us/300us, same long-run load)"
@@ -188,7 +188,7 @@ fn degraded_section(report: &mut Report, quick: bool, tracer: &Tracer) -> Result
         &[10, 9, 11, 9, 10],
     );
     let costs =
-        measure_costs_on(machine, false, tracer.clone()).map_err(|e| format!("costs: {e:?}"))?;
+        measure_costs(machine, false, tracer.clone()).map_err(|e| format!("costs: {e:?}"))?;
     let sat = saturation_rps(&costs, machine, 30, SHARDS);
     let gap = sjmp_kv::rps_to_mean_gap(machine, 0.8 * sat);
     cfg.arrival = Arrival::Poisson { mean_gap: gap };
@@ -227,7 +227,7 @@ fn exemplar_section(report: &mut Report, quick: bool, tracer: &Tracer) -> Result
     cfg.trace_requests = true;
     cfg.exemplars = 5;
     let costs =
-        measure_costs_on(machine, false, tracer.clone()).map_err(|e| format!("costs: {e:?}"))?;
+        measure_costs(machine, false, tracer.clone()).map_err(|e| format!("costs: {e:?}"))?;
     let sat = saturation_rps(&costs, machine, SET_PCT, SHARDS);
     let r = run_overload_at(&cfg, 1.5 * sat).map_err(|e| format!("exemplars: {e:?}"))?;
     report.heading(&format!(

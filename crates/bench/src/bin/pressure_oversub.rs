@@ -15,7 +15,7 @@
 //! `results/pressure_oversub.trace.json`.
 
 use sjmp_gups::{run_jmp_constrained, GupsConfig};
-use sjmp_kv::JmpClient;
+use sjmp_kv::{JmpClient, JoinOpts};
 use sjmp_mem::cost::{CostModel, KernelFlavor, MachineId, MachineProfile};
 use sjmp_mem::PAGE_SIZE;
 use sjmp_os::{Creds, Kernel};
@@ -102,7 +102,11 @@ fn redis(report: &mut Report, quick: bool, tracer: &Tracer) {
             .spawn(&format!("rc{i}"), Creds::new(100, 100))
             .expect("spawn");
         sj.kernel_mut().activate(pid).expect("activate");
-        clients.push(JmpClient::join_opts(&mut sj, pid, "oversub", i, false, true).expect("join"));
+        let opts = JoinOpts {
+            swappable_store: true,
+            ..JoinOpts::default()
+        };
+        clients.push(JmpClient::join_cfg(&mut sj, pid, "oversub", i, opts).expect("join"));
     }
 
     let sets: u32 = if quick { 150 } else { 300 };

@@ -477,7 +477,9 @@ impl SpaceJmp {
     /// Full-system consistency audit: the kernel-level checks of
     /// [`sjmp_os::Kernel::check_invariants`] (with every live VAS's
     /// template root declared as an external page-table tree) plus the
-    /// SpaceJMP-layer invariants. Returns one line per violation; an
+    /// SpaceJMP-layer invariants, among them that every object
+    /// capability a process holds names a live VAS or segment. Returns
+    /// one line per violation; an
     /// empty vector means the system is consistent. The crash-injection
     /// harness calls this after every injected fault and reap.
     pub fn check_invariants(&mut self) -> Vec<String> {
@@ -550,6 +552,28 @@ impl SpaceJmp {
                     seg.attach_count(),
                     expected
                 ));
+            }
+        }
+
+        // Every object capability a process holds must name a live VAS
+        // or segment (only Barrelfish hands them out).
+        for pid in self.kernel.process_ids() {
+            let Ok(process) = self.kernel.process(pid) else {
+                continue;
+            };
+            for (slot, cap) in process.cspace().live() {
+                let CapKind::Object { class, id } = cap.kind else {
+                    continue;
+                };
+                let named = match class {
+                    ObjClass::Vas => self.vases.contains_key(&VasId(id)),
+                    ObjClass::Segment => self.segments.contains_key(&SegId(id)),
+                };
+                if !named {
+                    problems.push(format!(
+                        "{pid:?} holds capability {slot:?} for destroyed {class:?} {id}"
+                    ));
+                }
             }
         }
 

@@ -1174,12 +1174,14 @@ fn superpage_segments_map_with_huge_pages_end_to_end() {
 /// Fills `pid`'s cspace and returns the slot of one filler capability,
 /// so a test can make room again.
 fn fill_cspace(sj: &mut SpaceJmp, pid: Pid) -> sjmp_os::CapSlot {
-    use sjmp_os::{CapKind, CapRights, Capability, ObjClass};
+    use sjmp_os::{CapKind, CapRights, Capability};
     let cspace = sj.kernel_mut().process_mut(pid).unwrap().cspace_mut();
+    // Empty untyped RAM names no VAS or segment, so the fillers are
+    // nothing the invariant audit objects to.
     let filler = || {
-        let kind = CapKind::Object {
-            class: ObjClass::Segment,
-            id: u64::MAX,
+        let kind = CapKind::Ram {
+            base: sjmp_mem::Pfn(0),
+            frames: 0,
         };
         Capability::new(kind, CapRights::ALL)
     };
@@ -1279,10 +1281,10 @@ fn destroying_a_vas_frees_its_capability_slot() {
         assert_eq!(live_caps(&sj, pid), held + 1, "create {i}");
         sj.vas_ctl(pid, VasCtl::Destroy, vid).unwrap();
         assert_eq!(live_caps(&sj, pid), held, "destroy {i}");
+        let problems = sj.check_invariants();
+        assert!(problems.is_empty(), "round {i}: {problems:?}");
     }
     assert_eq!(sj.vas_find("v"), Err(SjError::NotFound));
-    let problems = sj.check_invariants();
-    assert!(problems.is_empty(), "{problems:?}");
 }
 
 #[test]
@@ -1296,10 +1298,44 @@ fn destroying_a_segment_frees_its_capability_slot() {
         assert_eq!(live_caps(&sj, pid), held + 1, "alloc {i}");
         sj.seg_ctl(pid, sid, SegCtl::Destroy).unwrap();
         assert_eq!(live_caps(&sj, pid), held, "destroy {i}");
+        let problems = sj.check_invariants();
+        assert!(problems.is_empty(), "round {i}: {problems:?}");
     }
     assert_eq!(sj.seg_find("s"), Err(SjError::NotFound));
-    let problems = sj.check_invariants();
-    assert!(problems.is_empty(), "{problems:?}");
+}
+
+#[test]
+fn the_audit_reports_a_capability_for_a_destroyed_object() {
+    use sjmp_os::{CapKind, CapRights, Capability, ObjClass};
+    let (mut sj, pid) = barrelfish();
+    let vid = sj.vas_create(pid, "v", Mode(0o600)).unwrap();
+    assert_eq!(sj.check_invariants(), Vec::<String>::new());
+    // A capability naming a segment id that was never allocated, as a
+    // destroy that forgot to delete it would leave behind.
+    let dangling = Capability::new(
+        CapKind::Object {
+            class: ObjClass::Segment,
+            id: 999,
+        },
+        CapRights::ALL,
+    );
+    let cspace = sj.kernel_mut().process_mut(pid).unwrap().cspace_mut();
+    let slot = cspace.insert(dangling).unwrap();
+    assert_eq!(
+        sj.check_invariants(),
+        vec![format!(
+            "{pid:?} holds capability {slot:?} for destroyed Segment 999"
+        )]
+    );
+    // The VAS's own capability is still live and names a live VAS.
+    sj.kernel_mut()
+        .process_mut(pid)
+        .unwrap()
+        .cspace_mut()
+        .delete(slot);
+    assert_eq!(sj.check_invariants(), Vec::<String>::new());
+    sj.vas_ctl(pid, VasCtl::Destroy, vid).unwrap();
+    assert_eq!(sj.check_invariants(), Vec::<String>::new());
 }
 
 #[test]

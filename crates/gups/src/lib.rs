@@ -184,82 +184,53 @@ pub fn run(design: Design, cfg: &GupsConfig) -> SjResult<GupsResult> {
     }
 }
 
+/// One word access of a GUPS update.
+#[derive(Debug, Clone, Copy)]
+enum Access {
+    Load(VirtAddr),
+    Store(VirtAddr, u64),
+}
+
+impl Access {
+    /// Performs the access as `pid`; a store returns 0.
+    fn on(self, kernel: &mut Kernel, pid: Pid) -> Result<u64, OsError> {
+        match self {
+            Access::Load(va) => kernel.load_u64(pid, va),
+            Access::Store(va, v) => kernel.store_u64(pid, va, v).map(|()| 0),
+        }
+    }
+}
+
+/// Applies one update set to the window at `base`: `cfg.updates_per_set`
+/// read-modify-writes of random words, each XORing the word with its
+/// index, every access made through `access`. `updates` counts each
+/// update as it completes, so a set cut short by an error still counts
+/// the updates before it.
+fn update_set<E>(
+    cfg: &GupsConfig,
+    rng: &mut SimRng,
+    base: VirtAddr,
+    updates: &mut u64,
+    mut access: impl FnMut(Access) -> Result<u64, E>,
+) -> Result<(), E> {
+    let slots = cfg.window_bytes / 8;
+    for _ in 0..cfg.updates_per_set {
+        let idx = rng.gen_range(0..slots);
+        let va = base.add(idx * 8);
+        let v = access(Access::Load(va))?;
+        access(Access::Store(va, v ^ idx))?;
+        *updates += 1;
+    }
+    Ok(())
+}
+
 /// The SpaceJMP design: one VAS per window, switch to change windows.
 ///
 /// # Errors
 ///
 /// See [`run`].
 pub fn run_jmp(cfg: &GupsConfig) -> SjResult<GupsResult> {
-    let mut kernel = Kernel::new(cfg.flavor, cfg.machine);
-    match cfg.backend {
-        TranslationKind::FourLevel => {}
-        TranslationKind::FourLevelUncached => kernel.set_host_walk_cache(false),
-        TranslationKind::NoVm => kernel.set_backend(Backend::seg_map()),
-    }
-    let mut sj = SpaceJmp::new(kernel);
-    sj.set_tracer(cfg.tracer.clone());
-    if cfg.tagging {
-        sj.kernel_mut().set_tagging(true);
-    }
-    let pid = sj.kernel_mut().spawn("gups", Creds::new(1, 1))?;
-    sj.kernel_mut().activate(pid)?;
-    let window_va = VirtAddr::new(GLOBAL_LO.raw());
-
-    let mut handles: Vec<VasHandle> = Vec::with_capacity(cfg.windows);
-    for w in 0..cfg.windows {
-        let vid = sj.vas_create(pid, &format!("gups-w{w}"), sjmp_os::Mode(0o600))?;
-        let sid = sj.seg_alloc(
-            pid,
-            &format!("gups-s{w}"),
-            window_va,
-            cfg.window_bytes,
-            sjmp_os::Mode(0o600),
-        )?;
-        sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite)?;
-        if cfg.tagging {
-            sj.vas_ctl(pid, VasCtl::RequestTag, vid)?;
-        }
-        handles.push(sj.vas_attach(pid, vid)?);
-    }
-
-    let mut rng = SimRng::seed_from_u64(cfg.seed);
-    let slots = cfg.window_bytes / 8;
-    let core = sj.kernel().process(pid)?.core();
-
-    // Warm: enter the first window, then reset all counters/clock.
-    sj.vas_switch(pid, handles[0])?;
-    sj.kernel_mut().core_mem(core).0.reset_stats();
-    sj.kernel().clock().reset();
-    cfg.tracer.clear();
-    sj.trace_topology();
-
-    let mut updates = 0u64;
-    let mut switches = 0u64;
-    let mut current = 0usize;
-    for _ in 0..cfg.epochs {
-        let w = rng.index(cfg.windows);
-        if w != current {
-            sj.vas_switch(pid, handles[w])?;
-            current = w;
-            switches += 1;
-        }
-        for _ in 0..cfg.updates_per_set {
-            let idx = rng.gen_range(0..slots);
-            let va = window_va.add(idx * 8);
-            let v = sj.kernel_mut().load_u64(pid, va)?;
-            sj.kernel_mut().store_u64(pid, va, v ^ idx)?;
-            updates += 1;
-        }
-    }
-    let cycles = sj.kernel().clock().now();
-    let tlb = sj.kernel_mut().core_mem(core).0.tlb_stats();
-    Ok(finish(
-        sj.kernel().profile(),
-        updates,
-        cycles,
-        switches,
-        tlb.misses,
-    ))
+    run_jmp_body(cfg, None).map(|(r, _)| r)
 }
 
 /// The JMP design under *memory pressure*: the machine boots with only
@@ -288,37 +259,54 @@ pub fn run_jmp_constrained(
     mem_frames: u64,
     quota_frames: Option<u64>,
 ) -> SjResult<(GupsResult, PressureReport)> {
+    run_jmp_body(cfg, Some((mem_frames, quota_frames)))
+}
+
+/// The one JMP driver behind [`run_jmp`] and [`run_jmp_constrained`].
+/// `limits` is `Some((mem_frames, quota_frames))` for a constrained run:
+/// only then is physical memory cut, the watermark and quota set and the
+/// windows demand-paged, and only then is the report filled in.
+fn run_jmp_body(
+    cfg: &GupsConfig,
+    limits: Option<(u64, Option<u64>)>,
+) -> SjResult<(GupsResult, PressureReport)> {
     let mut profile = MachineProfile::of(cfg.machine);
-    profile.mem_bytes = mem_frames * PAGE_SIZE;
-    let mut sj = SpaceJmp::new(Kernel::with_profile(
-        cfg.flavor,
-        profile,
-        CostModel::default(),
-    ));
+    if let Some((mem_frames, _)) = limits {
+        profile.mem_bytes = mem_frames * PAGE_SIZE;
+    }
+    let mut kernel = Kernel::with_profile(cfg.flavor, profile, CostModel::default());
+    match cfg.backend {
+        TranslationKind::FourLevel => {}
+        TranslationKind::FourLevelUncached => kernel.set_host_walk_cache(false),
+        TranslationKind::NoVm => kernel.set_backend(Backend::seg_map()),
+    }
+    let mut sj = SpaceJmp::new(kernel);
     sj.set_tracer(cfg.tracer.clone());
     if cfg.tagging {
         sj.kernel_mut().set_tagging(true);
     }
-    let pid = sj.kernel_mut().spawn("gups-mem", Creds::new(1, 1))?;
+    let pid = sj.kernel_mut().spawn("gups", Creds::new(1, 1))?;
     sj.kernel_mut().activate(pid)?;
-    // Keep a cushion of free frames so page-table allocation on the
-    // fault path never runs completely dry.
-    sj.kernel_mut().set_low_watermark(Some(8));
-    if let Some(q) = quota_frames {
-        sj.kernel_mut().set_quota(pid, Some(q));
+    let mut backing = Backing::Dram;
+    if let Some((_, quota_frames)) = limits {
+        // Keep a cushion of free frames so page-table allocation on the
+        // fault path never runs completely dry.
+        sj.kernel_mut().set_low_watermark(Some(8));
+        sj.kernel_mut().set_quota(pid, quota_frames);
+        backing = Backing::Demand;
     }
     let window_va = VirtAddr::new(GLOBAL_LO.raw());
 
     let mut handles: Vec<VasHandle> = Vec::with_capacity(cfg.windows);
     for w in 0..cfg.windows {
-        let vid = sj.vas_create(pid, &format!("gups-c-w{w}"), sjmp_os::Mode(0o600))?;
+        let vid = sj.vas_create(pid, &format!("gups-w{w}"), sjmp_os::Mode(0o600))?;
         let sid = sj.seg_alloc_with(
             pid,
-            &format!("gups-c-s{w}"),
+            &format!("gups-s{w}"),
             window_va,
             cfg.window_bytes,
             sjmp_os::Mode(0o600),
-            Backing::Demand,
+            backing,
         )?;
         sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite)?;
         if cfg.tagging {
@@ -328,10 +316,10 @@ pub fn run_jmp_constrained(
     }
 
     let mut rng = SimRng::seed_from_u64(cfg.seed);
-    let slots = cfg.window_bytes / 8;
     let core = sj.kernel().process(pid)?.core();
     let mut report = PressureReport::default();
 
+    // Warm: enter the first window, then reset all counters/clock.
     sj.vas_switch(pid, handles[0])?;
     sj.kernel_mut().core_mem(core).0.reset_stats();
     sj.kernel().clock().reset();
@@ -348,27 +336,21 @@ pub fn run_jmp_constrained(
             current = w;
             switches += 1;
         }
-        for _ in 0..cfg.updates_per_set {
-            let idx = rng.gen_range(0..slots);
-            let va = window_va.add(idx * 8);
-            let v = pressured(&mut sj, &mut report, pid, |sj| {
-                sj.kernel_mut().load_u64(pid, va)
-            })?;
-            pressured(&mut sj, &mut report, pid, |sj| {
-                sj.kernel_mut().store_u64(pid, va, v ^ idx)
-            })?;
-            updates += 1;
-        }
+        update_set(cfg, &mut rng, window_va, &mut updates, |a| {
+            pressured(&mut sj, &mut report, pid, |sj| a.on(sj.kernel_mut(), pid))
+        })?;
     }
     let cycles = sj.kernel().clock().now();
     let tlb = sj.kernel_mut().core_mem(core).0.tlb_stats();
-    let stats = sj.kernel_mut().sys_stats();
-    report.evictions = stats.kernel.evictions;
-    report.major_faults = stats.kernel.major_faults;
-    report.reclaim_passes = stats.kernel.reclaim_passes;
-    report.quota_denials = stats.kernel.quota_denials;
-    report.swap_slots_used = stats.phys.swap_slots_used;
-    report.oom_kills = sj.stats().oom_kills;
+    if limits.is_some() {
+        let stats = sj.kernel_mut().sys_stats();
+        report.evictions = stats.kernel.evictions;
+        report.major_faults = stats.kernel.major_faults;
+        report.reclaim_passes = stats.kernel.reclaim_passes;
+        report.quota_denials = stats.kernel.quota_denials;
+        report.swap_slots_used = stats.phys.swap_slots_used;
+        report.oom_kills = sj.stats().oom_kills;
+    }
     Ok((
         finish(sj.kernel().profile(), updates, cycles, switches, tlb.misses),
         report,
@@ -406,11 +388,13 @@ fn pressured<T>(
     Err(SjError::Os(last.expect("loop retried at least once")))
 }
 
-/// The shared-VAS multi-process JMP design: `workers` processes share the
-/// same window VASes and take turns applying update sets, switching with
-/// [`SpaceJmp::vas_switch_retry`]. Windows are mapped read-write, so a
-/// worker switched into one holds its segment lock exclusively; the
-/// backoff policy serializes contending workers.
+/// The shared-VAS multi-process JMP design, run on `sj`: `workers`
+/// processes share the same window VASes and take turns applying update
+/// sets, switching with [`SpaceJmp::vas_switch_retry`]. Windows are
+/// mapped read-write, so a worker switched into one holds its segment
+/// lock exclusively; the backoff policy serializes contending workers.
+/// The caller builds `sj`, so a harness can install a fault plan first
+/// and audit invariants after.
 ///
 /// The mode is crash-tolerant: a worker that dies inside the kernel
 /// (injected via [`sjmp_os::FaultPlan`] on the wrapped kernel) is reaped
@@ -420,33 +404,11 @@ fn pressured<T>(
 /// damage visible in [`GupsResult::crashes`] and
 /// [`GupsResult::skipped_turns`].
 ///
-/// # Errors
-///
-/// Non-injected failures (configuration errors) propagate; see [`run`].
-pub fn run_jmp_shared(cfg: &GupsConfig, workers: usize) -> SjResult<GupsResult> {
-    let mut sj = SpaceJmp::new(Kernel::new(cfg.flavor, cfg.machine));
-    run_jmp_shared_on(&mut sj, cfg, workers)
-}
-
-/// [`run_jmp_shared`] over a caller-provided [`SpaceJmp`] instance, so a
-/// harness can install a fault plan first and audit invariants after.
-///
-/// # Errors
-///
-/// See [`run_jmp_shared`].
-pub fn run_jmp_shared_on(
-    sj: &mut SpaceJmp,
-    cfg: &GupsConfig,
-    workers: usize,
-) -> SjResult<GupsResult> {
-    run_jmp_shared_inner(sj, cfg, workers, false)
-}
-
-/// [`run_jmp_shared_on`] with a deliberately racy access pattern: every
-/// worker also read-modify-writes **word 0** of its window each turn, so
-/// any two turns in the same window touch at least one common word. On a
-/// healthy kernel the window lock still orders those accesses and the
-/// run is race-free; the point of this harness is to pair it with
+/// With `hot_word` the access pattern is deliberately racy: every worker
+/// also read-modify-writes **word 0** of its window each turn, so any two
+/// turns in the same window touch at least one common word. On a healthy
+/// kernel the window lock still orders those accesses and the run is
+/// race-free; the point is to pair it with
 /// `FaultPlan::fail_nth(FaultSite::SegLock, n)` on the wrapped kernel,
 /// which elides the `n`-th segment-lock acquisition — that worker's turn
 /// then runs unguarded and a trace-replay race detector must find the
@@ -455,16 +417,8 @@ pub fn run_jmp_shared_on(
 ///
 /// # Errors
 ///
-/// See [`run_jmp_shared`].
-pub fn run_jmp_shared_racy(
-    sj: &mut SpaceJmp,
-    cfg: &GupsConfig,
-    workers: usize,
-) -> SjResult<GupsResult> {
-    run_jmp_shared_inner(sj, cfg, workers, true)
-}
-
-fn run_jmp_shared_inner(
+/// Non-injected failures (configuration errors) propagate; see [`run`].
+pub fn run_jmp_shared(
     sj: &mut SpaceJmp,
     cfg: &GupsConfig,
     workers: usize,
@@ -511,7 +465,6 @@ fn run_jmp_shared_inner(
     }
 
     let mut rng = SimRng::seed_from_u64(cfg.seed);
-    let slots = cfg.window_bytes / 8;
     sj.kernel().reset_clocks();
     cfg.tracer.clear();
     sj.trace_topology();
@@ -566,13 +519,9 @@ fn run_jmp_shared_inner(
                 sj.kernel_mut().store_u64(pid, window_va, v + 1)?;
                 updates += 1;
             }
-            for _ in 0..cfg.updates_per_set {
-                let idx = rng.gen_range(0..slots);
-                let va = window_va.add(idx * 8);
-                let v = sj.kernel_mut().load_u64(pid, va)?;
-                sj.kernel_mut().store_u64(pid, va, v ^ idx)?;
-                updates += 1;
-            }
+            update_set(cfg, &mut rng, window_va, &mut updates, |a| {
+                a.on(sj.kernel_mut(), pid)
+            })?;
             sj.vas_switch_home(pid)?;
             Ok(())
         })();
@@ -614,7 +563,6 @@ pub fn run_map(cfg: &GupsConfig) -> SjResult<GupsResult> {
     let flags = PteFlags::USER | PteFlags::WRITABLE;
 
     let mut rng = SimRng::seed_from_u64(cfg.seed);
-    let slots = cfg.window_bytes / 8;
     let core = kernel.process(pid)?.core();
 
     let window = |w: usize| MmapSource::Object {
@@ -638,13 +586,7 @@ pub fn run_map(cfg: &GupsConfig) -> SjResult<GupsResult> {
             current = w;
             remaps += 1;
         }
-        for _ in 0..cfg.updates_per_set {
-            let idx = rng.gen_range(0..slots);
-            let addr = va.add(idx * 8);
-            let v = kernel.load_u64(pid, addr)?;
-            kernel.store_u64(pid, addr, v ^ idx)?;
-            updates += 1;
-        }
+        update_set(cfg, &mut rng, va, &mut updates, |a| a.on(&mut kernel, pid))?;
     }
     let cycles = kernel.clock().now();
     let tlb = kernel.core_mem(core).0.tlb_stats();
@@ -688,27 +630,21 @@ pub fn run_mp(cfg: &GupsConfig) -> SjResult<GupsResult> {
     cluster.set_tracer(cfg.tracer.clone());
 
     let mut rng = SimRng::seed_from_u64(cfg.seed);
-    let slots = cfg.window_bytes / 8;
     kernel.reset_clocks();
     cfg.tracer.clear();
 
     let mut updates = 0u64;
     let mut exchanges = 0u64;
     let mut misses = 0u64;
-    let mut offsets = Vec::with_capacity(cfg.updates_per_set);
     for _ in 0..cfg.epochs {
         let w = rng.index(cfg.windows);
-        offsets.clear();
-        for _ in 0..cfg.updates_per_set {
-            offsets.push(rng.gen_range(0..slots));
-        }
         // Master marshals and ships the batch, then blocks; the slave
         // applies the updates on its own core and acknowledges. With a
         // single window there is no partitioning and hence no RPC ("for
         // a single window — no remapping, RPC, or switching — all design
         // configurations perform equally well").
         if cfg.windows > 1 {
-            cluster.send_batch(w, offsets.len() * 8);
+            cluster.send_batch(w, cfg.updates_per_set * 8);
             exchanges += 1;
         }
         let (pid, va) = slaves[w];
@@ -716,12 +652,7 @@ pub fn run_mp(cfg: &GupsConfig) -> SjResult<GupsResult> {
         kernel.activate(pid)?;
         let core = kernel.process(pid)?.core();
         let before = kernel.core_mem(core).0.tlb_stats().misses;
-        for &idx in &offsets {
-            let addr = va.add(idx * 8);
-            let v = kernel.load_u64(pid, addr)?;
-            kernel.store_u64(pid, addr, v ^ idx)?;
-            updates += 1;
-        }
+        update_set(cfg, &mut rng, va, &mut updates, |a| a.on(&mut kernel, pid))?;
         misses += kernel.core_mem(core).0.tlb_stats().misses - before;
         if cfg.windows > 1 {
             cluster.complete(w);
@@ -923,7 +854,8 @@ mod tests {
             epochs: 64,
             ..GupsConfig::default()
         };
-        let r = run_jmp_shared(&cfg, 3).unwrap();
+        let mut sj = SpaceJmp::new(Kernel::new(cfg.flavor, cfg.machine));
+        let r = run_jmp_shared(&mut sj, &cfg, 3, false).unwrap();
         assert_eq!(r.updates, 64 * 16);
         assert_eq!(r.crashes, 0);
         assert_eq!(r.skipped_turns, 0);
@@ -974,7 +906,7 @@ mod tests {
         sj.kernel_mut().set_fault_plan(Some(
             FaultPlan::new(7).crash_with_probability(sjmp_os::FaultSite::Switch, 0.05),
         ));
-        let r = run_jmp_shared_on(&mut sj, &cfg, 3).unwrap();
+        let r = run_jmp_shared(&mut sj, &cfg, 3, false).unwrap();
         assert!(r.crashes > 0, "expected some injected crashes");
         assert!(r.updates > 0, "survivors must make progress");
         let problems = sj.check_invariants();

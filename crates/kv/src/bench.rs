@@ -23,7 +23,7 @@ use sjmp_sim::{ClosedLoop, Cores, LockMode, Sim, SimRwLock};
 use sjmp_trace::Tracer;
 use spacejmp_core::{SjResult, SpaceJmp};
 
-use crate::jmp::JmpClient;
+use crate::jmp::{JmpClient, JoinOpts};
 use crate::resp::Command;
 use crate::server::RedisServer;
 
@@ -119,35 +119,15 @@ fn preload_key(i: usize) -> Vec<u8> {
 }
 
 /// Measures per-op costs by running real operations through the
-/// simulated stack.
+/// simulated stack on `machine` (Figure 10 uses M1; the overload sweeps
+/// replay per-op costs for M1/M2/M3). `tracer` is installed on both
+/// measurement kernels, so the RedisJMP visit (switches, locks,
+/// dictionary walks) shows up in the event stream.
 ///
 /// # Errors
 ///
 /// Propagates setup failures.
-pub fn measure_costs(tagging: bool) -> SjResult<OpCosts> {
-    measure_costs_traced(tagging, Tracer::disabled())
-}
-
-/// [`measure_costs`] with a tracer installed on both measurement kernels,
-/// so the RedisJMP visit (switches, locks, dictionary walks) shows up in
-/// the event stream.
-///
-/// # Errors
-///
-/// Propagates setup failures.
-pub fn measure_costs_traced(tagging: bool, tracer: Tracer) -> SjResult<OpCosts> {
-    measure_costs_on(MachineId::M1, tagging, tracer)
-}
-
-/// [`measure_costs_traced`] on an arbitrary machine profile: the same
-/// live measurement, but the kernels charge the chosen machine's cost
-/// model, so the overload sweeps can replay per-op costs for M1/M2/M3
-/// instead of assuming the Figure 10 machine.
-///
-/// # Errors
-///
-/// Propagates setup failures.
-pub fn measure_costs_on(machine: MachineId, tagging: bool, tracer: Tracer) -> SjResult<OpCosts> {
+pub fn measure_costs(machine: MachineId, tagging: bool, tracer: Tracer) -> SjResult<OpCosts> {
     // RedisJMP path.
     let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::DragonFly, machine));
     sj.set_tracer(tracer.clone());
@@ -158,7 +138,11 @@ pub fn measure_costs_on(machine: MachineId, tagging: bool, tracer: Tracer) -> Sj
         .kernel_mut()
         .spawn("bench-client", Creds::new(100, 100))?;
     sj.kernel_mut().activate(pid)?;
-    let mut client = JmpClient::join_with_tags(&mut sj, pid, "measure", 0, tagging)?;
+    let opts = JoinOpts {
+        tagged: tagging,
+        ..JoinOpts::default()
+    };
+    let mut client = JmpClient::join_cfg(&mut sj, pid, "measure", 0, opts)?;
     let payload = vec![b'x'; PAYLOAD];
     for i in 0..PRELOAD_KEYS {
         client.set(&mut sj, &preload_key(i), &payload)?;
@@ -221,6 +205,13 @@ pub fn measure_costs_on(machine: MachineId, tagging: bool, tracer: Tracer) -> Sj
     })
 }
 
+/// Kernel socket cycles of one classic request: four messages, one
+/// [`CostModel::socket_msg`] each — the client writes the request, the
+/// server reads it, writes the reply, and the client reads that.
+pub fn socket_round_trip(cost: &CostModel) -> u64 {
+    4 * cost.socket_msg
+}
+
 /// Runs the classic socket-served design with `instances` independent
 /// server processes (1 = `Redis`, 6 = `Redis 6x` in Figure 10a).
 ///
@@ -228,16 +219,18 @@ pub fn measure_costs_on(machine: MachineId, tagging: bool, tracer: Tracer) -> Sj
 ///
 /// Propagates measurement failures.
 pub fn run_classic(cfg: &KvBenchConfig, instances: usize) -> SjResult<Throughput> {
-    let costs = measure_costs_traced(false, cfg.tracer.clone())?;
+    let costs = measure_costs(MachineId::M1, false, cfg.tracer.clone())?;
     let profile = MachineProfile::of(MachineId::M1);
     let cost = CostModel::default();
     let cores = profile.total_cores() as usize;
 
+    // Half the socket messages fall on each side of the connection.
+    let socket_half = socket_round_trip(&cost) / 2;
     // Server-side time per request: socket read + handle + socket write +
     // event-loop overhead.
     let loop_overhead = 2000u64;
     let server_time = |is_set: bool| {
-        2 * cost.socket_msg
+        socket_half
             + loop_overhead
             + if is_set {
                 costs.server_set
@@ -246,8 +239,8 @@ pub fn run_classic(cfg: &KvBenchConfig, instances: usize) -> SjResult<Throughput
             }
     };
     // Client-side time per request: prepare+write, then read+process.
-    let client_pre = cost.socket_msg + 500;
-    let client_post = cost.socket_msg + 500;
+    let client_pre = socket_half / 2 + 500;
+    let client_post = socket_half / 2 + 500;
     let wire = 300u64; // queueing latency of the in-kernel socket buffer
 
     // Event-driven closed loop. All core reservations happen at the
@@ -308,7 +301,7 @@ pub(crate) const WAITER_BOUNCE: u64 = 150;
 ///
 /// Propagates measurement failures.
 pub fn run_jmp(cfg: &KvBenchConfig) -> SjResult<Throughput> {
-    let costs = measure_costs_traced(cfg.tagging, cfg.tracer.clone())?;
+    let costs = measure_costs(MachineId::M1, cfg.tagging, cfg.tracer.clone())?;
     let profile = MachineProfile::of(MachineId::M1);
     let cost = CostModel::default();
     let cores = profile.total_cores() as usize;
@@ -395,7 +388,7 @@ mod tests {
 
     #[test]
     fn costs_are_sane() {
-        let c = measure_costs(false).unwrap();
+        let c = measure_costs(MachineId::M1, false, Tracer::disabled()).unwrap();
         assert!(
             c.jmp_get > 2 * 1127,
             "visit includes two untagged switches: {c:?}"
@@ -407,7 +400,7 @@ mod tests {
             "switch round trip is a proper part of a visit: {c:?}"
         );
         // Tagged switches are cheaper end to end.
-        let tagged = measure_costs(true).unwrap();
+        let tagged = measure_costs(MachineId::M1, true, Tracer::disabled()).unwrap();
         assert!(tagged.jmp_get < c.jmp_get, "tagged {tagged:?} vs {c:?}");
     }
 

@@ -43,7 +43,7 @@ const HEADER_SIZE: u64 = 56;
 const NOT_REHASHING: u64 = u64::MAX;
 
 /// FNV-1a, the key hash.
-fn hash_key(key: &[u8]) -> u64 {
+pub(crate) fn hash_key(key: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in key {
         h ^= b as u64;

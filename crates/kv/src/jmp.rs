@@ -28,7 +28,7 @@ const STORE_SLOT: u64 = 0;
 /// First PML4 slot used for client scratch segments.
 const SCRATCH_SLOT_BASE: u64 = 8;
 
-/// Options for [`JmpClient::join_cfg`], the fully general join.
+/// Options for [`JmpClient::join_cfg`].
 ///
 /// The defaults reproduce [`JmpClient::join`]: untagged, pinned store
 /// frames, store slot 0. A sharded deployment
@@ -37,9 +37,17 @@ const SCRATCH_SLOT_BASE: u64 = 8;
 /// the global half and they can all be attached side by side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinOpts {
-    /// Request TLB tags for both VASes (`RedisJMP (Tags)`).
+    /// Request TLB tags for both VASes (the `RedisJMP (Tags)`
+    /// configuration of Figure 10a). Requires
+    /// [`sjmp_os::Kernel::set_tagging`] to be enabled.
     pub tagged: bool,
-    /// Back a fresh store with a swappable, demand-paged segment.
+    /// Back a **fresh** store with a swappable, demand-paged segment
+    /// ([`SpaceJmp::seg_alloc_with`] on [`Backing::Demand`]) instead of
+    /// pinned frames: the constrained-memory configuration. The store
+    /// then survives DRAM oversubscription — cold store pages are
+    /// evicted to swap and faulted back on access — at swap cycle cost.
+    /// Ignored when the store already exists; clients share whatever
+    /// backing the first client chose.
     pub swappable_store: bool,
     /// PML4 slot (512 GiB stride above `GLOBAL_LO`) for the store.
     pub store_slot: u64,
@@ -141,62 +149,10 @@ impl JmpClient {
         store: &str,
         client_idx: usize,
     ) -> SjResult<JmpClient> {
-        Self::join_with_tags(sj, pid, store, client_idx, false)
+        Self::join_cfg(sj, pid, store, client_idx, JoinOpts::default())
     }
 
-    /// Like [`Self::join`], optionally requesting TLB tags for both VASes
-    /// (the `RedisJMP (Tags)` configuration of Figure 10a). Requires
-    /// [`sjmp_os::Kernel::set_tagging`] to be enabled.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SpaceJMP failures.
-    pub fn join_with_tags(
-        sj: &mut SpaceJmp,
-        pid: Pid,
-        store: &str,
-        client_idx: usize,
-        tagged: bool,
-    ) -> SjResult<JmpClient> {
-        Self::join_opts(sj, pid, store, client_idx, tagged, false)
-    }
-
-    /// Like [`Self::join_with_tags`], optionally backing a **fresh**
-    /// store with a swappable, demand-paged segment
-    /// ([`SpaceJmp::seg_alloc_with`] on [`Backing::Demand`]) instead of
-    /// pinned frames: the constrained-memory configuration. The store
-    /// then survives DRAM
-    /// oversubscription — cold store pages are evicted to swap and
-    /// faulted back on access — at swap cycle cost. `swappable_store` is
-    /// ignored when the store already exists; clients share whatever
-    /// backing the first client chose.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SpaceJMP failures.
-    pub fn join_opts(
-        sj: &mut SpaceJmp,
-        pid: Pid,
-        store: &str,
-        client_idx: usize,
-        tagged: bool,
-        swappable_store: bool,
-    ) -> SjResult<JmpClient> {
-        Self::join_cfg(
-            sj,
-            pid,
-            store,
-            client_idx,
-            JoinOpts {
-                tagged,
-                swappable_store,
-                ..JoinOpts::default()
-            },
-        )
-    }
-
-    /// The fully general join: every knob in one [`JoinOpts`]. All other
-    /// join variants delegate here.
+    /// [`Self::join`] with every knob in one [`JoinOpts`].
     ///
     /// # Errors
     ///
@@ -585,7 +541,11 @@ mod more_tests {
                 .spawn(&format!("pc{i}"), Creds::new(100, 100))
                 .unwrap();
             sj.kernel_mut().activate(pid).unwrap();
-            clients.push(JmpClient::join_opts(&mut sj, pid, "pressed", i, false, true).unwrap());
+            let opts = JoinOpts {
+                swappable_store: true,
+                ..JoinOpts::default()
+            };
+            clients.push(JmpClient::join_cfg(&mut sj, pid, "pressed", i, opts).unwrap());
         }
         // ~2 KiB values x 300 keys: the live heap inside the store
         // segment far exceeds the frames left after the pinned footprint.

@@ -5,7 +5,8 @@
 //!
 //! * **Classic Redis** ([`server::RedisServer`]): a single-threaded
 //!   server process owns the data; clients send RESP commands over
-//!   simulated UNIX-domain sockets and pay per-message kernel costs.
+//!   UNIX-domain sockets, which [`bench::run_classic`] charges as
+//!   per-message kernel costs ([`bench::socket_round_trip`]).
 //! * **RedisJMP** ([`jmp::JmpClient`]): no server process at all. The
 //!   store lives in a lockable segment inside a shared VAS; clients
 //!   *switch into* the address space and run the command path themselves.
@@ -38,9 +39,7 @@ pub mod resp;
 pub mod server;
 pub mod shard;
 
-pub use bench::{
-    measure_costs, measure_costs_on, run_classic, run_jmp, KvBenchConfig, OpCosts, Throughput,
-};
+pub use bench::{measure_costs, run_classic, run_jmp, KvBenchConfig, OpCosts, Throughput};
 pub use dict::{DictStats, SegDict};
 pub use jmp::{JmpClient, JoinOpts};
 pub use overload::{

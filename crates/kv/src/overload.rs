@@ -12,7 +12,7 @@
 //! burn cycles on requests whose clients already gave up.
 //!
 //! The engine here replays measured per-op costs
-//! ([`crate::bench::measure_costs_on`]) in a deterministic DES, exactly
+//! ([`crate::bench::measure_costs`]) in a deterministic DES, exactly
 //! like `run_jmp`, but adds the production serving discipline:
 //!
 //! * **Sharding** — `S` store segments with independent FIFO segment
@@ -42,7 +42,7 @@ use sjmp_trace::{
 };
 use spacejmp_core::{RetryPolicy, SjResult};
 
-use crate::bench::{measure_costs_on, OpCosts, READER_BOUNCE, WAITER_BOUNCE};
+use crate::bench::{measure_costs, OpCosts, READER_BOUNCE, WAITER_BOUNCE};
 use crate::shard::ShardRouter;
 
 /// Keyspace size for routing (matches the Figure 10 preload).
@@ -274,7 +274,7 @@ fn emit(
 pub fn run_overload(cfg: &OverloadConfig) -> SjResult<OverloadResult> {
     assert!(cfg.shards > 0, "need at least one shard");
     assert!(cfg.requests > 0, "need at least one request");
-    let costs = measure_costs_on(cfg.machine, cfg.tagging, cfg.tracer.clone())?;
+    let costs = measure_costs(cfg.machine, cfg.tagging, cfg.tracer.clone())?;
     let profile = MachineProfile::of(cfg.machine);
     let cost = CostModel::default();
 
@@ -635,7 +635,7 @@ mod tests {
 
     #[test]
     fn light_load_completes_nearly_everything() {
-        let costs = measure_costs_on(MachineId::M1, false, Tracer::disabled()).unwrap();
+        let costs = measure_costs(MachineId::M1, false, Tracer::disabled()).unwrap();
         let sat = saturation_rps(&costs, MachineId::M1, 10, 4);
         let res = run_overload_at(&small(2000), 0.3 * sat).unwrap();
         assert!(res.accounted(), "{res:?}");
@@ -648,7 +648,7 @@ mod tests {
 
     #[test]
     fn overload_sheds_instead_of_collapsing() {
-        let costs = measure_costs_on(MachineId::M1, false, Tracer::disabled()).unwrap();
+        let costs = measure_costs(MachineId::M1, false, Tracer::disabled()).unwrap();
         let sat = saturation_rps(&costs, MachineId::M1, 10, 4);
         let at_sat = run_overload_at(&small(4000), sat).unwrap();
         let over = run_overload_at(&small(4000), 2.0 * sat).unwrap();
@@ -663,7 +663,7 @@ mod tests {
 
     #[test]
     fn admitted_latency_is_bounded_by_deadline() {
-        let costs = measure_costs_on(MachineId::M1, false, Tracer::disabled()).unwrap();
+        let costs = measure_costs(MachineId::M1, false, Tracer::disabled()).unwrap();
         let sat = saturation_rps(&costs, MachineId::M1, 10, 4);
         let res = run_overload_at(&small(4000), 1.5 * sat).unwrap();
         assert!(res.completed > 0);
@@ -715,7 +715,7 @@ mod tests {
 
     #[test]
     fn request_tracing_does_not_perturb_the_schedule() {
-        let costs = measure_costs_on(MachineId::M1, false, Tracer::disabled()).unwrap();
+        let costs = measure_costs(MachineId::M1, false, Tracer::disabled()).unwrap();
         let sat = saturation_rps(&costs, MachineId::M1, 10, 4);
         let off = run_overload_at(&small(3000), 1.8 * sat).unwrap();
         let on = run_overload_at(
@@ -739,7 +739,7 @@ mod tests {
 
     #[test]
     fn exemplar_phases_partition_latency_exactly() {
-        let costs = measure_costs_on(MachineId::M1, false, Tracer::disabled()).unwrap();
+        let costs = measure_costs(MachineId::M1, false, Tracer::disabled()).unwrap();
         let sat = saturation_rps(&costs, MachineId::M1, 10, 4);
         let res = run_overload_at(
             &OverloadConfig {
@@ -769,7 +769,7 @@ mod tests {
 
     #[test]
     fn sheds_are_counted_per_client_and_fairly_spread() {
-        let costs = measure_costs_on(MachineId::M1, false, Tracer::disabled()).unwrap();
+        let costs = measure_costs(MachineId::M1, false, Tracer::disabled()).unwrap();
         let sat = saturation_rps(&costs, MachineId::M1, 10, 4);
         let res = run_overload_at(&small(6000), 3.0 * sat).unwrap();
         assert!(res.shed > 0, "3x saturation must shed: {res:?}");
@@ -791,7 +791,7 @@ mod tests {
 
     #[test]
     fn percentile_bounds_bracket_the_point_estimates() {
-        let costs = measure_costs_on(MachineId::M1, false, Tracer::disabled()).unwrap();
+        let costs = measure_costs(MachineId::M1, false, Tracer::disabled()).unwrap();
         let sat = saturation_rps(&costs, MachineId::M1, 10, 4);
         let res = run_overload_at(&small(2000), 0.8 * sat).unwrap();
         for (lo, hi) in [res.p50_bounds, res.p99_bounds, res.p999_bounds] {

@@ -1,7 +1,8 @@
 //! The baseline single-threaded Redis-style server.
 //!
 //! One process owns the store, switched into its data VAS permanently;
-//! clients reach it over simulated UNIX-domain sockets ([`sjmp_rpc`]).
+//! clients reach it over UNIX-domain sockets, whose per-message kernel
+//! costs [`crate::bench::run_classic`] charges.
 //! The command execution path (parse -> dict -> encode) is shared with
 //! RedisJMP — only the transport differs, which is exactly the comparison
 //! Section 5.3 makes.

@@ -21,21 +21,23 @@
 //!   pressure ([`sjmp_os::PressureLevel`]), shards flip to read-only:
 //!   SETs fail fast with [`RejectReason::ShardUnavailable`] while GETs
 //!   keep serving, and writes resume when pressure clears.
-//! * **Deadlines** — the `_by` variants reject requests whose deadline
-//!   already passed with [`RejectReason::DeadlineExceeded`] instead of
-//!   doing work nobody is waiting for.
+//! * **Deadlines** — [`ShardedKv::get_by`] and [`ShardedKv::set_by`]
+//!   reject requests whose deadline already passed with
+//!   [`RejectReason::DeadlineExceeded`] instead of doing work nobody is
+//!   waiting for.
 
 use sjmp_os::{Pid, PressureLevel};
 use sjmp_trace::EventKind;
-use spacejmp_core::{SegId, SjError, SpaceJmp};
+use spacejmp_core::{SegId, SjError, SjResult, SpaceJmp};
 
+use crate::dict::hash_key;
 use crate::jmp::{JmpClient, JoinOpts};
 
 /// Maximum shard count: store slots 0..8 precede the scratch slots.
 pub const MAX_SHARDS: usize = 8;
 
-/// Default virtual nodes per shard on the consistent-hash ring.
-const DEFAULT_VNODES: usize = 64;
+/// Virtual nodes per shard on the consistent-hash ring.
+const VNODES: usize = 64;
 
 /// Why a request was refused without being served.
 ///
@@ -91,18 +93,14 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// FNV-1a with a 64-bit finalizer. Plain FNV-1a avalanches poorly into
-/// the high bits for short, similar keys — and ring placement orders by
-/// the *full* `u64`, so without the mix, `key:001` and `key:002` land
-/// on the same arc and one shard owns the whole keyspace. The final
-/// mixer (Murmur3/SplitMix-style) spreads low-bit differences across
-/// the word.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+/// The dictionary's FNV-1a key hash with a 64-bit finalizer. Plain
+/// FNV-1a avalanches poorly into the high bits for short, similar keys —
+/// and ring placement orders by the *full* `u64`, so without the mix,
+/// `key:001` and `key:002` land on the same arc and one shard owns the
+/// whole keyspace. The final mixer (Murmur3/SplitMix-style) spreads
+/// low-bit differences across the word.
+fn ring_hash(bytes: &[u8]) -> u64 {
+    let mut h = hash_key(bytes);
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
@@ -112,7 +110,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// A consistent-hash ring mapping keys to shard indices.
 ///
-/// Each shard contributes `vnodes` points on a `u64` ring; a key routes
+/// Each shard contributes 64 virtual nodes on a `u64` ring; a key routes
 /// to the first point clockwise from its hash. Adding or removing one
 /// shard therefore remaps only the keys between its points and their
 /// predecessors — about `1/S` of the keyspace — instead of reshuffling
@@ -135,27 +133,17 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// A ring over `shards` shards with the default virtual-node count.
+    /// A ring over `shards` shards.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
     pub fn new(shards: usize) -> Self {
-        Self::with_vnodes(shards, DEFAULT_VNODES)
-    }
-
-    /// A ring with an explicit virtual-node count per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` or `vnodes` is zero.
-    pub fn with_vnodes(shards: usize, vnodes: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
-        assert!(vnodes > 0, "need at least one virtual node");
-        let mut ring = Vec::with_capacity(shards * vnodes);
+        let mut ring = Vec::with_capacity(shards * VNODES);
         for s in 0..shards {
-            for v in 0..vnodes {
-                ring.push((fnv1a(format!("shard-{s}-vnode-{v}").as_bytes()), s));
+            for v in 0..VNODES {
+                ring.push((ring_hash(format!("shard-{s}-vnode-{v}").as_bytes()), s));
             }
         }
         ring.sort_unstable();
@@ -170,7 +158,7 @@ impl ShardRouter {
 
     /// The shard owning `key`.
     pub fn route(&self, key: &[u8]) -> usize {
-        let h = fnv1a(key);
+        let h = ring_hash(key);
         let i = match self.ring.binary_search_by_key(&h, |&(p, _)| p) {
             Ok(i) => i,
             // First point clockwise; wrap past the highest point.
@@ -201,16 +189,16 @@ pub struct ShardHealth {
 /// ```
 /// use sjmp_mem::{KernelFlavor, MachineId};
 /// use sjmp_os::{Creds, Kernel};
-/// use sjmp_kv::ShardedKv;
+/// use sjmp_kv::{JoinOpts, ShardedKv};
 /// use spacejmp_core::SpaceJmp;
 ///
 /// # fn main() -> Result<(), sjmp_kv::ShardError> {
 /// let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::DragonFly, MachineId::M1));
 /// let pid = sj.kernel_mut().spawn("client", Creds::new(100, 100)).map_err(spacejmp_core::SjError::from)?;
 /// sj.kernel_mut().activate(pid).map_err(spacejmp_core::SjError::from)?;
-/// let mut kv = ShardedKv::join(&mut sj, pid, "cache", 0, 4)?;
-/// kv.set(&mut sj, b"answer", b"42")?;
-/// assert_eq!(kv.get(&mut sj, b"answer")?, Some(b"42".to_vec()));
+/// let mut kv = ShardedKv::join(&mut sj, pid, "cache", 0, 4, JoinOpts::default())?;
+/// kv.set_by(&mut sj, b"answer", b"42", None)?;
+/// assert_eq!(kv.get_by(&mut sj, b"answer", None)?, Some(b"42".to_vec()));
 /// # Ok(()) }
 /// ```
 #[derive(Debug)]
@@ -238,8 +226,9 @@ const DEFAULT_QUEUE_CAP: usize = 32;
 
 impl ShardedKv {
     /// Joins (or lazily initializes) `shards` stores named
-    /// `"{store}-s{shard}"`, one per PML4 slot. `client_idx` must be
-    /// unique per joining process; scratch segments are slotted as
+    /// `"{store}-s{shard}"`, one per PML4 slot, each with `opts` (whose
+    /// `store_slot` is overridden per shard). `client_idx` must be unique
+    /// per joining process; scratch segments are slotted as
     /// `client_idx * shards + shard` so every (client, shard) pair gets
     /// a distinct address slot.
     ///
@@ -251,26 +240,6 @@ impl ShardedKv {
     ///
     /// Panics if `shards` is zero or exceeds [`MAX_SHARDS`].
     pub fn join(
-        sj: &mut SpaceJmp,
-        pid: Pid,
-        store: &str,
-        client_idx: usize,
-        shards: usize,
-    ) -> Result<ShardedKv, ShardError> {
-        Self::join_opts(sj, pid, store, client_idx, shards, JoinOpts::default())
-    }
-
-    /// [`Self::join`] with explicit per-shard [`JoinOpts`] (the
-    /// `store_slot` field is overridden per shard).
-    ///
-    /// # Errors
-    ///
-    /// Propagates SpaceJMP failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or exceeds [`MAX_SHARDS`].
-    pub fn join_opts(
         sj: &mut SpaceJmp,
         pid: Pid,
         store: &str,
@@ -333,11 +302,10 @@ impl ShardedKv {
         self.store_sids[s]
     }
 
-    /// Whether shard `s` is currently degraded to read-only. Memory
-    /// pressure is a kernel-global signal, so under pressure every
-    /// shard degrades; the per-shard shape exists so a future
-    /// per-tier placement can flip shards independently.
-    pub fn degraded(&self, sj: &SpaceJmp, _s: usize) -> bool {
+    /// Whether the shards are currently degraded to read-only. Memory
+    /// pressure is a kernel-global signal, so under pressure every shard
+    /// degrades at once.
+    pub fn degraded(&self, sj: &SpaceJmp) -> bool {
         sj.kernel().mem_pressure() >= PressureLevel::Critical
     }
 
@@ -346,7 +314,7 @@ impl ShardedKv {
         (0..self.shards())
             .map(|s| ShardHealth {
                 wait_depth: sj.seg_wait_depth(self.store_sids[s]),
-                degraded: self.degraded(sj, s),
+                degraded: self.degraded(sj),
             })
             .collect()
     }
@@ -360,7 +328,7 @@ impl ShardedKv {
     /// queue is at the bound, refuse writes when degraded. Tallies
     /// sheds per handle for fairness accounting.
     fn admit(&mut self, sj: &SpaceJmp, s: usize, write: bool) -> Result<(), ShardError> {
-        if write && self.degraded(sj, s) {
+        if write && self.degraded(sj) {
             return Err(ShardError::Rejected(RejectReason::ShardUnavailable));
         }
         if sj.seg_wait_depth(self.store_sids[s]) >= self.queue_cap {
@@ -421,27 +389,41 @@ impl ShardedKv {
         self.req_mark(sj, id, EventKind::ReqComplete, u64::from(within));
     }
 
-    /// Deadline check: a request whose deadline (absolute cycles) has
-    /// already passed is rejected before dispatch.
-    fn check_deadline(sj: &SpaceJmp, deadline: Option<u64>) -> Result<(), ShardError> {
-        if let Some(d) = deadline {
-            if sj.kernel().clock().now() > d {
-                return Err(ShardError::Rejected(RejectReason::DeadlineExceeded));
-            }
+    /// One request to the shard owning `key`: rejects it when its
+    /// `deadline` (absolute cycles) already passed or admission refuses
+    /// it, otherwise dispatches `op` to that shard's client, tracing
+    /// every step of the request's life.
+    fn request<T>(
+        &mut self,
+        sj: &mut SpaceJmp,
+        key: &[u8],
+        write: bool,
+        deadline: Option<u64>,
+        op: impl FnOnce(&mut JmpClient, &mut SpaceJmp) -> SjResult<T>,
+    ) -> Result<T, ShardError> {
+        let s = self.shard_of(key);
+        let id = self.req_begin(sj);
+        let expired = deadline.is_some_and(|d| sj.kernel().clock().now() > d);
+        let admitted = if expired {
+            Err(ShardError::Rejected(RejectReason::DeadlineExceeded))
+        } else {
+            self.admit(sj, s, write)
+        };
+        if let Err(e) = admitted {
+            self.req_reject(sj, id, &e);
+            return Err(e);
         }
-        Ok(())
+        self.req_mark(sj, id, EventKind::ReqAdmit, s as u64);
+        // arg1 = 0: on the live path the switch share is carried by the
+        // nested `VasSwitch` spans between dispatch and completion.
+        self.req_mark(sj, id, EventKind::ReqDispatch, 0);
+        let out = op(&mut self.clients[s], sj);
+        self.req_complete(sj, id, deadline);
+        Ok(out?)
     }
 
-    /// GET routed to the owning shard, no deadline.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::Rejected`] on shed; inner errors otherwise.
-    pub fn get(&mut self, sj: &mut SpaceJmp, key: &[u8]) -> Result<Option<Vec<u8>>, ShardError> {
-        self.get_by(sj, key, None)
-    }
-
-    /// GET with an absolute deadline in cycles ([`None`] = none).
+    /// GET routed to the owning shard, with an absolute deadline in
+    /// cycles ([`None`] = none).
     ///
     /// # Errors
     ///
@@ -454,37 +436,17 @@ impl ShardedKv {
         key: &[u8],
         deadline: Option<u64>,
     ) -> Result<Option<Vec<u8>>, ShardError> {
-        let s = self.shard_of(key);
-        let id = self.req_begin(sj);
-        if let Err(e) = Self::check_deadline(sj, deadline).and_then(|()| self.admit(sj, s, false)) {
-            self.req_reject(sj, id, &e);
-            return Err(e);
-        }
-        self.req_mark(sj, id, EventKind::ReqAdmit, s as u64);
-        // arg1 = 0: on the live path the switch share is carried by the
-        // nested `VasSwitch` spans between dispatch and completion.
-        self.req_mark(sj, id, EventKind::ReqDispatch, 0);
-        let out = self.clients[s].get(sj, key);
-        self.req_complete(sj, id, deadline);
-        Ok(out?)
+        self.request(sj, key, false, deadline, |c, sj| c.get(sj, key))
     }
 
-    /// SET routed to the owning shard, no deadline.
+    /// SET routed to the owning shard, with an absolute deadline in
+    /// cycles ([`None`] = none).
     ///
     /// # Errors
     ///
     /// [`RejectReason::ShardUnavailable`] while degraded;
-    /// [`RejectReason::Shed`] at the admission bound; inner errors
-    /// otherwise.
-    pub fn set(&mut self, sj: &mut SpaceJmp, key: &[u8], val: &[u8]) -> Result<(), ShardError> {
-        self.set_by(sj, key, val, None)
-    }
-
-    /// SET with an absolute deadline in cycles ([`None`] = none).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::set`], plus [`RejectReason::DeadlineExceeded`].
+    /// [`RejectReason::DeadlineExceeded`] and [`RejectReason::Shed`] as
+    /// in [`Self::get_by`]; inner errors otherwise.
     pub fn set_by(
         &mut self,
         sj: &mut SpaceJmp,
@@ -492,17 +454,7 @@ impl ShardedKv {
         val: &[u8],
         deadline: Option<u64>,
     ) -> Result<(), ShardError> {
-        let s = self.shard_of(key);
-        let id = self.req_begin(sj);
-        if let Err(e) = Self::check_deadline(sj, deadline).and_then(|()| self.admit(sj, s, true)) {
-            self.req_reject(sj, id, &e);
-            return Err(e);
-        }
-        self.req_mark(sj, id, EventKind::ReqAdmit, s as u64);
-        self.req_mark(sj, id, EventKind::ReqDispatch, 0);
-        let out = self.clients[s].set(sj, key, val);
-        self.req_complete(sj, id, deadline);
-        Ok(out?)
+        self.request(sj, key, true, deadline, |c, sj| c.set(sj, key, val))
     }
 
     /// DEL routed to the owning shard (write path: degrades and sheds
@@ -510,19 +462,9 @@ impl ShardedKv {
     ///
     /// # Errors
     ///
-    /// As [`Self::set`].
+    /// As [`Self::set_by`], less the deadline.
     pub fn del(&mut self, sj: &mut SpaceJmp, key: &[u8]) -> Result<bool, ShardError> {
-        let s = self.shard_of(key);
-        let id = self.req_begin(sj);
-        if let Err(e) = self.admit(sj, s, true) {
-            self.req_reject(sj, id, &e);
-            return Err(e);
-        }
-        self.req_mark(sj, id, EventKind::ReqAdmit, s as u64);
-        self.req_mark(sj, id, EventKind::ReqDispatch, 0);
-        let out = self.clients[s].del(sj, key);
-        self.req_complete(sj, id, None);
-        Ok(out?)
+        self.request(sj, key, true, None, |c, sj| c.del(sj, key))
     }
 }
 
@@ -541,7 +483,7 @@ mod tests {
                     .spawn(&format!("sc{i}"), Creds::new(100, 100))
                     .unwrap();
                 sj.kernel_mut().activate(pid).unwrap();
-                ShardedKv::join(&mut sj, pid, "sharded", i, shards).unwrap()
+                ShardedKv::join(&mut sj, pid, "sharded", i, shards, JoinOpts::default()).unwrap()
             })
             .collect();
         (sj, kvs)
@@ -588,7 +530,7 @@ mod tests {
         let mut used = [false; 4];
         for i in 0..64 {
             let k = format!("key:{i:03}");
-            kv.set(&mut sj, k.as_bytes(), format!("v{i}").as_bytes())
+            kv.set_by(&mut sj, k.as_bytes(), format!("v{i}").as_bytes(), None)
                 .unwrap();
             used[kv.shard_of(k.as_bytes())] = true;
         }
@@ -596,7 +538,7 @@ mod tests {
         for i in 0..64 {
             let k = format!("key:{i:03}");
             assert_eq!(
-                kv.get(&mut sj, k.as_bytes()).unwrap(),
+                kv.get_by(&mut sj, k.as_bytes(), None).unwrap(),
                 Some(format!("v{i}").into_bytes())
             );
         }
@@ -607,12 +549,12 @@ mod tests {
         let (mut sj, mut kvs) = setup(2, 2);
         for i in 0..32 {
             let k = format!("shared:{i}");
-            kvs[0].set(&mut sj, k.as_bytes(), b"x").unwrap();
+            kvs[0].set_by(&mut sj, k.as_bytes(), b"x", None).unwrap();
         }
         for i in 0..32 {
             let k = format!("shared:{i}");
             assert_eq!(
-                kvs[1].get(&mut sj, k.as_bytes()).unwrap(),
+                kvs[1].get_by(&mut sj, k.as_bytes(), None).unwrap(),
                 Some(b"x".to_vec())
             );
         }
@@ -621,7 +563,7 @@ mod tests {
     #[test]
     fn deadline_already_passed_is_rejected_before_dispatch() {
         let (mut sj, mut kvs) = setup(2, 1);
-        kvs[0].set(&mut sj, b"k", b"v").unwrap();
+        kvs[0].set_by(&mut sj, b"k", b"v", None).unwrap();
         // A deadline in the past: the clock has advanced past 0.
         assert!(sj.kernel().clock().now() > 0);
         assert_eq!(
@@ -650,8 +592,11 @@ mod tests {
 
         let (mut sj, mut kvs) = setup(2, 2);
         sj.set_tracer(Tracer::new(1 << 16));
-        kvs[0].set(&mut sj, b"k", b"v").unwrap();
-        assert_eq!(kvs[1].get(&mut sj, b"k").unwrap(), Some(b"v".to_vec()));
+        kvs[0].set_by(&mut sj, b"k", b"v", None).unwrap();
+        assert_eq!(
+            kvs[1].get_by(&mut sj, b"k", None).unwrap(),
+            Some(b"v".to_vec())
+        );
         // A rejected request ends in ReqShed with the deadline code.
         assert_eq!(
             kvs[1].get_by(&mut sj, b"k", Some(0)),
@@ -684,8 +629,8 @@ mod tests {
     #[test]
     fn request_tracing_off_mints_nothing() {
         let (mut sj, mut kvs) = setup(2, 1);
-        kvs[0].set(&mut sj, b"k", b"v").unwrap();
-        kvs[0].get(&mut sj, b"k").unwrap();
+        kvs[0].set_by(&mut sj, b"k", b"v", None).unwrap();
+        kvs[0].get_by(&mut sj, b"k", None).unwrap();
         assert_eq!(kvs[0].req_seq, 0, "no ids minted with the tracer off");
         assert!(sj.tracer().events().is_empty());
     }

@@ -288,9 +288,17 @@ impl CSpace {
         }
     }
 
+    /// Every live capability with its slot, in slot order.
+    pub fn live(&self) -> impl Iterator<Item = (CapSlot, &Capability)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().filter(|c| c.is_live()).map(|c| (CapSlot(i), c)))
+    }
+
     /// Number of live capabilities.
     pub fn live_count(&self) -> usize {
-        self.slots.iter().flatten().filter(|c| c.is_live()).count()
+        self.live().count()
     }
 }
 

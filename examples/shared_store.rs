@@ -7,8 +7,11 @@
 //!
 //! Run with: `cargo run --example shared_store`
 
-use spacejmp::kv::JmpClient;
+use spacejmp::kv::bench::socket_round_trip;
+use spacejmp::kv::{measure_costs, JmpClient};
+use spacejmp::mem::CostModel;
 use spacejmp::prelude::*;
+use spacejmp::trace::Tracer;
 
 fn main() -> SjResult<()> {
     let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::DragonFly, MachineId::M1));
@@ -49,10 +52,12 @@ fn main() -> SjResult<()> {
 
     // Throughput context: this is why the paper's Figure 10 shows
     // RedisJMP several times ahead of socket-served Redis.
-    let costs = spacejmp::kv::measure_costs(false)?;
+    let costs = measure_costs(MachineId::M1, false, Tracer::disabled())?;
     println!(
-        "measured visit costs: GET {} cycles, SET {} cycles (vs ~36k cycles of socket round trip)",
-        costs.jmp_get, costs.jmp_set
+        "measured visit costs: GET {} cycles, SET {} cycles (vs {} cycles of socket round trip)",
+        costs.jmp_get,
+        costs.jmp_set,
+        socket_round_trip(&CostModel::default())
     );
     Ok(())
 }

@@ -13,7 +13,7 @@
 //!   writable segment whose lock has been disabled.
 
 use spacejmp::analyze::{analyze_trace, detect_lock_order_cycles, detect_races, lint_kernel};
-use spacejmp::gups::{run_jmp_shared_racy, GupsConfig};
+use spacejmp::gups::{run_jmp_shared, GupsConfig};
 use spacejmp::os::{FaultPlan, FaultSite};
 use spacejmp::prelude::*;
 use spacejmp::trace::{EventKind, Tracer};
@@ -40,7 +40,7 @@ fn injected_lock_skip_is_reported_as_one_race_with_exact_attribution() {
     // unguarded in the shared window.
     sj.kernel_mut()
         .set_fault_plan(Some(FaultPlan::new(1).fail_nth(FaultSite::SegLock, 8)));
-    let res = run_jmp_shared_racy(&mut sj, &racy_cfg(tracer.clone()), 3).expect("racy gups");
+    let res = run_jmp_shared(&mut sj, &racy_cfg(tracer.clone()), 3, true).expect("racy gups");
     assert!(res.updates > 0, "workload made no progress");
 
     let events = tracer.events();
@@ -93,7 +93,7 @@ fn racy_access_pattern_under_an_intact_kernel_is_clean() {
     // comes from the missing lock, not from the access pattern.
     let tracer = Tracer::new(1 << 16);
     let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::DragonFly, MachineId::M3));
-    run_jmp_shared_racy(&mut sj, &racy_cfg(tracer.clone()), 3).expect("clean gups");
+    run_jmp_shared(&mut sj, &racy_cfg(tracer.clone()), 3, true).expect("clean gups");
     let events = tracer.events();
     assert_eq!(tracer.dropped(), 0, "trace ring too small");
     assert!(
@@ -180,7 +180,7 @@ fn stock_shared_gups_trace_has_no_lock_order_cycles() {
         tracer: tracer.clone(),
         ..GupsConfig::default()
     };
-    run_jmp_shared_racy(&mut sj, &cfg, 3).expect("gups");
+    run_jmp_shared(&mut sj, &cfg, 3, true).expect("gups");
     let findings = detect_lock_order_cycles(&tracer.events());
     assert!(findings.is_empty(), "false cycle: {findings:?}");
 }

@@ -7,7 +7,7 @@
 //! comparison of `fig8_gups --quick` output with the cache forced off
 //! via `SJMP_HOST_WALK_CACHE=0`.
 
-use spacejmp::gups::{run as run_gups, Design, GupsConfig};
+use spacejmp::gups::{run as run_gups, run_jmp_constrained, Design, GupsConfig};
 use spacejmp::mem::{Backend, TranslationKind, PAGE_SIZE};
 use spacejmp::prelude::*;
 
@@ -151,4 +151,29 @@ fn no_vm_backend_matches_the_walker_through_swap() {
     }
     assert_eq!(first, second, "switching home and back keeps every value");
     assert_eq!(novm, walked);
+}
+
+/// A constrained (swap-backed, quota-capped) GUPS run translates with
+/// the configured backend like a pinned one: under no-VM it never
+/// misses the TLB, while paging pressure — which depends only on which
+/// pages the workload touches — is identical to the walker's.
+#[test]
+fn constrained_gups_honours_the_backend() {
+    let run = |backend| {
+        let cfg = GupsConfig {
+            windows: 4,
+            window_bytes: 256 << 10,
+            updates_per_set: 16,
+            epochs: 96,
+            backend,
+            ..GupsConfig::default()
+        };
+        run_jmp_constrained(&cfg, 304, Some(200)).unwrap()
+    };
+    let (walked, walked_pressure) = run(TranslationKind::FourLevel);
+    let (novm, novm_pressure) = run(TranslationKind::NoVm);
+    assert_eq!(novm.updates, walked.updates, "same work in both runs");
+    assert_eq!((walked.tlb_misses, novm.tlb_misses), (2387, 0));
+    assert_eq!(novm_pressure, walked_pressure, "same paging in both runs");
+    assert_eq!(walked_pressure.evictions, 817);
 }

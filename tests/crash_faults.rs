@@ -7,7 +7,7 @@
 //! after every disturbance.
 
 use spacejmp::analyze::lint_kernel;
-use spacejmp::gups::{run_jmp_shared_on, GupsConfig};
+use spacejmp::gups::{run_jmp_shared, GupsConfig};
 use spacejmp::kv::JmpClient;
 use spacejmp::mem::PAGE_SIZE;
 use spacejmp::os::{FaultPlan, FaultSite, OsError};
@@ -359,7 +359,7 @@ fn gups_round(seed: u64) -> u64 {
     ));
     // Injected faults may abort the run early (e.g. during setup); what
     // must never happen is a panic, a livelock, or a failed audit.
-    let result = run_jmp_shared_on(&mut sj, &cfg, 3);
+    let result = run_jmp_shared(&mut sj, &cfg, 3, false);
     if let Ok(r) = &result {
         assert_eq!(r.crashes, sj.stats().reaps, "every crash was reaped");
     }

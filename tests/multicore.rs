@@ -125,8 +125,12 @@ fn identical_multicore_runs_are_bit_identical() {
         assert_eq!(a.tlb_miss_rate.to_bits(), b.tlb_miss_rate.to_bits());
     };
     // Shared-VAS GUPS over a worker pool spanning three cores.
-    let a = gups::run_jmp_shared(&cfg, 3).expect("shared run");
-    let b = gups::run_jmp_shared(&cfg, 3).expect("shared rerun");
+    let shared = || {
+        let mut sj = SpaceJmp::new(Kernel::new(cfg.flavor, cfg.machine));
+        gups::run_jmp_shared(&mut sj, &cfg, 3, false)
+    };
+    let a = shared().expect("shared run");
+    let b = shared().expect("shared rerun");
     gups_eq(&a, &b);
     // Master/slave message passing over five cores.
     let a = gups::run_mp(&cfg).expect("mp run");

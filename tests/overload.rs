@@ -4,8 +4,8 @@
 //! bit-identical reruns).
 
 use sjmp_kv::{
-    measure_costs_on, run_overload, run_overload_at, saturation_rps, JmpClient, OverloadConfig,
-    RejectReason, ShardError, ShardRouter, ShardedKv,
+    measure_costs, run_overload, run_overload_at, saturation_rps, JmpClient, JoinOpts,
+    OverloadConfig, RejectReason, ShardError, ShardRouter, ShardedKv,
 };
 use sjmp_mem::{KernelFlavor, MachineId};
 use sjmp_os::{Creds, Kernel, PressureLevel};
@@ -22,12 +22,12 @@ fn sharded_store_routes_and_serves_across_all_shards() {
     let mut sj = fresh(MachineId::M1);
     let pid = sj.kernel_mut().spawn("c0", Creds::new(100, 100)).unwrap();
     sj.kernel_mut().activate(pid).unwrap();
-    let mut kv = ShardedKv::join(&mut sj, pid, "e2e", 0, 4).unwrap();
+    let mut kv = ShardedKv::join(&mut sj, pid, "e2e", 0, 4, JoinOpts::default()).unwrap();
 
     let mut per_shard = [0usize; 4];
     for i in 0..96 {
         let k = format!("user:{i:04}");
-        kv.set(&mut sj, k.as_bytes(), format!("v{i}").as_bytes())
+        kv.set_by(&mut sj, k.as_bytes(), format!("v{i}").as_bytes(), None)
             .unwrap();
         per_shard[kv.shard_of(k.as_bytes())] += 1;
     }
@@ -38,13 +38,13 @@ fn sharded_store_routes_and_serves_across_all_shards() {
     for i in 0..96 {
         let k = format!("user:{i:04}");
         assert_eq!(
-            kv.get(&mut sj, k.as_bytes()).unwrap(),
+            kv.get_by(&mut sj, k.as_bytes(), None).unwrap(),
             Some(format!("v{i}").into_bytes())
         );
     }
     // Deleting through the same router finds the same shard.
     assert!(kv.del(&mut sj, b"user:0007").unwrap());
-    assert_eq!(kv.get(&mut sj, b"user:0007").unwrap(), None);
+    assert_eq!(kv.get_by(&mut sj, b"user:0007", None).unwrap(), None);
 }
 
 #[test]
@@ -76,34 +76,40 @@ fn memory_pressure_flips_shards_read_only_and_recovery_restores_writes() {
     let mut sj = fresh(MachineId::M1);
     let pid = sj.kernel_mut().spawn("p0", Creds::new(100, 100)).unwrap();
     sj.kernel_mut().activate(pid).unwrap();
-    let mut kv = ShardedKv::join(&mut sj, pid, "pressure", 0, 2).unwrap();
-    kv.set(&mut sj, b"probe", b"1").unwrap();
+    let mut kv = ShardedKv::join(&mut sj, pid, "pressure", 0, 2, JoinOpts::default()).unwrap();
+    kv.set_by(&mut sj, b"probe", b"1", None).unwrap();
 
     // No watermark configured yet: pressure reads Normal.
     assert_eq!(sj.kernel().mem_pressure(), PressureLevel::Normal);
-    assert!(!kv.degraded(&sj, 0));
+    assert!(!kv.degraded(&sj));
 
     // Set the watermark above the current free-frame count: instantly
     // critical, without having to actually exhaust the machine.
     let free = sj.kernel_mut().sys_stats().phys.free_frames;
     sj.kernel_mut().set_low_watermark(Some(free + 8));
     assert_eq!(sj.kernel().mem_pressure(), PressureLevel::Critical);
-    assert!(kv.degraded(&sj, 0) && kv.degraded(&sj, 1));
+    assert!(kv.degraded(&sj));
 
     // Writes fail fast and typed; reads still serve.
     assert_eq!(
-        kv.set(&mut sj, b"probe", b"2"),
+        kv.set_by(&mut sj, b"probe", b"2", None),
         Err(ShardError::Rejected(RejectReason::ShardUnavailable))
     );
-    assert_eq!(kv.get(&mut sj, b"probe").unwrap(), Some(b"1".to_vec()));
+    assert_eq!(
+        kv.get_by(&mut sj, b"probe", None).unwrap(),
+        Some(b"1".to_vec())
+    );
     let health = kv.health(&sj);
     assert!(health.iter().all(|h| h.degraded));
 
     // Pressure clears -> writes resume (graceful recovery, no restart).
     sj.kernel_mut().set_low_watermark(Some(1));
     assert_eq!(sj.kernel().mem_pressure(), PressureLevel::Normal);
-    kv.set(&mut sj, b"probe", b"3").unwrap();
-    assert_eq!(kv.get(&mut sj, b"probe").unwrap(), Some(b"3".to_vec()));
+    kv.set_by(&mut sj, b"probe", b"3", None).unwrap();
+    assert_eq!(
+        kv.get_by(&mut sj, b"probe", None).unwrap(),
+        Some(b"3".to_vec())
+    );
 }
 
 #[test]
@@ -114,7 +120,7 @@ fn switch_wait_depth_feeds_admission() {
     let mut sj = fresh(MachineId::M1);
     let pid0 = sj.kernel_mut().spawn("w0", Creds::new(100, 100)).unwrap();
     sj.kernel_mut().activate(pid0).unwrap();
-    let kv = ShardedKv::join(&mut sj, pid0, "depth", 0, 2).unwrap();
+    let kv = ShardedKv::join(&mut sj, pid0, "depth", 0, 2, JoinOpts::default()).unwrap();
     assert_eq!(sj.switch_wait_depth(), 0);
     assert_eq!(sj.seg_wait_depth(kv.store_sid(0)), 0);
     assert_eq!(sj.seg_wait_depth(kv.store_sid(1)), 0);
@@ -141,7 +147,7 @@ fn goodput_holds_past_saturation_on_every_machine() {
             clients: 5000,
             ..OverloadConfig::default()
         };
-        let costs = measure_costs_on(machine, false, Tracer::disabled()).unwrap();
+        let costs = measure_costs(machine, false, Tracer::disabled()).unwrap();
         let sat = saturation_rps(&costs, machine, cfg.set_pct, cfg.shards);
         let at_sat = run_overload_at(&cfg, sat).unwrap();
         let over = run_overload_at(&cfg, 2.0 * sat).unwrap();
@@ -163,7 +169,7 @@ fn admitted_tail_latency_is_bounded_by_the_deadline() {
         clients: 5000,
         ..OverloadConfig::default()
     };
-    let costs = measure_costs_on(cfg.machine, false, Tracer::disabled()).unwrap();
+    let costs = measure_costs(cfg.machine, false, Tracer::disabled()).unwrap();
     let sat = saturation_rps(&costs, cfg.machine, cfg.set_pct, cfg.shards);
     let r = run_overload_at(&cfg, 1.5 * sat).unwrap();
     assert!(r.completed > 0);
@@ -236,7 +242,7 @@ fn degraded_des_rejects_sets_but_keeps_reading() {
 /// heaviest client must stay within a small constant of the mean).
 #[test]
 fn uniform_poisson_load_sheds_fairly_across_clients() {
-    let costs = measure_costs_on(MachineId::M1, false, Tracer::disabled()).unwrap();
+    let costs = measure_costs(MachineId::M1, false, Tracer::disabled()).unwrap();
     let sat = saturation_rps(&costs, MachineId::M1, 10, 4);
     let cfg = OverloadConfig {
         requests: 8_000,
@@ -264,7 +270,7 @@ fn uniform_poisson_load_sheds_fairly_across_clients() {
 /// the simulated schedule.
 #[test]
 fn tail_exemplars_decompose_latency_without_perturbing_the_run() {
-    let costs = measure_costs_on(MachineId::M1, false, Tracer::disabled()).unwrap();
+    let costs = measure_costs(MachineId::M1, false, Tracer::disabled()).unwrap();
     let sat = saturation_rps(&costs, MachineId::M1, 10, 4);
     let cfg = OverloadConfig {
         requests: 5_000,

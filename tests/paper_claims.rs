@@ -2,9 +2,10 @@
 //! across all crates of the workspace.
 
 use spacejmp::gups::{run as gups_run, Design, GupsConfig};
+use spacejmp::kv::bench::socket_round_trip;
 use spacejmp::kv::{measure_costs, JmpClient};
 use spacejmp::prelude::*;
-use spacejmp::rpc::SimSocket;
+use spacejmp::trace::Tracer;
 
 /// Table 2: the full vas_switch costs, measured through the real stack.
 #[test]
@@ -88,8 +89,8 @@ fn switching_beats_remapping() {
 #[test]
 fn switch_pair_beats_socket_round_trip() {
     let cost = spacejmp::mem::CostModel::default();
-    let socket = SimSocket::round_trip_cost(&cost, 32, 16);
-    let costs = measure_costs(false).unwrap();
+    let socket = socket_round_trip(&cost);
+    let costs = measure_costs(MachineId::M1, false, Tracer::disabled()).unwrap();
     assert!(
         costs.jmp_get < socket,
         "full RedisJMP visit ({}) must beat the socket round trip ({})",

@@ -294,7 +294,8 @@ fn lock_events_pair_and_stay_ordered_per_core() {
         tracer: tracer.clone(),
         ..GupsConfig::default()
     };
-    run_jmp_shared(&cfg, 3).expect("shared gups");
+    let mut sj = SpaceJmp::new(Kernel::new(cfg.flavor, cfg.machine));
+    run_jmp_shared(&mut sj, &cfg, 3, false).expect("shared gups");
     assert_eq!(tracer.dropped(), 0, "ring too small for the workload");
     let events = tracer.events();
     let n = check_lock_events(&events);
@@ -463,7 +464,7 @@ fn tracing_adds_zero_modeled_cycles() {
 /// A live sharded-KV workload with request tracing: returns the final
 /// kernel cycle count so traced/untraced runs can be compared.
 fn kv_workload(tracer: Tracer) -> (u64, Vec<Event>) {
-    use spacejmp::kv::ShardedKv;
+    use spacejmp::kv::{JoinOpts, ShardedKv};
 
     let mut sj = SpaceJmp::new(Kernel::new(KernelFlavor::DragonFly, MachineId::M1));
     sj.set_tracer(tracer);
@@ -472,11 +473,15 @@ fn kv_workload(tracer: Tracer) -> (u64, Vec<Event>) {
         .spawn("kvreq", Creds::new(100, 100))
         .expect("spawn");
     sj.kernel_mut().activate(pid).expect("activate");
-    let mut kv = ShardedKv::join(&mut sj, pid, "reqtrace", 0, 2).expect("join");
+    let mut kv =
+        ShardedKv::join(&mut sj, pid, "reqtrace", 0, 2, JoinOpts::default()).expect("join");
     for i in 0..24u32 {
         let k = format!("key:{i:03}");
-        kv.set(&mut sj, k.as_bytes(), b"v").expect("set");
-        assert!(kv.get(&mut sj, k.as_bytes()).expect("get").is_some());
+        kv.set_by(&mut sj, k.as_bytes(), b"v", None).expect("set");
+        assert!(kv
+            .get_by(&mut sj, k.as_bytes(), None)
+            .expect("get")
+            .is_some());
     }
     // One rejection so the stream carries a ReqShed too.
     assert!(matches!(
@@ -634,7 +639,7 @@ fn oom_workload(tracer: Tracer) -> u64 {
 /// how events are emitted must leave every digest as it is.
 #[test]
 fn event_stream_digests_are_pinned() {
-    use spacejmp::gups::{run_jmp_constrained, run_jmp_shared_on};
+    use spacejmp::gups::run_jmp_constrained;
     use spacejmp::os::{FaultPlan, FaultSite};
 
     // Each workload must reach the paths it is here for.
@@ -670,7 +675,7 @@ fn event_stream_digests_are_pinned() {
         sj.kernel_mut().set_fault_plan(Some(
             FaultPlan::new(7).crash_with_probability(FaultSite::Switch, 0.05),
         ));
-        let _ = run_jmp_shared_on(&mut sj, &cfg, 3);
+        let _ = run_jmp_shared(&mut sj, &cfg, 3, false);
         sj.kernel().clocks().now()
     };
     let digests = [
@@ -678,7 +683,7 @@ fn event_stream_digests_are_pinned() {
         digest("durable_workload", &durable_workload, EventKind::BlkFlush),
         digest("oom_workload", &oom_workload, EventKind::OomKill),
         digest("run_jmp_constrained", &constrained, EventKind::Evict),
-        digest("run_jmp_shared_on", &crashing, EventKind::Reap),
+        digest("run_jmp_shared", &crashing, EventKind::Reap),
     ];
     let hex: Vec<String> = digests.iter().map(|(_, h)| format!("{h:#x}")).collect();
     assert_eq!(digests, PINNED_DIGESTS, "new digests: {hex:?}");
@@ -689,5 +694,5 @@ const PINNED_DIGESTS: [(&str, u64); 5] = [
     ("durable_workload", 0xe741_47d1_f0d1_3c00),
     ("oom_workload", 0xe399_0dcf_d761_b02a),
     ("run_jmp_constrained", 0xec0e_6535_a13b_efd1),
-    ("run_jmp_shared_on", 0x2912_a93d_7874_932c),
+    ("run_jmp_shared", 0x2912_a93d_7874_932c),
 ];
