@@ -20,13 +20,19 @@
 //! [`crate::cost::MachineProfile`]; the set count must be a power of two,
 //! so a page's set is its page number masked, not divided.
 //!
-//! Two host-side shortcuts leave the model untouched. A bitmap of valid
-//! slots lets the whole-TLB flushes visit only valid entries, and a
-//! last-hit memo answers a repeat lookup of the same `(asid, vpn)`
-//! without a probe. Neither changes which entry a lookup finds, which
-//! entry an insert evicts, or any counter.
+//! Three host-side shortcuts leave the model untouched. Each slot's probe
+//! key (valid bit, size, global bit, ASID and size-aligned page number)
+//! is packed into one `u64` tag in an array of its own, so a probe
+//! compares one word per way (an 8-way set's tags take 64 bytes, a
+//! cache line's worth) and reads the entry, which holds only what a hit
+//! returns and its LRU stamp, once it has found the slot. A bitmap of
+//! valid slots lets the whole-TLB flushes visit only valid entries, and
+//! a last-hit memo answers a repeat lookup of the same `(asid, vpn)`
+//! without a probe. None of them changes which entry a lookup of a
+//! canonical address finds, which entry an insert evicts, or any
+//! counter.
 
-use crate::addr::{PageSize, PhysAddr, Vpn};
+use crate::addr::{PageSize, PhysAddr, Vpn, PAGE_SHIFT, VA_BITS};
 use crate::paging::PteFlags;
 
 /// Address-space identifier (12-bit, like x86 PCID).
@@ -49,18 +55,15 @@ impl Asid {
     }
 }
 
+/// What a hit returns, and the stamp that picks the LRU victim. The
+/// probe key lives in the slot's tag; the size is kept here as well so
+/// that a hit reads one line, not the entry's and the tag's.
 #[derive(Debug, Clone, Copy, Default)]
 struct TlbEntry {
-    valid: bool,
-    asid: Asid,
-    global: bool,
-    /// Size-aligned page number: for superpages, the VPN of the first
-    /// 4 KiB base page.
-    vpn: Vpn,
     /// Physical base of the mapped page (size-aligned).
     frame_base: PhysAddr,
     flags: PteFlags,
-    /// Page size this entry caches; lookups only match equal sizes.
+    /// Page size this entry caches.
     size: PageSize,
     stamp: u64,
 }
@@ -84,6 +87,38 @@ fn size_key(vpn: Vpn, size: PageSize) -> Vpn {
     Vpn(vpn.0 & !(size.base_pages() - 1))
 }
 
+// A slot's tag, from the low bit up: valid (1 bit), size slot (2),
+// global (1), ASID (16), unused (8), size-aligned VPN (36). An empty
+// slot's tag is zero; every valid tag has its low bit set.
+//
+// The 36 VPN bits are address bits 12..48, the bits the page walk
+// indexes its tables by. They suffice: a canonical address's bits
+// 48..64 copy its bit 47, so two canonical page numbers, in either half
+// of the address space, differ within them. A non-canonical page number
+// shares its tag with the canonical one the walk translates it as.
+const TAG_VALID: u64 = 1;
+const SIZE_SHIFT: u32 = 1;
+const TAG_GLOBAL: u64 = 1 << 3;
+const ASID_SHIFT: u32 = 4;
+const ASID_BITS: u64 = 0xffff << ASID_SHIFT;
+const VPN_SHIFT: u32 = 64 - (VA_BITS - PAGE_SHIFT);
+
+/// The tag of a valid, non-global slot caching `key` (aligned to the
+/// size at `size_idx` in [`PROBE_SIZES`]) under `asid`.
+#[inline]
+fn tag(asid: Asid, key: Vpn, size_idx: usize) -> u64 {
+    key.0 << VPN_SHIFT
+        | u64::from(asid.0) << ASID_SHIFT
+        | (size_idx as u64) << SIZE_SHIFT
+        | TAG_VALID
+}
+
+/// The size slot (index in [`PROBE_SIZES`]) of a valid tag.
+#[inline]
+fn tag_slot(t: u64) -> usize {
+    (t >> SIZE_SHIFT & 3) as usize
+}
+
 sjmp_trace::counter_group! {
     /// Hit/miss/flush counters.
     pub struct TlbStats {
@@ -99,18 +134,6 @@ sjmp_trace::counter_group! {
         evictions => "tlb.evictions",
         /// Entries inserted.
         insertions => "tlb.insertions",
-    }
-}
-
-impl TlbStats {
-    /// Miss ratio over all lookups (0 when no lookups occurred).
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
     }
 }
 
@@ -131,6 +154,8 @@ impl TlbStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tlb {
+    /// One tag per slot, laid out like `entries`.
+    tags: Vec<u64>,
     entries: Vec<TlbEntry>,
     /// Set count minus one; the set of a key is `key & set_mask`.
     set_mask: usize,
@@ -167,6 +192,7 @@ impl Tlb {
             "the set count (entries / ways) must be a power of two"
         );
         Tlb {
+            tags: vec![0; entries],
             entries: vec![TlbEntry::default(); entries],
             set_mask: sets - 1,
             ways,
@@ -201,22 +227,21 @@ impl Tlb {
     /// Invalidates the (valid) entry in `slot`.
     #[inline]
     fn invalidate(&mut self, slot: usize) {
-        let e = &mut self.entries[slot];
-        e.valid = false;
-        self.resident[size_slot(e.size)] -= 1;
+        self.resident[tag_slot(self.tags[slot])] -= 1;
+        self.tags[slot] = 0;
         self.valid_bits[slot / 64] &= !(1 << (slot % 64));
     }
 
-    /// Invalidates every valid entry that `doomed` selects, visiting
-    /// valid slots only.
-    fn invalidate_where(&mut self, doomed: impl Fn(&TlbEntry) -> bool) {
+    /// Invalidates every valid entry whose tag `doomed` selects,
+    /// visiting valid slots only.
+    fn invalidate_where(&mut self, doomed: impl Fn(u64) -> bool) {
         self.last_hit = None;
         for w in 0..self.valid_bits.len() {
             let mut bits = self.valid_bits[w];
             while bits != 0 {
                 let slot = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if doomed(&self.entries[slot]) {
+                if doomed(self.tags[slot]) {
                     self.invalidate(slot);
                 }
             }
@@ -244,7 +269,8 @@ impl Tlb {
         }
     }
 
-    /// The set probe of [`Self::find`].
+    /// The set probe of [`Self::find`]: the first way whose tag is this
+    /// key's, under `asid` or global under any ASID.
     #[inline(never)]
     fn probe(&mut self, asid: Asid, vpn: Vpn) -> Option<usize> {
         for (size_idx, size) in PROBE_SIZES.into_iter().enumerate() {
@@ -252,11 +278,13 @@ impl Tlb {
                 continue;
             }
             let key = size_key(vpn, size);
+            let mine = tag(asid, key, size_idx);
+            let global = (mine & !ASID_BITS) | TAG_GLOBAL;
             let range = self.set_range(key);
             let start = range.start;
-            let found = self.entries[range].iter().position(|e| {
-                e.valid && e.size == size && e.vpn == key && (e.global || e.asid == asid)
-            });
+            let found = self.tags[range]
+                .iter()
+                .position(|&t| t == mine || t & !ASID_BITS == global);
             if let Some(way) = found {
                 self.last_hit = Some((asid, vpn, start + way));
                 return Some(start + way);
@@ -313,32 +341,36 @@ impl Tlb {
         self.tick += 1;
         self.last_hit = None;
         let tick = self.tick;
+        let size_idx = size_slot(size);
         let key = size_key(vpn, size);
+        let mine = tag(asid, key, size_idx);
+        let new_tag = if global { mine | TAG_GLOBAL } else { mine };
         let frame_base = PhysAddr::new(frame_base.raw() & !(size.bytes() - 1));
+        let entry = TlbEntry {
+            frame_base,
+            flags,
+            size,
+            stamp: tick,
+        };
         let range = self.set_range(key);
         let start = range.start;
-        let set = &mut self.entries[range];
-        // Overwrite an existing entry for the same (vpn, size, asid)
-        // first. Size participates in the match: a 4 KiB page and a
-        // superpage can share a key yet must coexist.
-        if let Some(e) = set
-            .iter_mut()
-            .find(|e| e.valid && e.vpn == key && e.size == size && e.asid == asid)
-        {
-            e.frame_base = frame_base;
-            e.flags = flags;
-            e.global = global;
-            e.stamp = tick;
+        let tags = &mut self.tags[range.clone()];
+        // Overwrite an existing entry for the same (vpn, size, asid),
+        // global or not, first. Size participates in the match: a 4 KiB
+        // page and a superpage can share a key yet must coexist.
+        if let Some(way) = tags.iter().position(|&t| t & !TAG_GLOBAL == mine) {
+            tags[way] = new_tag;
+            self.entries[start + way] = entry;
             return;
         }
-        let way = if let Some(free) = set.iter().position(|e| !e.valid) {
+        let way = if let Some(free) = tags.iter().position(|&t| t == 0) {
             let slot = start + free;
             self.valid_bits[slot / 64] |= 1 << (slot % 64);
             free
         } else {
             // The LRU victim's slot stays valid, so its bit stays set.
             self.stats.evictions += 1;
-            let (lru, e) = set
+            let (lru, e) = self.entries[range]
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.stamp)
@@ -346,30 +378,23 @@ impl Tlb {
             self.resident[size_slot(e.size)] -= 1;
             lru
         };
-        self.resident[size_slot(size)] += 1;
-        set[way] = TlbEntry {
-            valid: true,
-            asid,
-            global,
-            vpn: key,
-            frame_base,
-            flags,
-            size,
-            stamp: tick,
-        };
+        self.resident[size_idx] += 1;
+        tags[way] = new_tag;
+        self.entries[start + way] = entry;
         self.stats.insertions += 1;
     }
 
     /// Flushes all non-global entries (untagged CR3 write).
     pub fn flush_nonglobal(&mut self) {
         self.stats.flushes += 1;
-        self.invalidate_where(|e| !e.global);
+        self.invalidate_where(|t| t & TAG_GLOBAL == 0);
     }
 
     /// Flushes entries belonging to one ASID (INVPCID-style).
     pub fn flush_asid(&mut self, asid: Asid) {
         self.stats.asid_flushes += 1;
-        self.invalidate_where(|e| e.asid == asid && !e.global);
+        let mine = u64::from(asid.0) << ASID_SHIFT;
+        self.invalidate_where(|t| t & (ASID_BITS | TAG_GLOBAL) == mine);
     }
 
     /// Invalidates the page containing `vpn` across all ASIDs (INVLPG
@@ -377,11 +402,11 @@ impl Tlb {
     /// entry covering the 4 KiB page is dropped too.
     pub fn flush_page(&mut self, vpn: Vpn) {
         self.last_hit = None;
-        for size in PROBE_SIZES {
+        for (size_idx, size) in PROBE_SIZES.into_iter().enumerate() {
             let key = size_key(vpn, size);
+            let page = tag(Asid(0), key, size_idx);
             for slot in self.set_range(key) {
-                let e = &self.entries[slot];
-                if e.valid && e.size == size && e.vpn == key {
+                if self.tags[slot] & !(ASID_BITS | TAG_GLOBAL) == page {
                     self.invalidate(slot);
                 }
             }
@@ -390,10 +415,7 @@ impl Tlb {
 
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
-        self.valid_bits
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 
     /// Bytes of address space the currently valid entries translate —
@@ -401,10 +423,10 @@ impl Tlb {
     /// 512x what a 4 KiB entry does, which is the whole point of
     /// superpages.
     pub fn reach_bytes(&self) -> u64 {
-        self.entries
+        self.tags
             .iter()
-            .filter(|e| e.valid)
-            .map(|e| e.size.bytes())
+            .filter(|&&t| t != 0)
+            .map(|&t| PROBE_SIZES[tag_slot(t)].bytes())
             .sum()
     }
 }
@@ -412,7 +434,7 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::PAGE_SHIFT;
+    use crate::addr::VirtAddr;
 
     fn flags() -> PteFlags {
         PteFlags::PRESENT | PteFlags::WRITABLE
@@ -436,7 +458,6 @@ mod tests {
         );
         let s = tlb.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
-        assert!((s.miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -739,5 +760,74 @@ mod tests {
         assert!(!Asid::UNTAGGED.is_tagged());
         assert!(Asid(5).is_tagged());
         assert_eq!(Asid::MAX, 0xfff);
+    }
+
+    #[test]
+    fn tags_never_alias() {
+        // One 2-way set, so every key below competes for the same ways.
+        let insert = |tlb: &mut Tlb, asid: u16, vpn: Vpn, base: u64, global: bool, size| {
+            tlb.insert(Asid(asid), vpn, PhysAddr::new(base), flags(), global, size);
+        };
+        let base_of = |tlb: &mut Tlb, asid: u16, vpn: Vpn| tlb.lookup(Asid(asid), vpn).map(|h| h.0);
+
+        // ASIDs that differ only above bit 11.
+        let mut tlb = Tlb::new(2, 2);
+        insert(&mut tlb, 0x1001, Vpn(5), 0x1000, false, PageSize::Size4K);
+        assert_eq!(base_of(&mut tlb, 0x0001, Vpn(5)), None);
+        insert(&mut tlb, 0x0001, Vpn(5), 0x2000, false, PageSize::Size4K);
+        assert_eq!(tlb.occupancy(), 2, "two ASIDs, two entries");
+        assert_eq!(
+            base_of(&mut tlb, 0x1001, Vpn(5)),
+            Some(PhysAddr::new(0x1000))
+        );
+        tlb.flush_asid(Asid(0x0001));
+        assert_eq!(
+            base_of(&mut tlb, 0x1001, Vpn(5)),
+            Some(PhysAddr::new(0x1000))
+        );
+        assert_eq!(base_of(&mut tlb, 0x0001, Vpn(5)), None);
+
+        // A global entry and a private entry at the same VPN.
+        let mut tlb = Tlb::new(2, 2);
+        insert(&mut tlb, 1, Vpn(5), 0x1000, true, PageSize::Size4K);
+        insert(&mut tlb, 2, Vpn(5), 0x2000, false, PageSize::Size4K);
+        assert_eq!(tlb.occupancy(), 2, "the private entry is not an overwrite");
+        // The first matching way wins: the global one, under any ASID.
+        assert_eq!(base_of(&mut tlb, 2, Vpn(5)), Some(PhysAddr::new(0x1000)));
+        assert_eq!(base_of(&mut tlb, 3, Vpn(5)), Some(PhysAddr::new(0x1000)));
+        tlb.flush_nonglobal();
+        assert_eq!(tlb.occupancy(), 1, "only the private entry goes");
+        // Re-inserting under the global entry's own ASID overwrites it.
+        insert(&mut tlb, 1, Vpn(5), 0x3000, false, PageSize::Size4K);
+        assert_eq!(tlb.occupancy(), 1);
+        assert_eq!(base_of(&mut tlb, 2, Vpn(5)), None, "no longer global");
+
+        // An upper-half VA and a lower-half VA with the same low bits.
+        let upper = VirtAddr::new(0xffff_8000_0000_0000).vpn();
+        let lower = VirtAddr::new(0x0000_0000_0000_0000).vpn();
+        let low = (1 << 35) - 1;
+        assert_eq!(upper.0 & low, lower.0 & low);
+        let mut tlb = Tlb::new(2, 2);
+        insert(&mut tlb, 1, upper, 0x1000, false, PageSize::Size4K);
+        assert_eq!(base_of(&mut tlb, 1, lower), None);
+        insert(&mut tlb, 1, lower, 0x2000, false, PageSize::Size4K);
+        assert_eq!(base_of(&mut tlb, 1, upper), Some(PhysAddr::new(0x1000)));
+        let top = VirtAddr::new(u64::MAX).vpn();
+        let below = VirtAddr::new(0x7fff_ffff_ffff).vpn();
+        insert(&mut tlb, 1, top, 0x3000, false, PageSize::Size4K);
+        assert_eq!(base_of(&mut tlb, 1, below), None);
+        assert_eq!(base_of(&mut tlb, 1, top), Some(PhysAddr::new(0x3000)));
+
+        // A 4 KiB entry and a 2 MiB entry that share a key.
+        let mut tlb = Tlb::new(2, 2);
+        insert(&mut tlb, 1, Vpn(512), 0x1000, false, PageSize::Size4K);
+        insert(&mut tlb, 1, Vpn(512), 0x20_0000, false, PageSize::Size2M);
+        assert_eq!(tlb.occupancy(), 2);
+        assert_eq!(base_of(&mut tlb, 1, Vpn(512)), Some(PhysAddr::new(0x1000)));
+        assert_eq!(
+            base_of(&mut tlb, 1, Vpn(513)),
+            Some(PhysAddr::new(0x20_0000))
+        );
+        assert_eq!(tlb.reach_bytes(), 4096 + (2 << 20));
     }
 }

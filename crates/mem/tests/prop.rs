@@ -585,8 +585,8 @@ fn tlb_op(rng: &mut SimRng) -> TlbOp {
 fn masked_tlb_matches_the_reference_tlb() {
     for seed in 0..42u64 {
         let mut rng = SimRng::seed_from_u64(seed ^ 0x7eb);
-        // The last two are the M1/M2 shape, whose valid-slot bitmaps span
-        // several words.
+        // (512, 4) is the M1/M2 shape and (1024, 8) the M3 one; the last
+        // three have valid-slot bitmaps that span several words.
         let (entries, ways) = [
             (4, 4),
             (8, 2),
@@ -595,14 +595,17 @@ fn masked_tlb_matches_the_reference_tlb() {
             (32, 8),
             (256, 4),
             (512, 4),
-        ][seed as usize % 7];
+            (1024, 8),
+        ][seed as usize % 8];
         let mut tlb = Tlb::new(entries, ways);
         let mut reference = reference::RefTlb::new(entries, ways);
         // Every (asid, vpn) ever inserted: the probe set for comparing
         // the two TLBs' whole contents.
         let mut keys: Vec<(Asid, Vpn)> = Vec::new();
         let mut last = (Asid(0), Vpn(0));
-        for step in 0..400 {
+        // A bigger TLB takes a longer stream to fill a set and evict.
+        let steps = (2 * entries).max(400);
+        for step in 0..steps {
             let op = tlb_op(&mut rng);
             let at = format!("seed {seed} step {step} {op:?}");
             match op {
