@@ -16,7 +16,7 @@
 use sjmp_bench::{quick_mode, Report};
 use sjmp_mem::cost::{CostModel, CycleClock, MachineId, MachineProfile};
 use sjmp_mem::paging::{self, PteFlags};
-use sjmp_mem::{Asid, Backend, Mmu, PhysMem, VirtAddr};
+use sjmp_mem::{Asid, Backend, Mmu, PhysMem, Tier, VirtAddr};
 use sjmp_sim::SimRng;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +36,7 @@ fn run(series: Series, pages: u64, iters: u64) -> f64 {
     };
     let root = paging::new_root(&mut phys).expect("root");
     let base = VirtAddr::new(0x1000_0000);
-    let frames = phys.alloc_contiguous(pages).expect("frames");
+    let frames = phys.alloc_contiguous(Tier::Dram, pages, 1).expect("frames");
     paging::map_region(
         &mut phys,
         root,

@@ -4,7 +4,7 @@
 
 use sjmp_mem::{KernelFlavor, MachineId, PageSize, VirtAddr};
 use sjmp_os::{Backing, Creds, Kernel, Mode, Pid};
-use spacejmp_core::{AttachMode, SegCtl, SjError, SpaceJmp, VasCtl, VasHeap};
+use spacejmp_core::{AttachMode, SegCtl, SegId, SjError, SpaceJmp, VasCtl, VasHeap, VasId};
 
 const SEG_BASE: u64 = 0x1000_0000_0000;
 
@@ -1338,10 +1338,9 @@ fn the_audit_reports_a_capability_for_a_destroyed_object() {
     assert_eq!(sj.check_invariants(), Vec::<String>::new());
 }
 
-#[test]
-fn a_snapshot_that_runs_out_of_memory_leaves_nothing() {
+/// A DragonFly machine with 900 frames of memory and one process.
+fn small_machine() -> (SpaceJmp, Pid) {
     use sjmp_mem::cost::{CostModel, MachineProfile};
-    use sjmp_os::OsError;
     let profile = MachineProfile {
         mem_bytes: 900 * 4096,
         ..MachineProfile::default()
@@ -1349,14 +1348,30 @@ fn a_snapshot_that_runs_out_of_memory_leaves_nothing() {
     let kernel = Kernel::with_profile(KernelFlavor::DragonFly, profile, CostModel::default());
     let mut sj = SpaceJmp::new(kernel);
     let pid = sj.kernel_mut().spawn("p", Creds::new(100, 100)).unwrap();
+    (sj, pid)
+}
+
+/// [`small_machine`] with a VAS holding two 256-page segments, `a` and
+/// `b`.
+fn small_machine_with_two_segments() -> (SpaceJmp, Pid, VasId, [SegId; 2]) {
+    let (mut sj, pid) = small_machine();
     let vid = sj.vas_create(pid, "orig", Mode(0o600)).unwrap();
-    for (i, name) in ["a", "b"].into_iter().enumerate() {
-        let base = VirtAddr::new(SEG_BASE + (i as u64) * (1 << 30));
+    let sids = ["a", "b"].map(|name| {
+        let i = u64::from(name == "b");
+        let base = VirtAddr::new(SEG_BASE + i * (1 << 30));
         let sid = sj
             .seg_alloc(pid, name, base, 256 * 4096, Mode(0o600))
             .unwrap();
         sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite).unwrap();
-    }
+        sid
+    });
+    (sj, pid, vid, sids)
+}
+
+#[test]
+fn a_snapshot_that_runs_out_of_memory_leaves_nothing() {
+    use sjmp_os::OsError;
+    let (mut sj, pid, vid, _) = small_machine_with_two_segments();
     let free = sj.kernel_mut().phys_mut().free_frames();
     // The retry must fail the same way, not with NameTaken.
     for attempt in 0..2 {
@@ -1407,4 +1422,63 @@ fn a_clone_whose_second_attach_fails_leaves_nothing() {
     );
     let problems = sj.check_invariants();
     assert!(problems.is_empty(), "{problems:?}");
+}
+
+#[test]
+fn a_freed_segments_frames_come_back_contiguous() {
+    // Six identical rounds on a 900-frame machine: create a VAS, allocate
+    // a 256-page segment, attach it, switch in, store one word per page,
+    // then tear it all down. The freed range merges back, so every
+    // round's segment is contiguous and mapped eagerly in its template,
+    // and every round costs the same cycles.
+    let (mut sj, pid) = small_machine();
+    sj.kernel_mut().activate(pid).unwrap();
+    let va = VirtAddr::new(SEG_BASE);
+    let free = sj.kernel_mut().phys_mut().free_frames();
+    let mut costs = Vec::new();
+    for round in 0..6 {
+        let start = sj.kernel().now();
+        let vid = sj.vas_create(pid, "v", Mode(0o600)).unwrap();
+        let sid = sj.seg_alloc(pid, "s", va, 256 * 4096, Mode(0o600)).unwrap();
+        sj.seg_attach(pid, vid, sid, AttachMode::ReadWrite).unwrap();
+        let vh = sj.vas_attach(pid, vid).unwrap();
+        sj.vas_switch(pid, vh).unwrap();
+        for page in 0..256 {
+            sj.kernel_mut()
+                .store_u64(pid, va.add(page * 4096), page)
+                .unwrap();
+        }
+        sj.vas_switch_home(pid).unwrap();
+        sj.vas_detach(pid, vh).unwrap();
+        sj.vas_ctl(pid, VasCtl::Destroy, vid).unwrap();
+        sj.seg_ctl(pid, sid, SegCtl::Destroy).unwrap();
+        costs.push(sj.kernel().now() - start);
+        assert_eq!(
+            sj.kernel_mut().phys_mut().free_frames(),
+            free,
+            "round {round}"
+        );
+        let problems = sj.check_invariants();
+        assert!(problems.is_empty(), "round {round}: {problems:?}");
+    }
+    assert!(
+        costs.iter().all(|&c| c == costs[0]),
+        "cycles per round: {costs:?}"
+    );
+}
+
+#[test]
+fn a_segment_cloned_again_after_its_clone_is_destroyed_stays_contiguous() {
+    // Two clones of `a` do not fit at once; one after the other must
+    // reuse the first clone's frames as one range.
+    let (mut sj, pid, _, [a, _]) = small_machine_with_two_segments();
+    for round in 0..2 {
+        let copy = sj.seg_clone(pid, a, "copy").unwrap();
+        let object = sj.segment(copy).unwrap().object();
+        let obj = sj.kernel().vmobject(object).unwrap();
+        assert!(obj.is_contiguous(), "clone {round}");
+        sj.seg_ctl(pid, copy, SegCtl::Destroy).unwrap();
+        let problems = sj.check_invariants();
+        assert!(problems.is_empty(), "clone {round}: {problems:?}");
+    }
 }

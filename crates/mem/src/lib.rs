@@ -65,5 +65,5 @@ pub use error::{Access, MemError};
 pub use machine::Machine;
 pub use mmu::Mmu;
 pub use paging::PteFlags;
-pub use phys::PhysMem;
+pub use phys::{PhysMem, Tier};
 pub use tlb::{Asid, Tlb, TlbStats};

@@ -1229,7 +1229,9 @@ mod tests {
 
         // A 2 MiB mapping translates linearly across its whole extent,
         // still one bounds check per access and no walk.
-        let big = phys.alloc_contiguous_aligned(512, 512).unwrap();
+        let big = phys
+            .alloc_contiguous(crate::phys::Tier::Dram, 512, 512)
+            .unwrap();
         paging::map(
             &mut phys,
             root,

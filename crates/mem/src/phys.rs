@@ -16,9 +16,14 @@
 //! not the advertised capacity. Every simulated access looks its frame up
 //! here, so a lookup is two array indexings and no hashing.
 //!
-//! The store doubles as the frame allocator: [`PhysMem::alloc_frame`] hands
-//! out frames from a bump pointer plus free list, and page-table nodes built
-//! by [`crate::paging`] live in these frames like they would in real DRAM.
+//! The store doubles as the frame allocator, and page-table nodes built by
+//! [`crate::paging`] live in its frames like they would in real DRAM. Each
+//! tier (DRAM, and NVM once [`PhysMem::set_nvm_tier`] splits one off) keeps
+//! its free frames as sorted, disjoint extents that merge with their
+//! neighbours when freed. [`PhysMem::alloc_contiguous`] takes the lowest
+//! aligned fit, so a single frame is an extent of length 1 and a freed
+//! range comes back whole: what a request gets depends on which frames are
+//! free, not on the order they were handed out in.
 
 use sjmp_blk::{BlkStats, SwapDev};
 
@@ -81,6 +86,73 @@ fn slot_mut(chunks: &mut Vec<Option<Chunk>>, pfn: u64) -> &mut Option<FrameBox> 
     &mut chunks[c].get_or_insert_with(|| Box::new([const { None }; CHUNK_FRAMES as usize]))[i]
 }
 
+/// A memory tier. Which one a frame sits in decides its access cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// DRAM: every frame below the NVM boundary except frame 0.
+    Dram,
+    /// The non-volatile tier declared by [`PhysMem::set_nvm_tier`].
+    Nvm,
+}
+
+/// One tier's free frames: sorted, disjoint `(start, len)` extents, no two
+/// of them adjacent.
+#[derive(Debug, Default)]
+struct FreeExtents {
+    extents: Vec<(u64, u64)>,
+    /// Frames in `extents`.
+    frames: u64,
+}
+
+impl FreeExtents {
+    /// Takes the lowest `n` frames whose base is a multiple of `align`.
+    fn take(&mut self, n: u64, align: u64) -> Option<u64> {
+        let (i, base) = self
+            .extents
+            .iter()
+            .enumerate()
+            .find_map(|(i, &(start, len))| {
+                let base = start.next_multiple_of(align);
+                (base + n <= start + len).then_some((i, base))
+            })?;
+        let (start, len) = self.extents[i];
+        let rest = [(start, base - start), (base + n, start + len - base - n)];
+        self.extents
+            .splice(i..=i, rest.into_iter().filter(|&(_, len)| len > 0));
+        self.frames -= n;
+        Some(base)
+    }
+
+    /// Returns `start..start + n`, merging it with the extents it touches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of the frames is already free: merging would let a
+    /// later request hand it out twice.
+    fn give(&mut self, start: u64, n: u64) {
+        let end = start + n;
+        let i = self.extents.partition_point(|&(s, _)| s < start);
+        let prev_end = i
+            .checked_sub(1)
+            .map(|p| self.extents[p].0 + self.extents[p].1);
+        let next_start = self.extents.get(i).map(|&(s, _)| s);
+        assert!(
+            prev_end.is_none_or(|e| e <= start) && next_start.is_none_or(|s| end <= s),
+            "frames {start}..{end} freed while free"
+        );
+        match (prev_end == Some(start), next_start == Some(end)) {
+            (true, true) => {
+                self.extents[i - 1].1 += n + self.extents[i].1;
+                self.extents.remove(i);
+            }
+            (true, false) => self.extents[i - 1].1 += n,
+            (false, true) => self.extents[i] = (start, n + self.extents[i].1),
+            (false, false) => self.extents.insert(i, (start, n)),
+        }
+        self.frames += n;
+    }
+}
+
 /// Sparse simulated physical memory with a frame allocator.
 ///
 /// # Examples
@@ -102,18 +174,15 @@ pub struct PhysMem {
     /// Materialized frames in `chunks`.
     resident: u64,
     capacity_frames: u64,
-    next_frame: u64,
-    free_list: Vec<u64>,
-    allocated: u64,
+    /// Free DRAM frames. Frame 0 is never among them (a null CR3 should
+    /// never look valid).
+    dram: FreeExtents,
+    /// Free NVM frames: empty until [`Self::set_nvm_tier`].
+    nvm: FreeExtents,
     /// First frame of the NVM tier, if the machine has one. Frames at or
     /// above this boundary are non-volatile memory with different access
     /// costs (the heterogeneous-memory future of the paper's Section 7).
     nvm_boundary: Option<u64>,
-    /// Bump pointer for NVM allocations (grows from the boundary up).
-    next_nvm_frame: u64,
-    /// Freed NVM frames, sorted ascending. NVM frames never go to
-    /// `free_list`, which feeds DRAM allocations.
-    nvm_free_list: Vec<u64>,
     /// Simulated swap device, backed by the `sjmp-blk` block device
     /// (one block per page). A slot without device bytes records a page
     /// that was entirely zero, so swapped-out untouched pages stay
@@ -128,7 +197,7 @@ pub struct PhysMem {
 
 impl PhysMem {
     /// Creates a machine with `capacity_bytes` of physical memory
-    /// (rounded down to whole frames).
+    /// (rounded down to whole frames), all of it DRAM.
     ///
     /// # Panics
     ///
@@ -139,17 +208,17 @@ impl PhysMem {
             capacity_frames > 0,
             "physical memory must hold at least one frame"
         );
+        let mut dram = FreeExtents::default();
+        if capacity_frames > 1 {
+            dram.give(1, capacity_frames - 1);
+        }
         PhysMem {
             chunks: Vec::new(),
             resident: 0,
             capacity_frames,
-            // Frame 0 is reserved (a null CR3 should never look valid).
-            next_frame: 1,
-            free_list: Vec::new(),
-            allocated: 0,
+            dram,
+            nvm: FreeExtents::default(),
             nvm_boundary: None,
-            next_nvm_frame: 0,
-            nvm_free_list: Vec::new(),
             swap: SwapDev::new(PAGE_SIZE),
             table_gen: 0,
         }
@@ -168,12 +237,12 @@ impl PhysMem {
     }
 
     /// Declares the top `nvm_bytes` of the physical space to be a
-    /// non-volatile memory tier. DRAM allocations bump from the bottom,
-    /// NVM allocations ([`Self::alloc_contiguous_nvm`]) from the boundary.
+    /// non-volatile memory tier, allocated from with [`Tier::Nvm`].
     ///
     /// # Panics
     ///
-    /// Panics if the NVM tier would not leave at least one DRAM frame.
+    /// Panics if the NVM tier would not leave at least one DRAM frame, or
+    /// if any frame it would take is allocated (as after an earlier call).
     pub fn set_nvm_tier(&mut self, nvm_bytes: u64) {
         let nvm_frames = nvm_bytes / PAGE_SIZE;
         assert!(
@@ -181,49 +250,22 @@ impl PhysMem {
             "NVM tier must be nonempty and leave DRAM frames"
         );
         let boundary = self.capacity_frames - nvm_frames;
+        let top = self.dram.extents.pop();
+        let (start, len) = top
+            .filter(|&(s, len)| s <= boundary && s + len == self.capacity_frames)
+            .expect("frames above the NVM boundary are free");
+        self.dram.frames -= len;
+        if start < boundary {
+            self.dram.give(start, boundary - start);
+        }
+        self.nvm.give(boundary, nvm_frames);
         self.nvm_boundary = Some(boundary);
-        self.next_nvm_frame = boundary;
     }
 
     /// Whether `pfn` belongs to the NVM tier.
     #[inline]
     pub fn is_nvm(&self, pfn: Pfn) -> bool {
         self.nvm_boundary.is_some_and(|b| pfn.0 >= b)
-    }
-
-    /// Allocates `n` consecutive frames from the NVM tier, reusing freed
-    /// NVM frames first.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfFrames`] if no NVM tier was configured or it is
-    /// exhausted.
-    pub fn alloc_contiguous_nvm(&mut self, n: u64) -> Result<Pfn, MemError> {
-        if self.nvm_boundary.is_none() {
-            return Err(MemError::OutOfFrames);
-        }
-        // First fit among freed frames: the list is sorted and has no
-        // duplicates, so a window of `n` is consecutive iff it spans `n`.
-        let reuse = if n == 0 {
-            None
-        } else {
-            self.nvm_free_list
-                .windows(n as usize)
-                .position(|w| w[w.len() - 1] - w[0] == n - 1)
-        };
-        if let Some(at) = reuse {
-            let base = self.nvm_free_list[at];
-            self.nvm_free_list.drain(at..at + n as usize);
-            self.allocated += n;
-            return Ok(Pfn(base));
-        }
-        if self.next_nvm_frame + n > self.capacity_frames {
-            return Err(MemError::OutOfFrames);
-        }
-        let base = self.next_nvm_frame;
-        self.next_nvm_frame += n;
-        self.allocated += n;
-        Ok(Pfn(base))
     }
 
     /// Total capacity in frames.
@@ -236,9 +278,9 @@ impl PhysMem {
         self.nvm_boundary.map_or(0, |b| self.capacity_frames - b)
     }
 
-    /// Number of frames handed out by [`Self::alloc_frame`] and not freed.
+    /// Number of frames handed out and not freed, in both tiers.
     pub fn allocated_frames(&self) -> u64 {
-        self.allocated
+        self.capacity_frames - 1 - self.dram.frames - self.nvm.frames
     }
 
     /// Number of frames materialized with host memory.
@@ -246,104 +288,94 @@ impl PhysMem {
         self.resident
     }
 
-    /// Allocates one zeroed frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfFrames`] when the machine's physical
-    /// capacity is exhausted.
-    pub fn alloc_frame(&mut self) -> Result<Pfn, MemError> {
-        let pfn = if let Some(f) = self.free_list.pop() {
-            // Reused frames must read as zero again.
-            self.take_frame(f);
-            f
-        } else if self.next_frame < self.nvm_boundary.unwrap_or(self.capacity_frames) {
-            let f = self.next_frame;
-            self.next_frame += 1;
-            f
-        } else {
-            return Err(MemError::OutOfFrames);
-        };
-        self.allocated += 1;
-        Ok(Pfn(pfn))
+    /// Free DRAM frames. A contiguous request for all of them succeeds
+    /// when they form one extent, as they do on a machine whose freed
+    /// ranges have all merged back.
+    pub fn free_frames(&self) -> u64 {
+        self.dram.frames
     }
 
-    /// Allocates `n` zeroed frames with consecutive frame numbers.
-    ///
-    /// Contiguity is needed for segments backed by a flat physical range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfFrames`] when fewer than `n` contiguous
-    /// frames remain in the bump region.
-    pub fn alloc_contiguous(&mut self, n: u64) -> Result<Pfn, MemError> {
-        if self.next_frame + n > self.nvm_boundary.unwrap_or(self.capacity_frames) {
-            return Err(MemError::OutOfFrames);
+    /// `tier`'s free frames as sorted `(first frame, length)` extents, no
+    /// two adjacent. Only this shows where the free frames lie, which
+    /// tests of the allocator check against a model.
+    pub fn free_extents(&self, tier: Tier) -> &[(u64, u64)] {
+        match tier {
+            Tier::Dram => &self.dram.extents,
+            Tier::Nvm => &self.nvm.extents,
         }
-        let base = self.next_frame;
-        self.next_frame += n;
-        self.allocated += n;
-        Ok(Pfn(base))
     }
 
-    /// Allocates `n` consecutive frames whose base frame number is a
-    /// multiple of `align_frames` (a power of two). Huge-page mappings
-    /// require naturally aligned physical ranges: a 2 MiB leaf needs a
-    /// 512-frame-aligned base. Frames skipped to reach the alignment go
-    /// to the free list, so they are not lost.
+    /// Allocates one DRAM frame: the lowest free one.
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::OutOfFrames`] when the aligned range does not
-    /// fit in the bump region.
+    /// Returns [`MemError::OutOfFrames`] when no DRAM frame is free.
+    pub fn alloc_frame(&mut self) -> Result<Pfn, MemError> {
+        self.alloc_contiguous(Tier::Dram, 1, 1)
+    }
+
+    /// Allocates `n` frames of `tier` with consecutive frame numbers, the
+    /// first a multiple of `align_frames`: the lowest such range that is
+    /// free. Contiguity is needed for segments backed by a flat physical
+    /// range, and alignment for huge-page mappings (a 2 MiB leaf needs a
+    /// 512-frame-aligned base). The frames read as zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfFrames`] when no such range is free (always,
+    /// for [`Tier::Nvm`] on a machine without an NVM tier).
     ///
     /// # Panics
     ///
-    /// Panics if `align_frames` is not a power of two.
-    pub fn alloc_contiguous_aligned(&mut self, n: u64, align_frames: u64) -> Result<Pfn, MemError> {
+    /// Panics if `n` is zero or `align_frames` is not a power of two.
+    pub fn alloc_contiguous(
+        &mut self,
+        tier: Tier,
+        n: u64,
+        align_frames: u64,
+    ) -> Result<Pfn, MemError> {
+        assert!(n > 0, "an allocation takes at least one frame");
         assert!(
             align_frames.is_power_of_two(),
             "alignment must be a power of two"
         );
-        let base = (self.next_frame + align_frames - 1) & !(align_frames - 1);
-        if base + n > self.nvm_boundary.unwrap_or(self.capacity_frames) {
-            return Err(MemError::OutOfFrames);
-        }
-        for skipped in self.next_frame..base {
-            self.free_list.push(skipped);
-        }
-        self.next_frame = base + n;
-        self.allocated += n;
-        Ok(Pfn(base))
+        let free = match tier {
+            Tier::Dram => &mut self.dram,
+            Tier::Nvm => &mut self.nvm,
+        };
+        free.take(n, align_frames)
+            .map(Pfn)
+            .ok_or(MemError::OutOfFrames)
     }
 
-    /// Returns a frame to the allocator and discards its contents.
+    /// Returns the `n` frames from `base` to the allocator of their tier
+    /// and discards their contents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is not allocated frames of one tier: it is
+    /// empty, reaches frame 0, crosses the NVM boundary or the capacity,
+    /// or holds a frame that is already free.
+    pub fn free_range(&mut self, base: Pfn, n: u64) {
+        let end = base.0 + n;
+        let (lo, hi, free) = match self.nvm_boundary {
+            Some(b) if base.0 >= b => (b, self.capacity_frames, &mut self.nvm),
+            b => (1, b.unwrap_or(self.capacity_frames), &mut self.dram),
+        };
+        assert!(
+            lo <= base.0 && base.0 < end && end <= hi,
+            "frames {}..{end} are not a range of one tier",
+            base.0
+        );
+        free.give(base.0, n);
+        for pfn in base.0..end {
+            self.take_frame(pfn);
+        }
+    }
+
+    /// Returns one frame to the allocator; see [`Self::free_range`].
     pub fn free_frame(&mut self, pfn: Pfn) {
-        self.take_frame(pfn.0);
-        self.release(pfn.0);
-    }
-
-    /// Returns an unmaterialized frame to the free list of its tier.
-    fn release(&mut self, pfn: u64) {
-        if self.is_nvm(Pfn(pfn)) {
-            if let Err(at) = self.nvm_free_list.binary_search(&pfn) {
-                self.nvm_free_list.insert(at, pfn);
-            }
-        } else {
-            self.free_list.push(pfn);
-        }
-        self.allocated = self.allocated.saturating_sub(1);
-    }
-
-    /// DRAM frames [`Self::alloc_frame`] can still hand out (remaining
-    /// bump region plus the free list). Contiguous allocations may fail
-    /// earlier: they draw only on the bump region.
-    pub fn free_frames(&self) -> u64 {
-        let bump_left = self
-            .nvm_boundary
-            .unwrap_or(self.capacity_frames)
-            .saturating_sub(self.next_frame);
-        bump_left + self.free_list.len() as u64
+        self.free_range(pfn, 1);
     }
 
     /// Saves `pfn`'s content to the swap device, frees the frame, and
@@ -352,7 +384,7 @@ impl PhysMem {
     pub fn swap_out(&mut self, pfn: Pfn) -> u64 {
         let image = self.take_frame(pfn.0);
         let slot = self.swap.store(image.as_deref().map(|f| f.as_slice()));
-        self.release(pfn.0);
+        self.free_frame(pfn);
         slot
     }
 
@@ -648,7 +680,7 @@ mod tests {
         pm.free_frame(a);
         assert_eq!(pm.allocated_frames(), 1);
         let c = pm.alloc_frame().unwrap();
-        assert_eq!(c, a, "free list reuses frames");
+        assert_eq!(c, a, "the lowest free frame is reused");
     }
 
     #[test]
@@ -681,7 +713,7 @@ mod tests {
         let mut pm = PhysMem::new(64 * PAGE_SIZE);
         pm.set_nvm_tier(16 * PAGE_SIZE);
         let dram_free = pm.free_frames();
-        let nvm = pm.alloc_contiguous_nvm(1).unwrap();
+        let nvm = pm.alloc_contiguous(Tier::Nvm, 1, 1).unwrap();
         assert!(pm.is_nvm(nvm));
         pm.write_u64(nvm.base(), 7).unwrap();
         pm.free_frame(nvm);
@@ -689,7 +721,7 @@ mod tests {
         let dram = pm.alloc_frame().unwrap();
         assert!(!pm.is_nvm(dram), "a DRAM allocation got NVM frame {dram:?}");
         // The freed frame goes back out as NVM, zeroed.
-        let again = pm.alloc_contiguous_nvm(1).unwrap();
+        let again = pm.alloc_contiguous(Tier::Nvm, 1, 1).unwrap();
         assert_eq!(again, nvm);
         assert_eq!(pm.read_u64(again.base()).unwrap(), 0);
     }
@@ -698,18 +730,24 @@ mod tests {
     fn freed_nvm_runs_are_reused_contiguously() {
         let mut pm = PhysMem::new(64 * PAGE_SIZE);
         pm.set_nvm_tier(8 * PAGE_SIZE);
-        let a = pm.alloc_contiguous_nvm(3).unwrap();
-        let b = pm.alloc_contiguous_nvm(5).unwrap();
-        assert!(pm.alloc_contiguous_nvm(1).is_err(), "tier exhausted");
+        let a = pm.alloc_contiguous(Tier::Nvm, 3, 1).unwrap();
+        let b = pm.alloc_contiguous(Tier::Nvm, 5, 1).unwrap();
+        assert!(
+            pm.alloc_contiguous(Tier::Nvm, 1, 1).is_err(),
+            "tier exhausted"
+        );
         // Free b's frames out of order, and a's middle frame only.
         for i in [4, 0, 2, 1, 3] {
             pm.free_frame(Pfn(b.0 + i));
         }
         pm.free_frame(Pfn(a.0 + 1));
         assert_eq!(pm.allocated_frames(), 2);
-        assert_eq!(pm.alloc_contiguous_nvm(5).unwrap(), b);
-        assert!(pm.alloc_contiguous_nvm(2).is_err(), "no run of two left");
-        assert_eq!(pm.alloc_contiguous_nvm(1).unwrap(), Pfn(a.0 + 1));
+        assert_eq!(pm.alloc_contiguous(Tier::Nvm, 5, 1).unwrap(), b);
+        assert!(
+            pm.alloc_contiguous(Tier::Nvm, 2, 1).is_err(),
+            "no run of two left"
+        );
+        assert_eq!(pm.alloc_contiguous(Tier::Nvm, 1, 1).unwrap(), Pfn(a.0 + 1));
         assert_eq!(pm.allocated_frames(), 8);
     }
 
@@ -720,7 +758,7 @@ mod tests {
         let mut pm = PhysMem::new(512 << 30);
         pm.set_nvm_tier(1 << 30);
         let n = pm.nvm_frames();
-        let last = Pfn(pm.alloc_contiguous_nvm(n).unwrap().0 + n - 1);
+        let last = Pfn(pm.alloc_contiguous(Tier::Nvm, n, 1).unwrap().0 + n - 1);
         assert_eq!(last.0, pm.capacity_frames() - 1);
         pm.write_u64(last.base().add(PAGE_SIZE - 8), 0x5eed)
             .unwrap();
@@ -752,7 +790,7 @@ mod tests {
             assert_eq!(count(pm), want);
         };
         let a = pm.alloc_frame().unwrap();
-        let b = pm.alloc_contiguous(600).unwrap(); // spans two chunks
+        let b = pm.alloc_contiguous(Tier::Dram, 600, 1).unwrap(); // spans two chunks
         check(&pm, 0);
         pm.write_u64(a.base(), 1).unwrap();
         pm.write_bytes(b.base().add(PAGE_SIZE * 511 + 4000), &[9; 200])
@@ -786,23 +824,46 @@ mod tests {
     #[test]
     fn contiguous_allocation() {
         let mut pm = PhysMem::new(64 * PAGE_SIZE);
-        let base = pm.alloc_contiguous(8).unwrap();
+        let base = pm.alloc_contiguous(Tier::Dram, 8, 1).unwrap();
         let next = pm.alloc_frame().unwrap();
         assert_eq!(next.0, base.0 + 8);
-        assert!(pm.alloc_contiguous(1000).is_err());
+        assert!(pm.alloc_contiguous(Tier::Dram, 1000, 1).is_err());
     }
 
     #[test]
-    fn aligned_contiguous_allocation_recycles_the_gap() {
+    fn aligned_allocation_leaves_the_gap_free() {
         let mut pm = PhysMem::new(64 * PAGE_SIZE);
-        pm.alloc_frame().unwrap(); // bump pointer now at 2
-        let base = pm.alloc_contiguous_aligned(8, 8).unwrap();
-        assert_eq!(base.0 % 8, 0, "base is naturally aligned");
-        assert!(base.0 >= 8, "could not have been aligned below the bump");
-        // The frames skipped to reach alignment are reusable.
-        let filler = pm.alloc_frame().unwrap();
-        assert!(filler.0 < base.0, "gap frame came off the free list");
-        assert!(pm.alloc_contiguous_aligned(64, 64).is_err());
+        pm.alloc_frame().unwrap(); // frame 1
+        let base = pm.alloc_contiguous(Tier::Dram, 8, 8).unwrap();
+        assert_eq!(base, Pfn(8), "the lowest aligned fit");
+        // The frames skipped to reach alignment stay free.
+        assert_eq!(pm.free_extents(Tier::Dram), [(2, 6), (16, 48)]);
+        assert_eq!(pm.alloc_frame().unwrap(), Pfn(2));
+        assert!(pm.alloc_contiguous(Tier::Dram, 64, 64).is_err());
+    }
+
+    #[test]
+    fn a_freed_range_merges_with_both_neighbours() {
+        let mut pm = PhysMem::new(32 * PAGE_SIZE);
+        let a = pm.alloc_contiguous(Tier::Dram, 4, 1).unwrap();
+        let b = pm.alloc_contiguous(Tier::Dram, 4, 1).unwrap();
+        let c = pm.alloc_contiguous(Tier::Dram, 4, 1).unwrap();
+        pm.free_range(a, 4);
+        pm.free_range(c, 4);
+        assert_eq!(pm.free_extents(Tier::Dram), [(1, 4), (9, 23)]);
+        pm.free_range(b, 4);
+        assert_eq!(pm.free_extents(Tier::Dram), [(1, 31)]);
+        assert_eq!(pm.allocated_frames(), 0);
+        assert_eq!(pm.alloc_contiguous(Tier::Dram, 31, 1).unwrap(), a);
+    }
+
+    #[test]
+    #[should_panic(expected = "freed while free")]
+    fn freeing_a_free_frame_is_caught() {
+        let mut pm = PhysMem::new(16 * PAGE_SIZE);
+        let a = pm.alloc_contiguous(Tier::Dram, 3, 1).unwrap();
+        pm.free_frame(Pfn(a.0 + 1));
+        pm.free_range(a, 3);
     }
 
     #[test]
@@ -908,7 +969,7 @@ mod tests {
     #[test]
     fn bytes_cross_frame_boundary() {
         let mut pm = PhysMem::new(16 * PAGE_SIZE);
-        let base = pm.alloc_contiguous(2).unwrap().base();
+        let base = pm.alloc_contiguous(Tier::Dram, 2, 1).unwrap().base();
         let data: Vec<u8> = (0..100u8).collect();
         let start = base.add(PAGE_SIZE - 50);
         pm.write_bytes(start, &data).unwrap();

@@ -5,7 +5,8 @@
 //! TLB's masked, size-skipping probe behaves exactly like the plain
 //! divide-and-probe-every-size TLB it replaced, and a pinned transcript
 //! of every MMU word access keeps what a translation returns and
-//! charges fixed.
+//! charges fixed. The frame allocator is checked against a per-frame
+//! bitmap.
 //!
 //! Cases are generated from fixed seeds with [`SimRng`], so every run
 //! explores the same sequences and any failure replays exactly.
@@ -15,7 +16,8 @@ use std::collections::HashMap;
 use sjmp_mem::cost::{CostModel, CycleClock};
 use sjmp_mem::paging::{self, PteFlags};
 use sjmp_mem::{
-    Access, Asid, Backend, MemError, Mmu, PageSize, Pfn, PhysAddr, PhysMem, Tlb, VirtAddr, Vpn,
+    Access, Asid, Backend, MemError, Mmu, PageSize, Pfn, PhysAddr, PhysMem, Tier, Tlb, VirtAddr,
+    Vpn,
 };
 use sjmp_sim::SimRng;
 use sjmp_trace::Tracer;
@@ -90,7 +92,7 @@ fn paging_matches_shadow_model() {
 
         let mut phys = PhysMem::new(64 << 20);
         let root = paging::new_root(&mut phys).unwrap();
-        let data_base = phys.alloc_contiguous(64).unwrap();
+        let data_base = phys.alloc_contiguous(Tier::Dram, 64, 1).unwrap();
         let clock = CycleClock::new();
         let mut mmu = Mmu::new(64, 4, CostModel::default(), clock);
         mmu.load_cr3(root, Asid::UNTAGGED);
@@ -230,7 +232,7 @@ fn segbound_translation_agrees_with_the_tree() {
         let mut phys = PhysMem::new(64 << 20);
         let template = paging::new_root(&mut phys).unwrap();
         let attached = paging::new_root(&mut phys).unwrap();
-        let data_base = phys.alloc_contiguous(64).unwrap();
+        let data_base = phys.alloc_contiguous(Tier::Dram, 64, 1).unwrap();
         let mut mmu = Mmu::new(64, 4, CostModel::default(), CycleClock::new());
         mmu.set_backend(Backend::seg_map());
         mmu.set_host_walk_cache(true);
@@ -301,7 +303,7 @@ fn tlb_never_contradicts_the_page_tables() {
 
         let mut phys = PhysMem::new(16 << 20);
         let root = paging::new_root(&mut phys).unwrap();
-        let base = phys.alloc_contiguous(32).unwrap();
+        let base = phys.alloc_contiguous(Tier::Dram, 32, 1).unwrap();
         for p in 0..32u64 {
             paging::map(
                 &mut phys,
@@ -993,5 +995,122 @@ fn word_path_transcript_is_pinned() {
         assert!(mmu.tlb_stats().evictions > 0 && mmu.stats().faults > 0);
         assert_eq!(line, last, "seed {seed}: final state");
         assert_eq!(transcript, digest, "seed {seed}: transcript digest");
+    }
+}
+
+/// The frame allocator's model: one free bit per frame, and the frame
+/// range of each tier.
+struct FrameModel {
+    free: Vec<bool>,
+    dram: std::ops::Range<u64>,
+    nvm: std::ops::Range<u64>,
+}
+
+impl FrameModel {
+    fn range(&self, tier: Tier) -> std::ops::Range<u64> {
+        match tier {
+            Tier::Dram => self.dram.clone(),
+            Tier::Nvm => self.nvm.clone(),
+        }
+    }
+
+    fn is_free(&self, base: u64, n: u64) -> bool {
+        (base..base + n).all(|f| self.free[f as usize])
+    }
+
+    /// The lowest base in `tier` that is a multiple of `align` and starts
+    /// `n` free frames.
+    fn lowest_fit(&self, tier: Tier, n: u64, align: u64) -> Option<u64> {
+        let range = self.range(tier);
+        (range.start.next_multiple_of(align)..)
+            .step_by(align as usize)
+            .take_while(|&base| base + n <= range.end)
+            .find(|&base| self.is_free(base, n))
+    }
+
+    fn set(&mut self, base: u64, n: u64, free: bool) {
+        for f in base..base + n {
+            self.free[f as usize] = free;
+        }
+    }
+
+    /// `tier`'s maximal runs of free frames, in order: the only extents
+    /// that are sorted, disjoint, never adjacent and cover exactly the
+    /// free frames.
+    fn runs(&self, tier: Tier) -> Vec<(u64, u64)> {
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for f in self.range(tier).filter(|&f| self.free[f as usize]) {
+            match runs.last_mut() {
+                Some((start, len)) if *start + *len == f => *len += 1,
+                _ => runs.push((f, 1)),
+            }
+        }
+        runs
+    }
+
+    fn count(&self, tier: Tier) -> u64 {
+        self.range(tier).filter(|&f| self.free[f as usize]).count() as u64
+    }
+}
+
+#[test]
+fn frame_allocator_matches_a_bitmap_model() {
+    for seed in 0..64u64 {
+        let mut rng = SimRng::seed_from_u64(seed ^ 0xf4a);
+        let capacity = rng.gen_range(2..97);
+        let mut phys = PhysMem::new(capacity * 4096);
+        let mut model = FrameModel {
+            free: (0..capacity).map(|f| f != 0).collect(),
+            dram: 1..capacity,
+            nvm: capacity..capacity,
+        };
+        if capacity > 2 && rng.gen_bool(0.5) {
+            let nvm = rng.gen_range(1..capacity - 1);
+            phys.set_nvm_tier(nvm * 4096);
+            model.dram.end = capacity - nvm;
+            model.nvm = capacity - nvm..capacity;
+        }
+        // Live allocations as (base, frames).
+        let mut live: Vec<(u64, u64)> = Vec::new();
+        for step in 0..300 {
+            let at = format!("seed {seed} step {step}");
+            if !live.is_empty() && rng.gen_bool(0.45) {
+                // Free all or part of one live allocation.
+                let (base, n) = live.swap_remove(rng.index(live.len()));
+                let skip = rng.gen_range(0..n);
+                let len = rng.gen_range(1..n - skip + 1);
+                phys.free_range(Pfn(base + skip), len);
+                model.set(base + skip, len, true);
+                live.extend(
+                    [(base, skip), (base + skip + len, n - skip - len)]
+                        .into_iter()
+                        .filter(|&(_, n)| n > 0),
+                );
+            } else {
+                let (tier, n, align, got) = match rng.index(4) {
+                    0 => (Tier::Dram, 1, 1, phys.alloc_frame()),
+                    kind => {
+                        let tier = if kind == 3 { Tier::Nvm } else { Tier::Dram };
+                        let n = rng.gen_range(1..13);
+                        let align = if kind == 2 { 1 << rng.index(5) } else { 1 };
+                        (tier, n, align, phys.alloc_contiguous(tier, n, align))
+                    }
+                };
+                let want = model.lowest_fit(tier, n, align);
+                assert_eq!(got.ok().map(|p| p.0), want, "{tier:?} {n} x{align}, {at}");
+                if let Some(base) = want {
+                    assert!(model.is_free(base, n), "handed out again, {at}");
+                    model.set(base, n, false);
+                    live.push((base, n));
+                }
+            }
+            for tier in [Tier::Dram, Tier::Nvm] {
+                assert_eq!(phys.free_extents(tier), model.runs(tier), "{tier:?}, {at}");
+            }
+            let dram_free = model.count(Tier::Dram);
+            assert_eq!(phys.free_frames(), dram_free, "free frames, {at}");
+            let allocated = capacity - 1 - dram_free - model.count(Tier::Nvm);
+            assert_eq!(phys.allocated_frames(), allocated, "allocated frames, {at}");
+        }
     }
 }

@@ -162,7 +162,7 @@ sjmp_trace::counter_group! {
         total_frames => "phys.total_frames",
         /// Frames currently allocated to objects or page tables.
         allocated_frames => "phys.allocated_frames",
-        /// Frames the allocator can still supply (bump region + free list).
+        /// Free DRAM frames (see `PhysMem::free_frames`).
         free_frames => "phys.free_frames",
         /// Frames in the NVM capacity tier (0 when none is configured).
         nvm_frames => "phys.nvm_frames",
@@ -879,19 +879,8 @@ impl Kernel {
             self.ensure_frames(owner, space, len.div_ceil(PAGE_SIZE), len)?;
         }
         self.insert_object(|phys, id| {
-            let mut obj = match backing {
-                Backing::Dram => VmObject::alloc(phys, id, len)?,
-                Backing::Aligned(page_size) => {
-                    VmObject::alloc_aligned(phys, id, len, page_size.bytes())?
-                }
-                Backing::Demand => {
-                    let mut obj = VmObject::alloc_demand(id, len)?;
-                    obj.set_swappable(true);
-                    obj
-                }
-                Backing::Nvm => return VmObject::alloc_nvm(phys, id, len),
-            };
-            obj.set_owner(owner);
+            let mut obj = VmObject::alloc(phys, id, len, backing)?;
+            obj.set_owner(owner.filter(|_| backing != Backing::Nvm));
             Ok(obj)
         })
     }
@@ -2129,12 +2118,11 @@ impl Kernel {
             ((0..o.pages()).map(|i| o.page_state(i)).collect(), o.len())
         };
         self.insert_object(|phys, id| {
-            let mut dst = VmObject::alloc_demand(id, len)?;
+            let mut dst = VmObject::alloc(phys, id, len, Backing::Demand)?;
             if let Err(e) = copy_page_states(phys, &states, &mut dst) {
                 dst.free(phys);
                 return Err(e);
             }
-            dst.set_swappable(true);
             dst.set_owner(owner);
             Ok(dst)
         })

@@ -21,7 +21,7 @@
 //! Sparse host materialization (see [`sjmp_mem::phys::PhysMem`]) keeps
 //! even terabyte-sized objects cheap.
 
-use sjmp_mem::{MemError, PageSize, Pfn, PhysAddr, PhysMem, PAGE_SIZE};
+use sjmp_mem::{MemError, PageSize, Pfn, PhysAddr, PhysMem, Tier, PAGE_SIZE};
 
 use crate::process::Pid;
 
@@ -106,10 +106,6 @@ pub struct VmObject {
     pages: u64,
     /// Number of vmspace regions currently referencing this object.
     refs: u64,
-    /// A PML4 slot holding cached translations for this object, if the
-    /// kernel has built them ("a segment may contain a set of cached
-    /// translations to accelerate attachment to an address space").
-    cached_subtree: Option<(Pfn, usize)>,
     /// Pinned objects outlive the processes mapping them (SpaceJMP
     /// segments: "physical pages are reserved at the time a segment is
     /// created"). Unpinned objects are process-private and are reclaimed
@@ -134,7 +130,6 @@ impl VmObject {
             backing,
             pages,
             refs: 0,
-            cached_subtree: None,
             pinned: false,
             preserved: false,
             swappable: false,
@@ -142,106 +137,62 @@ impl VmObject {
         }
     }
 
-    /// Allocates a new object of `len` bytes (rounded up to whole pages).
+    /// Allocates a new object of `len` bytes (rounded up to whole pages)
+    /// on `backing`:
     ///
-    /// Prefers a physically contiguous range; when the bump region can no
-    /// longer supply one (after frames have been freed or swapped out),
-    /// falls back to page-by-page allocation from the free list and
-    /// produces a paged object.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfFrames`] when physical memory is exhausted
-    /// and `InvalidArgument`-style `BadMapping` for a zero length.
-    pub fn alloc(phys: &mut PhysMem, id: VmObjectId, len: u64) -> Result<Self, MemError> {
-        if len == 0 {
-            return Err(MemError::BadMapping(sjmp_mem::VirtAddr::NULL));
-        }
-        let pages = len.div_ceil(PAGE_SIZE);
-        match phys.alloc_contiguous(pages) {
-            Ok(base) => Ok(VmObject::new(id, Frames::Contiguous { base }, pages)),
-            Err(MemError::OutOfFrames) => {
-                let mut states = Vec::with_capacity(pages as usize);
-                for _ in 0..pages {
-                    match phys.alloc_frame() {
-                        Ok(pfn) => states.push(PageState::Resident {
-                            pfn,
-                            referenced: true,
-                        }),
-                        Err(e) => {
-                            for s in states {
-                                if let PageState::Resident { pfn, .. } = s {
-                                    phys.free_frame(pfn);
-                                }
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
-                Ok(VmObject::new(id, Frames::Paged { states }, pages))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Allocates a contiguous object of `len` bytes whose base physical
-    /// address is a multiple of `align_bytes` (a power-of-two multiple of
-    /// the page size). Huge-page mappings need naturally aligned backing:
-    /// a 2 MiB leaf entry can only point at a 2 MiB-aligned range. Unlike
-    /// [`Self::alloc`], there is no paged fallback — a fragmented machine
-    /// fails the request rather than silently losing the alignment.
+    /// * [`Backing::Dram`] takes the lowest free contiguous range, or
+    ///   when no free range is long enough, single frames as a paged
+    ///   object;
+    /// * [`Backing::Aligned`] takes the lowest free range naturally
+    ///   aligned to its page size, with no paged fallback: a fragmented
+    ///   machine fails the request rather than silently losing the
+    ///   alignment a huge-page mapping needs;
+    /// * [`Backing::Nvm`] takes the lowest free range of the NVM tier;
+    /// * [`Backing::Demand`] takes no frame: its pages are demand-zero,
+    ///   and the object is swappable.
     ///
     /// # Errors
     ///
-    /// [`MemError::OutOfFrames`] when no aligned contiguous range fits;
+    /// Returns [`MemError::OutOfFrames`] when the backing's frames are
+    /// exhausted (or no NVM tier exists), and `InvalidArgument`-style
     /// `BadMapping` for a zero length.
-    pub fn alloc_aligned(
+    pub fn alloc(
         phys: &mut PhysMem,
         id: VmObjectId,
         len: u64,
-        align_bytes: u64,
+        backing: Backing,
     ) -> Result<Self, MemError> {
         if len == 0 {
             return Err(MemError::BadMapping(sjmp_mem::VirtAddr::NULL));
         }
         let pages = len.div_ceil(PAGE_SIZE);
-        let base = phys.alloc_contiguous_aligned(pages, align_bytes / PAGE_SIZE)?;
-        Ok(VmObject::new(id, Frames::Contiguous { base }, pages))
-    }
-
-    /// Creates a demand-zero paged object: no frames are allocated until
-    /// pages are touched. This is how swappable segments oversubscribe
-    /// physical memory.
-    ///
-    /// # Errors
-    ///
-    /// `BadMapping` for a zero length.
-    pub fn alloc_demand(id: VmObjectId, len: u64) -> Result<Self, MemError> {
-        if len == 0 {
-            return Err(MemError::BadMapping(sjmp_mem::VirtAddr::NULL));
-        }
-        let pages = len.div_ceil(PAGE_SIZE);
-        Ok(VmObject::new(
-            id,
-            Frames::Paged {
-                states: vec![PageState::Zero; pages as usize],
-            },
-            pages,
-        ))
-    }
-
-    /// Allocates a new object of `len` bytes from the NVM tier.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfFrames`] if no NVM tier exists or it is full.
-    pub fn alloc_nvm(phys: &mut PhysMem, id: VmObjectId, len: u64) -> Result<Self, MemError> {
-        if len == 0 {
-            return Err(MemError::BadMapping(sjmp_mem::VirtAddr::NULL));
-        }
-        let pages = len.div_ceil(PAGE_SIZE);
-        let base = phys.alloc_contiguous_nvm(pages)?;
-        Ok(VmObject::new(id, Frames::Contiguous { base }, pages))
+        let (tier, align) = match backing {
+            Backing::Dram => (Tier::Dram, 1),
+            Backing::Aligned(page_size) => (Tier::Dram, page_size.bytes() / PAGE_SIZE),
+            Backing::Nvm => (Tier::Nvm, 1),
+            Backing::Demand => {
+                let states = vec![PageState::Zero; pages as usize];
+                let mut obj = VmObject::new(id, Frames::Paged { states }, pages);
+                obj.swappable = true;
+                return Ok(obj);
+            }
+        };
+        let frames = match phys.alloc_contiguous(tier, pages, align) {
+            Ok(base) => Frames::Contiguous { base },
+            Err(MemError::OutOfFrames)
+                if backing == Backing::Dram && phys.free_frames() >= pages =>
+            {
+                let states = (0..pages).map(|_| PageState::Resident {
+                    pfn: phys.alloc_frame().expect("counted free"),
+                    referenced: true,
+                });
+                Frames::Paged {
+                    states: states.collect(),
+                }
+            }
+            Err(e) => return Err(e),
+        };
+        Ok(VmObject::new(id, frames, pages))
     }
 
     /// The object's id.
@@ -518,25 +469,11 @@ impl VmObject {
         self.owner = owner;
     }
 
-    /// Records a cached page-table subtree for fast reattachment.
-    pub fn set_cached_subtree(&mut self, root: Pfn, pml4_slot: usize) {
-        self.cached_subtree = Some((root, pml4_slot));
-    }
-
-    /// The cached subtree, if one was built.
-    pub fn cached_subtree(&self) -> Option<(Pfn, usize)> {
-        self.cached_subtree
-    }
-
     /// Releases the backing frames and swap slots. Call only when
     /// unreferenced.
     pub fn free(self, phys: &mut PhysMem) {
         match self.backing {
-            Frames::Contiguous { base } => {
-                for i in 0..self.pages {
-                    phys.free_frame(Pfn(base.0 + i));
-                }
-            }
+            Frames::Contiguous { base } => phys.free_range(base, self.pages),
             Frames::Paged { states } => {
                 for s in states {
                     match s {
@@ -557,7 +494,7 @@ mod tests {
     #[test]
     fn alloc_rounds_to_pages() {
         let mut phys = PhysMem::new(1 << 20);
-        let obj = VmObject::alloc(&mut phys, VmObjectId(1), 5000).unwrap();
+        let obj = VmObject::alloc(&mut phys, VmObjectId(1), 5000, Backing::Dram).unwrap();
         assert_eq!(obj.pages(), 2);
         assert_eq!(obj.len(), 8192);
         assert!(!obj.is_empty());
@@ -567,13 +504,20 @@ mod tests {
     #[test]
     fn aligned_alloc_is_naturally_aligned() {
         let mut phys = PhysMem::new(32 << 20);
-        phys.alloc_frame().unwrap(); // misalign the bump pointer
-        let obj = VmObject::alloc_aligned(&mut phys, VmObjectId(1), 2 << 20, 2 << 20).unwrap();
+        phys.alloc_frame().unwrap(); // frame 1: the lowest free frame is misaligned
+        let huge = Backing::Aligned(PageSize::Size2M);
+        let obj = VmObject::alloc(&mut phys, VmObjectId(1), 2 << 20, huge).unwrap();
         assert!(obj.is_contiguous());
         assert_eq!(obj.base().raw() % (2 << 20), 0);
         assert_eq!(obj.pages(), 512);
         assert!(
-            VmObject::alloc_aligned(&mut phys, VmObjectId(2), 1 << 30, 1 << 30).is_err(),
+            VmObject::alloc(
+                &mut phys,
+                VmObjectId(2),
+                1 << 30,
+                Backing::Aligned(PageSize::Size1G)
+            )
+            .is_err(),
             "no 1 GiB range in a 32 MiB machine"
         );
     }
@@ -581,14 +525,14 @@ mod tests {
     #[test]
     fn zero_length_rejected() {
         let mut phys = PhysMem::new(1 << 20);
-        assert!(VmObject::alloc(&mut phys, VmObjectId(1), 0).is_err());
-        assert!(VmObject::alloc_demand(VmObjectId(1), 0).is_err());
+        assert!(VmObject::alloc(&mut phys, VmObjectId(1), 0, Backing::Dram).is_err());
+        assert!(VmObject::alloc(&mut phys, VmObjectId(1), 0, Backing::Demand).is_err());
     }
 
     #[test]
     fn pa_math() {
         let mut phys = PhysMem::new(1 << 20);
-        let obj = VmObject::alloc(&mut phys, VmObjectId(1), 4 * PAGE_SIZE).unwrap();
+        let obj = VmObject::alloc(&mut phys, VmObjectId(1), 4 * PAGE_SIZE, Backing::Dram).unwrap();
         assert_eq!(obj.pa(PAGE_SIZE + 8), obj.base().add(PAGE_SIZE + 8));
     }
 
@@ -596,14 +540,14 @@ mod tests {
     #[should_panic(expected = "beyond object")]
     fn pa_bounds_checked() {
         let mut phys = PhysMem::new(1 << 20);
-        let obj = VmObject::alloc(&mut phys, VmObjectId(1), PAGE_SIZE).unwrap();
+        let obj = VmObject::alloc(&mut phys, VmObjectId(1), PAGE_SIZE, Backing::Dram).unwrap();
         let _ = obj.pa(PAGE_SIZE);
     }
 
     #[test]
     fn refcounting() {
         let mut phys = PhysMem::new(1 << 20);
-        let mut obj = VmObject::alloc(&mut phys, VmObjectId(1), PAGE_SIZE).unwrap();
+        let mut obj = VmObject::alloc(&mut phys, VmObjectId(1), PAGE_SIZE, Backing::Dram).unwrap();
         obj.add_ref();
         obj.add_ref();
         assert_eq!(obj.refs(), 2);
@@ -616,26 +560,18 @@ mod tests {
     fn free_returns_frames() {
         let mut phys = PhysMem::new(1 << 20);
         let before = phys.allocated_frames();
-        let obj = VmObject::alloc(&mut phys, VmObjectId(1), 8 * PAGE_SIZE).unwrap();
+        let obj = VmObject::alloc(&mut phys, VmObjectId(1), 8 * PAGE_SIZE, Backing::Dram).unwrap();
         assert_eq!(phys.allocated_frames(), before + 8);
         obj.free(&mut phys);
         assert_eq!(phys.allocated_frames(), before);
     }
 
     #[test]
-    fn cached_subtree_bookkeeping() {
-        let mut phys = PhysMem::new(1 << 20);
-        let mut obj = VmObject::alloc(&mut phys, VmObjectId(1), PAGE_SIZE).unwrap();
-        assert!(obj.cached_subtree().is_none());
-        obj.set_cached_subtree(Pfn(99), 3);
-        assert_eq!(obj.cached_subtree(), Some((Pfn(99), 3)));
-    }
-
-    #[test]
     fn demand_object_materializes_on_fault() {
         let mut phys = PhysMem::new(1 << 20);
-        let mut obj = VmObject::alloc_demand(VmObjectId(1), 3 * PAGE_SIZE).unwrap();
-        assert!(!obj.is_contiguous());
+        let mut obj =
+            VmObject::alloc(&mut phys, VmObjectId(1), 3 * PAGE_SIZE, Backing::Demand).unwrap();
+        assert!(!obj.is_contiguous() && obj.swappable());
         assert_eq!(obj.resident_pages(), 0);
         assert_eq!(phys.allocated_frames(), 0);
         let (pfn, src) = obj.fault_in_page(1, &mut phys).unwrap();
@@ -650,7 +586,8 @@ mod tests {
     #[test]
     fn evict_and_fault_back_round_trip() {
         let mut phys = PhysMem::new(1 << 20);
-        let mut obj = VmObject::alloc_demand(VmObjectId(1), 2 * PAGE_SIZE).unwrap();
+        let mut obj =
+            VmObject::alloc(&mut phys, VmObjectId(1), 2 * PAGE_SIZE, Backing::Demand).unwrap();
         let (pfn, _) = obj.fault_in_page(0, &mut phys).unwrap();
         phys.write_u64(pfn.base().add(32), 0xabc).unwrap();
         let slot = obj.evict_page(0, &mut phys).unwrap();
@@ -666,7 +603,8 @@ mod tests {
     #[test]
     fn second_chance_reference_bit() {
         let mut phys = PhysMem::new(1 << 20);
-        let mut obj = VmObject::alloc_demand(VmObjectId(1), PAGE_SIZE).unwrap();
+        let mut obj =
+            VmObject::alloc(&mut phys, VmObjectId(1), PAGE_SIZE, Backing::Demand).unwrap();
         obj.fault_in_page(0, &mut phys).unwrap();
         assert!(obj.take_reference(0), "fresh pages get a second chance");
         assert!(!obj.take_reference(0), "bit cleared by first pass");
@@ -677,7 +615,8 @@ mod tests {
     #[test]
     fn make_paged_preserves_frames() {
         let mut phys = PhysMem::new(1 << 20);
-        let mut obj = VmObject::alloc(&mut phys, VmObjectId(1), 3 * PAGE_SIZE).unwrap();
+        let mut obj =
+            VmObject::alloc(&mut phys, VmObjectId(1), 3 * PAGE_SIZE, Backing::Dram).unwrap();
         let base = obj.base();
         obj.make_paged();
         assert!(!obj.is_contiguous());
@@ -688,7 +627,7 @@ mod tests {
     #[test]
     fn pinned_objects_are_never_swappable() {
         let mut phys = PhysMem::new(1 << 20);
-        let mut obj = VmObject::alloc(&mut phys, VmObjectId(1), PAGE_SIZE).unwrap();
+        let mut obj = VmObject::alloc(&mut phys, VmObjectId(1), PAGE_SIZE, Backing::Dram).unwrap();
         obj.set_pinned(true);
         obj.set_swappable(true);
         assert!(!obj.swappable());
@@ -702,7 +641,8 @@ mod tests {
     #[test]
     fn preserved_objects_survive_without_pinning() {
         let mut phys = PhysMem::new(1 << 20);
-        let mut obj = VmObject::alloc_demand(VmObjectId(1), PAGE_SIZE).unwrap();
+        let mut obj =
+            VmObject::alloc(&mut phys, VmObjectId(1), PAGE_SIZE, Backing::Demand).unwrap();
         assert!(!obj.persistent());
         obj.set_preserved(true);
         obj.set_swappable(true);
@@ -710,31 +650,31 @@ mod tests {
         obj.set_preserved(false);
         obj.set_pinned(true);
         assert!(obj.persistent(), "pinning alone also preserves");
-        let _ = &mut phys;
     }
 
     #[test]
     fn alloc_falls_back_to_paged_after_fragmentation() {
-        // 5-frame machine (frame 0 reserved): burn the bump region, free
-        // the frames, then a 3-page allocation must come from the free
-        // list as a paged object.
-        let mut pm = PhysMem::new(5 * PAGE_SIZE);
-        let a = pm.alloc_contiguous(4).unwrap();
-        for i in 0..4 {
+        // 8-frame machine (frame 0 reserved): take all 7 frames and free
+        // every other one, so no two free frames are adjacent. A 3-page
+        // allocation must then come from single frames as a paged object.
+        let mut pm = PhysMem::new(8 * PAGE_SIZE);
+        let a = pm.alloc_contiguous(Tier::Dram, 7, 1).unwrap();
+        for i in (0..7).step_by(2) {
             pm.free_frame(Pfn(a.0 + i));
         }
-        let obj = VmObject::alloc(&mut pm, VmObjectId(1), 3 * PAGE_SIZE).unwrap();
-        assert!(!obj.is_contiguous(), "bump region exhausted");
+        let obj = VmObject::alloc(&mut pm, VmObjectId(1), 3 * PAGE_SIZE, Backing::Dram).unwrap();
+        assert!(!obj.is_contiguous(), "no free range of 3 frames");
         assert_eq!(obj.resident_pages(), 3);
-        assert!(VmObject::alloc(&mut pm, VmObjectId(2), 2 * PAGE_SIZE).is_err());
+        assert!(VmObject::alloc(&mut pm, VmObjectId(2), 2 * PAGE_SIZE, Backing::Dram).is_err());
         obj.free(&mut pm);
-        assert_eq!(pm.allocated_frames(), 0);
+        assert_eq!(pm.allocated_frames(), 3, "the frames left allocated");
     }
 
     #[test]
     fn freeing_swapped_object_releases_slots() {
         let mut phys = PhysMem::new(1 << 20);
-        let mut obj = VmObject::alloc_demand(VmObjectId(1), 2 * PAGE_SIZE).unwrap();
+        let mut obj =
+            VmObject::alloc(&mut phys, VmObjectId(1), 2 * PAGE_SIZE, Backing::Demand).unwrap();
         obj.fault_in_page(0, &mut phys).unwrap();
         obj.fault_in_page(1, &mut phys).unwrap();
         obj.evict_page(0, &mut phys).unwrap();
